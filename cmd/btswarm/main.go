@@ -15,7 +15,6 @@
 //	btswarm -scenario poisson -checkpoint-every 100 -checkpoint-dir ck   # durable run
 //	btswarm -resume ck -checkpoint-every 100 -checkpoint-dir ck          # continue it
 //	btswarm -serve :8080                                 # tracker daemon (announce/scrape/runs)
-//	btswarm loadgen -addr :8080 -total 10000 -rate 2000  # drive announce load at it
 //
 // With -replicas N, N independent swarms (seeds seed, seed+1, ...) run
 // across -workers goroutines and the stratification statistics are
@@ -79,11 +78,6 @@ func main() {
 }
 
 func run(args []string) error {
-	// Subcommand dispatch precedes flag parsing: `btswarm loadgen ...` has
-	// its own flag set (see serve.go).
-	if len(args) > 0 && args[0] == "loadgen" {
-		return runLoadgen(args[1:])
-	}
 	fs := flag.NewFlagSet("btswarm", flag.ContinueOnError)
 	var (
 		leechers  = fs.Int("leechers", 400, "number of leechers")
@@ -122,6 +116,11 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// flag stops at the first non-flag argument, so a stray word would
+	// silently drop every flag after it.
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 	if *scSample < 0 {
 		return fmt.Errorf("-sample-every %d: must be >= 0", *scSample)

@@ -1,16 +1,12 @@
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
-	"time"
 
 	"stratmatch/internal/btsim"
 	"stratmatch/internal/telemetry"
@@ -70,59 +66,5 @@ func runServe(cfg serveConfig) error {
 			st.ID, st.Name, st.Resume)
 	}
 	_ = hs.Close()
-	return nil
-}
-
-// runLoadgen is the `btswarm loadgen` subcommand: replay announce traffic
-// against a live daemon and report achieved announces/sec plus latency
-// quantiles.
-func runLoadgen(args []string) error {
-	fs := flag.NewFlagSet("btswarm loadgen", flag.ContinueOnError)
-	var (
-		addr  = fs.String("addr", "http://127.0.0.1:8080", "daemon base URL (http://host:port or host:port)")
-		swarm = fs.String("swarm", "loadgen", "swarm name to announce into")
-		peers = fs.Int("peers", 256, "distinct peer keys cycled through")
-		rate  = fs.Float64("rate", 0, "offered announces/sec across all workers (0 = unpaced)")
-		conc  = fs.Int("concurrency", 8, "in-flight request workers")
-		total = fs.Int("total", 0, "total announces to send (0 = bounded by -duration; 5000 when neither is set)")
-		dur   = fs.Duration("duration", 0, "replay wall-time bound (0 = bounded by -total)")
-		churn = fs.Int("churn", 0, "every k-th announce is an event=stopped departure (0 = announces only)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("loadgen: unexpected argument %q", fs.Arg(0))
-	}
-	if *total == 0 && *dur == 0 {
-		*total = 5000
-	}
-	base := *addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	base = strings.TrimRight(base, "/")
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	lg := trackerd.LoadGen{
-		BaseURL:     base,
-		Swarm:       *swarm,
-		Peers:       *peers,
-		Rate:        *rate,
-		Concurrency: *conc,
-		Total:       *total,
-		Duration:    *dur,
-		Churn:       *churn,
-		Client:      &http.Client{Timeout: 30 * time.Second},
-	}
-	rep, err := lg.Run(ctx)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep.String())
-	if rep.Announces == 0 {
-		return fmt.Errorf("loadgen: no announce succeeded (%d errors)", rep.Errors)
-	}
 	return nil
 }

@@ -21,7 +21,8 @@ import (
 )
 
 // TestServeFlagValidation pins -serve's mutual exclusion with every offline
-// run mode, and the loadgen subcommand's argument checking.
+// run mode, and the rejection of stray positional arguments (flag parsing
+// stops at the first one, so the flags after it would be silently dropped).
 func TestServeFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-serve", ":0", "-scenario", "poisson"},
@@ -29,8 +30,9 @@ func TestServeFlagValidation(t *testing.T) {
 		{"-serve", ":0", "-resume", "ck"},
 		{"-serve", ":0", "-dump-spec", "poisson"},
 		{"-serve", ":0", "-emit", "jsonl"},
-		{"loadgen", "stray-arg"},
-		{"loadgen", "-rate", "notanumber"},
+		{"-rounds", "5", "-leechers", "10", "foo"},
+		{"-scenario", "poisson", "x", "-seed", "3"},
+		{"loadgen"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -101,7 +103,7 @@ func startDaemon(t *testing.T, extraArgs ...string) (*exec.Cmd, string, func() s
 }
 
 // TestServeDaemonEndToEnd is the CLI smoke: a real daemon process serves a
-// submitted run byte-identically to the offline CLI, answers loadgen
+// submitted run byte-identically to the offline CLI, answers announce
 // traffic and /metrics, and a SIGTERM under load drains to a resumable
 // checkpoint, prints the resume hint, and exits 0 — with the offline
 // -resume completing the interrupted run.
@@ -145,24 +147,34 @@ func TestServeDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("daemon stream differs from offline CLI: %d vs %d bytes", len(streamed), len(offline))
 	}
 
-	// 2. The loadgen subcommand drives it and reports throughput.
-	lgOut := captureStdout(t, func() error {
-		return run([]string{"loadgen", "-addr", base, "-total", "200", "-concurrency", "4", "-peers", "32", "-churn", "9"})
-	})
-	if !strings.Contains(lgOut, "announces/sec") {
-		t.Fatalf("loadgen output: %q", lgOut)
+	// 2. Announce traffic over 32 keys, every 9th request a departure.
+	const announces = 200
+	for i := 0; i < announces; i++ {
+		u := fmt.Sprintf("%s/announce?swarm=cli&peer=p-%d", base, i%32)
+		if i > 0 && i%9 == 0 {
+			u += "&event=stopped"
+		}
+		aresp, err := http.Get(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, aresp.Body)
+		aresp.Body.Close()
+		if aresp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d", u, aresp.StatusCode)
+		}
 	}
 
-	// 3. The telemetry surface counts it all.
+	// 3. The telemetry surface counts it all, departures included.
 	mresp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	metrics, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
-	for _, want := range []string{"trackerd_announces_total", "trackerd_runs_total"} {
+	for _, want := range []string{fmt.Sprintf("\ntrackerd_announces_total %d\n", announces), "trackerd_runs_total"} {
 		if !strings.Contains(string(metrics), want) {
-			t.Fatalf("/metrics lacks %s:\n%.400s", want, metrics)
+			t.Fatalf("/metrics lacks %q:\n%.400s", want, metrics)
 		}
 	}
 

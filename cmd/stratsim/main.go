@@ -45,6 +45,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// flag stops at the first non-flag argument, so a stray word would
+	// silently drop every flag after it.
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	if *list {
 		for _, id := range experiments.IDs() {
 			title, _ := experiments.Title(id)

@@ -25,8 +25,12 @@ func TestRunUnknownExp(t *testing.T) {
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-bogus"}); err == nil {
-		t.Fatal("bad flag accepted")
+	// A stray positional argument would otherwise end flag parsing and
+	// silently drop every flag after it.
+	for _, args := range [][]string{{"-bogus"}, {"-exp", "fig7", "foo"}} {
+		if err := run(args); err == nil {
+			t.Fatalf("run(%v) succeeded, want error", args)
+		}
 	}
 }
 

@@ -90,8 +90,8 @@ func (hp HandoutPolicy) Handout(st HandoutState, r *rng.RNG, id int32) int {
 // announce loop through the shared policy adds no allocation.
 type swarmHandout Swarm
 
-func (h *swarmHandout) PresentCount() int     { return len(h.trk.present) }
-func (h *swarmHandout) PresentAt(i int) int32 { return h.trk.present[i] }
+func (h *swarmHandout) PresentCount() int     { return h.trk.PresentCount() }
+func (h *swarmHandout) PresentAt(i int) int32 { return h.trk.PresentAt(i) }
 func (h *swarmHandout) DegreeOf(id int32) int { return int(h.deg[h.peers[id].slot]) }
 
 func (h *swarmHandout) SameSide(a, b int32) bool {

@@ -112,7 +112,7 @@ func (s *Swarm) Depart(id int) {
 	}
 	s.present--
 	s.totalDeparted++
-	s.trackerUnregister(id)
+	s.trk.Remove(int32(id))
 
 	// Present peers ranked below the leaver shift up one; p keeps the rank
 	// it held at departure. The incremental sampler's rank sums shift along.
@@ -176,7 +176,7 @@ func (s *Swarm) Crash(id int) {
 	}
 	s.present--
 	s.totalDeparted++
-	s.trackerUnregister(id)
+	s.trk.Remove(int32(id))
 	// Present peers ranked below the crasher shift up one, exactly as in a
 	// graceful departure; p keeps the rank it held.
 	pr := s.rank[id]

@@ -233,7 +233,7 @@ type Swarm struct {
 	completedLeechers int
 	liveDegSum        int64
 
-	trk tracker
+	trk PresentSet
 
 	// flt is the fault-injection state (see faults.go); nil on a fault-free
 	// swarm, and every fault hook hides behind that nil check so the
@@ -383,7 +383,7 @@ func New(o Options) (*Swarm, error) {
 	s.trk.pos = make([]int32, 0, n)
 	s.trk.present = make([]int32, 0, n)
 	for i := 0; i < n; i++ {
-		s.trackerRegister(i)
+		s.trk.Add(int32(i))
 	}
 	for i := 0; i < n; i++ {
 		s.Announce(i)
@@ -508,7 +508,7 @@ func (s *Swarm) Join(capacityKbps float64, asSeed bool) int {
 	s.pendingJoin = append(s.pendingJoin, int32(id))
 
 	s.tel.Inc(telemetry.CtrJoins)
-	s.trackerRegister(id)
+	s.trk.Add(int32(id))
 	s.Announce(id)
 	return id
 }

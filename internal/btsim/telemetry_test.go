@@ -317,26 +317,3 @@ func TestStepZeroAllocTelemetryOn(t *testing.T) {
 		t.Fatalf("instrumented Swarm.Step allocates %.1f objects per round, want 0", allocs)
 	}
 }
-
-// benchmarkStepTelemetry is the telemetry-on/off differential behind the
-// BENCH_results.json overhead gate: the same steady-state swarm stepped
-// with and without a recorder attached.
-func benchmarkStepTelemetry(b *testing.B, tel *telemetry.Recorder) {
-	s, err := New(Options{
-		Leechers: 300, Pieces: 1, ContentUnlimited: true,
-		NeighborCount: 20, Seed: 33,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.SetTelemetry(tel)
-	s.Run(20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
-
-func BenchmarkStepTelemetryOff(b *testing.B) { benchmarkStepTelemetry(b, nil) }
-func BenchmarkStepTelemetryOn(b *testing.B)  { benchmarkStepTelemetry(b, telemetry.New()) }

@@ -2,33 +2,41 @@ package btsim
 
 import "stratmatch/internal/telemetry"
 
-// tracker is the swarm's membership registry: the set of present peer ids,
-// with O(1) register/unregister (swap-delete) and uniform random sampling
-// for neighbor handout. It models a BitTorrent tracker: peers announce on
-// arrival (and re-announce when under-connected) and receive a random
-// subset of the currently registered swarm.
-type tracker struct {
-	present []int32 // present peer ids, order irrelevant
+// PresentSet is a tracker's set of present peer ids: O(1) Add and Remove
+// (swap-delete) and index access for the handout policy's uniform draws.
+// The swarm's tracker and the trackerd service registry both keep their
+// present peers in one, so the same add/remove sequence yields the same
+// present order — and with it the same handout draws.
+type PresentSet struct {
+	present []int32 // present ids, swap-delete order
 	pos     []int32 // id → index in present, −1 when absent
 }
 
-func (s *Swarm) trackerRegister(id int) {
-	for len(s.trk.pos) < len(s.peers) {
-		s.trk.pos = append(s.trk.pos, -1)
+// Add appends id to the present set. id must be absent.
+func (ps *PresentSet) Add(id int32) {
+	for len(ps.pos) <= int(id) {
+		ps.pos = append(ps.pos, -1)
 	}
-	s.trk.pos[id] = int32(len(s.trk.present))
-	s.trk.present = append(s.trk.present, int32(id))
+	ps.pos[id] = int32(len(ps.present))
+	ps.present = append(ps.present, id)
 }
 
-func (s *Swarm) trackerUnregister(id int) {
-	i := s.trk.pos[id]
-	last := int32(len(s.trk.present) - 1)
-	moved := s.trk.present[last]
-	s.trk.present[i] = moved
-	s.trk.pos[moved] = i
-	s.trk.present = s.trk.present[:last]
-	s.trk.pos[id] = -1
+// Remove swap-deletes id from the present set: the last present id takes
+// its index. id must be present.
+func (ps *PresentSet) Remove(id int32) {
+	i := ps.pos[id]
+	last := int32(len(ps.present) - 1)
+	moved := ps.present[last]
+	ps.present[i] = moved
+	ps.pos[moved] = i
+	ps.present = ps.present[:last]
+	ps.pos[id] = -1
 }
+
+// PresentCount and PresentAt give the handout policy its index access
+// (see HandoutState).
+func (ps *PresentSet) PresentCount() int     { return len(ps.present) }
+func (ps *PresentSet) PresentAt(i int) int32 { return ps.present[i] }
 
 // Announce asks the tracker for neighbors: it hands peer id uniformly
 // random present peers until the announcer holds NeighborCount connections

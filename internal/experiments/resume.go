@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"stratmatch/internal/btsim"
+	"stratmatch/internal/checkpoint"
 )
 
 // replicaStore persists completed scenario replicas so an experiment rerun
@@ -42,20 +44,20 @@ func (st *replicaStore) path(key string) string {
 }
 
 // load returns the stored result for key, or nil on any miss — absent
-// file, unreadable gob, or a fingerprint from different settings. A
-// corrupt record is indistinguishable from a missing one by design: the
-// replica simply reruns.
+// file, a container that fails its checksum or version check, unreadable
+// gob, or a fingerprint from different settings. A corrupt record is
+// indistinguishable from a missing one by design: the replica simply
+// reruns.
 func (st *replicaStore) load(key string) *btsim.ScenarioResult {
 	if st == nil {
 		return nil
 	}
-	f, err := os.Open(st.path(key))
+	payload, err := checkpoint.ReadFile(st.path(key))
 	if err != nil {
 		return nil
 	}
-	defer f.Close()
 	var rec replicaRecord
-	if err := gob.NewDecoder(f).Decode(&rec); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
 		return nil
 	}
 	if rec.Seed != st.seed || rec.Scale != st.scale {
@@ -64,8 +66,9 @@ func (st *replicaStore) load(key string) *btsim.ScenarioResult {
 	return &rec.Result
 }
 
-// save persists a completed replica atomically (temp file + rename), so a
-// kill mid-write leaves no half-record for a later load to trip over.
+// save persists a completed replica as a sealed checkpoint container
+// (atomic, fsynced, checksummed), so neither a kill mid-write nor a later
+// bit flip can hand a load a wrong record.
 func (st *replicaStore) save(key string, res *btsim.ScenarioResult) error {
 	if st == nil {
 		return nil
@@ -73,23 +76,13 @@ func (st *replicaStore) save(key string, res *btsim.ScenarioResult) error {
 	if err := os.MkdirAll(st.dir, 0o755); err != nil {
 		return fmt.Errorf("experiments: checkpoint %s: %w", key, err)
 	}
-	tmp, err := os.CreateTemp(st.dir, key+".tmp*")
-	if err != nil {
-		return fmt.Errorf("experiments: checkpoint %s: %w", key, err)
-	}
+	var buf bytes.Buffer
 	rec := replicaRecord{Seed: st.seed, Scale: st.scale, Result: *res}
-	if err := gob.NewEncoder(tmp).Encode(&rec); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	if err := gob.NewEncoder(&buf).Encode(&rec); err != nil {
 		return fmt.Errorf("experiments: checkpoint %s: %w", key, err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("experiments: checkpoint %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), st.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("experiments: checkpoint %s: %w", key, err)
+	if _, err := checkpoint.WriteFile(st.path(key), buf.Bytes()); err != nil {
+		return fmt.Errorf("experiments: %w", err)
 	}
 	return nil
 }

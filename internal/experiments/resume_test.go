@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"stratmatch/internal/checkpoint"
 )
 
 // TestReplicaResume pins the experiment-level resume contract: a churn run
@@ -53,6 +55,32 @@ func TestReplicaResume(t *testing.T) {
 		t.Fatal("partial resume diverged from the original")
 	}
 
+	// A damaged record — one byte flipped — fails its checksum and reads
+	// as a miss: the replica reruns to the identical result and is stored
+	// again, sealed and readable.
+	flipped := dir + "/" + entries[2].Name()
+	data, err := os.ReadFile(flipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(flipped, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	healed, err := Churn(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%+v", healed.TableRows); got != a {
+		t.Fatal("replica rerun after a flipped byte diverged from the original")
+	}
+	if got := fmt.Sprintf("%+v", healed.Notes); got != na {
+		t.Fatalf("replica rerun after a flipped byte changed the notes:\n%s\n%s", na, got)
+	}
+	if _, err := checkpoint.ReadFile(flipped); err != nil {
+		t.Fatalf("rerun replica not stored again: %v", err)
+	}
+
 	// Different settings: the fingerprint rejects the store, and the run
 	// still succeeds (recomputing from scratch).
 	other := cfg
@@ -61,7 +89,8 @@ func TestReplicaResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt record: unreadable gob reads as a miss, not an error.
+	// Corrupt record: a file that is not a container reads as a miss, not
+	// an error.
 	if err := os.WriteFile(dir+"/"+entries[1].Name(), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}

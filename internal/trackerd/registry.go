@@ -1,11 +1,11 @@
 // Package trackerd is the tracker-as-a-service layer: a standalone,
 // concurrent announce/scrape registry running the simulator's exact
-// neighbor-handout policy, an HTTP daemon serving it alongside a
+// neighbor-handout policy, and an HTTP daemon serving it alongside a
 // run-submission API that streams scenario results over the jsonl wire
-// format, and a load generator for driving announce traffic at it.
+// format.
 //
 // The registry is the serving twin of the in-sim tracker (btsim/tracker.go):
-// same append-only roster discipline, same swap-delete present set, same
+// same append-only roster discipline, the same btsim.PresentSet, the same
 // seed-deterministic btsim.HandoutPolicy selection loop — so for identical
 // announce sequences and the same seed it hands out identical neighbor
 // sets, a property pinned by TestRegistryMatchesSwarm.
@@ -52,22 +52,23 @@ type registryShard struct {
 	swarms map[string]*regSwarm
 }
 
-// regSwarm is one swarm's registration state, mirroring the in-sim tracker
+// regSwarm is one swarm's registration state, matching the in-sim tracker
 // exactly where determinism depends on it: the roster (keys) is
 // append-only — a peer that stops and announces again is a new id, like the
-// simulator's roster — and the present set uses the identical swap-delete,
-// so the uniform index draws of the shared handout policy land on the same
-// ids. Wiring is symmetric adjacency lists; removal swap-deletes, matching
-// the sim's CSR edge-half removal (list order never feeds the RNG).
+// simulator's roster — and the present set is the simulator's own
+// btsim.PresentSet, so the uniform index draws of the shared handout policy
+// land on the same ids. Wiring is symmetric adjacency lists; removal
+// swap-deletes, matching the sim's CSR edge-half removal (list order never
+// feeds the RNG).
 type regSwarm struct {
 	mu   sync.Mutex
 	name string
 	r    *rng.RNG
 
+	btsim.PresentSet // present ids; supplies PresentCount/PresentAt
+
 	byKey    map[string]int32 // live peer key → id
 	keys     []string         // id → key (append-only roster)
-	present  []int32          // present ids, swap-delete order
-	pos      []int32          // id → index in present, −1 absent
 	departed []bool
 	nbrs     [][]int32
 
@@ -127,8 +128,6 @@ func (g *Registry) swarm(name string) *regSwarm {
 
 // regSwarm implements btsim.HandoutState. All methods run under rs.mu.
 
-func (rs *regSwarm) PresentCount() int        { return len(rs.present) }
-func (rs *regSwarm) PresentAt(i int) int32    { return rs.present[i] }
 func (rs *regSwarm) DegreeOf(id int32) int    { return len(rs.nbrs[id]) }
 func (rs *regSwarm) SameSide(a, b int32) bool { return true }
 func (rs *regSwarm) Connect(a, b int32) {
@@ -146,31 +145,16 @@ func (rs *regSwarm) Connected(a, b int32) bool {
 	return false
 }
 
-// register adds a new roster entry for key and puts it in the present set
-// (the in-sim trackerRegister). Caller holds rs.mu and has checked the key
-// is not live.
+// register adds a new roster entry for key and puts it in the present set.
+// Caller holds rs.mu and has checked the key is not live.
 func (rs *regSwarm) register(key string) int32 {
 	id := int32(len(rs.keys))
 	rs.keys = append(rs.keys, key)
 	rs.departed = append(rs.departed, false)
 	rs.nbrs = append(rs.nbrs, nil)
-	rs.pos = append(rs.pos, int32(len(rs.present)))
-	rs.present = append(rs.present, id)
+	rs.Add(id)
 	rs.byKey[key] = id
 	return id
-}
-
-// unregister swap-deletes id from the present set — byte-for-byte the
-// in-sim trackerUnregister, because the resulting present order feeds the
-// handout policy's uniform index draws.
-func (rs *regSwarm) unregister(id int32) {
-	i := rs.pos[id]
-	last := int32(len(rs.present) - 1)
-	moved := rs.present[last]
-	rs.present[i] = moved
-	rs.pos[moved] = i
-	rs.present = rs.present[:last]
-	rs.pos[id] = -1
 }
 
 // announce runs the shared handout policy for id. Caller holds rs.mu.
@@ -203,7 +187,7 @@ func (rs *regSwarm) depart(id int32) bool {
 	rs.edges -= int64(len(rs.nbrs[id]))
 	rs.nbrs[id] = nil
 	rs.departed[id] = true
-	rs.unregister(id)
+	rs.Remove(id)
 	delete(rs.byKey, rs.keys[id])
 	return true
 }
@@ -275,9 +259,9 @@ func (rs *regSwarm) scrape() ScrapeEntry {
 	defer rs.mu.Unlock()
 	return ScrapeEntry{
 		Swarm:       rs.name,
-		Present:     len(rs.present),
+		Present:     rs.PresentCount(),
 		TotalJoined: len(rs.keys),
-		Departed:    len(rs.keys) - len(rs.present),
+		Departed:    len(rs.keys) - rs.PresentCount(),
 		Edges:       rs.edges,
 		Announces:   rs.announces,
 	}

@@ -267,7 +267,8 @@ func TestRegistryConcurrency(t *testing.T) {
 	for _, sw := range swarms {
 		rs := g.swarm(sw)
 		rs.mu.Lock()
-		for _, id := range rs.present {
+		for i := 0; i < rs.PresentCount(); i++ {
+			id := rs.PresentAt(i)
 			for _, nb := range rs.nbrs[id] {
 				if !rs.Connected(nb, id) {
 					t.Errorf("%s: %d->%d edge has no reverse half", sw, id, nb)

@@ -3,7 +3,6 @@ package trackerd
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"stratmatch/internal/btsim"
 	"stratmatch/internal/emit"
@@ -352,40 +350,5 @@ func TestServerAnnounceScrapeHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad spec: %d", resp.StatusCode)
-	}
-}
-
-// TestLoadGen drives the generator at a live daemon and sanity-checks the
-// report: all announces land, quantiles are ordered, throughput is counted.
-func TestLoadGen(t *testing.T) {
-	_, ts := newTestServer(t, Config{Seed: 9, Telemetry: telemetry.New()})
-	lg := LoadGen{
-		BaseURL:     ts.URL,
-		Swarm:       "lg",
-		Peers:       40,
-		Concurrency: 4,
-		Total:       300,
-		Churn:       10,
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	rep, err := lg.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("report has %d errors: %+v", rep.Errors, rep)
-	}
-	if rep.Announces != 300 {
-		t.Fatalf("announces %d; want 300", rep.Announces)
-	}
-	if rep.PerSec <= 0 || rep.Elapsed <= 0 {
-		t.Fatalf("throughput not measured: %+v", rep)
-	}
-	if rep.P50 > rep.P90 || rep.P90 > rep.P99 || rep.P99 > rep.Max {
-		t.Fatalf("quantiles out of order: %+v", rep)
-	}
-	if !strings.Contains(rep.String(), "announces/sec") {
-		t.Fatalf("report text: %q", rep.String())
 	}
 }
