@@ -80,7 +80,7 @@ func BMatching(opt BMatchingOptions) (*BMatchingResult, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("analytic: negative population %d", n)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("analytic: probability %v out of [0,1]", p)
 	}
 	if b0 < 1 {
@@ -100,6 +100,10 @@ func BMatching(opt BMatchingOptions) (*BMatchingResult, error) {
 	for c := 0; c < b0; c++ {
 		res.SlotMatchProb[c] = make([]float64, n)
 	}
+	// tracked[i] is res.Rows[i] indexed densely (nil when untracked): the
+	// recurrence reads it for both peers of every pair, and a map lookup
+	// there costs more than the pair's arithmetic at small b0.
+	tracked := make([][][]float64, n)
 	for _, i := range opt.TrackRows {
 		if i < 0 || i >= n {
 			return nil, fmt.Errorf("analytic: tracked row %d out of range [0,%d)", i, n)
@@ -109,6 +113,7 @@ func BMatching(opt BMatchingOptions) (*BMatchingResult, error) {
 			rows[c] = make([]float64, n)
 		}
 		res.Rows[i] = rows
+		tracked[i] = rows
 	}
 	if opt.PartnerValue != nil {
 		res.ExpectedValue = make([]float64, n)
@@ -118,9 +123,9 @@ func BMatching(opt BMatchingOptions) (*BMatchingResult, error) {
 	// overlap work; below that (or on one worker) the serial scan is the
 	// same computation without the barrier overhead.
 	if workers := par.Workers(n, opt.Workers); workers > 1 && n >= 2*bmatchingMinBlock {
-		bmatchingTiled(res, opt, workers)
+		bmatchingTiled(res, tracked, opt, workers)
 	} else {
-		bmatchingSerial(res, opt)
+		bmatchingSerial(res, tracked, opt)
 	}
 	for i := 0; i < n; i++ {
 		res.MatchProbAny[i] = res.SlotMatchProb[0][i]
@@ -128,60 +133,94 @@ func BMatching(opt BMatchingOptions) (*BMatchingResult, error) {
 	return res, nil
 }
 
-// bmatchingSerial is the reference row-major evaluation.
-func bmatchingSerial(res *BMatchingResult, opt BMatchingOptions) {
-	n, p, b0 := opt.N, opt.P, opt.B0
-	// colCum[c][j] = Σ_{k<i} D_{c+1}(j, k) for the current outer row i.
-	colCum := make([][]float64, b0)
-	for c := range colCum {
-		colCum[c] = make([]float64, n)
-	}
-	// Scratch buffers reused across pairs.
-	rowCum := make([]float64, b0) // Σ_{k<j} D_{c+1}(i, k) while scanning row i
-	xi := make([]float64, b0)
-	xj := make([]float64, b0)
+// bmatchingKernel evaluates the recurrence's pairs. Both the serial scan
+// and the tiles call it, so they perform the same floating-point operations
+// in the same per-cell order.
+//
+// SlotMatchProb[c][i] is not accumulated pair by pair. Its additions would
+// be column i's (pairs (k, i), k < i) and then row i's, in that order, which
+// is exactly the sequence that builds row i's cumulative from its seed
+// colCum. So row i's final cumulative is SlotMatchProb[c][i], bit for bit,
+// and the callers copy it out.
+type bmatchingKernel struct {
+	p       float64
+	xi, xj  []float64     // X factor scratch, length b0
+	tracked [][][]float64 // see BMatching
+	// value and expected are opt.PartnerValue and res.ExpectedValue, or
+	// nil.
+	value, expected []float64
+}
 
-	for i := 0; i < n; i++ {
-		for c := 0; c < b0; c++ {
-			rowCum[c] = colCum[c][i]
+func newBMatchingKernel(res *BMatchingResult, tracked [][][]float64, opt BMatchingOptions) *bmatchingKernel {
+	return &bmatchingKernel{
+		p:        opt.P,
+		xi:       make([]float64, opt.B0),
+		xj:       make([]float64, opt.B0),
+		tracked:  tracked,
+		value:    opt.PartnerValue,
+		expected: res.ExpectedValue,
+	}
+}
+
+// span applies the pairs (i, j) for j0 ≤ j < j1, in increasing j, with
+// i < j0. ri[c] is Σ_{k<j} D_{c+1}(i, k) and colCum[j*b0+c] is
+// Σ_{k<i} D_{c+1}(j, k); both advance past each pair in place.
+func (k *bmatchingKernel) span(i, j0, j1 int, ri, colCum []float64) {
+	p, xi, xj := k.p, k.xi, k.xj
+	b0 := len(xi)
+	rowOut := k.tracked[i]
+	for j := j0; j < j1; j++ {
+		cj := colCum[j*b0 : (j+1)*b0]
+		// X factors before any update for this pair.
+		var sumXi, sumXj float64
+		for c := range xi {
+			prev := 1.0
+			if c > 0 {
+				prev = ri[c-1]
+			}
+			xi[c] = prev - ri[c]
+			sumXi += xi[c]
+			prev = 1.0
+			if c > 0 {
+				prev = cj[c-1]
+			}
+			xj[c] = prev - cj[c]
+			sumXj += xj[c]
 		}
-		rowOut := res.Rows[i]
-		for j := i + 1; j < n; j++ {
-			// X factors before any update for this pair.
-			var sumXi, sumXj float64
-			for c := 0; c < b0; c++ {
-				prev := 1.0
-				if c > 0 {
-					prev = rowCum[c-1]
-				}
-				xi[c] = prev - rowCum[c]
-				sumXi += xi[c]
-				prev = 1.0
-				if c > 0 {
-					prev = colCum[c-1][j]
-				}
-				xj[c] = prev - colCum[c][j]
-				sumXj += xj[c]
+		colOut := k.tracked[j]
+		for c := range xi {
+			dci := p * xi[c] * sumXj // Dc(i, j)
+			dcj := p * xj[c] * sumXi // Dc(j, i)
+			ri[c] += dci
+			cj[c] += dcj
+			if rowOut != nil {
+				rowOut[c][j] = dci
 			}
+			if colOut != nil {
+				colOut[c][i] = dcj
+			}
+		}
+		if k.expected != nil {
 			pairProb := p * sumXi * sumXj // P(i and j matched at all)
-			for c := 0; c < b0; c++ {
-				dci := p * xi[c] * sumXj // Dc(i, j)
-				dcj := p * xj[c] * sumXi // Dc(j, i)
-				rowCum[c] += dci
-				colCum[c][j] += dcj
-				res.SlotMatchProb[c][i] += dci
-				res.SlotMatchProb[c][j] += dcj
-				if rowOut != nil {
-					rowOut[c][j] = dci
-				}
-				if out := res.Rows[j]; out != nil {
-					out[c][i] = dcj
-				}
-			}
-			if res.ExpectedValue != nil {
-				res.ExpectedValue[i] += pairProb * opt.PartnerValue[j]
-				res.ExpectedValue[j] += pairProb * opt.PartnerValue[i]
-			}
+			k.expected[i] += pairProb * k.value[j]
+			k.expected[j] += pairProb * k.value[i]
+		}
+	}
+}
+
+// bmatchingSerial is the reference row-major evaluation.
+func bmatchingSerial(res *BMatchingResult, tracked [][][]float64, opt BMatchingOptions) {
+	n, b0 := opt.N, opt.B0
+	k := newBMatchingKernel(res, tracked, opt)
+	// colCum[j*b0+c] = Σ_{k<i} D_{c+1}(j, k) for the current outer row i;
+	// a column's b0 cells share a cache line.
+	colCum := make([]float64, n*b0)
+	rowCum := make([]float64, b0) // Σ_{k<j} D_{c+1}(i, k) while scanning row i
+	for i := 0; i < n; i++ {
+		copy(rowCum, colCum[i*b0:(i+1)*b0])
+		k.span(i, i+1, n, rowCum, colCum)
+		for c := 0; c < b0; c++ {
+			res.SlotMatchProb[c][i] = rowCum[c]
 		}
 	}
 }
@@ -193,7 +232,7 @@ const bmatchingMinBlock = 64
 // bmatchingTiled shards the recurrence into block×block tiles of the upper
 // triangle: tile (I, J) — rows of block I against columns of block J —
 // depends only on tiles (I, J−1) and (I−1, J). Unlike the serial scan, row
-// cumulatives persist per row (rowCum[c][i]) because a row's tiles are
+// cumulatives persist per row (rowCum[i*b0+c]) because a row's tiles are
 // visited by different workers over time; the diagonal tile seeds them from
 // colCum exactly where the serial scan would.
 //
@@ -212,17 +251,14 @@ const bmatchingMinBlock = 64
 // to (I1, J1) through column J2 down to the diagonal and along row I1
 // ((I2, I1) → … → (I1, I1) → … → (I1, J1)), so they are ordered, and
 // same-row or same-column tiles are chained directly. Each cell of colCum,
-// rowCum, SlotMatchProb and ExpectedValue therefore receives exactly the
-// additions of the serial scan, in the same order, for every worker count
-// and every handoff schedule.
-func bmatchingTiled(res *BMatchingResult, opt BMatchingOptions, workers int) {
-	n, p, b0 := opt.N, opt.P, opt.B0
-	colCum := make([][]float64, b0)
-	rowCum := make([][]float64, b0)
-	for c := 0; c < b0; c++ {
-		colCum[c] = make([]float64, n)
-		rowCum[c] = make([]float64, n)
-	}
+// rowCum and ExpectedValue therefore receives exactly the additions of the
+// serial scan, in the same order, for every worker count and every handoff
+// schedule.
+func bmatchingTiled(res *BMatchingResult, tracked [][][]float64, opt BMatchingOptions, workers int) {
+	n, b0 := opt.N, opt.B0
+	// Flat [peer*b0+c] layouts, as in bmatchingSerial.
+	colCum := make([]float64, n*b0)
+	rowCum := make([]float64, n*b0)
 	// ~4 blocks per worker keeps enough tiles in flight to feed the pool
 	// while the tiles stay coarse; the floor bounds the handoff count.
 	block := (n + 4*workers - 1) / (4 * workers)
@@ -231,73 +267,28 @@ func bmatchingTiled(res *BMatchingResult, opt BMatchingOptions, workers int) {
 	}
 	nb := (n + block - 1) / block
 
-	// Per-worker X-factor scratch.
-	xis := make([][]float64, workers)
-	xjs := make([][]float64, workers)
-	for w := 0; w < workers; w++ {
-		xis[w] = make([]float64, b0)
-		xjs[w] = make([]float64, b0)
+	// One kernel (X-factor scratch) per worker.
+	kernels := make([]*bmatchingKernel, workers)
+	for w := range kernels {
+		kernels[w] = newBMatchingKernel(res, tracked, opt)
 	}
 
 	runTile := func(w, I, J int) {
-		r0, r1 := I*block, (I+1)*block
-		if r1 > n {
-			r1 = n
-		}
-		c1 := (J + 1) * block
-		if c1 > n {
-			c1 = n
-		}
-		xi, xj := xis[w], xjs[w]
+		r0, r1 := I*block, min((I+1)*block, n)
+		c1 := min((J+1)*block, n)
+		k := kernels[w]
 		for i := r0; i < r1; i++ {
+			ri := rowCum[i*b0 : (i+1)*b0]
 			jStart := J * block
 			if I == J {
 				// Row i starts here: seed its cumulative from column
 				// i's state, which is final — every (k, i) pair with
 				// k < i lives in a predecessor tile or earlier in this
 				// tile.
-				for c := 0; c < b0; c++ {
-					rowCum[c][i] = colCum[c][i]
-				}
+				copy(ri, colCum[i*b0:(i+1)*b0])
 				jStart = i + 1
 			}
-			rowOut := res.Rows[i]
-			for j := jStart; j < c1; j++ {
-				var sumXi, sumXj float64
-				for c := 0; c < b0; c++ {
-					prev := 1.0
-					if c > 0 {
-						prev = rowCum[c-1][i]
-					}
-					xi[c] = prev - rowCum[c][i]
-					sumXi += xi[c]
-					prev = 1.0
-					if c > 0 {
-						prev = colCum[c-1][j]
-					}
-					xj[c] = prev - colCum[c][j]
-					sumXj += xj[c]
-				}
-				pairProb := p * sumXi * sumXj
-				for c := 0; c < b0; c++ {
-					dci := p * xi[c] * sumXj
-					dcj := p * xj[c] * sumXi
-					rowCum[c][i] += dci
-					colCum[c][j] += dcj
-					res.SlotMatchProb[c][i] += dci
-					res.SlotMatchProb[c][j] += dcj
-					if rowOut != nil {
-						rowOut[c][j] = dci
-					}
-					if out := res.Rows[j]; out != nil {
-						out[c][i] = dcj
-					}
-				}
-				if res.ExpectedValue != nil {
-					res.ExpectedValue[i] += pairProb * opt.PartnerValue[j]
-					res.ExpectedValue[j] += pairProb * opt.PartnerValue[i]
-				}
-			}
+			k.span(i, jStart, c1, ri, colCum)
 		}
 	}
 
@@ -349,4 +340,9 @@ func bmatchingTiled(res *BMatchingResult, opt BMatchingOptions, workers int) {
 			}
 		}
 	})
+	for i := 0; i < n; i++ {
+		for c := 0; c < b0; c++ {
+			res.SlotMatchProb[c][i] = rowCum[i*b0+c]
+		}
+	}
 }

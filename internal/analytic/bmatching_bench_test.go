@@ -124,7 +124,7 @@ func TestWaveBaselineMatchesHandoff(t *testing.T) {
 	wave := emptyResult(opt)
 	bmatchingWaveBaseline(wave, opt, 4)
 	handoff := emptyResult(opt)
-	bmatchingTiled(handoff, opt, 4)
+	bmatchingTiled(handoff, make([][][]float64, opt.N), opt, 4)
 	for c := 0; c < opt.B0; c++ {
 		for i := 0; i < opt.N; i++ {
 			if wave.SlotMatchProb[c][i] != handoff.SlotMatchProb[c][i] {
@@ -150,7 +150,7 @@ func BenchmarkTiledScheduler(b *testing.B) {
 		b.Run(fmt.Sprintf("handoff/workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bmatchingTiled(emptyResult(opt), opt, workers)
+				bmatchingTiled(emptyResult(opt), make([][][]float64, opt.N), opt, workers)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package analytic
 import (
 	"fmt"
 
-	"stratmatch/internal/core"
 	"stratmatch/internal/graph"
 	"stratmatch/internal/par"
 	"stratmatch/internal/rng"
@@ -34,14 +33,25 @@ func MonteCarloChoices(n int, p float64, b0, peer, samples int, seed uint64) (*M
 }
 
 // MonteCarloChoicesWorkers samples `samples` G(n, p) graphs, solves the
-// stable b0-matching exactly on each (Algorithm 1), and histograms the ranks
-// of the target peer's 1st..b0-th choices. Sampling fans out over `workers`
+// stable b0-matching on each (Algorithm 1), and histograms the ranks of the
+// target peer's 1st..b0-th choices. Sampling fans out over `workers`
 // goroutines (0 = GOMAXPROCS).
 //
+// No graph is built. Each sample runs Algorithm 1 while the Erdős–Rényi
+// edge walk (graph.ERWalk) draws the edges, and stops once the peer's slots
+// are full. This is exact. Let S_v be the stable configuration of peers
+// 0..v. Under a global ranking every peer tries its neighbours in rank
+// order, so S_v is Algorithm 1 on the subgraph induced by 0..v: it is
+// S_{v−1} plus peer v linking to each earlier neighbour w, in increasing w,
+// while both still have a free slot. The walk yields the edges in exactly
+// that (v, then w ascending) order, so matching (v, w) whenever both have a
+// free slot, in walk order, is Algorithm 1. Once the peer is full no later
+// edge can change its mates, and the walk stops drawing.
+//
 // Every sample draws from its own sub-stream derived from (seed, sample
-// index), and the merged histograms are integer counts, so the result is
-// identical for any worker count and any scheduling — one seed, one answer,
-// on a laptop or a 128-core runner.
+// index), so stopping one early shifts no other, and the merged histograms
+// are integer counts: the result is identical for any worker count and any
+// scheduling — one seed, one answer, on a laptop or a 128-core runner.
 func MonteCarloChoicesWorkers(n int, p float64, b0, peer, samples int, seed uint64, workers int) (*MonteCarloResult, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("analytic: population %d", n)
@@ -55,22 +65,16 @@ func MonteCarloChoicesWorkers(n int, p float64, b0, peer, samples int, seed uint
 	if samples < 1 {
 		return nil, fmt.Errorf("analytic: samples = %d", samples)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("analytic: probability %v out of [0,1]", p)
 	}
 
 	workers = par.Workers(samples, workers)
-	// Each worker owns a graph arena and a matching arena: across its share
-	// of the samples the G(n, p) edge buffers and the Config slab are
-	// recycled, so a draw costs zero steady-state allocations. The sampled
-	// values are untouched — every sample still derives from its own
-	// sub-stream — so the counts are byte-identical to fresh-allocation
-	// sampling at any worker count.
 	type partial struct {
 		counts  [][]int
 		matched []int
-		garena  graph.Arena
-		carena  core.Arena
+		avail   []int32 // free slots per peer in the current sample
+		mates   []int
 	}
 	partials := make([]partial, workers)
 	for w := range partials {
@@ -80,13 +84,13 @@ func MonteCarloChoicesWorkers(n int, p float64, b0, peer, samples int, seed uint
 			pt.counts[c] = make([]int, n)
 		}
 		pt.matched = make([]int, b0)
+		pt.avail = make([]int32, n)
 	}
 	par.ForEachWorker(samples, workers, func(w, s int) {
 		pt := &partials[w]
-		r := rng.New(seed + uint64(s)*0x9e3779b97f4a7c15)
-		g := pt.garena.ErdosRenyi(n, p, r)
-		cfg := pt.carena.StableUniform(g, b0)
-		for c, mate := range cfg.Mates(peer) {
+		walk := graph.NewERWalk(n, p, rng.New(seed+uint64(s)*0x9e3779b97f4a7c15))
+		pt.mates = stableMates(&walk, pt.avail, b0, peer, pt.mates[:0])
+		for c, mate := range pt.mates {
 			pt.counts[c][mate]++
 			pt.matched[c]++
 		}
@@ -114,4 +118,31 @@ func MonteCarloChoicesWorkers(n int, p float64, b0, peer, samples int, seed uint
 		}
 	}
 	return res, nil
+}
+
+// stableMates runs Algorithm 1 with uniform budget b0 on the edges of walk
+// and appends peer's mates to dst in increasing rank, which is choice
+// order. It stops drawing as soon as peer's slots are full (see
+// MonteCarloChoicesWorkers for why this is exact). avail is scratch of
+// length n.
+func stableMates(walk *graph.ERWalk, avail []int32, b0, peer int, dst []int) []int {
+	budget := int32(min(b0, len(avail))) // no peer has more than n−1 mates
+	for i := range avail {
+		avail[i] = budget
+	}
+	for v, w, ok := walk.Next(); ok; v, w, ok = walk.Next() {
+		if avail[v] == 0 || avail[w] == 0 {
+			continue
+		}
+		avail[v]--
+		avail[w]--
+		if v == peer || w == peer {
+			// Earlier mates arrive in row peer, later ones in later
+			// rows, so mates come out in increasing rank.
+			if dst = append(dst, v+w-peer); len(dst) == b0 {
+				break
+			}
+		}
+	}
+	return dst
 }

@@ -48,7 +48,7 @@ func OneMatching(n int, p float64, trackRows ...int) (*OneMatchingResult, error)
 	if n < 0 {
 		return nil, fmt.Errorf("analytic: negative population %d", n)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("analytic: probability %v out of [0,1]", p)
 	}
 	res := &OneMatchingResult{
@@ -57,11 +57,15 @@ func OneMatching(n int, p float64, trackRows ...int) (*OneMatchingResult, error)
 		MatchProb: make([]float64, n),
 		Rows:      make(map[int][]float64, len(trackRows)),
 	}
+	// tracked[i] is res.Rows[i] indexed densely (nil when untracked), so
+	// the pair loop reads no map.
+	tracked := make([][]float64, n)
 	for _, i := range trackRows {
 		if i < 0 || i >= n {
 			return nil, fmt.Errorf("analytic: tracked row %d out of range [0,%d)", i, n)
 		}
 		res.Rows[i] = make([]float64, n)
+		tracked[i] = res.Rows[i]
 	}
 
 	// colSum[j] = Σ_{k<i} D(k, j) for the current outer row i; by symmetry
@@ -69,7 +73,7 @@ func OneMatching(n int, p float64, trackRows ...int) (*OneMatchingResult, error)
 	colSum := make([]float64, n)
 	for i := 0; i < n; i++ {
 		rowSum := colSum[i] // Σ_{k<i} D(i, k), accumulated by earlier rows
-		rowOut := res.Rows[i]
+		rowOut := tracked[i]
 		for j := i + 1; j < n; j++ {
 			d := p * (1 - rowSum) * (1 - colSum[j])
 			rowSum += d
@@ -77,7 +81,7 @@ func OneMatching(n int, p float64, trackRows ...int) (*OneMatchingResult, error)
 			if rowOut != nil {
 				rowOut[j] = d
 			}
-			if out := res.Rows[j]; out != nil {
+			if out := tracked[j]; out != nil {
 				out[i] = d
 			}
 		}

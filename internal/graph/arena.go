@@ -42,29 +42,15 @@ func (a *Arena) intSlab(n int) []int {
 	return a.slab
 }
 
-// ErdosRenyi is graph.ErdosRenyi sampling into the arena: same geometric
-// edge-skipping walk, same stream consumption from r, identical output — but
-// the edge buffer, degree counts, adjacency slab and headers are recycled
-// across draws.
+// ErdosRenyi is graph.ErdosRenyi sampling into the arena: it collects an
+// ERWalk over G(n, p), so the stream consumption from r and the output are
+// identical — but the edge buffer, degree counts, adjacency slab and headers
+// are recycled across draws.
 func (a *Arena) ErdosRenyi(n int, p float64, r *rng.RNG) *Adjacency {
 	g := a.reset(n)
-	switch {
-	case p <= 0 || n < 2:
-		return g
-	case p >= 1:
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				g.AddEdge(i, j)
-			}
-		}
-		return g
-	}
-	// Walk the strictly-lower-triangular adjacency matrix row by row,
-	// skipping ahead by geometrically distributed gaps (see the package
-	// function for the sampling notes).
-	gs := geoSkipFor(p)
-	if a.edges == nil {
-		a.edges = make([]uint64, 0, int(p*float64(n)*float64(n-1)/2)+16)
+	walk := NewERWalk(n, p, r)
+	if a.edges == nil && n >= 2 && p > 0 {
+		a.edges = make([]uint64, 0, int(min(p, 1)*float64(n)*float64(n-1)/2)+16)
 	}
 	edges := a.edges[:0]
 	if cap(a.deg) < n {
@@ -74,18 +60,10 @@ func (a *Arena) ErdosRenyi(n int, p float64, r *rng.RNG) *Adjacency {
 	for i := range deg {
 		deg[i] = 0
 	}
-	v, w := 1, -1
-	for v < n {
-		w += 1 + gs.next(r)
-		for w >= v && v < n {
-			w -= v
-			v++
-		}
-		if v < n {
-			edges = append(edges, uint64(v)<<32|uint64(w))
-			deg[v]++
-			deg[w]++
-		}
+	for v, w, ok := walk.Next(); ok; v, w, ok = walk.Next() {
+		edges = append(edges, uint64(v)<<32|uint64(w))
+		deg[v]++
+		deg[w]++
 	}
 	a.edges = edges
 	// Carve per-peer lists out of the recycled slab with 25%+2 headroom per

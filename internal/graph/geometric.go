@@ -12,13 +12,15 @@ import (
 // formulation ⌊log(1−u)/log(1−p)⌋ costs a logarithm per edge, which
 // profiles as ~28% of the Monte-Carlo experiments; this sampler replaces it
 // with Chen–Asau guide-table inversion: one uniform, one table lookup, and
-// on average about one comparison. The table covers all but a ~e⁻⁸ sliver
-// of the mass; draws landing in the tail recurse through the memoryless
-// property with the exact log formula, so the sampled distribution is
-// Geometric(p) exactly — not an approximation.
+// on average about one comparison (the guide is 4–16× finer than the cdf,
+// so a bucket rarely straddles a cdf step). The table covers all but a
+// ~e⁻⁸ sliver of the mass; draws landing in the tail recurse through the
+// memoryless property with the exact log formula, so the sampled
+// distribution is Geometric(p) exactly — not an approximation.
 type geoSkip struct {
 	cdf   []float64 // cdf[k] = P(G ≤ k) = 1 − (1−p)^(k+1)
-	guide []int32   // guide[j] = min{k : cdf[k] ≥ j/m}
+	guide []uint16  // guide[j] = min{k : cdf[k] ≥ j/len(guide)}
+	gsize float64   // float64(len(guide)), a power of two
 	logq  float64   // log(1−p), for the tail fallback
 	m     int
 	p     float64
@@ -46,15 +48,19 @@ func geoSkipFor(p float64) *geoSkip {
 // The table size scales as ~8/p (clamped to [64, 4096] and rounded to a
 // power of two), putting the tail probability (1−p)^m near e⁻⁸ for
 // mid-range p; for very small p the clamp keeps the table cheap and the
-// log fallback absorbs the (still exact) tail.
+// log fallback absorbs the (still exact) tail. The guide has 16·m entries,
+// capped at guideMax so cdf and guide stay cache-resident together (at the
+// largest m that is still 4·m).
 func newGeoSkip(p float64) *geoSkip {
 	m := 64
 	for float64(m) < 8/p && m < 4096 {
 		m *= 2
 	}
+	gn := min(16*m, guideMax)
 	g := &geoSkip{
 		cdf:   make([]float64, m),
-		guide: make([]int32, m+1),
+		guide: make([]uint16, gn),
+		gsize: float64(gn),
 		logq:  math.Log1p(-p),
 		m:     m,
 		p:     p,
@@ -65,31 +71,42 @@ func newGeoSkip(p float64) *geoSkip {
 		pow *= q
 		g.cdf[k] = 1 - pow
 	}
-	k := int32(0)
-	for j := 0; j <= m; j++ {
-		target := float64(j) / float64(m)
-		for k < int32(m)-1 && g.cdf[k] < target {
+	k := 0
+	for j := range g.guide {
+		target := float64(j) / g.gsize
+		for k < m-1 && g.cdf[k] < target {
 			k++
 		}
-		g.guide[j] = k
+		g.guide[j] = uint16(k)
 	}
 	return g
 }
+
+// guideMax caps the guide table at 32 KiB of uint16 entries.
+const guideMax = 1 << 14
 
 // next draws one Geometric(p) sample.
 func (g *geoSkip) next(r *rng.RNG) int {
 	u := r.Float64()
 	if u <= g.cdf[g.m-1] {
-		k := int(g.guide[int(u*float64(g.m))])
-		for g.cdf[k] < u {
-			k++
-		}
-		return k
+		return g.invert(u)
 	}
 	// Tail: conditioned on G ≥ m, G − m is Geometric(p) again
 	// (memorylessness), sampled by the exact log inversion on a fresh
 	// uniform — rescaling u would lose precision in the 1−cdf sliver.
 	return g.m + g.tailNext(r)
+}
+
+// invert returns min{k : cdf[k] ≥ u} for u ∈ [0, cdf[m−1]], u < 1. The guide
+// entry is a lower bound for it: gsize is a power of two, so j =
+// ⌊u·gsize⌋ is exact and j/gsize ≤ u, hence guide[j] ≤ the answer, and the
+// scan up the non-decreasing cdf stops exactly at it.
+func (g *geoSkip) invert(u float64) int {
+	k := int(g.guide[int(u*g.gsize)])
+	for g.cdf[k] < u {
+		k++
+	}
+	return k
 }
 
 // tailNext is the classic exact inversion ⌊log(1−u)/log(1−p)⌋, used only

@@ -125,3 +125,67 @@ func TestGeoSkipCacheReuse(t *testing.T) {
 		t.Fatalf("different-p lookup returned the wrong table (p=%v)", c.p)
 	}
 }
+
+// linearInvert is the reference inversion min{k : cdf[k] ≥ u}.
+func linearInvert(g *geoSkip, u float64) int {
+	k := 0
+	for g.cdf[k] < u {
+		k++
+	}
+	return k
+}
+
+// TestGeoSkipGuideMatchesLinearSearch checks the guide-table lookup against
+// a plain scan of the cdf at every point where an off-by-one could hide:
+// each guide-bucket edge j/len(guide) and its float neighbours, each cdf
+// value and its neighbours, u = 0 and u = cdf[m−1]. Float64 draws are
+// below 1, so u = 1 (reached by cdf[m−1] at large p) is out of the domain.
+func TestGeoSkipGuideMatchesLinearSearch(t *testing.T) {
+	for _, p := range []float64{0.9, 0.5, 0.1, 0.05, 0.01, 0.004, 0.001, 1e-6} {
+		g := newGeoSkip(p)
+		last := g.cdf[g.m-1]
+		check := func(u float64) {
+			for _, x := range []float64{math.Nextafter(u, 0), u, math.Nextafter(u, 1)} {
+				if x < 0 || x > last || x >= 1 {
+					continue
+				}
+				if got, want := g.invert(x), linearInvert(g, x); got != want {
+					t.Fatalf("p=%v u=%v: guide gives %d, linear search %d", p, x, got, want)
+				}
+			}
+		}
+		check(0)
+		check(last)
+		for j := range g.guide {
+			check(float64(j) / g.gsize)
+		}
+		for _, c := range g.cdf {
+			check(c)
+		}
+	}
+}
+
+// FuzzGeoSkip: for any p ∈ (0, 1) and any u < 1 the table covers, the
+// guide lookup returns the same k as a linear search.
+func FuzzGeoSkip(f *testing.F) {
+	f.Add(0.01, 0.5)
+	f.Add(0.9, 0.0)
+	f.Add(1e-6, 1e-9)
+	f.Add(0.3, 0.999)
+	f.Fuzz(func(t *testing.T, p, u float64) {
+		if !(p > 0 && p < 1) {
+			return
+		}
+		g := newGeoSkip(p)
+		u = math.Abs(u)
+		if !(u <= g.cdf[g.m-1]) {
+			u = math.Mod(u, 1) * g.cdf[g.m-1]
+		}
+		if !(u >= 0 && u <= g.cdf[g.m-1] && u < 1) {
+			return
+		}
+		if got, want := g.invert(u), linearInvert(g, u); got != want {
+			t.Fatalf("p=%v u=%v: guide gives %d, linear search %d", p, u, got, want)
+		}
+	})
+}

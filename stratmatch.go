@@ -48,7 +48,7 @@ func NewCompleteNetwork(n, b0 int) (*Network, error) {
 // expects d acceptable partners — with b0 slots per peer. The same seed
 // always produces the same network.
 func NewRandomNetwork(n int, meanDegree float64, b0 int, seed uint64) (*Network, error) {
-	if n < 0 || b0 < 0 || meanDegree < 0 {
+	if n < 0 || b0 < 0 || !(meanDegree >= 0) {
 		return nil, fmt.Errorf("stratmatch: invalid network n=%d d=%v b0=%d", n, meanDegree, b0)
 	}
 	g := graph.ErdosRenyiMeanDegree(n, meanDegree, rng.New(seed))

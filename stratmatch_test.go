@@ -35,6 +35,9 @@ func TestNetworkValidation(t *testing.T) {
 	if _, err := NewRandomNetwork(10, -1, 1, 0); err == nil {
 		t.Error("negative degree accepted")
 	}
+	if _, err := NewRandomNetwork(10, math.NaN(), 1, 0); err == nil {
+		t.Error("NaN degree accepted")
+	}
 	nw, err := NewCompleteNetwork(5, 1)
 	if err != nil {
 		t.Fatal(err)
