@@ -1,6 +1,23 @@
 // Command btswarm runs a configurable BitTorrent Tit-for-Tat swarm
 // simulation and reports per-peer outcomes and stratification statistics.
 //
+// Each command line runs one mode, picked by at most one selector flag; with
+// none, btswarm runs a fixed swarm. A flag the mode does not read is an
+// error, never silently ignored:
+//
+//	mode              reads
+//	(fixed swarm)     -leechers -seeds -pieces -piece-kbit -neighbors -tft-slots
+//	                  -rounds -until-done -unlimited -post-flashcrowd -uniform-kbps
+//	                  -seed -warmup -replicas -workers -telemetry -debug-addr -trace
+//	-scenario, -spec  -seed -scenario-scale -sample-every -step-workers -emit
+//	                  -checkpoint-every -checkpoint-dir -checkpoint-retain
+//	                  -telemetry -debug-addr -trace -v
+//	-resume           -step-workers -emit -checkpoint-every -checkpoint-dir
+//	                  -checkpoint-retain -telemetry -debug-addr -trace -v
+//	-dump-spec        -seed -scenario-scale
+//	-list-scenarios   nothing else
+//	-serve            -seed -neighbors -serve-runs -checkpoint-dir -checkpoint-every
+//
 // Usage examples:
 //
 //	btswarm -leechers 400 -seeds 2 -pieces 256 -rounds 2000
@@ -45,20 +62,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
 	"math"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime/trace"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"syscall"
 
 	"stratmatch/internal/bandwidth"
@@ -78,155 +91,164 @@ func main() {
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("btswarm", flag.ContinueOnError)
-	var (
-		leechers  = fs.Int("leechers", 400, "number of leechers")
-		seeds     = fs.Int("seeds", 2, "number of initial seeds")
-		pieces    = fs.Int("pieces", 256, "pieces in the file")
-		pieceKbit = fs.Float64("piece-kbit", 2048, "piece size in kbit")
-		neighbors = fs.Int("neighbors", 20, "tracker neighbors per peer (d)")
-		tftSlots  = fs.Int("tft-slots", 3, "Tit-for-Tat unchoke slots")
-		rounds    = fs.Int("rounds", 2000, "rounds to simulate")
-		untilDone = fs.Bool("until-done", false, "run until every leecher completes (bounded by -rounds*100)")
-		unlimited = fs.Bool("unlimited", false, "content-unlimited regime (paper Section 6: bandwidth only)")
-		postFlash = fs.Bool("post-flashcrowd", true, "start leechers with ~half the pieces")
-		uniform   = fs.Float64("uniform-kbps", 0, "give every peer this capacity instead of the Saroiu distribution")
-		seed      = fs.Uint64("seed", 0, "random seed")
-		warmup    = fs.Int("warmup", 0, "metrics warmup rounds (default: rounds/3)")
-		replicas  = fs.Int("replicas", 1, "independent replicas (seed, seed+1, ...) to aggregate")
-		workers   = fs.Int("workers", 0, "goroutines for replica fan-out (0 = all cores)")
-		scenario  = fs.String("scenario", "", "run a named churn scenario instead of a fixed swarm (see -list-scenarios)")
-		scScale   = fs.Float64("scenario-scale", 1, "population/length multiplier for -scenario and -spec")
-		scSample  = fs.Int("sample-every", 0, "scenario time-series sampling period in rounds (0 = scenario default; 1 = every round, sampling is allocation-free)")
-		scWorkers = fs.Int("step-workers", 0, "goroutines for the swarm's sharded step phases in -scenario/-spec/-resume runs (0 or 1 = serial; output is byte-identical at any setting)")
-		listSc    = fs.Bool("list-scenarios", false, "list the churn scenario catalog and exit")
-		specPath  = fs.String("spec", "", "load and run a JSON scenario spec from this file (use /dev/stdin to pipe)")
-		dumpSpec  = fs.String("dump-spec", "", "print the named catalog scenario as a JSON spec and exit")
-		emitFlag  = fs.String("emit", "text", "scenario output format: text (series table + report) or jsonl (stream samples/events/summary as JSON lines)")
-		ckEvery   = fs.Int("checkpoint-every", 0, "write a durable checkpoint of the scenario run every N rounds (0 = off; requires -checkpoint-dir)")
-		ckDir     = fs.String("checkpoint-dir", "", "directory for scenario checkpoints (created if missing); also enables a graceful SIGINT/SIGTERM checkpoint")
-		ckRetain  = fs.Int("checkpoint-retain", 0, "checkpoint files to keep, oldest rotated away (0 = default 3; negative = keep all)")
-		resume    = fs.String("resume", "", "resume a scenario run from a checkpoint file, or the newest checkpoint in a directory, using the spec embedded in it")
-		serveAddr = fs.String("serve", "", "run the tracker daemon on this address (host:port; :0 picks a port) instead of a simulation: /announce, /scrape, POST /runs, /metrics")
-		serveRuns = fs.Int("serve-runs", 2, "daemon worker-pool size: scenario runs executing concurrently (submissions beyond it queue)")
-		telFlag   = fs.Bool("telemetry", false, "record runtime telemetry (phase durations, counters, gauges); jsonl runs emit telemetry records, text runs print a summary to stderr")
-		debugAddr = fs.String("debug-addr", "", "serve /metrics (Prometheus), /debug/vars (expvar) and /debug/pprof/ on this address while running (implies -telemetry)")
-		tracePath = fs.String("trace", "", "write a runtime/trace with per-phase user regions to this file, for go tool trace (implies -telemetry)")
-		verbose   = fs.Bool("v", false, "verbose: note auto-sized preallocation and other diagnostics on stderr")
-	)
-	if err := fs.Parse(args); err != nil {
+	o, err := parseArgs(args)
+	if err != nil {
 		return err
+	}
+	return o.instrument(func(tel *telemetry.Recorder) error {
+		return o.mode.run(o, tel)
+	})
+}
+
+// mode is one way to run btswarm: the flag that selects it, the flags it
+// reads besides that one, and the function that runs it.
+type mode struct {
+	selector string // "" for the fixed swarm, the mode with no selector
+	what     string // how errors name the mode
+	reads    []string
+	run      func(o *options, tel *telemetry.Recorder) error
+}
+
+// modes is the only place where btswarm's flags are checked against each
+// other. At most one selector may be set, and a set flag that the chosen
+// mode does not read is an error, so no flag is ever silently dropped.
+var modes = []mode{
+	{"", "fixed-swarm runs", strings.Fields("leechers seeds pieces piece-kbit neighbors tft-slots rounds until-done unlimited post-flashcrowd uniform-kbps seed warmup replicas workers telemetry debug-addr trace"), runSwarm},
+	{"scenario", "-scenario runs", strings.Fields("seed scenario-scale sample-every step-workers emit checkpoint-every checkpoint-dir checkpoint-retain telemetry debug-addr trace v"), runScenario},
+	{"spec", "-spec runs", strings.Fields("seed scenario-scale sample-every step-workers emit checkpoint-every checkpoint-dir checkpoint-retain telemetry debug-addr trace v"), runSpecFile},
+	// The checkpoint embeds the exact effective spec, so a resumed run
+	// reads no -seed, -scenario-scale or -sample-every: it must stay
+	// byte-identical to the run that wrote the checkpoint.
+	{"resume", "-resume runs", strings.Fields("step-workers emit checkpoint-every checkpoint-dir checkpoint-retain telemetry debug-addr trace v"), runResume},
+	{"dump-spec", "-dump-spec", strings.Fields("seed scenario-scale"), runDumpSpec},
+	{"list-scenarios", "-list-scenarios", nil, runListScenarios},
+	// Runs submitted over POST /runs carry their own spec and output format.
+	{"serve", "-serve", strings.Fields("seed neighbors serve-runs checkpoint-dir checkpoint-every"), runServe},
+}
+
+// options holds every parsed flag and the mode they select.
+type options struct {
+	mode *mode
+	set  []string // the flags given on the command line
+
+	leechers, seeds, pieces, neighbors, tftSlots, rounds, warmup, replicas, workers int
+
+	sampleEvery, stepWorkers, ckEvery, ckRetain, serveRuns int
+
+	pieceKbit, uniform, scScale float64
+
+	seed uint64
+
+	untilDone, unlimited, postFlash, listScenarios, telemetry, verbose bool
+
+	scenario, spec, dumpSpec, resume, emit, ckDir, serve, debugAddr, trace string
+}
+
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("btswarm", flag.ContinueOnError)
+	fs.IntVar(&o.leechers, "leechers", 400, "number of leechers")
+	fs.IntVar(&o.seeds, "seeds", 2, "number of initial seeds")
+	fs.IntVar(&o.pieces, "pieces", 256, "pieces in the file")
+	fs.Float64Var(&o.pieceKbit, "piece-kbit", 2048, "piece size in kbit")
+	fs.IntVar(&o.neighbors, "neighbors", 20, "tracker neighbors per peer (d)")
+	fs.IntVar(&o.tftSlots, "tft-slots", 3, "Tit-for-Tat unchoke slots")
+	fs.IntVar(&o.rounds, "rounds", 2000, "rounds to simulate")
+	fs.BoolVar(&o.untilDone, "until-done", false, "run until every leecher completes (bounded by -rounds*100)")
+	fs.BoolVar(&o.unlimited, "unlimited", false, "content-unlimited regime (paper Section 6: bandwidth only)")
+	fs.BoolVar(&o.postFlash, "post-flashcrowd", true, "start leechers with ~half the pieces")
+	fs.Float64Var(&o.uniform, "uniform-kbps", 0, "give every peer this capacity instead of the Saroiu distribution")
+	fs.Uint64Var(&o.seed, "seed", 0, "random seed")
+	fs.IntVar(&o.warmup, "warmup", 0, "metrics warmup rounds (default: rounds/3)")
+	fs.IntVar(&o.replicas, "replicas", 1, "independent replicas (seed, seed+1, ...) to aggregate")
+	fs.IntVar(&o.workers, "workers", 0, "goroutines for replica fan-out (0 = all cores)")
+	fs.StringVar(&o.scenario, "scenario", "", "run a named churn scenario instead of a fixed swarm (see -list-scenarios)")
+	fs.Float64Var(&o.scScale, "scenario-scale", 1, "population/length multiplier for -scenario and -spec")
+	fs.IntVar(&o.sampleEvery, "sample-every", 0, "scenario time-series sampling period in rounds (0 = scenario default; 1 = every round, sampling is allocation-free)")
+	fs.IntVar(&o.stepWorkers, "step-workers", 0, "goroutines for the swarm's sharded step phases in -scenario/-spec/-resume runs (0 or 1 = serial; output is byte-identical at any setting)")
+	fs.BoolVar(&o.listScenarios, "list-scenarios", false, "list the churn scenario catalog and exit")
+	fs.StringVar(&o.spec, "spec", "", "load and run a JSON scenario spec from this file (use /dev/stdin to pipe)")
+	fs.StringVar(&o.dumpSpec, "dump-spec", "", "print the named catalog scenario as a JSON spec and exit")
+	fs.StringVar(&o.emit, "emit", "text", "scenario output format: text (series table + report) or jsonl (stream samples/events/summary as JSON lines)")
+	fs.IntVar(&o.ckEvery, "checkpoint-every", 0, "write a durable checkpoint of the scenario run every N rounds (0 = off; requires -checkpoint-dir)")
+	fs.StringVar(&o.ckDir, "checkpoint-dir", "", "directory for scenario checkpoints (created if missing); also enables a graceful SIGINT/SIGTERM checkpoint")
+	fs.IntVar(&o.ckRetain, "checkpoint-retain", 0, "checkpoint files to keep, oldest rotated away (0 = default 3; negative = keep all)")
+	fs.StringVar(&o.resume, "resume", "", "resume a scenario run from a checkpoint file, or the newest checkpoint in a directory, using the spec embedded in it")
+	fs.StringVar(&o.serve, "serve", "", "run the tracker daemon on this address (host:port; :0 picks a port) instead of a simulation: /announce, /scrape, POST /runs, /metrics")
+	fs.IntVar(&o.serveRuns, "serve-runs", 2, "daemon worker-pool size: scenario runs executing concurrently (submissions beyond it queue)")
+	fs.BoolVar(&o.telemetry, "telemetry", false, "record runtime telemetry (phase durations, counters, gauges); jsonl runs emit telemetry records, text runs print a summary to stderr")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics (Prometheus), /debug/vars (expvar) and /debug/pprof/ on this address while running (implies -telemetry)")
+	fs.StringVar(&o.trace, "trace", "", "write a runtime/trace with per-phase user regions to this file, for go tool trace (implies -telemetry)")
+	fs.BoolVar(&o.verbose, "v", false, "verbose: note auto-sized preallocation and other diagnostics on stderr")
+	return fs
+}
+
+// parseArgs parses the command line and picks its mode from the modes
+// table. It has no side effects.
+func parseArgs(args []string) (*options, error) {
+	o := new(options)
+	fs := newFlagSet(o)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
 	// flag stops at the first non-flag argument, so a stray word would
 	// silently drop every flag after it.
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if *scSample < 0 {
-		return fmt.Errorf("-sample-every %d: must be >= 0", *scSample)
+	fs.Visit(func(f *flag.Flag) { o.set = append(o.set, f.Name) })
+	o.mode = &modes[0]
+	for i := 1; i < len(modes); i++ {
+		if !slices.Contains(o.set, modes[i].selector) {
+			continue
+		}
+		if o.mode.selector != "" {
+			return nil, fmt.Errorf("-%s and -%s select different modes; use one", o.mode.selector, modes[i].selector)
+		}
+		o.mode = &modes[i]
 	}
-	if *scScale <= 0 {
-		return fmt.Errorf("-scenario-scale %g: must be > 0", *scScale)
-	}
-	if *emitFlag != "text" && *emitFlag != "jsonl" {
-		return fmt.Errorf("-emit %q: must be text or jsonl", *emitFlag)
-	}
-	if *ckEvery < 0 {
-		return fmt.Errorf("-checkpoint-every %d: must be >= 0", *ckEvery)
-	}
-	if *ckEvery > 0 && *ckDir == "" {
-		return fmt.Errorf("-checkpoint-every requires -checkpoint-dir")
-	}
-	if *resume != "" && (*specPath != "" || *scenario != "") {
-		return fmt.Errorf("-resume carries its own embedded spec; it cannot be combined with -scenario or -spec")
-	}
-	if *serveAddr != "" {
-		// The daemon is a long-running service, not a run: every offline run
-		// mode is a conflict, not a silently ignored flag.
-		switch {
-		case *dumpSpec != "":
-			return fmt.Errorf("-serve and -dump-spec are mutually exclusive")
-		case *scenario != "":
-			return fmt.Errorf("-serve runs a daemon; it cannot be combined with -scenario (submit specs with POST /runs)")
-		case *specPath != "":
-			return fmt.Errorf("-serve runs a daemon; it cannot be combined with -spec (submit specs with POST /runs)")
-		case *resume != "":
-			return fmt.Errorf("-serve cannot resume a checkpoint; run `btswarm -resume` offline instead")
-		case *emitFlag != "text":
-			return fmt.Errorf("-serve streams jsonl over POST /runs; -emit does not apply")
+	var stray []string
+	for _, name := range o.set {
+		if name != o.mode.selector && !slices.Contains(o.mode.reads, name) {
+			stray = append(stray, "-"+name)
 		}
 	}
-	ck := ckptConfig{every: *ckEvery, dir: *ckDir, retain: *ckRetain, resume: *resume}
-	// -debug-addr and -trace are useless without a recorder, so they imply
-	// -telemetry. The recorder is nil when telemetry is off; every hook in
-	// the engine no-ops on nil, and recording never touches the RNG or
-	// simulation state, so outputs are byte-identical either way.
+	if len(stray) > 0 {
+		verb := "does"
+		if len(stray) > 1 {
+			verb = "do"
+		}
+		return nil, fmt.Errorf("%s %s not apply to %s", strings.Join(stray, ", "), verb, o.mode.what)
+	}
+	switch {
+	case o.sampleEvery < 0:
+		return nil, fmt.Errorf("-sample-every %d: must be >= 0", o.sampleEvery)
+	case o.scScale <= 0:
+		return nil, fmt.Errorf("-scenario-scale %g: must be > 0", o.scScale)
+	case o.emit != "text" && o.emit != "jsonl":
+		return nil, fmt.Errorf("-emit %q: must be text or jsonl", o.emit)
+	case o.ckEvery < 0:
+		return nil, fmt.Errorf("-checkpoint-every %d: must be >= 0", o.ckEvery)
+	case o.ckEvery > 0 && o.ckDir == "":
+		return nil, fmt.Errorf("-checkpoint-every requires -checkpoint-dir")
+	case o.replicas < 1:
+		return nil, fmt.Errorf("-replicas %d: must be >= 1", o.replicas)
+	}
+	return o, nil
+}
+
+// instrument runs body with the recorder the telemetry flags ask for, or
+// nil. -debug-addr and -trace are useless without a recorder, so they imply
+// -telemetry, and /metrics is part of the daemon surface, so the daemon
+// always records. Every hook in the engine no-ops on nil, and recording never
+// touches the RNG or simulation state, so outputs are byte-identical either
+// way.
+func (o *options) instrument(body func(tel *telemetry.Recorder) error) error {
 	var tel *telemetry.Recorder
-	if *telFlag || *debugAddr != "" || *tracePath != "" {
+	if o.telemetry || o.debugAddr != "" || o.trace != "" || o.serve != "" {
 		tel = telemetry.New()
 	}
-	if *listSc {
-		fmt.Println("churn scenario catalog:")
-		for _, name := range btsim.ChurnScenarioNames() {
-			fmt.Printf("  %s\n", name)
-		}
-		fmt.Println("fault-injection scenario catalog:")
-		for _, name := range btsim.FaultScenarioNames() {
-			fmt.Printf("  %s\n", name)
-		}
-		fmt.Println("extra-large stress scenarios (excluded from catalog sweeps):")
-		for _, name := range btsim.XLScenarioNames() {
-			fmt.Printf("  %s\n", name)
-		}
-		return nil
-	}
-	if *serveAddr != "" {
-		if tel == nil {
-			// /metrics is part of the daemon surface, so the daemon always
-			// records.
-			tel = telemetry.New()
-		}
-		par.SetTelemetry(tel)
-		defer par.SetTelemetry(nil)
-		return runServe(serveConfig{
-			addr:    *serveAddr,
-			maxRuns: *serveRuns,
-			seed:    *seed,
-			policy:  btsim.HandoutPolicy{NeighborCount: *neighbors},
-			ckDir:   *ckDir,
-			ckEvery: *ckEvery,
-			tel:     tel,
-		})
-	}
-	if *dumpSpec != "" {
-		// -dump-spec prints a spec and exits; combining it with a run mode
-		// would silently ignore the run, so it is an error instead.
-		switch {
-		case *specPath != "":
-			return fmt.Errorf("-dump-spec and -spec are mutually exclusive")
-		case *scenario != "":
-			return fmt.Errorf("-dump-spec and -scenario are mutually exclusive")
-		case *emitFlag != "text":
-			return fmt.Errorf("-dump-spec prints a JSON spec, not a run; it cannot be combined with -emit %s", *emitFlag)
-		case tel != nil:
-			return fmt.Errorf("-dump-spec prints a JSON spec, not a run; it cannot be combined with -telemetry, -debug-addr or -trace")
-		}
-		spec, err := btsim.NamedSpec(*dumpSpec, *seed, *scScale)
-		if err != nil {
-			return err
-		}
-		data, err := json.MarshalIndent(spec, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(data))
-		return nil
-	}
-	if *specPath != "" && *scenario != "" {
-		return fmt.Errorf("-spec and -scenario are mutually exclusive")
-	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
+	if o.trace != "" {
+		f, err := os.Create(o.trace)
 		if err != nil {
 			return err
 		}
@@ -244,8 +266,8 @@ func run(args []string) error {
 		defer task.End()
 		tel.EnableTraceRegions(ctx)
 	}
-	if *debugAddr != "" {
-		_, stop, err := startDebugServer(*debugAddr, tel)
+	if o.debugAddr != "" {
+		_, stop, err := startDebugServer(o.debugAddr, tel)
 		if err != nil {
 			return err
 		}
@@ -255,93 +277,113 @@ func run(args []string) error {
 	// whole run (and detached on return — tests drive run() repeatedly).
 	par.SetTelemetry(tel)
 	defer par.SetTelemetry(nil)
-	if *specPath != "" {
-		data, err := os.ReadFile(*specPath)
-		if err != nil {
-			return err
-		}
-		spec, err := btsim.ParseSpec(data)
-		if err != nil {
-			return err
-		}
-		spec = spec.Scaled(*scScale)
-		// An explicit -seed overrides the spec's baked-in seed, so one
-		// spec file drives many replicas.
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				spec.Swarm.Seed = *seed
-			}
-		})
-		return runSpec(spec, *scSample, *scWorkers, ck, *emitFlag, *verbose, tel)
-	}
-	if *scenario != "" {
-		spec, err := btsim.NamedSpec(*scenario, *seed, *scScale)
-		if err != nil {
-			return err
-		}
-		return runSpec(spec, *scSample, *scWorkers, ck, *emitFlag, *verbose, tel)
-	}
-	if *resume != "" {
-		// The checkpoint embeds the exact effective spec (scaling and
-		// sampling overrides already applied), so no -scenario-scale or
-		// -sample-every reshaping happens here: the resumed run must be
-		// byte-identical to the one that wrote the checkpoint.
-		spec, err := btsim.ResumeSpec(*resume)
-		if err != nil {
-			return err
-		}
-		return runSpec(spec, 0, *scWorkers, ck, *emitFlag, *verbose, tel)
-	}
-	if *emitFlag != "text" {
-		return fmt.Errorf("-emit %s only applies to -scenario or -spec runs", *emitFlag)
-	}
-	if ck.every > 0 || ck.dir != "" {
-		return fmt.Errorf("-checkpoint-every and -checkpoint-dir only apply to -scenario, -spec or -resume runs")
-	}
-	if *replicas < 1 {
-		return fmt.Errorf("-replicas %d", *replicas)
-	}
+	return body(tel)
+}
 
-	// The ranked capacity vector is replica-independent; only the id↔rank
-	// permutation differs per replica.
+func runListScenarios(*options, *telemetry.Recorder) error {
+	fmt.Println("churn scenario catalog:")
+	for _, name := range btsim.ChurnScenarioNames() {
+		fmt.Printf("  %s\n", name)
+	}
+	fmt.Println("fault-injection scenario catalog:")
+	for _, name := range btsim.FaultScenarioNames() {
+		fmt.Printf("  %s\n", name)
+	}
+	fmt.Println("extra-large stress scenarios (excluded from catalog sweeps):")
+	for _, name := range btsim.XLScenarioNames() {
+		fmt.Printf("  %s\n", name)
+	}
+	return nil
+}
+
+func runDumpSpec(o *options, _ *telemetry.Recorder) error {
+	spec, err := btsim.NamedSpec(o.dumpSpec, o.seed, o.scScale)
+	if err != nil {
+		return err
+	}
+	data, err := json.MarshalIndent(spec, "", "  ")
+	if err != nil {
+		return err
+	}
+	fmt.Println(string(data))
+	return nil
+}
+
+func runScenario(o *options, tel *telemetry.Recorder) error {
+	spec, err := btsim.NamedSpec(o.scenario, o.seed, o.scScale)
+	if err != nil {
+		return err
+	}
+	return runSpec(spec, o, tel)
+}
+
+func runSpecFile(o *options, tel *telemetry.Recorder) error {
+	data, err := os.ReadFile(o.spec)
+	if err != nil {
+		return err
+	}
+	spec, err := btsim.ParseSpec(data)
+	if err != nil {
+		return err
+	}
+	spec = spec.Scaled(o.scScale)
+	// An explicit -seed overrides the spec's baked-in seed, so one spec
+	// file drives many replicas.
+	if slices.Contains(o.set, "seed") {
+		spec.Swarm.Seed = o.seed
+	}
+	return runSpec(spec, o, tel)
+}
+
+func runResume(o *options, tel *telemetry.Recorder) error {
+	spec, err := btsim.ResumeSpec(o.resume)
+	if err != nil {
+		return err
+	}
+	return runSpec(spec, o, tel)
+}
+
+func runSwarm(o *options, tel *telemetry.Recorder) error {
+	// The ranked capacity vector is replica-independent; only the
+	// id↔rank permutation differs per replica.
 	var ranked []float64
-	if *uniform <= 0 {
-		ranked = bandwidth.RankBandwidths(bandwidth.Saroiu(), *leechers)
+	if o.uniform <= 0 {
+		ranked = bandwidth.RankBandwidths(bandwidth.Saroiu(), o.leechers)
 	}
 	runOne := func(replicaSeed uint64) (btsim.Metrics, error) {
-		n := *leechers + *seeds
+		n := o.leechers + o.seeds
 		caps := make([]float64, n)
-		if *uniform > 0 {
+		if o.uniform > 0 {
 			for i := range caps {
-				caps[i] = *uniform
+				caps[i] = o.uniform
 			}
 		} else {
 			// Split off a sub-stream for the shuffle: the swarm itself
 			// consumes rng.New(replicaSeed), and with sequential replica
 			// seeds an additive offset would collide with the next
 			// replica's stream.
-			perm := rng.New(replicaSeed).Split().Perm(*leechers)
+			perm := rng.New(replicaSeed).Split().Perm(o.leechers)
 			for i, src := range perm {
 				caps[i] = ranked[src]
 			}
-			for i := *leechers; i < n; i++ {
+			for i := o.leechers; i < n; i++ {
 				caps[i] = 5000 // well-provisioned seeds
 			}
 		}
-		w := *warmup
+		w := o.warmup
 		if w == 0 {
-			w = *rounds / 3
+			w = o.rounds / 3
 		}
 		s, err := btsim.New(btsim.Options{
-			Leechers:            *leechers,
-			Seeds:               *seeds,
-			Pieces:              *pieces,
-			PieceKbit:           *pieceKbit,
+			Leechers:            o.leechers,
+			Seeds:               o.seeds,
+			Pieces:              o.pieces,
+			PieceKbit:           o.pieceKbit,
 			UploadKbps:          caps,
-			TFTSlots:            *tftSlots,
-			NeighborCount:       *neighbors,
-			PostFlashCrowd:      *postFlash,
-			ContentUnlimited:    *unlimited,
+			TFTSlots:            o.tftSlots,
+			NeighborCount:       o.neighbors,
+			PostFlashCrowd:      o.postFlash,
+			ContentUnlimited:    o.unlimited,
 			MetricsWarmupRounds: w,
 			Seed:                replicaSeed,
 		})
@@ -349,18 +391,18 @@ func run(args []string) error {
 			return btsim.Metrics{}, err
 		}
 		s.SetTelemetry(tel)
-		if *untilDone {
-			if !s.RunUntilDone(*rounds * 100) {
+		if o.untilDone {
+			if !s.RunUntilDone(o.rounds * 100) {
 				fmt.Println("WARNING: swarm did not complete within the round budget")
 			}
 		} else {
-			s.Run(*rounds)
+			s.Run(o.rounds)
 		}
 		return s.Snapshot(), nil
 	}
 
-	if *replicas == 1 {
-		m, err := runOne(*seed)
+	if o.replicas == 1 {
+		m, err := runOne(o.seed)
 		if err != nil {
 			return err
 		}
@@ -371,11 +413,11 @@ func run(args []string) error {
 
 	// Replica fan-out: each replica owns its swarm and writes to its own
 	// slot, so results are independent of worker count.
-	nw := par.Workers(*replicas, *workers)
-	metrics := make([]btsim.Metrics, *replicas)
-	if err := par.ForEachErr(*replicas, nw, func(rep int) error {
+	nw := par.Workers(o.replicas, o.workers)
+	metrics := make([]btsim.Metrics, o.replicas)
+	if err := par.ForEachErr(o.replicas, nw, func(rep int) error {
 		var err error
-		metrics[rep], err = runOne(*seed + uint64(rep))
+		metrics[rep], err = runOne(o.seed + uint64(rep))
 		return err
 	}); err != nil {
 		return err
@@ -391,7 +433,7 @@ func run(args []string) error {
 		}
 	}
 	fmt.Printf("replicas:                %d (seeds %d..%d, %d workers)\n",
-		*replicas, *seed, *seed+uint64(*replicas)-1, nw)
+		o.replicas, o.seed, o.seed+uint64(o.replicas)-1, nw)
 	if len(corrs) > 0 {
 		sc := stats.Summarize(corrs)
 		fmt.Printf("stratification corr:     mean %.3f  min %.3f  max %.3f\n", sc.Mean, sc.Min, sc.Max)
@@ -431,51 +473,6 @@ func writeTelemetryText(w io.Writer, snap telemetry.Snapshot) {
 	}
 }
 
-// expvarRec holds the recorder the published expvar reads. expvar.Publish
-// panics on duplicate names and the CLI's run() is re-entered by tests, so
-// the variable is published once and re-pointed per run.
-var (
-	expvarRec  atomic.Pointer[telemetry.Recorder]
-	expvarOnce sync.Once
-)
-
-// startDebugServer binds the opt-in debug listener: Prometheus exposition
-// on /metrics, the telemetry snapshot as an expvar on /debug/vars, and the
-// standard pprof handlers on /debug/pprof/. It returns the bound address
-// (addr may carry port 0) and a shutdown func.
-func startDebugServer(addr string, tel *telemetry.Recorder) (string, func(), error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("-debug-addr %s: %w", addr, err)
-	}
-	expvarRec.Store(tel)
-	expvarOnce.Do(func() {
-		expvar.Publish("btswarm_telemetry", expvar.Func(func() any {
-			return expvarRec.Load().Snapshot()
-		}))
-	})
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", tel.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Handler: mux}
-	go func() { _ = srv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "btswarm: debug listener on http://%s (/metrics, /debug/vars, /debug/pprof/)\n", ln.Addr())
-	return ln.Addr().String(), func() { _ = srv.Close() }, nil
-}
-
-// ckptConfig carries the CLI's durability flags into a scenario run.
-type ckptConfig struct {
-	every  int
-	dir    string
-	retain int
-	resume string
-}
-
 // runSpec compiles a scenario spec and runs it. Text mode materializes the
 // series and prints the classic table; jsonl mode streams every sample,
 // event and the closing summary through the Observer API — no
@@ -485,11 +482,11 @@ type ckptConfig struct {
 // run at the next round boundary, writes a final resume-from-here
 // checkpoint, and exits cleanly (status 0) — kill -9 loses at most the
 // rounds since the last periodic checkpoint.
-func runSpec(spec btsim.ScenarioSpec, sampleEvery, stepWorkers int, ck ckptConfig, emitMode string, verbose bool, tel *telemetry.Recorder) error {
-	if sampleEvery > 0 {
-		spec.SampleEvery = sampleEvery
+func runSpec(spec btsim.ScenarioSpec, o *options, tel *telemetry.Recorder) error {
+	if o.sampleEvery > 0 {
+		spec.SampleEvery = o.sampleEvery
 	}
-	if verbose && spec.Swarm.MaxPeers == 0 {
+	if o.verbose && spec.Swarm.MaxPeers == 0 {
 		fmt.Fprintf(os.Stderr,
 			"btswarm: swarm.max_peers unset; preallocating for an estimated peak of %d concurrent peers\n",
 			spec.MaxPeersEstimate())
@@ -503,12 +500,12 @@ func runSpec(spec btsim.ScenarioSpec, sampleEvery, stepWorkers int, ck ckptConfi
 	sc.Telemetry = tel
 	// Worker count is a runtime knob like telemetry: byte-identical output
 	// at any setting, so it is absent from the spec and safe on resume.
-	sc.StepWorkers = stepWorkers
-	sc.CheckpointEvery = ck.every
-	sc.CheckpointDir = ck.dir
-	sc.CheckpointRetain = ck.retain
-	sc.ResumeFrom = ck.resume
-	if ck.dir != "" {
+	sc.StepWorkers = o.stepWorkers
+	sc.CheckpointEvery = o.ckEvery
+	sc.CheckpointDir = o.ckDir
+	sc.CheckpointRetain = o.ckRetain
+	sc.ResumeFrom = o.resume
+	if o.ckDir != "" {
 		stop := make(chan struct{})
 		sigc := make(chan os.Signal, 2)
 		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -524,12 +521,12 @@ func runSpec(spec btsim.ScenarioSpec, sampleEvery, stepWorkers int, ck ckptConfi
 	}
 	finish := func(err error) error {
 		if errors.Is(err, btsim.ErrInterrupted) {
-			fmt.Fprintf(os.Stderr, "btswarm: %v; resume with -resume %s\n", err, ck.dir)
+			fmt.Fprintf(os.Stderr, "btswarm: %v; resume with -resume %s\n", err, o.ckDir)
 			return nil
 		}
 		return err
 	}
-	if emitMode == "jsonl" {
+	if o.emit == "jsonl" {
 		// Fault counters only appear in the stream when the spec injects
 		// faults, so fault-free jsonl output stays byte-identical; telemetry
 		// records are separate lines, leaving sample/event/done rows

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -173,33 +175,116 @@ func TestRunRejectsBadSpec(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadScenarioFlags pins the flag-validation satellite:
-// negative -sample-every and non-positive -scenario-scale used to be
-// silently mangled; now they are errors, as are conflicting or unknown
-// modes.
-func TestRunRejectsBadScenarioFlags(t *testing.T) {
-	cases := [][]string{
-		{"-scenario", "poisson", "-sample-every", "-1"},
-		{"-scenario", "poisson", "-scenario-scale", "-2"},
-		{"-scenario", "poisson", "-scenario-scale", "0"},
-		{"-scenario", "poisson", "-emit", "xml"},
-		{"-scenario", "poisson", "-spec", "whatever.json"},
-		{"-dump-spec", "nope"},
-		{"-leechers", "10", "-emit", "jsonl"}, // jsonl needs a scenario/spec run
-		// -dump-spec prints a spec and exits: combining it with a run mode
-		// must be a loud error, not a silently ignored flag.
-		{"-dump-spec", "flashcrowd", "-spec", "whatever.json"},
-		{"-dump-spec", "flashcrowd", "-scenario", "poisson"},
-		{"-dump-spec", "flashcrowd", "-emit", "jsonl"},
-		// -dump-spec runs no simulation, so asking it to record telemetry
-		// (directly or via the flags that imply it) is a contradiction.
-		{"-dump-spec", "flashcrowd", "-telemetry"},
-		{"-dump-spec", "flashcrowd", "-debug-addr", "127.0.0.1:0"},
-		{"-dump-spec", "flashcrowd", "-trace", "out.trace"},
+// selectorArgs selects each mode with a value parseArgs accepts; parseArgs
+// reads no files, so the paths need not exist.
+var selectorArgs = map[string][]string{
+	"":               nil,
+	"scenario":       {"-scenario", "poisson"},
+	"spec":           {"-spec", "x.json"},
+	"resume":         {"-resume", "ck"},
+	"dump-spec":      {"-dump-spec", "poisson"},
+	"list-scenarios": {"-list-scenarios"},
+	"serve":          {"-serve", "127.0.0.1:0"},
+}
+
+// TestModeTable walks the mode table: in every mode, each flag the mode
+// reads is accepted, each flag it does not read (another mode's selector
+// included) fails with an error naming that flag, and every flag is read by
+// at least one mode.
+func TestModeTable(t *testing.T) {
+	read := map[string]bool{}
+	for _, m := range modes {
+		args, ok := selectorArgs[m.selector]
+		if !ok {
+			t.Fatalf("no selector arguments for mode -%s", m.selector)
+		}
+		if o, err := parseArgs(args); err != nil || o.mode.selector != m.selector {
+			t.Fatalf("parseArgs(%q) = %v, want mode %q", args, err, m.selector)
+		}
+		read[m.selector] = true
+		for _, name := range m.reads {
+			read[name] = true
+		}
+		newFlagSet(new(options)).VisitAll(func(f *flag.Flag) {
+			// With no selector given, a selector flag picks its own mode.
+			if f.Name == m.selector || m.selector == "" && selectorArgs[f.Name] != nil {
+				return
+			}
+			withFlag := append(slices.Clone(args), "-"+f.Name+"="+f.DefValue)
+			_, err := parseArgs(withFlag)
+			switch {
+			case slices.Contains(m.reads, f.Name):
+				if err != nil {
+					t.Errorf("parseArgs(%q): %v", withFlag, err)
+				}
+			case err == nil:
+				t.Errorf("parseArgs(%q) accepted -%s, which %s do not read", withFlag, f.Name, m.what)
+			case !strings.Contains(err.Error(), "-"+f.Name+" "):
+				t.Errorf("parseArgs(%q): error does not name -%s: %v", withFlag, f.Name, err)
+			}
+		})
 	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Fatalf("args %v accepted", args)
+	newFlagSet(new(options)).VisitAll(func(f *flag.Flag) {
+		if !read[f.Name] {
+			t.Errorf("-%s is read by no mode", f.Name)
+		}
+	})
+}
+
+// TestDocumentedInvocationsParse: every btswarm command line written down in
+// CI, the benchmark, the crash-test script, the README and the package doc
+// parses to the mode it is meant to run.
+func TestDocumentedInvocationsParse(t *testing.T) {
+	for _, tc := range []struct{ mode, args string }{
+		// .github/workflows/ci.yml
+		{"dump-spec", "-dump-spec flashcrowd"},
+		{"spec", "-spec /dev/stdin -scenario-scale 0.1"},
+		{"scenario", "-scenario crashcrowd -scenario-scale 0.3 -seed 12 -emit jsonl -step-workers 4"},
+		{"scenario", "-scenario flashcrowd1m -scenario-scale 0.005 -seed 12 -emit jsonl"},
+		{"scenario", "-scenario flashcrowd1m -step-workers 4 -emit jsonl"},
+		{"", "-leechers 300 -rounds 1000000 -unlimited -debug-addr 127.0.0.1:9180"},
+		{"serve", "-serve 127.0.0.1:0 -seed 1 -checkpoint-dir /tmp/trackerd-ck"},
+		{"dump-spec", "-dump-spec poisson -scenario-scale 0.3"},
+		{"spec", "-spec /tmp/spec.json -emit jsonl"},
+		{"resume", "-resume /tmp/trackerd-ck/run-2 -emit jsonl"},
+		// bench/tracker.go (bootDaemon)
+		{"serve", "-serve 127.0.0.1:0 -seed 3 -checkpoint-dir work/daemon-0"},
+		// scripts/crashtest.sh
+		{"scenario", "-scenario poisson -scenario-scale 6 -sample-every 1 -emit jsonl -checkpoint-every 50 -checkpoint-retain -1 -checkpoint-dir golden-ck"},
+		{"resume", "-resume crash-ck/ckpt-000000101.ckpt -emit jsonl -checkpoint-every 50 -checkpoint-dir crash-ck -checkpoint-retain -1"},
+		// README.md
+		{"", "-unlimited -replicas 8"},
+		{"list-scenarios", "-list-scenarios"},
+		{"scenario", "-scenario poisson"},
+		{"scenario", "-scenario trackerdown"},
+		{"dump-spec", "-dump-spec slowquit"},
+		{"spec", "-spec s.json -emit jsonl"},
+		{"scenario", "-scenario poisson -emit jsonl -checkpoint-every 100 -checkpoint-dir ck"},
+		{"resume", "-resume ck"},
+		{"resume", "-resume ck/ckpt-000000200.ckpt"},
+		{"serve", "-serve 127.0.0.1:8080 -checkpoint-dir ck"},
+		{"dump-spec", "-dump-spec poisson"},
+		{"scenario", "-scenario trackerdown -telemetry -emit jsonl"},
+		{"", "-leechers 300 -rounds 100000 -unlimited -debug-addr 127.0.0.1:9180"},
+		{"scenario", "-scenario poisson -trace run.trace"},
+		{"serve", "-serve :8080"},
+		// package doc
+		{"", "-leechers 400 -seeds 2 -pieces 256 -rounds 2000"},
+		{"", "-leechers 500 -unlimited -rounds 3000"},
+		{"", "-leechers 100 -seeds 1 -until-done"},
+		{"", "-replicas 16 -unlimited"},
+		{"scenario", "-scenario massdepart -scenario-scale 2"},
+		{"scenario", "-scenario trackerdown -emit jsonl"},
+		{"dump-spec", "-dump-spec flashcrowd"},
+		{"spec", "-spec flash.json -emit jsonl"},
+		{"scenario", "-scenario poisson -checkpoint-every 100 -checkpoint-dir ck"},
+		{"resume", "-resume ck -checkpoint-every 100 -checkpoint-dir ck"},
+	} {
+		o, err := parseArgs(strings.Fields(tc.args))
+		if err != nil {
+			t.Errorf("btswarm %s: %v", tc.args, err)
+		} else if o.mode.selector != tc.mode {
+			t.Errorf("btswarm %s: mode %q, want %q", tc.args, o.mode.selector, tc.mode)
 		}
 	}
 }
@@ -216,12 +301,32 @@ func TestRunRejectsUnknownScenario(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags covers what the mode table does not: unknown
+// flags, stray words, out-of-range values and inputs that only fail when
+// the mode runs.
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-bogus"}); err == nil {
-		t.Fatal("bad flag accepted")
+	cases := [][]string{
+		{"-bogus"},
+		{"-leechers", "0"},
+		// flag parsing stops at the first stray word, so the flags after it
+		// would be silently dropped.
+		{"-rounds", "5", "-leechers", "10", "foo"},
+		{"-scenario", "poisson", "x", "-seed", "3"},
+		{"loadgen"},
+		{"-scenario", "poisson", "-sample-every", "-1"},
+		{"-scenario", "poisson", "-scenario-scale", "-2"},
+		{"-scenario", "poisson", "-scenario-scale", "0"},
+		{"-scenario", "poisson", "-emit", "xml"},
+		{"-scenario", "poisson", "-checkpoint-every", "10"},
+		{"-scenario", "poisson", "-checkpoint-every", "-1", "-checkpoint-dir", "x"},
+		{"-replicas", "0"},
+		{"-dump-spec", "nope"},
+		{"-resume", filepath.Join(t.TempDir(), "none.ckpt")},
 	}
-	if err := run([]string{"-leechers", "0"}); err == nil {
-		t.Fatal("0 leechers accepted")
+	for _, args := range cases {
+		if err := run(args); err == nil {
+			t.Fatalf("run(%v) succeeded, want error", args)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -20,24 +21,35 @@ import (
 	"stratmatch/internal/btsim"
 )
 
-// TestServeFlagValidation pins -serve's mutual exclusion with every offline
-// run mode, and the rejection of stray positional arguments (flag parsing
-// stops at the first one, so the flags after it would be silently dropped).
-func TestServeFlagValidation(t *testing.T) {
-	cases := [][]string{
-		{"-serve", ":0", "-scenario", "poisson"},
-		{"-serve", ":0", "-spec", "x.json"},
-		{"-serve", ":0", "-resume", "ck"},
-		{"-serve", ":0", "-dump-spec", "poisson"},
-		{"-serve", ":0", "-emit", "jsonl"},
-		{"-rounds", "5", "-leechers", "10", "foo"},
-		{"-scenario", "poisson", "x", "-seed", "3"},
-		{"loadgen"},
+// TestHTTPServerClosesPartialHeader: a client that sends only part of a
+// request header is disconnected once the header timeout passes, instead of
+// pinning a server goroutine forever.
+func TestHTTPServerClosesPartialHeader(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("timeouts: header %v, idle %v, write %v; want header and idle set, no write timeout",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, srv.WriteTimeout)
 	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Fatalf("run(%v) succeeded, want error", args)
-		}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond // keeps the test fast
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server did not close the half-sent request: %v", err)
 	}
 }
 

@@ -51,6 +51,16 @@ func run(args []string) error {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 	if *list {
+		// -list runs nothing, so any other flag would be silently ignored.
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "list" {
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			return fmt.Errorf("-list takes no other flags (got %s)", strings.Join(stray, " "))
+		}
 		for _, id := range experiments.IDs() {
 			title, _ := experiments.Title(id)
 			fmt.Printf("%-6s %s\n", id, title)

@@ -26,8 +26,8 @@ func TestRunUnknownExp(t *testing.T) {
 
 func TestRunBadFlag(t *testing.T) {
 	// A stray positional argument would otherwise end flag parsing and
-	// silently drop every flag after it.
-	for _, args := range [][]string{{"-bogus"}, {"-exp", "fig7", "foo"}} {
+	// silently drop every flag after it, and -list would ignore the rest.
+	for _, args := range [][]string{{"-bogus"}, {"-exp", "fig7", "foo"}, {"-list", "-exp", "fig1", "-scale", "9"}} {
 		if err := run(args); err == nil {
 			t.Fatalf("run(%v) succeeded, want error", args)
 		}

@@ -424,6 +424,21 @@ func FileName(seq int) string {
 	return fmt.Sprintf("ckpt-%09d%s", seq, fileExt)
 }
 
+// Seq returns the sequence number a checkpoint file name encodes, the
+// inverse of FileName; ok is false for any other name.
+func Seq(name string) (int, bool) {
+	digits, ok := strings.CutPrefix(name, "ckpt-")
+	if !ok {
+		return 0, false
+	}
+	digits, ok = strings.CutSuffix(digits, fileExt)
+	if !ok {
+		return 0, false
+	}
+	seq, err := strconv.Atoi(digits)
+	return seq, err == nil
+}
+
 // list returns the checkpoint files in dir, sorted by ascending sequence
 // number.
 func list(dir string) ([]string, error) {
@@ -433,15 +448,9 @@ func list(dir string) ([]string, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "ckpt-") || !strings.HasSuffix(name, fileExt) {
-			continue
+		if _, ok := Seq(e.Name()); ok && !e.IsDir() {
+			names = append(names, e.Name())
 		}
-		seq := strings.TrimSuffix(strings.TrimPrefix(name, "ckpt-"), fileExt)
-		if _, err := strconv.Atoi(seq); err != nil {
-			continue
-		}
-		names = append(names, name)
 	}
 	sort.Strings(names) // zero-padded: lexicographic == numeric
 	return names, nil

@@ -233,6 +233,21 @@ func TestReadFileRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestSeqInvertsFileName: Seq reads back every name FileName writes and
+// rejects names that are not checkpoints.
+func TestSeqInvertsFileName(t *testing.T) {
+	for _, seq := range []int{0, 17, 1200, 123456789} {
+		if got, ok := Seq(FileName(seq)); !ok || got != seq {
+			t.Fatalf("Seq(%q) = %d, %v", FileName(seq), got, ok)
+		}
+	}
+	for _, name := range []string{"notes.txt", "ckpt-.ckpt", "ckpt-12.tmp", "ckpt-x1.ckpt", "run-3"} {
+		if _, ok := Seq(name); ok {
+			t.Fatalf("Seq(%q) accepted a non-checkpoint name", name)
+		}
+	}
+}
+
 func TestLatestAndRotate(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Latest(dir); err == nil {

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"stratmatch/internal/btsim"
-	"stratmatch/internal/par"
 	"stratmatch/internal/stats"
 	"stratmatch/internal/textplot"
 )
@@ -22,33 +20,8 @@ import (
 // several replicas; replicas fan out over Config.Workers with per-replica
 // seeds and slots, so results are byte-identical for any worker count.
 func Churn(cfg Config) (*Result, error) {
-	names := btsim.ChurnScenarioNames()
-	const replicas = 3
-	runs := make([]*btsim.ScenarioResult, len(names)*replicas)
-	specs := make([]btsim.ScenarioSpec, len(names)*replicas)
-	scens := make([]btsim.Scenario, len(names)*replicas)
-	for i := range specs {
-		spec, err := btsim.NamedSpec(names[i/replicas], cfg.Seed+uint64(i%replicas)*0x9e3779b9, cfg.scale())
-		if err != nil {
-			return nil, err
-		}
-		specs[i] = spec
-		if scens[i], err = spec.Compile(); err != nil {
-			return nil, err
-		}
-		// Telemetry is runtime-only: attached after Compile, never part of
-		// the spec, so recorded runs stay byte-identical to bare ones.
-		scens[i].Telemetry = cfg.Telemetry
-	}
-	// With Config.CheckpointDir set, completed replicas are persisted and a
-	// rerun only executes the ones that never finished.
-	store := cfg.replicaStore()
-	if err := par.ForEachErr(len(runs), cfg.Workers, func(i int) error {
-		key := fmt.Sprintf("churn-%s-r%d", names[i/replicas], i%replicas)
-		res, err := store.runReplica(key, scens[i])
-		runs[i] = res
-		return err
-	}); err != nil {
+	cat, err := cfg.runCatalog("churn", btsim.ChurnScenarioNames(), nil)
+	if err != nil {
 		return nil, err
 	}
 
@@ -59,8 +32,8 @@ func Churn(cfg Config) (*Result, error) {
 			"joined", "departed", "completed", "mean_degree",
 		},
 	}
-	for si, name := range names {
-		first := runs[si*replicas]
+	for si, name := range cat.names {
+		first := cat.runs[si*catalogReplicas]
 		s := textplot.Series{Name: name}
 		for _, pt := range first.Series {
 			s.X = append(s.X, float64(pt.Round))
@@ -76,7 +49,7 @@ func Churn(cfg Config) (*Result, error) {
 
 	// Conservation must hold in every run: churn moves peers, never data.
 	worstGap := 0.0
-	for _, run := range runs {
+	for _, run := range cat.runs {
 		var up, down float64
 		for _, pm := range run.Final.Peers {
 			up += pm.TotalUp
@@ -89,22 +62,10 @@ func Churn(cfg Config) (*Result, error) {
 	res.noteCheck(worstGap < 1e-9,
 		"flow conservation under churn: worst relative up/down gap %.2e", worstGap)
 
-	// perScenario resolves a scenario's replica runs and its spec/config
-	// by name, so the checks below can never desynchronize from the
-	// catalog order.
-	perScenario := func(name string) ([]*btsim.ScenarioResult, btsim.Scenario, btsim.ScenarioSpec) {
-		for si, n := range names {
-			if n == name {
-				return runs[si*replicas : (si+1)*replicas], scens[si*replicas], specs[si*replicas]
-			}
-		}
-		return nil, btsim.Scenario{}, btsim.ScenarioSpec{}
-	}
-
 	// Flash crowd: the burst forms a crowd several times the initial
 	// population, and the crowd drains — most arrivals complete the file.
 	var peakRatio, drained []float64
-	flashRuns, flashSc, _ := perScenario("flashcrowd")
+	flashRuns, flashSc, _ := cat.scenario("flashcrowd")
 	for _, run := range flashRuns {
 		initial := flashSc.Opt.Leechers + flashSc.Opt.Seeds
 		peak := 0
@@ -125,7 +86,7 @@ func Churn(cfg Config) (*Result, error) {
 
 	// Poisson steady state: continuous turnover with a live, bounded swarm.
 	var turnover, alive []float64
-	poissonRuns, _, _ := perScenario("poisson")
+	poissonRuns, _, _ := cat.scenario("poisson")
 	for _, run := range poissonRuns {
 		last := run.Series[len(run.Series)-1]
 		turnover = append(turnover, float64(run.TotalDeparted))
@@ -141,7 +102,7 @@ func Churn(cfg Config) (*Result, error) {
 	// Mass departure: the overlay heals (mean degree recovers towards the
 	// tracker target) and downloads keep completing afterwards.
 	var healedDeg, extraDone []float64
-	massRuns, massSc, _ := perScenario("massdepart")
+	massRuns, massSc, _ := cat.scenario("massdepart")
 	for _, run := range massRuns {
 		last := run.Series[len(run.Series)-1]
 		healedDeg = append(healedDeg, last.MeanDegree/float64(massSc.Opt.NeighborCount))
@@ -163,7 +124,7 @@ func Churn(cfg Config) (*Result, error) {
 
 	// Trace replay: the schedule is deterministic, so the membership flow
 	// is exact — every replica joins precisely initial + Σ counts peers.
-	traceRuns, traceSc, traceSpec := perScenario("tracereplay")
+	traceRuns, traceSc, traceSpec := cat.scenario("tracereplay")
 	wantJoined := traceSc.Opt.Leechers + traceSc.Opt.Seeds
 	for _, c := range traceSpec.Arrivals[0].Counts {
 		wantJoined += c
@@ -180,7 +141,7 @@ func Churn(cfg Config) (*Result, error) {
 	// Seed starvation: with InitialSeedsStay off the original content
 	// sources leave after their linger, yet the swarm keeps completing
 	// downloads off arrival-injected replicas.
-	starveRuns, starveSc, _ := perScenario("seedstarve")
+	starveRuns, starveSc, _ := cat.scenario("seedstarve")
 	seedsGone, starveDone := true, 0.0
 	for _, run := range starveRuns {
 		for id := starveSc.Opt.Leechers; id < starveSc.Opt.Leechers+starveSc.Opt.Seeds; id++ {
@@ -197,7 +158,7 @@ func Churn(cfg Config) (*Result, error) {
 
 	// Capacity-correlated abandonment: leechers that gave up mid-download
 	// must be drawn from the slow end of the capacity distribution.
-	quitRuns, _, _ := perScenario("slowquit")
+	quitRuns, _, _ := cat.scenario("slowquit")
 	var quitCap, stayCap []float64
 	for _, run := range quitRuns {
 		for _, pm := range run.Final.Peers {

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"stratmatch/internal/btsim"
-	"stratmatch/internal/par"
 	"stratmatch/internal/stats"
 	"stratmatch/internal/textplot"
 )
@@ -25,38 +23,14 @@ import (
 // Config.Workers with per-replica seeds; results are byte-identical for
 // any worker count.
 func Faults(cfg Config) (*Result, error) {
-	names := btsim.FaultScenarioNames()
-	const replicas = 3
-	runs := make([]*btsim.ScenarioResult, len(names)*replicas)
-	specs := make([]btsim.ScenarioSpec, len(names)*replicas)
-	scens := make([]btsim.Scenario, len(names)*replicas)
-	for i := range specs {
-		spec, err := btsim.NamedSpec(names[i/replicas], cfg.Seed+uint64(i%replicas)*0x9e3779b9, cfg.scale())
-		if err != nil {
-			return nil, err
-		}
+	cat, err := cfg.runCatalog("faults", btsim.FaultScenarioNames(), func(replica int, spec *btsim.ScenarioSpec) {
 		// The watchdog audits every invariant every round — O(V·E) per
 		// round, so one replica carries it for the whole catalog.
-		if spec.Name == "crashcrowd" && i%replicas == 0 {
+		if spec.Name == "crashcrowd" && replica == 0 {
 			spec.Faults.Watchdog = true
 		}
-		specs[i] = spec
-		if scens[i], err = spec.Compile(); err != nil {
-			return nil, err
-		}
-		// Telemetry is runtime-only: attached after Compile, never part of
-		// the spec, so recorded runs stay byte-identical to bare ones.
-		scens[i].Telemetry = cfg.Telemetry
-	}
-	// With Config.CheckpointDir set, completed replicas are persisted and a
-	// rerun only executes the ones that never finished.
-	store := cfg.replicaStore()
-	if err := par.ForEachErr(len(runs), cfg.Workers, func(i int) error {
-		key := fmt.Sprintf("faults-%s-r%d", names[i/replicas], i%replicas)
-		res, err := store.runReplica(key, scens[i])
-		runs[i] = res
-		return err
-	}); err != nil {
+	})
+	if err != nil {
 		// A watchdog violation surfaces here as a hard error: invariants
 		// breaking under faults is a bug, not a degraded result.
 		return nil, err
@@ -69,8 +43,8 @@ func Faults(cfg Config) (*Result, error) {
 			"stale_edges", "crashed", "announce_failures", "announce_retries",
 		},
 	}
-	for si, name := range names {
-		first := runs[si*replicas]
+	for si, name := range cat.names {
+		first := cat.runs[si*catalogReplicas]
 		s := textplot.Series{Name: name}
 		for _, pt := range first.Series {
 			s.X = append(s.X, float64(pt.Round))
@@ -85,20 +59,11 @@ func Faults(cfg Config) (*Result, error) {
 		res.Series = append(res.Series, s)
 	}
 
-	perScenario := func(name string) ([]*btsim.ScenarioResult, btsim.ScenarioSpec) {
-		for si, n := range names {
-			if n == name {
-				return runs[si*replicas : (si+1)*replicas], specs[si*replicas]
-			}
-		}
-		return nil, btsim.ScenarioSpec{}
-	}
-
 	// Tracker outage: the swarm must ride out the whole window on the
 	// overlay it already has — peers present throughout, announces failing
 	// and retrying with backoff — and resume completing downloads once the
 	// tracker returns.
-	tdRuns, tdSpec := perScenario("trackerdown")
+	tdRuns, _, tdSpec := cat.scenario("trackerdown")
 	outage := tdSpec.Faults.Injections[0]
 	outageEnd := outage.Start + outage.Rounds
 	survived := true
@@ -131,7 +96,7 @@ func Faults(cfg Config) (*Result, error) {
 	// while the split holds; after the heal the tracker re-knits it and
 	// rank-correlated matching re-forms — the reconvergence the paper's
 	// Figure 2 studies for single removals, here after a bisection.
-	sbRuns, sbSpec := perScenario("splitbrain")
+	sbRuns, _, sbSpec := cat.scenario("splitbrain")
 	split := sbSpec.Faults.Injections[0]
 	healRound := split.Start + split.Rounds
 	var degDip, degHealed, tailCorr []float64
@@ -187,7 +152,7 @@ func Faults(cfg Config) (*Result, error) {
 	// for a while (overlay rot), and the failure-detection sweep retires
 	// every one of them by the end — with replica 0's watchdog certifying
 	// all structural invariants every single round.
-	ccRuns, _ := perScenario("crashcrowd")
+	ccRuns, _, _ := cat.scenario("crashcrowd")
 	var crashed, peakStale []float64
 	staleDrained := true
 	for _, run := range ccRuns {

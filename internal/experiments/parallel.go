@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+
+	"stratmatch/internal/btsim"
 	"stratmatch/internal/par"
 )
 
@@ -20,4 +23,72 @@ func (c Config) forEach(n int, fn func(i int) error) error {
 	// par.Workers applies the 0-means-GOMAXPROCS default; Config.Workers
 	// passes through unresolved so the policy lives in one place.
 	return par.ForEachErr(n, c.Workers, fn)
+}
+
+// catalogReplicas is how many seeds of each scenario a catalog sweep runs.
+const catalogReplicas = 3
+
+// catalogRuns is a catalog sweep, scenario-major: replica r of names[si]
+// sits at index si*catalogReplicas+r of runs, specs and scens.
+type catalogRuns struct {
+	names []string
+	runs  []*btsim.ScenarioResult
+	specs []btsim.ScenarioSpec
+	scens []btsim.Scenario
+}
+
+// runCatalog runs catalogReplicas seeds of every named catalog scenario
+// through the declarative spec path: build the spec, let hook (if non-nil)
+// adjust it, compile, then fan the replicas out through the replica store.
+// Replica seeds and slots are fixed before the fan-out, so results are
+// byte-identical for any worker count.
+func (c Config) runCatalog(prefix string, names []string, hook func(replica int, spec *btsim.ScenarioSpec)) (*catalogRuns, error) {
+	n := len(names) * catalogReplicas
+	cr := &catalogRuns{
+		names: names,
+		runs:  make([]*btsim.ScenarioResult, n),
+		specs: make([]btsim.ScenarioSpec, n),
+		scens: make([]btsim.Scenario, n),
+	}
+	for i := range n {
+		spec, err := btsim.NamedSpec(names[i/catalogReplicas], c.Seed+uint64(i%catalogReplicas)*0x9e3779b9, c.scale())
+		if err != nil {
+			return nil, err
+		}
+		if hook != nil {
+			hook(i%catalogReplicas, &spec)
+		}
+		cr.specs[i] = spec
+		if cr.scens[i], err = spec.Compile(); err != nil {
+			return nil, err
+		}
+		// Telemetry is runtime-only: attached after Compile, never part of
+		// the spec, so recorded runs stay byte-identical to bare ones.
+		cr.scens[i].Telemetry = c.Telemetry
+	}
+	// With Config.CheckpointDir set, completed replicas are persisted and a
+	// rerun only executes the ones that never finished.
+	store := c.replicaStore()
+	if err := c.forEach(n, func(i int) error {
+		key := fmt.Sprintf("%s-%s-r%d", prefix, names[i/catalogReplicas], i%catalogReplicas)
+		res, err := store.runReplica(key, cr.scens[i])
+		cr.runs[i] = res
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return cr, nil
+}
+
+// scenario returns the named scenario's replica runs with its first
+// replica's compiled scenario and spec, so checks look scenarios up by
+// name and can never desynchronize from the catalog order.
+func (cr *catalogRuns) scenario(name string) ([]*btsim.ScenarioResult, btsim.Scenario, btsim.ScenarioSpec) {
+	for si, n := range cr.names {
+		if n == name {
+			i := si * catalogReplicas
+			return cr.runs[i : i+catalogReplicas], cr.scens[i], cr.specs[i]
+		}
+	}
+	return nil, btsim.Scenario{}, btsim.ScenarioSpec{}
 }

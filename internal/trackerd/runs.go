@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -232,13 +230,11 @@ func resumeRound(dir string) int {
 	if err != nil {
 		return -1
 	}
-	name := filepath.Base(path)
-	name = strings.TrimSuffix(strings.TrimPrefix(name, "ckpt-"), filepath.Ext(name))
-	n, err := strconv.Atoi(name)
-	if err != nil {
+	round, ok := checkpoint.Seq(filepath.Base(path))
+	if !ok {
 		return -1
 	}
-	return n
+	return round
 }
 
 // get returns a run by id.
