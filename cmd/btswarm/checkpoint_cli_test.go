@@ -159,3 +159,21 @@ func TestCheckpointCLIKillResume(t *testing.T) {
 		t.Fatal("killed run's output is not a prefix of the golden stream")
 	}
 }
+
+// TestCheckpointCLIFlagValidation pins the flag contract. The fixed-swarm
+// and -resume rows are cases of the mode-table rule (see TestModeTable).
+func TestCheckpointCLIFlagValidation(t *testing.T) {
+	cases := [][]string{
+		{"-scenario", "poisson", "-checkpoint-every", "10"},                         // missing dir
+		{"-scenario", "poisson", "-checkpoint-every", "-1", "-checkpoint-dir", "x"}, // negative period
+		{"-checkpoint-every", "10", "-checkpoint-dir", "x"},                         // fixed-swarm mode
+		{"-resume", "x", "-scenario", "poisson"},                                    // resume is exclusive
+		{"-resume", "x", "-spec", "y.json"},                                         // resume is exclusive
+		{"-resume", filepath.Join(t.TempDir(), "none.ckpt")},                        // missing checkpoint
+	}
+	for _, args := range cases {
+		if err := run(args); err == nil {
+			t.Fatalf("run(%v) succeeded, want error", args)
+		}
+	}
+}

@@ -301,31 +301,45 @@ func TestRunRejectsUnknownScenario(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags covers what the mode table does not: unknown
-// flags, stray words, out-of-range values and inputs that only fail when
-// the mode runs.
+// TestRunRejectsBadFlags covers unknown flags and out-of-range values of
+// the fixed swarm.
 func TestRunRejectsBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-bogus"},
 		{"-leechers", "0"},
-		// flag parsing stops at the first stray word, so the flags after it
-		// would be silently dropped.
-		{"-rounds", "5", "-leechers", "10", "foo"},
-		{"-scenario", "poisson", "x", "-seed", "3"},
-		{"loadgen"},
-		{"-scenario", "poisson", "-sample-every", "-1"},
-		{"-scenario", "poisson", "-scenario-scale", "-2"},
-		{"-scenario", "poisson", "-scenario-scale", "0"},
-		{"-scenario", "poisson", "-emit", "xml"},
-		{"-scenario", "poisson", "-checkpoint-every", "10"},
-		{"-scenario", "poisson", "-checkpoint-every", "-1", "-checkpoint-dir", "x"},
 		{"-replicas", "0"},
-		{"-dump-spec", "nope"},
-		{"-resume", filepath.Join(t.TempDir(), "none.ckpt")},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Fatalf("run(%v) succeeded, want error", args)
+		}
+	}
+}
+
+// TestRunRejectsBadScenarioFlags pins the flag-validation satellite:
+// negative -sample-every and non-positive -scenario-scale used to be
+// silently mangled; now they are errors, as are conflicting or unknown
+// modes. The conflict rows are cases of the mode-table rule, which
+// TestModeTable checks for every flag and mode.
+func TestRunRejectsBadScenarioFlags(t *testing.T) {
+	cases := [][]string{
+		{"-scenario", "poisson", "-sample-every", "-1"},
+		{"-scenario", "poisson", "-scenario-scale", "-2"},
+		{"-scenario", "poisson", "-scenario-scale", "0"},
+		{"-scenario", "poisson", "-emit", "xml"},
+		{"-scenario", "poisson", "-spec", "whatever.json"},
+		{"-dump-spec", "nope"},
+		{"-leechers", "10", "-emit", "jsonl"}, // jsonl needs a scenario/spec run
+		{"-dump-spec", "flashcrowd", "-spec", "whatever.json"},
+		{"-dump-spec", "flashcrowd", "-scenario", "poisson"},
+		{"-dump-spec", "flashcrowd", "-emit", "jsonl"},
+		{"-dump-spec", "flashcrowd", "-telemetry"},
+		{"-dump-spec", "flashcrowd", "-debug-addr", "127.0.0.1:0"},
+		{"-dump-spec", "flashcrowd", "-trace", "out.trace"},
+	}
+	for _, args := range cases {
+		if err := run(args); err == nil {
+			t.Fatalf("args %v accepted", args)
 		}
 	}
 }

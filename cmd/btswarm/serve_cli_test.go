@@ -21,6 +21,29 @@ import (
 	"stratmatch/internal/btsim"
 )
 
+// TestServeFlagValidation pins -serve's mutual exclusion with every offline
+// run mode (cases of the mode-table rule), and the rejection of stray
+// positional arguments (flag parsing stops at the first one, so the flags
+// after it would be silently dropped).
+func TestServeFlagValidation(t *testing.T) {
+	cases := [][]string{
+		{"-serve", ":0", "-scenario", "poisson"},
+		{"-serve", ":0", "-spec", "x.json"},
+		{"-serve", ":0", "-resume", "ck"},
+		{"-serve", ":0", "-dump-spec", "poisson"},
+		{"-serve", ":0", "-emit", "jsonl"},
+		{"-serve", ":0", "-list-scenarios"},
+		{"-rounds", "5", "-leechers", "10", "foo"},
+		{"-scenario", "poisson", "x", "-seed", "3"},
+		{"loadgen"},
+	}
+	for _, args := range cases {
+		if err := run(args); err == nil {
+			t.Fatalf("run(%v) succeeded, want error", args)
+		}
+	}
+}
+
 // TestHTTPServerClosesPartialHeader: a client that sends only part of a
 // request header is disconnected once the header timeout passes, instead of
 // pinning a server goroutine forever.
