@@ -218,15 +218,17 @@ func (run *scenarioRun) encode(nextRound int) ([]byte, error) {
 		w.Int(f.announceRetries)
 	}
 
-	// Shard layer (format v2): the shard width (part of the trajectory —
-	// shard streams are keyed by shard index), every per-shard RNG
-	// sub-stream position, and the lazy-stepping dirty sets. xferDirty and
-	// the active-list caches are deliberately absent: the decoder marks
-	// every slot cache-stale, and a rebuild is a pure function of the saved
-	// choke state, so the first resumed transfer recomputes exactly the
-	// caches the original run held. The step worker count is a runtime
-	// knob, not state — a run may checkpoint under one count and resume
-	// under another.
+	// Shard layer: the shard width (part of the trajectory — shard streams
+	// are keyed by shard index), every per-shard RNG sub-stream position,
+	// and the lazy-stepping dirty sets. xferDirty and the active-list
+	// caches are deliberately absent: the decoder marks every slot
+	// cache-stale, and a rebuild is a pure function of the saved choke
+	// state, so the first resumed transfer recomputes exactly the caches
+	// the original run held. The series sampler's sums and statDirty are
+	// absent for the same reason: the sums are a pure function of the
+	// swarm's state, and the resumed run re-sums every shard. The step
+	// worker count is a runtime knob, not state — a run may checkpoint
+	// under one count and resume under another.
 	w.Int(s.sh.slotsPerShard)
 	w.Int(len(s.sh.streams))
 	for _, sr := range s.sh.streams {
@@ -235,38 +237,6 @@ func (run *scenarioRun) encode(nextRound int) ([]byte, error) {
 	w.U64s(s.sh.chokeDirty)
 	w.U64s(s.sh.windowNZ)
 	w.U64s(s.sh.ratesNZ)
-	w.U64s(s.sh.statDirty)
-
-	// Incremental series-sampler state, verbatim. Float accumulation is
-	// path-dependent (a − c + c need not equal a), so re-deriving the sums
-	// from the roster would break sample-stream byte-identity; the
-	// accumulators resume mid-trajectory instead.
-	w.Bool(s.stats != nil)
-	if st := s.stats; st != nil {
-		w.F64(st.lo)
-		w.F64(st.hi)
-		w.Int(st.n)
-		w.F64(st.sx)
-		w.F64(st.sy)
-		w.F64(st.sxx)
-		w.F64(st.syy)
-		w.F64(st.sxy)
-		for cl := 0; cl < 3; cl++ {
-			w.F64(st.rsum[cl])
-			w.Int(st.rn[cl])
-		}
-		for sl := 0; sl < s.slotCap; sl++ {
-			if s.slotPeer[sl] < 0 {
-				continue
-			}
-			w.F64(st.x[sl])
-			w.F64(st.y[sl])
-			w.F64(st.ratio[sl])
-			w.Int(int(st.cls[sl]))
-			w.Bool(st.inCorr[sl])
-			w.Bool(st.inRatio[sl])
-		}
-	}
 	return w.Bytes(), nil
 }
 
@@ -375,6 +345,9 @@ func (sc Scenario) loadCheckpoint(payload []byte) (*scenarioRun, error) {
 	}
 	if s.round != nextRound {
 		return fail("swarm is at round %d, resume point is %d", s.round, nextRound)
+	}
+	if !sc.eagerSample {
+		s.EnableSeriesStats(classes.lo, classes.hi)
 	}
 	// The deep audit: structural invariants, counter recounts, edge
 	// symmetry. A payload that decodes cleanly but describes an
@@ -621,13 +594,12 @@ func decodeSwarm(r *checkpoint.Reader, faultsOn bool) (*Swarm, error) {
 	return s, r.Err()
 }
 
-// decodeShards restores the shard layer and the incremental sampler from
-// the v2 tail of the payload: shard width, per-shard RNG sub-stream
-// positions, dirty bitmaps, and (when armed) the sampler accumulators.
-// xferDirty is set everywhere instead of restored — rebuilding an
-// active-list cache is a pure function of the already-decoded choke state,
-// so the first transfer after resume reconstructs the exact caches the
-// original run held.
+// decodeShards restores the shard layer from the tail of the payload:
+// shard width, per-shard RNG sub-stream positions and the lazy-stepping
+// dirty bitmaps. xferDirty is set everywhere instead of restored —
+// rebuilding an active-list cache is a pure function of the
+// already-decoded choke state, so the first transfer after resume
+// reconstructs the exact caches the original run held.
 func decodeShards(r *checkpoint.Reader, s *Swarm) error {
 	sps := r.Int()
 	nstreams := r.Int()
@@ -651,67 +623,20 @@ func decodeShards(r *checkpoint.Reader, s *Swarm) error {
 	chokeDirty := r.U64s()
 	windowNZ := r.U64s()
 	ratesNZ := r.U64s()
-	statDirty := r.U64s()
 	if err := r.Err(); err != nil {
 		return err
 	}
 	nw := bmWords(s.slotCap)
-	if len(chokeDirty) != nw || len(windowNZ) != nw || len(ratesNZ) != nw || len(statDirty) != nw {
-		return fmt.Errorf("dirty bitmaps sized %d/%d/%d/%d words for capacity %d",
-			len(chokeDirty), len(windowNZ), len(ratesNZ), len(statDirty), s.slotCap)
+	if len(chokeDirty) != nw || len(windowNZ) != nw || len(ratesNZ) != nw {
+		return fmt.Errorf("dirty bitmaps sized %d/%d/%d words for capacity %d",
+			len(chokeDirty), len(windowNZ), len(ratesNZ), s.slotCap)
 	}
 	copy(s.sh.chokeDirty, chokeDirty)
 	copy(s.sh.windowNZ, windowNZ)
 	copy(s.sh.ratesNZ, ratesNZ)
-	copy(s.sh.statDirty, statDirty)
 	for i := range s.sh.xferDirty {
 		s.sh.xferDirty[i] = ^uint64(0)
 	}
-
-	hasStats := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if !hasStats {
-		return nil
-	}
-	st := &stratStats{lo: r.F64(), hi: r.F64()}
-	st.grow(s.slotCap)
-	st.n = r.Int()
-	st.sx = r.F64()
-	st.sy = r.F64()
-	st.sxx = r.F64()
-	st.syy = r.F64()
-	st.sxy = r.F64()
-	for cl := 0; cl < 3; cl++ {
-		st.rsum[cl] = r.F64()
-		st.rn[cl] = r.Int()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if st.n < 0 || st.rn[0] < 0 || st.rn[1] < 0 || st.rn[2] < 0 {
-		return errors.New("implausible sampler counts")
-	}
-	for sl := 0; sl < s.slotCap; sl++ {
-		if s.slotPeer[sl] < 0 {
-			continue
-		}
-		st.x[sl] = r.F64()
-		st.y[sl] = r.F64()
-		st.ratio[sl] = r.F64()
-		cls := r.Int()
-		st.inCorr[sl] = r.Bool()
-		st.inRatio[sl] = r.Bool()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if cls < 0 || cls > 2 {
-			return fmt.Errorf("slot %d: capacity class %d out of range", sl, cls)
-		}
-		st.cls[sl] = uint8(cls)
-	}
-	s.stats = st
 	return nil
 }
 

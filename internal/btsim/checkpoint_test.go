@@ -61,15 +61,36 @@ func stripCheckpointEvents(events []RunEvent) []RunEvent {
 // catalog scenario — fault-free and faulted — a run checkpointed at EVERY
 // round and resumed from EACH of those checkpoints produces exactly the
 // remaining sample/event stream and final result of the uninterrupted run.
+// One more input checkpoints tracereplay at seed 1 and scale 3 every 100
+// rounds: its late checkpoints are taken after every early contributor to
+// the series sums has left, where sums carried across the whole run would
+// have drifted from a re-sum.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resumes from every round of every catalog scenario")
 	}
+	type input struct {
+		label string
+		sc    func(t *testing.T) Scenario
+		every int
+	}
+	var inputs []input
 	for _, name := range ScenarioNames() {
 		name := name
-		t.Run(name, func(t *testing.T) {
+		inputs = append(inputs, input{name, func(t *testing.T) Scenario { return ckptScenario(t, name, 46) }, 1})
+	}
+	inputs = append(inputs, input{"tracereplay_seed1_scale3_every100", func(t *testing.T) Scenario {
+		sc, err := NamedScenario("tracereplay", 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}, 100})
+	for _, in := range inputs {
+		in := in
+		t.Run(in.label, func(t *testing.T) {
 			t.Parallel()
-			sc := ckptScenario(t, name, 46)
+			sc := in.sc(t)
 			golden, err := sc.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -78,9 +99,9 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 
 			dir := t.TempDir()
 			ck := sc
-			ck.CheckpointEvery = 1
+			ck.CheckpointEvery = in.every
 			ck.CheckpointDir = dir
-			ck.CheckpointRetain = -1 // keep every round's checkpoint
+			ck.CheckpointRetain = -1 // keep every checkpoint
 			full, err := ck.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -94,19 +115,18 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				t.Fatalf("checkpointing perturbed the run:\n--- golden ---\n%s--- checkpointed ---\n%s", goldenStr, got)
 			}
 
-			// One checkpoint per round, resuming from rounds 1..Rounds.
-			for k := 1; k <= sc.Rounds; k++ {
+			// One checkpoint every in.every rounds; resume from each.
+			for k := in.every; k <= sc.Rounds; k += in.every {
 				res := sc
 				res.ResumeFrom = filepath.Join(dir, checkpoint.FileName(k))
 				resumed, err := res.Run()
 				if err != nil {
 					t.Fatalf("resume from round %d: %v", k, err)
 				}
-				// SampleEvery is 1, so the golden run has one sample per
-				// round: the resumed stream must equal the golden tail.
+				// The resumed stream must equal the golden tail.
 				want := &ScenarioResult{
 					Name:          golden.Name,
-					Series:        golden.Series[k:],
+					Series:        seriesAfterRound(golden.Series, k),
 					Events:        eventsFromRound(golden.Events, k),
 					Final:         golden.Final,
 					TotalJoined:   golden.TotalJoined,
@@ -118,6 +138,18 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// seriesAfterRound keeps the samples a run resumed at round boundary k
+// takes: a sample's Round is the round count after its step, so those
+// past k.
+func seriesAfterRound(series []SeriesPoint, k int) []SeriesPoint {
+	for i, pt := range series {
+		if pt.Round > k {
+			return series[i:]
+		}
+	}
+	return nil
 }
 
 func eventsFromRound(events []RunEvent, round int) []RunEvent {

@@ -544,17 +544,21 @@ func TestFaultScenariosDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultScenariosWatchdogClean runs every fault catalog entry with the
+// TestFaultScenariosWatchdogClean runs every catalog entry with the
 // per-round invariant watchdog armed — the strongest end-to-end check the
-// layer has: every structural invariant holds on every round of every fault
-// scenario.
+// engine has: every structural invariant, the exact per-shard sampler
+// audit included, holds on every round. The fault-free entries get a fault
+// block holding only the watchdog, which injects nothing.
 func TestFaultScenariosWatchdogClean(t *testing.T) {
-	for _, name := range FaultScenarioNames() {
+	for _, name := range ScenarioNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			sp, err := NamedSpec(name, 5, 0.25)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if sp.Faults == nil {
+				sp.Faults = &FaultsSpec{}
 			}
 			sp.Faults.Watchdog = true
 			sc, err := sp.Compile()

@@ -36,8 +36,8 @@ func (j *joinSorter) Swap(a, b int) {
 }
 
 // flushJoinRanks assigns ranks to every pending join and shifts the old
-// present ranks accordingly (mirroring the shifts into the incremental
-// sampler's rank sums). No-op when nothing is pending.
+// present ranks accordingly (marking each shifted slot for the sampler).
+// No-op when nothing is pending.
 func (s *Swarm) flushJoinRanks() {
 	k := len(s.pendingJoin)
 	if k == 0 {
@@ -56,7 +56,6 @@ func (s *Swarm) flushJoinRanks() {
 			ro[r] = id
 		}
 	}
-	st := s.stats
 	pi := 0
 	for r := 0; r < old; r++ {
 		id := ro[r]
@@ -71,13 +70,22 @@ func (s *Swarm) flushJoinRanks() {
 		}
 		if pi > 0 {
 			s.rank[id] = r + pi
-			if st != nil {
-				st.shiftRank(int(q.slot), float64(pi))
-			}
+			bmSet(s.sh.statDirty, int(q.slot))
 		}
 	}
 	for ; pi < k; pi++ {
 		s.rank[s.pendingJoin[pi]] = old + pi
 	}
 	s.pendingJoin = s.pendingJoin[:0]
+}
+
+// shiftRanksAbove moves every present peer ranked below a leaver's rank pr
+// up one (Depart/Crash), marking each shifted slot for the sampler.
+func (s *Swarm) shiftRanksAbove(pr int) {
+	for _, j := range s.trk.present {
+		if s.rank[j] > pr {
+			s.rank[j]--
+			bmSet(s.sh.statDirty, int(s.peers[j].slot))
+		}
+	}
 }

@@ -2,11 +2,9 @@ package btsim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"stratmatch/internal/rng"
-	"stratmatch/internal/stats"
 	"stratmatch/internal/telemetry"
 )
 
@@ -105,9 +103,9 @@ type Scenario struct {
 	// scenarios.
 	specJSON []byte
 
-	// eagerSample disables the engine's incremental series sampler so
+	// eagerSample disables the engine's per-shard series sampler so
 	// every sample rescans the roster — the oracle the differential tests
-	// compare the incremental path against. Test hook only.
+	// compare the per-shard path against. Test hook only.
 	eagerSample bool
 }
 
@@ -286,8 +284,8 @@ func (sc Scenario) freshRun() (*scenarioRun, error) {
 	}
 	cb := newClassBounds(s)
 	if !sc.eagerSample {
-		// Arm the engine's incremental sampler so dense sampling costs
-		// O(changed peers), not O(present), per point.
+		// Arm the engine's per-shard sampler so dense sampling re-sums
+		// only the shards whose peers changed.
 		s.EnableSeriesStats(cb.lo, cb.hi)
 	}
 	run := &scenarioRun{
@@ -454,22 +452,20 @@ func (c classBounds) class(capacity float64) int {
 
 // seriesSampler is the scenario runner's streaming metrics accumulator: it
 // turns the swarm's incrementally maintained counters (population flows,
-// completed leechers, live degree sum) plus one allocation-free pass over
-// the present roster (share-ratio class sums, streaming rank correlation)
-// into a SeriesPoint. Snapshot builds the same statistics by rescanning and
-// materializing per-peer rows; the sampler exists so scenarios can take a
-// point every round without paying Snapshot-scale allocation.
+// completed leechers, live degree sum) plus the stratification sums
+// (share-ratio class sums, rank correlation) into a SeriesPoint. Snapshot
+// builds the same statistics by rescanning and materializing per-peer
+// rows; the sampler exists so scenarios can take a point every round
+// without paying Snapshot-scale allocation.
 type seriesSampler struct {
 	classes classBounds
-	corr    stats.PearsonAcc
 }
 
 // sample computes one SeriesPoint from the live swarm state. It allocates
-// nothing. With the engine's incremental sampler armed (the default for
-// scenario runs) the statistics fold in only the peers whose inputs
-// changed since the last sample — O(changed), not O(present); otherwise it
-// falls back to the eager roster pass, which doubles as the oracle the
-// incremental path is tested against.
+// nothing. With the engine's per-shard sampler armed (the default for
+// scenario runs) only the shards whose inputs changed since the last
+// sample are re-summed; otherwise it falls back to the eager roster pass,
+// which doubles as the oracle the per-shard path is tested against.
 func (sp *seriesSampler) sample(s *Swarm) SeriesPoint {
 	s.flushJoinRanks() // both paths read ranks
 	pt := SeriesPoint{
@@ -485,37 +481,19 @@ func (sp *seriesSampler) sample(s *Swarm) SeriesPoint {
 		pt.MeanDegree = float64(s.liveDegSum) / float64(s.present)
 	}
 
-	if st := s.stats; st != nil {
-		s.flushSeriesStats()
-		pt.StratCorr = st.corr()
-		for cl := range pt.ShareRatioByClass {
-			pt.ShareRatioByClass[cl] = st.ratioMean(cl)
-		}
+	var sum stratSums
+	if s.stats != nil {
+		sum = s.flushSeriesStats()
 	} else {
-		sp.corr.Reset()
-		var ratioSum, ratioN [3]float64
 		for _, id := range s.trk.present {
-			p := &s.peers[id]
-			if p.isSeed {
-				continue
-			}
-			if p.tftPartnerCount > 0 {
-				sp.corr.Add(float64(s.rank[p.id]), p.tftPartnerRankSum/float64(p.tftPartnerCount))
-			}
-			if p.totalUp > 0 {
-				cl := sp.classes.class(p.capacity)
-				ratioSum[cl] += p.totalDown / p.totalUp
-				ratioN[cl]++
+			if p := &s.peers[id]; !p.isSeed {
+				sum.add(s, p, sp.classes)
 			}
 		}
-		pt.StratCorr = sp.corr.Corr()
-		for cl := range pt.ShareRatioByClass {
-			if ratioN[cl] > 0 {
-				pt.ShareRatioByClass[cl] = ratioSum[cl] / ratioN[cl]
-			} else {
-				pt.ShareRatioByClass[cl] = math.NaN()
-			}
-		}
+	}
+	pt.StratCorr = sum.corr.Corr()
+	for cl := range pt.ShareRatioByClass {
+		pt.ShareRatioByClass[cl] = sum.ratioMean(cl)
 	}
 	if f := s.flt; f != nil {
 		pt.StaleEdges = f.staleEdges

@@ -40,8 +40,9 @@ package btsim
 //   - windowNZ: some recvWindow entry in the slot's block may be nonzero.
 //   - ratesNZ: some recvRate entry may be nonzero.
 //   - xferDirty: the slot's cached active-transfer list is stale.
-//   - statDirty: the slot's sampler inputs (totals, TFT history) changed
-//     since the last series sample (see stats.go).
+//   - statDirty: the slot's sampler inputs (occupant, rank, totals, TFT
+//     history) changed since the last series sample; its shard's sums are
+//     re-summed at the next sample (see stats.go).
 //
 // A scheduled rechoke is skipped when all of chokeDirty, windowNZ and
 // ratesNZ are clear (and the peer is not a seed — seeds draw randomness
@@ -446,16 +447,16 @@ func (s *Swarm) foldShardSums() {
 }
 
 // slotRecycled resets the shard layer's per-slot flags when sl gets a new
-// occupant: the newcomer is conservatively marked for rechoke and cache
-// rebuild, while the previous occupant's window/rate flags die with its
-// edges (a fresh slot has none).
+// occupant: the newcomer is conservatively marked for rechoke, cache
+// rebuild and a sampler re-sum, while the previous occupant's window/rate
+// flags die with its edges (a fresh slot has none).
 func (s *Swarm) slotRecycled(sl int) {
 	sh := &s.sh
 	bmSet(sh.chokeDirty, sl)
 	bmSet(sh.xferDirty, sl)
 	bmClear(sh.windowNZ, sl)
 	bmClear(sh.ratesNZ, sl)
-	bmClear(sh.statDirty, sl)
+	bmSet(sh.statDirty, sl)
 }
 
 // markEdgeTouched flags a slot whose edge block changed shape (an edge

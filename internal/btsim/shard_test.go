@@ -119,6 +119,8 @@ func boundarySwarm(t *testing.T, workers int) *Swarm {
 	}
 	s.setShardSlots(64)
 	s.SetStepWorkers(workers)
+	cb := newClassBounds(s)
+	s.EnableSeriesStats(cb.lo, cb.hi)
 	return s
 }
 
@@ -126,7 +128,11 @@ func boundarySwarm(t *testing.T, workers int) *Swarm {
 // edges — joins landing in fresh shards, departures and crashes freeing
 // slots that later joins recycle — and demands that a 4-worker swarm stays
 // byte-identical to the serial one while both keep every invariant,
-// including the lazy-vs-eager cross-checks in CheckInvariants.
+// including the lazy-vs-eager cross-checks in CheckInvariants. Both swarms
+// sample every round, so the audit also holds each clean shard's sampler
+// sums to an exact re-sum across the churn — once right after the churn
+// ops, before a Step's transfers dirty nearly every shard, so the ops'
+// own marks (joins, departures, crashes, rank shifts) are checked alone.
 func TestShardBoundaryChurnByteIdentical(t *testing.T) {
 	a := boundarySwarm(t, 1)
 	b := boundarySwarm(t, 4)
@@ -134,6 +140,9 @@ func TestShardBoundaryChurnByteIdentical(t *testing.T) {
 	for round := 0; round < 60; round++ {
 		boundaryChurnOps(a, round)
 		boundaryChurnOps(b, round)
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatalf("round %d serial invariants after churn: %v", round, err)
+		}
 		a.Step()
 		b.Step()
 		if err := a.CheckInvariants(); err != nil {
@@ -141,6 +150,9 @@ func TestShardBoundaryChurnByteIdentical(t *testing.T) {
 		}
 		if err := b.CheckInvariants(); err != nil {
 			t.Fatalf("round %d workers=4 invariants: %v", round, err)
+		}
+		if sa, sb := a.flushSeriesStats(), b.flushSeriesStats(); sa != sb {
+			t.Fatalf("round %d: workers=4 sampler sums %+v, serial %+v", round, sb, sa)
 		}
 		if round%10 == 9 {
 			got := fmt.Sprintf("%+v", b.Snapshot())
@@ -183,8 +195,9 @@ func TestShardDeltaMergeStress(t *testing.T) {
 }
 
 // approxSeries compares two series points: integer fields exactly, float
-// fields to a relative tolerance (the incremental sampler accumulates the
-// same terms as the eager scan but in a different association order).
+// fields to a relative tolerance (the per-shard sampler sums the same terms
+// as the eager scan but in slot order, folded by shard, rather than in
+// tracker order).
 func approxSeries(a, b SeriesPoint, tol float64) error {
 	ints := func(name string, x, y int) error {
 		if x != y {
@@ -227,22 +240,33 @@ func approxSeries(a, b SeriesPoint, tol float64) error {
 	return nil
 }
 
-// TestLazySamplerMatchesEager is the differential pin for the O(changed)
-// incremental series sampler: across the whole catalog, the lazy sampler's
-// series must match the eager full-roster scan — integer fields exactly,
-// correlation and share-ratio aggregates to float tolerance — and the
-// final snapshot (always an eager scan) must be byte-identical, proving
-// the sampler never perturbs the trajectory.
+// TestLazySamplerMatchesEager is the differential pin for the per-shard
+// series sampler: across the whole catalog, plus tracereplay at seed 1 and
+// scale 3 (a long run whose early contributors all leave), the lazy
+// sampler's series must match the eager full-roster scan — integer fields
+// exactly, correlation and share-ratio aggregates to summation-order
+// rounding — and the final snapshot (always an eager scan) must be
+// byte-identical, proving the sampler never perturbs the trajectory.
 func TestLazySamplerMatchesEager(t *testing.T) {
+	type input struct {
+		label, scenario string
+		seed            uint64
+		scale           float64
+	}
+	var inputs []input
 	for _, name := range ScenarioNames() {
-		name := name
-		t.Run(name, func(t *testing.T) {
+		inputs = append(inputs, input{name, name, 9, 0.15})
+	}
+	inputs = append(inputs, input{"tracereplay_seed1_scale3", "tracereplay", 1, 3})
+	for _, in := range inputs {
+		in := in
+		t.Run(in.label, func(t *testing.T) {
 			t.Parallel()
-			lazy, err := NamedScenario(name, 9, 0.15)
+			lazy, err := NamedScenario(in.scenario, in.seed, in.scale)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eager, err := NamedScenario(name, 9, 0.15)
+			eager, err := NamedScenario(in.scenario, in.seed, in.scale)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +283,7 @@ func TestLazySamplerMatchesEager(t *testing.T) {
 				t.Fatalf("series lengths differ: lazy %d, eager %d", len(lr.Series), len(er.Series))
 			}
 			for i := range lr.Series {
-				if err := approxSeries(lr.Series[i], er.Series[i], 1e-6); err != nil {
+				if err := approxSeries(lr.Series[i], er.Series[i], 1e-12); err != nil {
 					t.Fatalf("sample %d (round %d): %v", i, lr.Series[i].Round, err)
 				}
 			}
@@ -270,8 +294,8 @@ func TestLazySamplerMatchesEager(t *testing.T) {
 	}
 }
 
-// TestSeriesStatsZeroAlloc pins the cost model of the incremental sampler:
-// flushing dirty slots and reading the aggregates allocates nothing, so
+// TestSeriesStatsZeroAlloc pins the cost model of the per-shard sampler:
+// re-summing dirty shards and reading the aggregates allocates nothing, so
 // per-round sampling (SampleEvery 1, the flash-crowd configuration) adds
 // no garbage to the steady-state round.
 func TestSeriesStatsZeroAlloc(t *testing.T) {
@@ -287,10 +311,10 @@ func TestSeriesStatsZeroAlloc(t *testing.T) {
 	s.Run(30)
 	sample := func() {
 		s.Step()
-		s.flushSeriesStats()
-		_ = s.stats.corr()
+		sum := s.flushSeriesStats()
+		_ = sum.corr.Corr()
 		for cl := 0; cl < 3; cl++ {
-			_ = s.stats.ratioMean(cl)
+			_ = sum.ratioMean(cl)
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, sample); allocs != 0 {

@@ -2,212 +2,118 @@ package btsim
 
 import (
 	"math"
-	"math/bits"
+
+	"stratmatch/internal/stats"
 )
 
-// stratStats is the engine-side incremental series sampler: it maintains
-// the stratification-correlation sums and per-class share-ratio sums that
-// seriesSampler.sample used to recompute with an O(present) roster pass.
-// Each present non-seed slot contributes at most one (x, y) point to the
-// Pearson accumulators (x its rank, y its mean TFT partner rank) and one
-// ratio to its capacity class; the per-slot contribution is cached, and
-// only slots whose inputs changed since the last sample — the statDirty
-// set, marked by the transfer and rechoke paths — are subtracted and
-// re-added. Rank shifts (joins, departures) adjust the x sums in O(1) per
-// shifted peer via shiftRank instead of dirtying everyone.
-//
-// The sums drift from an eagerly recomputed pass only by float re-
-// association (a − c + c style), so the sampled statistics are compared
-// against the eager oracle with tolerance in tests, while checkpoints
-// save the accumulator state verbatim — resumed runs continue the exact
-// same float trajectory and stay byte-identical.
+// stratStats is the engine-side series sampler: it keeps one partial-sum
+// record per shard for the stratification correlation (x a present
+// leecher's rank, y its mean TFT partner rank) and the per-class share
+// ratios. At each sample only the shards holding a statDirty slot — marked
+// by the transfer, rechoke, join, departure and rank-shift paths — are
+// re-summed, in slot order, from their present leechers' current state;
+// the partials then fold in shard order. No sum carries rounding from an
+// earlier update, so the statistics are a pure function of the swarm's
+// state: a restored swarm re-derives them (every shard starts dirty), and
+// CheckInvariants compares every clean shard with a fresh re-sum exactly.
 type stratStats struct {
-	lo, hi float64 // capacity-tercile class bounds (classBounds values)
-
-	// Cached per-slot contributions; inCorr/inRatio record whether the
-	// slot currently contributes to the Pearson sums / its class ratio.
-	x, y    []float64
-	ratio   []float64
-	cls     []uint8
-	inCorr  []bool
-	inRatio []bool
-
-	// Pearson accumulators over the contributing slots (same shape as
-	// stats.PearsonAcc) and per-class ratio sums.
-	n                     int
-	sx, sy, sxx, syy, sxy float64
-	rsum                  [3]float64
-	rn                    [3]int
+	classes classBounds
+	part    []stratSums // per shard; grown when the shard count grows
 }
 
-// EnableSeriesStats arms the incremental sampler with the given capacity
-// class bounds. Must be called before the first Step (the cached
-// contributions start from the all-zero totals a fresh swarm has).
-func (s *Swarm) EnableSeriesStats(lo, hi float64) {
-	st := &stratStats{lo: lo, hi: hi}
-	st.grow(s.slotCap)
-	for sl := 0; sl < s.slotCap; sl++ {
-		if id := s.slotPeer[sl]; id >= 0 {
-			st.cls[sl] = st.class(s.peers[id].capacity)
-		}
-	}
-	s.stats = st
+// stratSums is one shard's (or, folded, the swarm's) contribution to the
+// sampled statistics.
+type stratSums struct {
+	corr stats.PearsonAcc
+	rsum [3]float64
+	rn   [3]int
 }
 
-// SeriesStatsEnabled reports whether the incremental sampler is armed.
-func (s *Swarm) SeriesStatsEnabled() bool { return s.stats != nil }
-
-func (st *stratStats) grow(slotCap int) {
-	st.x = grown(st.x, slotCap)
-	st.y = grown(st.y, slotCap)
-	st.ratio = grown(st.ratio, slotCap)
-	st.cls = grown(st.cls, slotCap)
-	st.inCorr = grown(st.inCorr, slotCap)
-	st.inRatio = grown(st.inRatio, slotCap)
-}
-
-// class mirrors classBounds.class: capacity terciles (slow, mid, fast).
-func (st *stratStats) class(capacity float64) uint8 {
-	switch {
-	case capacity < st.lo:
-		return 0
-	case capacity < st.hi:
-		return 1
-	default:
-		return 2
-	}
-}
-
-// initSlot registers a new occupant's capacity class (Join path); the new
-// slot contributes nothing until its first transfer or TFT decision.
-func (st *stratStats) initSlot(sl int, capacity float64) {
-	st.cls[sl] = st.class(capacity)
-	st.inCorr[sl] = false
-	st.inRatio[sl] = false
-}
-
-// refresh replaces slot sl's cached contributions with ones recomputed
-// from the peer's current rank, TFT history and transfer totals.
-func (st *stratStats) refresh(sl int, rank int, p *peer) {
-	if st.inCorr[sl] {
-		ox, oy := st.x[sl], st.y[sl]
-		st.n--
-		st.sx -= ox
-		st.sy -= oy
-		st.sxx -= ox * ox
-		st.syy -= oy * oy
-		st.sxy -= ox * oy
-		st.inCorr[sl] = false
-	}
+// add records one present leecher's terms.
+func (ss *stratSums) add(s *Swarm, p *peer, classes classBounds) {
 	if p.tftPartnerCount > 0 {
-		x := float64(rank)
-		y := p.tftPartnerRankSum / float64(p.tftPartnerCount)
-		st.x[sl], st.y[sl] = x, y
-		st.n++
-		st.sx += x
-		st.sy += y
-		st.sxx += x * x
-		st.syy += y * y
-		st.sxy += x * y
-		st.inCorr[sl] = true
-	}
-	cl := st.cls[sl]
-	if st.inRatio[sl] {
-		st.rsum[cl] -= st.ratio[sl]
-		st.rn[cl]--
-		st.inRatio[sl] = false
+		ss.corr.Add(float64(s.rank[p.id]), p.tftPartnerRankSum/float64(p.tftPartnerCount))
 	}
 	if p.totalUp > 0 {
-		r := p.totalDown / p.totalUp
-		st.ratio[sl] = r
-		st.rsum[cl] += r
-		st.rn[cl]++
-		st.inRatio[sl] = true
+		cl := classes.class(p.capacity)
+		ss.rsum[cl] += p.totalDown / p.totalUp
+		ss.rn[cl]++
 	}
 }
 
-// shiftRank moves slot sl's x contribution by d ranks in O(1):
-// nx² − ox² = d·(ox + nx) and Σxy gains d·y.
-func (st *stratStats) shiftRank(sl int, d float64) {
-	if !st.inCorr[sl] {
-		return
+// merge folds another record's sums into ss.
+func (ss *stratSums) merge(o *stratSums) {
+	ss.corr.Merge(&o.corr)
+	for cl := range ss.rsum {
+		ss.rsum[cl] += o.rsum[cl]
+		ss.rn[cl] += o.rn[cl]
 	}
-	ox := st.x[sl]
-	nx := ox + d
-	st.x[sl] = nx
-	st.sx += d
-	st.sxx += d * (ox + nx)
-	st.sxy += d * st.y[sl]
-}
-
-// remove withdraws slot sl's contributions (Depart/Crash path, before the
-// slot is recycled).
-func (st *stratStats) remove(sl int) {
-	if st.inCorr[sl] {
-		ox, oy := st.x[sl], st.y[sl]
-		st.n--
-		st.sx -= ox
-		st.sy -= oy
-		st.sxx -= ox * ox
-		st.syy -= oy * oy
-		st.sxy -= ox * oy
-		st.inCorr[sl] = false
-	}
-	if st.inRatio[sl] {
-		cl := st.cls[sl]
-		st.rsum[cl] -= st.ratio[sl]
-		st.rn[cl]--
-		st.inRatio[sl] = false
-	}
-}
-
-// corr evaluates the Pearson correlation from the accumulated sums,
-// mirroring stats.PearsonAcc.Corr term for term.
-func (st *stratStats) corr() float64 {
-	if st.n < 2 {
-		return math.NaN()
-	}
-	n := float64(st.n)
-	cov := st.sxy/n - st.sx/n*st.sy/n
-	vx := st.sxx/n - st.sx/n*st.sx/n
-	vy := st.syy/n - st.sy/n*st.sy/n
-	if vx <= 0 || vy <= 0 {
-		return math.NaN()
-	}
-	return cov / math.Sqrt(vx*vy)
 }
 
 // ratioMean returns class cl's mean share ratio (NaN when empty).
-func (st *stratStats) ratioMean(cl int) float64 {
-	if st.rn[cl] == 0 {
+func (ss *stratSums) ratioMean(cl int) float64 {
+	if ss.rn[cl] == 0 {
 		return math.NaN()
 	}
-	return st.rsum[cl] / float64(st.rn[cl])
+	return ss.rsum[cl] / float64(ss.rn[cl])
 }
 
-// flushSeriesStats folds every statDirty slot's fresh contributions into
-// the accumulators and clears the dirty set — O(changed), called once per
-// sample.
-func (s *Swarm) flushSeriesStats() {
-	st := s.stats
-	for wi, w := range s.sh.statDirty {
-		if w == 0 {
+// EnableSeriesStats arms the per-shard sampler with the given capacity
+// class bounds and marks every shard for a re-sum.
+func (s *Swarm) EnableSeriesStats(lo, hi float64) {
+	s.stats = &stratStats{classes: classBounds{lo: lo, hi: hi}}
+	for i := range s.sh.statDirty {
+		s.sh.statDirty[i] = ^uint64(0)
+	}
+}
+
+// shardSums re-sums the present leechers of slots [lo, hi) in slot order.
+func (s *Swarm) shardSums(lo, hi int) stratSums {
+	var ss stratSums
+	for sl := lo; sl < hi; sl++ {
+		id := s.slotPeer[sl]
+		if id < 0 {
 			continue
 		}
-		s.sh.statDirty[wi] = 0
-		for w != 0 {
-			t := bits.TrailingZeros64(w)
-			w &^= 1 << uint(t)
-			sl := wi<<6 + t
-			id := s.slotPeer[sl]
-			if id < 0 {
-				continue
-			}
-			p := &s.peers[id]
-			if p.departed || p.isSeed {
-				continue
-			}
-			st.refresh(sl, s.rank[id], p)
+		p := &s.peers[id]
+		if p.departed || p.isSeed {
+			continue
+		}
+		ss.add(s, p, s.stats.classes)
+	}
+	return ss
+}
+
+// statDirtyIn reports whether any slot of the shard range [lo, hi) is
+// marked statDirty (shard bounds are 64-aligned, so the range owns whole
+// bitmap words).
+func (s *Swarm) statDirtyIn(lo, hi int) bool {
+	for _, w := range s.sh.statDirty[lo>>6 : bmWords(hi)] {
+		if w != 0 {
+			return true
 		}
 	}
+	return false
+}
+
+// flushSeriesStats re-sums every shard holding a statDirty slot, clears
+// the dirty set and returns the partials folded in shard order — O(slots
+// in changed shards), called once per sample.
+func (s *Swarm) flushSeriesStats() stratSums {
+	s.flushJoinRanks() // the sums read ranks
+	st := s.stats
+	n := s.numShards()
+	if len(st.part) < n {
+		st.part = grown(st.part, n)
+	}
+	var sum stratSums
+	for k := 0; k < n; k++ {
+		lo, hi := s.shardBounds(k)
+		if s.statDirtyIn(lo, hi) {
+			clear(s.sh.statDirty[lo>>6 : bmWords(hi)])
+			st.part[k] = s.shardSums(lo, hi)
+		}
+		sum.merge(&st.part[k])
+	}
+	return sum
 }

@@ -75,10 +75,7 @@ func (s *Swarm) Depart(id int) {
 	s.flushJoinRanks() // the shift below needs settled ranks
 	p := &s.peers[id]
 	sl := p.slot
-	if s.stats != nil {
-		s.stats.remove(int(sl))
-	}
-	bmClear(s.sh.statDirty, int(sl))
+	bmSet(s.sh.statDirty, int(sl)) // the leaver's terms leave its shard's sums
 	base := sl * s.edgeCap
 	for s.deg[sl] > 0 {
 		e := base + s.deg[sl] - 1 // unwire p's edges from the back
@@ -115,17 +112,8 @@ func (s *Swarm) Depart(id int) {
 	s.trk.Remove(int32(id))
 
 	// Present peers ranked below the leaver shift up one; p keeps the rank
-	// it held at departure. The incremental sampler's rank sums shift along.
-	pr := s.rank[id]
-	st := s.stats
-	for _, j := range s.trk.present {
-		if s.rank[j] > pr {
-			s.rank[j]--
-			if st != nil {
-				st.shiftRank(int(s.peers[j].slot), -1)
-			}
-		}
-	}
+	// it held at departure.
+	s.shiftRanksAbove(s.rank[id])
 
 	s.slotPeer[sl] = -1
 	s.freeSlots = append(s.freeSlots, sl)
@@ -149,10 +137,7 @@ func (s *Swarm) Crash(id int) {
 	f := s.flt
 	p := &s.peers[id]
 	sl := p.slot
-	if s.stats != nil {
-		s.stats.remove(int(sl))
-	}
-	bmClear(s.sh.statDirty, int(sl))
+	bmSet(s.sh.statDirty, int(sl)) // the leaver's terms leave its shard's sums
 	// Stale-edge accounting: every present neighbor's half towards p goes
 	// stale; p's own halves towards already-crashed neighbors stop counting
 	// (their owner is no longer present). Surviving neighbors' candidate
@@ -179,16 +164,7 @@ func (s *Swarm) Crash(id int) {
 	s.trk.Remove(int32(id))
 	// Present peers ranked below the crasher shift up one, exactly as in a
 	// graceful departure; p keeps the rank it held.
-	pr := s.rank[id]
-	st := s.stats
-	for _, j := range s.trk.present {
-		if s.rank[j] > pr {
-			s.rank[j]--
-			if st != nil {
-				st.shiftRank(int(s.peers[j].slot), -1)
-			}
-		}
-	}
+	s.shiftRanksAbove(s.rank[id])
 	f.totalCrashed++
 	f.crashq = append(f.crashq, int32(id))
 	s.tel.Inc(telemetry.CtrCrashes)

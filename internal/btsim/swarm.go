@@ -265,8 +265,8 @@ type Swarm struct {
 	// caches and the optional persistent worker pool (see shard.go).
 	sh shardState
 
-	// stats is the engine-maintained incremental series sampler; nil
-	// unless EnableSeriesStats armed it (see stats.go).
+	// stats is the engine's per-shard series sampler; nil unless
+	// EnableSeriesStats armed it (see stats.go).
 	stats *stratStats
 
 	// pendingJoin / rankOrder / joinSort back the batched join-rank flush
@@ -496,9 +496,6 @@ func (s *Swarm) Join(capacityKbps float64, asSeed bool) int {
 		s.flt.slotJoined(sl)
 	}
 	s.slotRecycled(int(sl))
-	if s.stats != nil {
-		s.stats.initSlot(int(sl), capacityKbps)
-	}
 
 	// Rank assignment is deferred: the newcomer parks on the pending list
 	// with rank −1 and the batch merges in before the next rank read (see
@@ -561,9 +558,6 @@ func (s *Swarm) grow() {
 		s.flt.growFaults(s.slotCap)
 	}
 	s.rankOrder = grown(s.rankOrder, s.slotCap)
-	if s.stats != nil {
-		s.stats.grow(s.slotCap)
-	}
 	s.resizeShards()
 }
 

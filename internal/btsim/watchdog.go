@@ -254,93 +254,26 @@ func (s *Swarm) checkLazyStepping() error {
 	return s.checkLazyStats()
 }
 
-// checkLazyStats audits the incremental series sampler: every non-dirty,
-// present, non-seed slot's cached contribution must exactly equal a fresh
-// recomputation (the cached values were computed from the same inputs by
-// the same expressions), and the global accumulators must match the sum of
-// the cached rows up to float re-association.
+// checkLazyStats audits the per-shard series sampler: every shard with no
+// statDirty slot must hold exactly the sums a fresh re-sum of its slots
+// gives (a shard past the stored partials, not yet sampled, holds zero).
 func (s *Swarm) checkLazyStats() error {
 	st := s.stats
 	if st == nil {
 		return nil
 	}
-	var n int
-	var sx, sy, sxx, syy, sxy float64
-	var rsum [3]float64
-	var rn [3]int
-	for sl := 0; sl < s.slotCap; sl++ {
-		id := s.slotPeer[sl]
-		if id < 0 {
+	for k := 0; k < s.numShards(); k++ {
+		lo, hi := s.shardBounds(k)
+		if s.statDirtyIn(lo, hi) {
 			continue
 		}
-		p := &s.peers[id]
-		if p.departed || p.isSeed {
-			continue
+		var held stratSums
+		if k < len(st.part) {
+			held = st.part[k]
 		}
-		dirty := bmGet(s.sh.statDirty, sl)
-		if !dirty {
-			if st.cls[sl] != st.class(p.capacity) {
-				return fmt.Errorf("btsim: invariant: slot %d cached capacity class %d, recomputed %d",
-					sl, st.cls[sl], st.class(p.capacity))
-			}
-			if st.inCorr[sl] != (p.tftPartnerCount > 0) {
-				return fmt.Errorf("btsim: invariant: slot %d inCorr %v with %d TFT partners",
-					sl, st.inCorr[sl], p.tftPartnerCount)
-			}
-			if st.inCorr[sl] {
-				x := float64(s.rank[id])
-				y := p.tftPartnerRankSum / float64(p.tftPartnerCount)
-				if st.x[sl] != x || st.y[sl] != y {
-					return fmt.Errorf("btsim: invariant: slot %d cached corr point (%g, %g), recomputed (%g, %g)",
-						sl, st.x[sl], st.y[sl], x, y)
-				}
-			}
-			if st.inRatio[sl] != (p.totalUp > 0) {
-				return fmt.Errorf("btsim: invariant: slot %d inRatio %v with totalUp %g",
-					sl, st.inRatio[sl], p.totalUp)
-			}
-			if st.inRatio[sl] && st.ratio[sl] != p.totalDown/p.totalUp {
-				return fmt.Errorf("btsim: invariant: slot %d cached ratio %g, recomputed %g",
-					sl, st.ratio[sl], p.totalDown/p.totalUp)
-			}
+		if fresh := s.shardSums(lo, hi); held != fresh {
+			return fmt.Errorf("btsim: invariant: shard %d sampler sums %+v, re-sum %+v", k, held, fresh)
 		}
-		// Sum the cached rows (dirty slots included: their stale cache is
-		// what the accumulators still hold).
-		if st.inCorr[sl] {
-			n++
-			sx += st.x[sl]
-			sy += st.y[sl]
-			sxx += st.x[sl] * st.x[sl]
-			syy += st.y[sl] * st.y[sl]
-			sxy += st.x[sl] * st.y[sl]
-		}
-		if st.inRatio[sl] {
-			rsum[st.cls[sl]] += st.ratio[sl]
-			rn[st.cls[sl]]++
-		}
-	}
-	if n != st.n || rn != st.rn {
-		return fmt.Errorf("btsim: invariant: sampler counts n=%d rn=%v, recount n=%d rn=%v", st.n, st.rn, n, rn)
-	}
-	approx := func(a, b float64) bool {
-		d := a - b
-		if d < 0 {
-			d = -d
-		}
-		m := 1.0
-		if a > m || a < -m {
-			if a < 0 {
-				m = -a
-			} else {
-				m = a
-			}
-		}
-		return d <= 1e-6*m
-	}
-	if !approx(st.sx, sx) || !approx(st.sy, sy) || !approx(st.sxx, sxx) ||
-		!approx(st.syy, syy) || !approx(st.sxy, sxy) ||
-		!approx(st.rsum[0], rsum[0]) || !approx(st.rsum[1], rsum[1]) || !approx(st.rsum[2], rsum[2]) {
-		return fmt.Errorf("btsim: invariant: sampler accumulators diverge from cached rows")
 	}
 	return nil
 }

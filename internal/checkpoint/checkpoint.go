@@ -41,9 +41,10 @@ import (
 // Version is the container format version. Open rejects any other value:
 // a reader must never guess at the layout of a payload it does not know.
 // v2 appended the sharded-stepping state (shard width, per-shard RNG
-// sub-streams, dirty sets) and the incremental sampler accumulators to the
-// swarm payload.
-const Version = 2
+// sub-streams, dirty sets) and the series sampler's running sums to the
+// swarm payload; v3 drops the sampler's sums and its dirty set again (a
+// resumed swarm re-sums them from its state).
+const Version = 3
 
 // magic identifies a checkpoint container; 8 bytes, never versioned (the
 // version word after it is).

@@ -97,9 +97,6 @@ type PearsonAcc struct {
 	sx, sy, sxx, syy, sxy float64
 }
 
-// Reset clears the accumulator for a fresh sample.
-func (a *PearsonAcc) Reset() { *a = PearsonAcc{} }
-
 // Add records one (x, y) observation.
 func (a *PearsonAcc) Add(x, y float64) {
 	a.n++
@@ -108,6 +105,17 @@ func (a *PearsonAcc) Add(x, y float64) {
 	a.sxx += x * x
 	a.syy += y * y
 	a.sxy += x * y
+}
+
+// Merge folds b's sums into a, so a covers both samples (equal to adding
+// b's observations after a's up to float summation order).
+func (a *PearsonAcc) Merge(b *PearsonAcc) {
+	a.n += b.n
+	a.sx += b.sx
+	a.sy += b.sy
+	a.sxx += b.sxx
+	a.syy += b.syy
+	a.sxy += b.sxy
 }
 
 // N returns the number of observations recorded.
