@@ -224,11 +224,10 @@ func (run *scenarioRun) encode(nextRound int) ([]byte, error) {
 	// caches are deliberately absent: the decoder marks every slot
 	// cache-stale, and a rebuild is a pure function of the saved choke
 	// state, so the first resumed transfer recomputes exactly the caches
-	// the original run held. The series sampler's sums and statDirty are
-	// absent for the same reason: the sums are a pure function of the
-	// swarm's state, and the resumed run re-sums every shard. The step
-	// worker count is a runtime knob, not state — a run may checkpoint
-	// under one count and resume under another.
+	// the original run held. The series sampler keeps no state: it sums
+	// the live roster at each sample. The step worker count is a runtime
+	// knob, not state — a run may checkpoint under one count and resume
+	// under another.
 	w.Int(s.sh.slotsPerShard)
 	w.Int(len(s.sh.streams))
 	for _, sr := range s.sh.streams {
@@ -345,9 +344,6 @@ func (sc Scenario) loadCheckpoint(payload []byte) (*scenarioRun, error) {
 	}
 	if s.round != nextRound {
 		return fail("swarm is at round %d, resume point is %d", s.round, nextRound)
-	}
-	if !sc.eagerSample {
-		s.EnableSeriesStats(classes.lo, classes.hi)
 	}
 	// The deep audit: structural invariants, counter recounts, edge
 	// symmetry. A payload that decodes cleanly but describes an

@@ -544,11 +544,12 @@ func TestFaultScenariosDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultScenariosWatchdogClean runs every catalog entry with the
-// per-round invariant watchdog armed — the strongest end-to-end check the
-// engine has: every structural invariant, the exact per-shard sampler
-// audit included, holds on every round. The fault-free entries get a fault
-// block holding only the watchdog, which injects nothing.
+// TestFaultScenariosWatchdogClean audits every catalog entry every round —
+// the strongest end-to-end check the engine has: every structural
+// invariant holds on every round. The fault entries run with the per-round
+// invariant watchdog armed; the fault-free entries keep their own
+// trajectory (a fault block, even an empty one, would split off a fault
+// stream) and are audited after each sample at SampleEvery 1.
 func TestFaultScenariosWatchdogClean(t *testing.T) {
 	for _, name := range ScenarioNames() {
 		name := name
@@ -557,15 +558,22 @@ func TestFaultScenariosWatchdogClean(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sp.Faults == nil {
-				sp.Faults = &FaultsSpec{}
+			if sp.Faults != nil {
+				sp.Faults.Watchdog = true
 			}
-			sp.Faults.Watchdog = true
 			sc, err := sp.Compile()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sc.Run(); err != nil {
+			if sp.Faults != nil {
+				_, err = sc.Run()
+			} else {
+				sc.SampleEvery = 1
+				err = runAuditing(sc, func(s *Swarm, _ classBounds, _ SeriesPoint) error {
+					return s.CheckInvariants()
+				})
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		})

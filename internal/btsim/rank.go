@@ -36,8 +36,7 @@ func (j *joinSorter) Swap(a, b int) {
 }
 
 // flushJoinRanks assigns ranks to every pending join and shifts the old
-// present ranks accordingly (marking each shifted slot for the sampler).
-// No-op when nothing is pending.
+// present ranks accordingly. No-op when nothing is pending.
 func (s *Swarm) flushJoinRanks() {
 	k := len(s.pendingJoin)
 	if k == 0 {
@@ -70,7 +69,6 @@ func (s *Swarm) flushJoinRanks() {
 		}
 		if pi > 0 {
 			s.rank[id] = r + pi
-			bmSet(s.sh.statDirty, int(q.slot))
 		}
 	}
 	for ; pi < k; pi++ {
@@ -80,12 +78,11 @@ func (s *Swarm) flushJoinRanks() {
 }
 
 // shiftRanksAbove moves every present peer ranked below a leaver's rank pr
-// up one (Depart/Crash), marking each shifted slot for the sampler.
+// up one (Depart/Crash).
 func (s *Swarm) shiftRanksAbove(pr int) {
 	for _, j := range s.trk.present {
 		if s.rank[j] > pr {
 			s.rank[j]--
-			bmSet(s.sh.statDirty, int(s.peers[j].slot))
 		}
 	}
 }

@@ -2,9 +2,11 @@ package btsim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"stratmatch/internal/rng"
+	"stratmatch/internal/stats"
 	"stratmatch/internal/telemetry"
 )
 
@@ -102,11 +104,6 @@ type Scenario struct {
 	// verify — or recover — the exact workload. Empty for hand-built
 	// scenarios.
 	specJSON []byte
-
-	// eagerSample disables the engine's per-shard series sampler so
-	// every sample rescans the roster — the oracle the differential tests
-	// compare the per-shard path against. Test hook only.
-	eagerSample bool
 }
 
 // Event is a scheduled membership shock: at Round, DepartFraction of the
@@ -282,17 +279,11 @@ func (sc Scenario) freshRun() (*scenarioRun, error) {
 	if faultsOn {
 		s.EnableFaults(*sc.Faults, base.Split())
 	}
-	cb := newClassBounds(s)
-	if !sc.eagerSample {
-		// Arm the engine's per-shard sampler so dense sampling re-sums
-		// only the shards whose peers changed.
-		s.EnableSeriesStats(cb.lo, cb.hi)
-	}
 	run := &scenarioRun{
 		sc:       &sc,
 		s:        s,
 		churnR:   churnR,
-		sampler:  seriesSampler{classes: cb},
+		sampler:  seriesSampler{classes: newClassBounds(s)},
 		alive:    s.present > 0,
 		faultsOn: faultsOn,
 	}
@@ -452,22 +443,22 @@ func (c classBounds) class(capacity float64) int {
 
 // seriesSampler is the scenario runner's streaming metrics accumulator: it
 // turns the swarm's incrementally maintained counters (population flows,
-// completed leechers, live degree sum) plus the stratification sums
-// (share-ratio class sums, rank correlation) into a SeriesPoint. Snapshot
-// builds the same statistics by rescanning and materializing per-peer
-// rows; the sampler exists so scenarios can take a point every round
-// without paying Snapshot-scale allocation.
+// completed leechers, live degree sum) plus one allocation-free pass over
+// the present roster (share-ratio class sums, streaming rank correlation)
+// into a SeriesPoint. Snapshot builds the same statistics by rescanning and
+// materializing per-peer rows; the sampler exists so scenarios can take a
+// point every round without paying Snapshot-scale allocation.
 type seriesSampler struct {
 	classes classBounds
 }
 
 // sample computes one SeriesPoint from the live swarm state. It allocates
-// nothing. With the engine's per-shard sampler armed (the default for
-// scenario runs) only the shards whose inputs changed since the last
-// sample are re-summed; otherwise it falls back to the eager roster pass,
-// which doubles as the oracle the per-shard path is tested against.
+// nothing, and it keeps no sums between samples: the stratification terms
+// are summed afresh over the present roster each time, so a point depends
+// only on the swarm's current state and a resumed run needs no sampler
+// state.
 func (sp *seriesSampler) sample(s *Swarm) SeriesPoint {
-	s.flushJoinRanks() // both paths read ranks
+	s.flushJoinRanks() // the correlation reads ranks
 	pt := SeriesPoint{
 		Round:     s.round,
 		Present:   s.present,
@@ -481,19 +472,31 @@ func (sp *seriesSampler) sample(s *Swarm) SeriesPoint {
 		pt.MeanDegree = float64(s.liveDegSum) / float64(s.present)
 	}
 
-	var sum stratSums
-	if s.stats != nil {
-		sum = s.flushSeriesStats()
-	} else {
-		for _, id := range s.trk.present {
-			if p := &s.peers[id]; !p.isSeed {
-				sum.add(s, p, sp.classes)
-			}
+	var (
+		corr             stats.PearsonAcc
+		ratioSum, ratioN [3]float64
+	)
+	for _, id := range s.trk.present {
+		p := &s.peers[id]
+		if p.isSeed {
+			continue
+		}
+		if p.tftPartnerCount > 0 {
+			corr.Add(float64(s.rank[p.id]), p.tftPartnerRankSum/float64(p.tftPartnerCount))
+		}
+		if p.totalUp > 0 {
+			cl := sp.classes.class(p.capacity)
+			ratioSum[cl] += p.totalDown / p.totalUp
+			ratioN[cl]++
 		}
 	}
-	pt.StratCorr = sum.corr.Corr()
+	pt.StratCorr = corr.Corr()
 	for cl := range pt.ShareRatioByClass {
-		pt.ShareRatioByClass[cl] = sum.ratioMean(cl)
+		if ratioN[cl] > 0 {
+			pt.ShareRatioByClass[cl] = ratioSum[cl] / ratioN[cl]
+		} else {
+			pt.ShareRatioByClass[cl] = math.NaN()
+		}
 	}
 	if f := s.flt; f != nil {
 		pt.StaleEdges = f.staleEdges

@@ -40,9 +40,6 @@ package btsim
 //   - windowNZ: some recvWindow entry in the slot's block may be nonzero.
 //   - ratesNZ: some recvRate entry may be nonzero.
 //   - xferDirty: the slot's cached active-transfer list is stale.
-//   - statDirty: the slot's sampler inputs (occupant, rank, totals, TFT
-//     history) changed since the last series sample; its shard's sums are
-//     re-summed at the next sample (see stats.go).
 //
 // A scheduled rechoke is skipped when all of chokeDirty, windowNZ and
 // ratesNZ are clear (and the peer is not a seed — seeds draw randomness
@@ -107,7 +104,6 @@ type shardState struct {
 	windowNZ   []uint64
 	ratesNZ    []uint64
 	xferDirty  []uint64
-	statDirty  []uint64
 
 	// Content-unlimited transfer state (nil in piece mode): xfer[e] is the
 	// kbit written to edge e's owner this round by the e-reverse uploader,
@@ -182,7 +178,6 @@ func (s *Swarm) resizeShards() {
 	sh.windowNZ = grown(sh.windowNZ, w)
 	sh.ratesNZ = grown(sh.ratesNZ, w)
 	sh.xferDirty = grown(sh.xferDirty, w)
-	sh.statDirty = grown(sh.statDirty, w)
 	sh.sumUp = grown(sh.sumUp, n*8)
 	sh.sumDown = grown(sh.sumDown, n*8)
 	if s.opt.ContentUnlimited {
@@ -388,9 +383,6 @@ func (s *Swarm) sendShard(k int) {
 			u.totalUp += share
 			sumUp += share
 		}
-		if !u.isSeed {
-			bmSet(sh.statDirty, sl) // the uploader's share ratio moved
-		}
 	}
 	sh.sumUp[k*8] = sumUp
 }
@@ -428,7 +420,6 @@ func (s *Swarm) recvShard(k int) {
 				sumDown += a
 			}
 			bmSet(sh.windowNZ, sl)
-			bmSet(sh.statDirty, sl)
 		}
 	}
 	sh.sumDown[k*8] = sumDown
@@ -447,16 +438,15 @@ func (s *Swarm) foldShardSums() {
 }
 
 // slotRecycled resets the shard layer's per-slot flags when sl gets a new
-// occupant: the newcomer is conservatively marked for rechoke, cache
-// rebuild and a sampler re-sum, while the previous occupant's window/rate
-// flags die with its edges (a fresh slot has none).
+// occupant: the newcomer is conservatively marked for rechoke and cache
+// rebuild, while the previous occupant's window/rate flags die with its
+// edges (a fresh slot has none).
 func (s *Swarm) slotRecycled(sl int) {
 	sh := &s.sh
 	bmSet(sh.chokeDirty, sl)
 	bmSet(sh.xferDirty, sl)
 	bmClear(sh.windowNZ, sl)
 	bmClear(sh.ratesNZ, sl)
-	bmSet(sh.statDirty, sl)
 }
 
 // markEdgeTouched flags a slot whose edge block changed shape (an edge

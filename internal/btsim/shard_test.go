@@ -119,8 +119,6 @@ func boundarySwarm(t *testing.T, workers int) *Swarm {
 	}
 	s.setShardSlots(64)
 	s.SetStepWorkers(workers)
-	cb := newClassBounds(s)
-	s.EnableSeriesStats(cb.lo, cb.hi)
 	return s
 }
 
@@ -128,11 +126,9 @@ func boundarySwarm(t *testing.T, workers int) *Swarm {
 // edges — joins landing in fresh shards, departures and crashes freeing
 // slots that later joins recycle — and demands that a 4-worker swarm stays
 // byte-identical to the serial one while both keep every invariant,
-// including the lazy-vs-eager cross-checks in CheckInvariants. Both swarms
-// sample every round, so the audit also holds each clean shard's sampler
-// sums to an exact re-sum across the churn — once right after the churn
-// ops, before a Step's transfers dirty nearly every shard, so the ops'
-// own marks (joins, departures, crashes, rank shifts) are checked alone.
+// including the lazy-vs-eager cross-checks in CheckInvariants — also
+// right after the churn ops, before a Step, so the ops' own dirty marks are
+// checked alone.
 func TestShardBoundaryChurnByteIdentical(t *testing.T) {
 	a := boundarySwarm(t, 1)
 	b := boundarySwarm(t, 4)
@@ -150,9 +146,6 @@ func TestShardBoundaryChurnByteIdentical(t *testing.T) {
 		}
 		if err := b.CheckInvariants(); err != nil {
 			t.Fatalf("round %d workers=4 invariants: %v", round, err)
-		}
-		if sa, sb := a.flushSeriesStats(), b.flushSeriesStats(); sa != sb {
-			t.Fatalf("round %d: workers=4 sampler sums %+v, serial %+v", round, sb, sa)
 		}
 		if round%10 == 9 {
 			got := fmt.Sprintf("%+v", b.Snapshot())
@@ -195,9 +188,8 @@ func TestShardDeltaMergeStress(t *testing.T) {
 }
 
 // approxSeries compares two series points: integer fields exactly, float
-// fields to a relative tolerance (the per-shard sampler sums the same terms
-// as the eager scan but in slot order, folded by shard, rather than in
-// tracker order).
+// fields to a relative tolerance (the sampler sums the same terms as
+// Snapshot, but in tracker order rather than id order).
 func approxSeries(a, b SeriesPoint, tol float64) error {
 	ints := func(name string, x, y int) error {
 		if x != y {
@@ -240,13 +232,14 @@ func approxSeries(a, b SeriesPoint, tol float64) error {
 	return nil
 }
 
-// TestLazySamplerMatchesEager is the differential pin for the per-shard
-// series sampler: across the whole catalog, plus tracereplay at seed 1 and
-// scale 3 (a long run whose early contributors all leave), the lazy
-// sampler's series must match the eager full-roster scan — integer fields
+// TestLazySamplerMatchesEager is the differential pin for the streaming
+// series sampler, which reads the swarm's incrementally maintained
+// counters and sums the roster without materializing it: across the whole
+// catalog, plus tracereplay at seed 1 and scale 3 (a long run whose early
+// contributors all leave), every sample must match the same point rebuilt
+// from an eager Snapshot of the swarm it was taken from — integer fields
 // exactly, correlation and share-ratio aggregates to summation-order
-// rounding — and the final snapshot (always an eager scan) must be
-// byte-identical, proving the sampler never perturbs the trajectory.
+// rounding.
 func TestLazySamplerMatchesEager(t *testing.T) {
 	type input struct {
 		label, scenario string
@@ -262,40 +255,60 @@ func TestLazySamplerMatchesEager(t *testing.T) {
 		in := in
 		t.Run(in.label, func(t *testing.T) {
 			t.Parallel()
-			lazy, err := NamedScenario(in.scenario, in.seed, in.scale)
+			sc, err := NamedScenario(in.scenario, in.seed, in.scale)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eager, err := NamedScenario(in.scenario, in.seed, in.scale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eager.eagerSample = true
-			lr, err := lazy.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			er, err := eager.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(lr.Series) != len(er.Series) {
-				t.Fatalf("series lengths differ: lazy %d, eager %d", len(lr.Series), len(er.Series))
-			}
-			for i := range lr.Series {
-				if err := approxSeries(lr.Series[i], er.Series[i], 1e-12); err != nil {
-					t.Fatalf("sample %d (round %d): %v", i, lr.Series[i].Round, err)
+			samples := 0
+			err = runAuditing(sc, func(s *Swarm, classes classBounds, pt SeriesPoint) error {
+				samples++
+				if err := approxSeries(pt, snapshotPoint(s, classes, pt), 1e-12); err != nil {
+					return fmt.Errorf("sample %d (round %d): %w", samples, pt.Round, err)
 				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got, want := fmt.Sprintf("%+v", lr.Final), fmt.Sprintf("%+v", er.Final); got != want {
-				t.Fatal("lazy sampler perturbed the trajectory: final snapshots differ")
+			if samples == 0 {
+				t.Fatal("no samples taken")
 			}
 		})
 	}
 }
 
-// TestSeriesStatsZeroAlloc pins the cost model of the per-shard sampler:
-// re-summing dirty shards and reading the aggregates allocates nothing, so
+// snapshotPoint rebuilds pt's population and stratification fields from
+// s.Snapshot()'s per-peer rows, in id order; the fields Snapshot does not
+// recount (mean degree, the fault counters) are copied from pt.
+func snapshotPoint(s *Swarm, classes classBounds, pt SeriesPoint) SeriesPoint {
+	m := s.Snapshot()
+	want := pt
+	want.Round = m.Round
+	want.Present = m.Present
+	want.Seeds = m.PresentSeeds
+	want.Leechers = m.Present - m.PresentSeeds
+	want.Joined = len(m.Peers)
+	want.Departed = m.TotalDeparted
+	want.Completed = m.CompletedLeechers
+	want.Crashed = m.TotalCrashed
+	want.StratCorr = m.StratCorrelation
+	var ratioSum, ratioN [3]float64
+	for _, pm := range m.Peers {
+		if pm.IsSeed || pm.Departed || pm.TotalUp <= 0 {
+			continue
+		}
+		cl := classes.class(pm.Capacity)
+		ratioSum[cl] += pm.ShareRatio
+		ratioN[cl]++
+	}
+	for cl := range want.ShareRatioByClass {
+		want.ShareRatioByClass[cl] = ratioSum[cl] / ratioN[cl] // NaN when empty, as in the sampler
+	}
+	return want
+}
+
+// TestSeriesStatsZeroAlloc pins the cost model of the series sampler:
+// summing the roster and reading the aggregates allocates nothing, so
 // per-round sampling (SampleEvery 1, the flash-crowd configuration) adds
 // no garbage to the steady-state round.
 func TestSeriesStatsZeroAlloc(t *testing.T) {
@@ -306,19 +319,14 @@ func TestSeriesStatsZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := newClassBounds(s)
-	s.EnableSeriesStats(cb.lo, cb.hi)
+	sp := seriesSampler{classes: newClassBounds(s)}
 	s.Run(30)
 	sample := func() {
 		s.Step()
-		sum := s.flushSeriesStats()
-		_ = sum.corr.Corr()
-		for cl := 0; cl < 3; cl++ {
-			_ = sum.ratioMean(cl)
-		}
+		_ = sp.sample(s)
 	}
 	if allocs := testing.AllocsPerRun(100, sample); allocs != 0 {
-		t.Fatalf("step+flush+read allocates %.1f objects per round, want 0", allocs)
+		t.Fatalf("step+sample allocates %.1f objects per round, want 0", allocs)
 	}
 }
 

@@ -75,7 +75,6 @@ func (s *Swarm) Depart(id int) {
 	s.flushJoinRanks() // the shift below needs settled ranks
 	p := &s.peers[id]
 	sl := p.slot
-	bmSet(s.sh.statDirty, int(sl)) // the leaver's terms leave its shard's sums
 	base := sl * s.edgeCap
 	for s.deg[sl] > 0 {
 		e := base + s.deg[sl] - 1 // unwire p's edges from the back
@@ -137,7 +136,6 @@ func (s *Swarm) Crash(id int) {
 	f := s.flt
 	p := &s.peers[id]
 	sl := p.slot
-	bmSet(s.sh.statDirty, int(sl)) // the leaver's terms leave its shard's sums
 	// Stale-edge accounting: every present neighbor's half towards p goes
 	// stale; p's own halves towards already-crashed neighbors stop counting
 	// (their owner is no longer present). Surviving neighbors' candidate
@@ -295,7 +293,6 @@ func (s *Swarm) rechokeLeecher(p *peer, sl int, rr *rng.RNG, sc *chokeScratch) {
 	if slots > nc {
 		slots = nc
 	}
-	accounted := false
 	for pos := 0; pos < slots; pos++ {
 		best := pos
 		for i := pos + 1; i < nc; i++ {
@@ -315,11 +312,7 @@ func (s *Swarm) rechokeLeecher(p *peer, sl int, rr *rng.RNG, sc *chokeScratch) {
 		if sc.candRate[pos] > 0 && s.round >= s.opt.MetricsWarmupRounds {
 			p.tftPartnerRankSum += float64(s.rank[s.nbr[sc.candE[pos]]])
 			p.tftPartnerCount++
-			accounted = true
 		}
-	}
-	if accounted {
-		bmSet(s.sh.statDirty, sl) // the peer's mean TFT partner rank moved
 	}
 	// If the optimistic pick just earned a TFT slot, the optimistic slot
 	// moves to a fresh choked neighbor (BitTorrent rotates it early).
@@ -417,7 +410,6 @@ func (s *Swarm) transfer() {
 			continue
 		}
 		share := u.capacity / float64(na)
-		sent := false
 		for a := 0; a < na; a++ {
 			e := s.active[a]
 			v := &s.peers[s.nbr[e]]
@@ -453,14 +445,8 @@ func (s *Swarm) transfer() {
 				}
 			}
 			if moved {
-				vsl := int(v.slot)
-				bmSet(s.sh.windowNZ, vsl)
-				bmSet(s.sh.statDirty, vsl)
-				sent = true
+				bmSet(s.sh.windowNZ, int(v.slot))
 			}
-		}
-		if sent && !u.isSeed {
-			bmSet(s.sh.statDirty, sl) // the uploader's share ratio moved
 		}
 	}
 }

@@ -123,6 +123,36 @@ func (d *discardObserver) OnSample(pt SeriesPoint) { d.last = pt; d.samples++ }
 func (d *discardObserver) OnEvent(RunEvent)        {}
 func (d *discardObserver) OnDone(Metrics)          {}
 
+// auditObserver hands every sample to check together with the live swarm
+// it was taken from, keeping the first error.
+type auditObserver struct {
+	discardObserver
+	run   *scenarioRun
+	check func(s *Swarm, classes classBounds, pt SeriesPoint) error
+	err   error
+}
+
+func (o *auditObserver) OnSample(pt SeriesPoint) {
+	if o.err == nil {
+		o.err = o.check(o.run.s, o.run.sampler.classes, pt)
+	}
+}
+
+// runAuditing runs sc from round 0 and calls check on the swarm right
+// after each sample, between rounds; the audit only reads, so the run
+// follows sc's own trajectory.
+func runAuditing(sc Scenario, check func(s *Swarm, classes classBounds, pt SeriesPoint) error) error {
+	run, err := sc.freshRun()
+	if err != nil {
+		return err
+	}
+	obs := &auditObserver{run: run, check: check}
+	if err := run.loop(obs); err != nil {
+		return err
+	}
+	return obs.err
+}
+
 // TestScenarioObserverZeroAlloc extends the streaming pin to the whole
 // scenario runner: a steady-churn run driven through a non-collecting
 // observer at SampleEvery: 1 must stay O(1) amortized allocations per

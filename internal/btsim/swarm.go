@@ -265,10 +265,6 @@ type Swarm struct {
 	// caches and the optional persistent worker pool (see shard.go).
 	sh shardState
 
-	// stats is the engine's per-shard series sampler; nil unless
-	// EnableSeriesStats armed it (see stats.go).
-	stats *stratStats
-
 	// pendingJoin / rankOrder / joinSort back the batched join-rank flush
 	// (see rank.go): joins park here with rank −1 until the next rank read.
 	pendingJoin []int32

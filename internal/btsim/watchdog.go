@@ -251,29 +251,5 @@ func (s *Swarm) checkLazyStepping() error {
 			}
 		}
 	}
-	return s.checkLazyStats()
-}
-
-// checkLazyStats audits the per-shard series sampler: every shard with no
-// statDirty slot must hold exactly the sums a fresh re-sum of its slots
-// gives (a shard past the stored partials, not yet sampled, holds zero).
-func (s *Swarm) checkLazyStats() error {
-	st := s.stats
-	if st == nil {
-		return nil
-	}
-	for k := 0; k < s.numShards(); k++ {
-		lo, hi := s.shardBounds(k)
-		if s.statDirtyIn(lo, hi) {
-			continue
-		}
-		var held stratSums
-		if k < len(st.part) {
-			held = st.part[k]
-		}
-		if fresh := s.shardSums(lo, hi); held != fresh {
-			return fmt.Errorf("btsim: invariant: shard %d sampler sums %+v, re-sum %+v", k, held, fresh)
-		}
-	}
 	return nil
 }

@@ -107,17 +107,6 @@ func (a *PearsonAcc) Add(x, y float64) {
 	a.sxy += x * y
 }
 
-// Merge folds b's sums into a, so a covers both samples (equal to adding
-// b's observations after a's up to float summation order).
-func (a *PearsonAcc) Merge(b *PearsonAcc) {
-	a.n += b.n
-	a.sx += b.sx
-	a.sy += b.sy
-	a.sxx += b.sxx
-	a.syy += b.syy
-	a.sxy += b.sxy
-}
-
 // N returns the number of observations recorded.
 func (a *PearsonAcc) N() int { return a.n }
 

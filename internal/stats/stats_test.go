@@ -64,25 +64,6 @@ func TestPearson(t *testing.T) {
 	}
 }
 
-// TestPearsonAccMerge: accumulating two halves and merging them gives the
-// correlation of the whole sample (integer-valued here, so exactly).
-func TestPearsonAccMerge(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6}
-	ys := []float64{3, 1, 4, 1, 5, 9}
-	var a, b PearsonAcc
-	for i := range xs {
-		if i < 2 {
-			a.Add(xs[i], ys[i])
-		} else {
-			b.Add(xs[i], ys[i])
-		}
-	}
-	a.Merge(&b)
-	if a.N() != len(xs) || a.Corr() != Pearson(xs, ys) {
-		t.Fatalf("merged n=%d corr=%v, want n=%d corr=%v", a.N(), a.Corr(), len(xs), Pearson(xs, ys))
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h, err := NewHistogram(0, 10, 5)
 	if err != nil {
