@@ -16,12 +16,17 @@ import (
 // fixtures captured from the PR-6 emitter. Any field rename, reorder, or
 // formatting change in the sample/event/done records breaks downstream
 // consumers and must show up here as a diff, not as a silent drift.
+// poisson and trackerdown run piece mode; flashcrowd1m and splitbrain run
+// content-unlimited, so the sharded send and receive passes are pinned
+// too (splitbrain under a partition).
 func TestJsonlGoldenStreams(t *testing.T) {
 	cases := []struct {
-		scenario, seed, golden string
+		scenario, scale, seed, golden string
 	}{
-		{"poisson", "4", "poisson_s4_x0.15.jsonl"},
-		{"trackerdown", "9", "trackerdown_s9_x0.15.jsonl"},
+		{"poisson", "0.15", "4", "poisson_s4_x0.15.jsonl"},
+		{"trackerdown", "0.15", "9", "trackerdown_s9_x0.15.jsonl"},
+		{"flashcrowd1m", "0.005", "12", "flashcrowd1m_s12_x0.005.jsonl"},
+		{"splitbrain", "0.15", "3", "splitbrain_s3_x0.15.jsonl"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.scenario, func(t *testing.T) {
@@ -31,7 +36,7 @@ func TestJsonlGoldenStreams(t *testing.T) {
 			}
 			got := captureStdout(t, func() error {
 				return run([]string{
-					"-scenario", tc.scenario, "-scenario-scale", "0.15",
+					"-scenario", tc.scenario, "-scenario-scale", tc.scale,
 					"-seed", tc.seed, "-emit", "jsonl",
 				})
 			})

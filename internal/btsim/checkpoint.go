@@ -134,7 +134,7 @@ func (run *scenarioRun) encode(nextRound int) ([]byte, error) {
 	w.Int(len(s.peers))
 	for i := range s.peers {
 		p := &s.peers[i]
-		w.Int(int(p.slot))
+		w.Int(int(s.slotOf[i]))
 		w.F64(p.capacity)
 		w.Bool(p.isSeed)
 		w.Bool(p.departed)
@@ -422,10 +422,11 @@ func decodeSwarm(r *checkpoint.Reader, faultsOn bool) (*Swarm, error) {
 	haveWords := (opt.Pieces + 63) / 64
 
 	peers := make([]peer, npeers)
+	slotOf := make([]int32, npeers)
 	for i := range peers {
 		p := &peers[i]
 		p.id = i
-		p.slot = int32(r.Int())
+		slotOf[i] = int32(r.Int())
 		p.capacity = r.F64()
 		p.isSeed = r.Bool()
 		p.departed = r.Bool()
@@ -451,9 +452,9 @@ func decodeSwarm(r *checkpoint.Reader, faultsOn bool) (*Swarm, error) {
 			return nil, err
 		}
 		switch {
-		case p.slot < -1 || p.slot >= int32(slotCap):
-			return nil, fmt.Errorf("peer %d: slot %d out of range", i, p.slot)
-		case p.slot >= 0 && !hasHave:
+		case slotOf[i] < -1 || slotOf[i] >= int32(slotCap):
+			return nil, fmt.Errorf("peer %d: slot %d out of range", i, slotOf[i])
+		case slotOf[i] >= 0 && !hasHave:
 			return nil, fmt.Errorf("peer %d: slotted but has no bitfield", i)
 		case p.optimistic < -1 || p.optimistic >= int32(total):
 			return nil, fmt.Errorf("peer %d: optimistic edge %d out of range", i, p.optimistic)
@@ -499,6 +500,7 @@ func decodeSwarm(r *checkpoint.Reader, faultsOn bool) (*Swarm, error) {
 		rank:              rank,
 		edgeCap:           edgeCap,
 		slotCap:           slotCap,
+		slotOf:            slotOf,
 		slotPeer:          slotPeer,
 		freeSlots:         freeSlots,
 		deg:               deg,

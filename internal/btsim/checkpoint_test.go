@@ -1,6 +1,7 @@
 package btsim
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -325,6 +326,53 @@ func TestResumeSpec(t *testing.T) {
 	}
 }
 
+// checkpointPins holds the sha256 of each catalog scenario's round-100
+// checkpoint file at seed 1, scale 0.3.
+var checkpointPins = map[string]string{
+	"flashcrowd":  "91c7fabf2566632a4b7b4ab280c1fffe76c1b5a1694c1924f9b0a4de92ae7ffa",
+	"poisson":     "74e505ae4c02b21160a3e7a50eaf676b8cafe867e9b966db8466ab171e50ad1c",
+	"massdepart":  "8b0fdb0b87cc565eac0af0719f5247959172d97676577af25716181185e2256e",
+	"tracereplay": "9595ab87fc13a175c74d53365eda00fea7a2b550985a7000eb3ab84484fe4b45",
+	"seedstarve":  "f20305d43604e24b5f9e83e984d46cc81bf309e64751713b3398c41d24f4954b",
+	"slowquit":    "af3934e30443af3d38a91b6304b2d4c79f104983f5455159fc39558da7e35c07",
+	"trackerdown": "8c213f156ab5a607068be793f587ccb56bf8f7f94e3ca029fe137c24d8e4d0da",
+	"splitbrain":  "2c428ad134ee1c28b86ac4accf4b333b2a2e79e2932c4236e6778f31bf93457e",
+	"crashcrowd":  "b83e27dc95e0c4f76e3f76ef16c8b176cf56adcbf3a1f0e93c33673f0f880c98",
+}
+
+// TestCheckpointBytesPinned pins the checkpoint codec's output bytes: a
+// refactor of the roster, the CSR arrays or the codec itself must leave
+// every catalog scenario's round-100 checkpoint byte-identical. A format
+// change that moves them on purpose bumps checkpoint.Version and
+// re-records the table.
+func TestCheckpointBytesPinned(t *testing.T) {
+	if got, want := len(checkpointPins), len(ScenarioNames()); got != want {
+		t.Fatalf("%d pinned hashes for %d catalog scenarios", got, want)
+	}
+	for _, name := range ScenarioNames() {
+		t.Run(name, func(t *testing.T) {
+			sc, err := NamedScenario(name, 1, 0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			sc.CheckpointEvery = 100
+			sc.CheckpointDir = dir
+			sc.CheckpointRetain = -1
+			if _, err := sc.Run(); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(filepath.Join(dir, checkpoint.FileName(100)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != checkpointPins[name] {
+				t.Fatalf("round-100 checkpoint sha256 %s, pinned %s", got, checkpointPins[name])
+			}
+		})
+	}
+}
+
 // TestAnnounceRecycledSlotNoop is the tracker regression for the
 // checkpoint/resume boundary: a re-announce from a peer whose slot was
 // recycled must be a guarded no-op, not a read of another occupant's CSR
@@ -338,7 +386,7 @@ func TestAnnounceRecycledSlotNoop(t *testing.T) {
 	s.Run(5)
 	// Simulate the stale state: the registry still lists peer 3, but its
 	// slot has been recycled out from under it.
-	s.peers[3].slot = -1
+	s.slotOf[3] = -1
 	if added := s.Announce(3); added != 0 {
 		t.Fatalf("announce from a slotless peer added %d edges", added)
 	}

@@ -79,7 +79,7 @@ func TestRarestFirstPicksRarest(t *testing.T) {
 		base, end := s.edges(p.id)
 		for e := base; e < end; e++ {
 			q := &s.peers[s.nbr[e]]
-			s.avail[int(q.slot)*s.opt.Pieces+piece]++
+			s.avail[int(s.slotOf[q.id])*s.opt.Pieces+piece]++
 			if !q.have.has(piece) {
 				s.want[s.rev[e]]++
 			}
@@ -179,7 +179,7 @@ func TestIncrementalInterestMatchesBitfields(t *testing.T) {
 			if p.departed {
 				continue
 			}
-			abase := int(p.slot) * s.opt.Pieces
+			abase := int(s.slotOf[p.id]) * s.opt.Pieces
 			recount := make([]int32, s.opt.Pieces)
 			base, end := s.edges(i)
 			for e := base; e < end; e++ {

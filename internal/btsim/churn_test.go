@@ -21,9 +21,10 @@ func checkInvariants(t *testing.T, s *Swarm, stage string) {
 	present := 0
 	for i := range s.peers {
 		p := &s.peers[i]
+		sl := s.slotOf[i]
 		if p.departed {
-			if p.slot != -1 {
-				t.Fatalf("%s: departed peer %d keeps slot %d", stage, p.id, p.slot)
+			if sl != -1 {
+				t.Fatalf("%s: departed peer %d keeps slot %d", stage, p.id, sl)
 			}
 			if s.trk.pos[p.id] != -1 {
 				t.Fatalf("%s: departed peer %d still registered", stage, p.id)
@@ -31,8 +32,8 @@ func checkInvariants(t *testing.T, s *Swarm, stage string) {
 			continue
 		}
 		present++
-		if p.slot < 0 || int(p.slot) >= s.slotCap || s.slotPeer[p.slot] != int32(p.id) {
-			t.Fatalf("%s: peer %d slot mapping broken (slot %d)", stage, p.id, p.slot)
+		if sl < 0 || int(sl) >= s.slotCap || s.slotPeer[sl] != int32(p.id) {
+			t.Fatalf("%s: peer %d slot mapping broken (slot %d)", stage, p.id, sl)
 		}
 		if got := s.trk.present[s.trk.pos[p.id]]; got != int32(p.id) {
 			t.Fatalf("%s: tracker position of peer %d points at %d", stage, p.id, got)
@@ -72,9 +73,9 @@ func checkInvariants(t *testing.T, s *Swarm, stage string) {
 	// Edge structure and incremental counters.
 	for _, id := range s.trk.present {
 		p := &s.peers[id]
-		if s.deg[p.slot] > s.edgeCap {
+		if d := s.deg[s.slotOf[id]]; d > s.edgeCap {
 			t.Fatalf("%s: peer %d degree %d over capacity %d",
-				stage, p.id, s.deg[p.slot], s.edgeCap)
+				stage, p.id, d, s.edgeCap)
 		}
 		base, end := s.edges(p.id)
 		recount := make([]int32, P)
@@ -111,7 +112,7 @@ func checkInvariants(t *testing.T, s *Swarm, stage string) {
 		if p.optimistic >= 0 && (p.optimistic < base || p.optimistic >= end) {
 			t.Fatalf("%s: peer %d optimistic edge %d outside its block", stage, p.id, p.optimistic)
 		}
-		abase := int(p.slot) * P
+		abase := int(s.slotOf[p.id]) * P
 		for piece := 0; piece < P; piece++ {
 			if got := s.avail[abase+piece]; got != recount[piece] {
 				t.Fatalf("%s: avail[peer %d, piece %d] = %d, recount %d",
@@ -218,7 +219,7 @@ func TestDepartureHealsViaReannounce(t *testing.T) {
 	checkInvariants(t, s, "after mass departure")
 	var degSum int
 	for _, id := range s.trk.present {
-		degSum += int(s.deg[s.peers[id].slot])
+		degSum += int(s.deg[s.slotOf[id]])
 	}
 	before := float64(degSum) / float64(s.present)
 	for i := 0; i < 20; i++ {
@@ -227,7 +228,7 @@ func TestDepartureHealsViaReannounce(t *testing.T) {
 	}
 	degSum = 0
 	for _, id := range s.trk.present {
-		degSum += int(s.deg[s.peers[id].slot])
+		degSum += int(s.deg[s.slotOf[id]])
 	}
 	after := float64(degSum) / float64(s.present)
 	if after < float64(s.opt.NeighborCount) {

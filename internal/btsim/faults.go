@@ -398,7 +398,7 @@ func (s *Swarm) faultBeginRound(round int, obs Observer) {
 			f.partitionOn = true
 			f.partFraction = f.spec.Injections[partition].Fraction
 			for _, id := range s.trk.present {
-				sl := s.peers[id].slot
+				sl := s.slotOf[id]
 				f.side[sl] = 0
 				if f.r.Bool(f.partFraction) {
 					f.side[sl] = 1
@@ -422,18 +422,19 @@ func (s *Swarm) cutPartition() int {
 	cut := 0
 	for _, id := range s.trk.present {
 		p := &s.peers[id]
-		sl := p.slot
+		sl := s.slotOf[id]
 		base := sl * s.edgeCap
 		// Descending scan: a removal swaps the block's last edge into the
 		// hole, and every position above the cursor has already been kept.
 		for e := base + s.deg[sl] - 1; e >= base; e-- {
 			q := &s.peers[s.nbr[e]]
-			if q.departed || q.id < p.id || f.side[q.slot] == f.side[sl] {
+			er := s.rev[e]
+			qsl := er / s.edgeCap
+			if q.departed || q.id < p.id || f.side[qsl] == f.side[sl] {
 				continue
 			}
-			er := s.rev[e]
 			s.availSub(sl, q.have)
-			s.availSub(q.slot, p.have)
+			s.availSub(qsl, p.have)
 			s.removeEdgeHalf(q, er)
 			s.removeEdgeHalf(p, e)
 			cut++
@@ -477,7 +478,7 @@ func (s *Swarm) faultEndRound(round int, obs Observer) {
 	// membership list is stable under the loop; a retry that fails again
 	// reschedules itself with a longer backoff.
 	for _, id := range s.trk.present {
-		sl := s.peers[id].slot
+		sl := s.slotOf[id]
 		if at := f.retryAt[sl]; at >= 0 && at <= int32(round) {
 			f.retryAt[sl] = -1
 			f.announceRetries++

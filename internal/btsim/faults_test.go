@@ -28,7 +28,7 @@ func faultySwarm(t *testing.T, spec FaultsSpec) *Swarm {
 // countEdges returns peer id's live degree and how many of its connections
 // point at departed (crashed, unswept) peers.
 func countEdges(s *Swarm, id int) (deg, stale int) {
-	sl := s.peers[id].slot
+	sl := s.slotOf[id]
 	base := sl * s.edgeCap
 	for e := base; e < base+s.deg[sl]; e++ {
 		deg++
@@ -54,11 +54,11 @@ func TestCrashStaleEdgesAndSweep(t *testing.T) {
 	if deg == 0 {
 		t.Fatalf("victim %d has no edges; fixture too sparse", victim)
 	}
-	presentBefore, sl := s.present, s.peers[victim].slot
+	presentBefore, sl := s.present, s.slotOf[victim]
 
 	s.Crash(victim)
-	if s.peers[victim].slot != sl {
-		t.Fatalf("crash must keep the slot: got %d, want %d", s.peers[victim].slot, sl)
+	if s.slotOf[victim] != sl {
+		t.Fatalf("crash must keep the slot: got %d, want %d", s.slotOf[victim], sl)
 	}
 	if s.present != presentBefore-1 || s.trk.pos[victim] != -1 {
 		t.Fatalf("crash must leave membership at once: present %d, tracker pos %d",
@@ -78,7 +78,7 @@ func TestCrashStaleEdgesAndSweep(t *testing.T) {
 	// visible), and an early sweep is a no-op.
 	s.Run(timeout - 1)
 	s.sweepCrashed()
-	if s.peers[victim].slot < 0 {
+	if s.slotOf[victim] < 0 {
 		t.Fatal("sweep fired before the neighbor timeout elapsed")
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -89,7 +89,7 @@ func TestCrashStaleEdgesAndSweep(t *testing.T) {
 	// recycles the slot.
 	s.Run(1)
 	s.sweepCrashed()
-	if s.peers[victim].slot != -1 {
+	if s.slotOf[victim] != -1 {
 		t.Fatal("sweep did not retire the crashed peer's slot")
 	}
 	if s.flt.staleEdges != 0 {
@@ -140,7 +140,7 @@ func TestCrashCrashedNeighborAccounting(t *testing.T) {
 	s.Crash(first)
 	// Crash one of first's still-present neighbors: its half towards first
 	// was stale and must be retired by its own crash.
-	sl := s.peers[first].slot
+	sl := s.slotOf[first]
 	second := -1
 	for e := sl * s.edgeCap; e < sl*s.edgeCap+s.deg[sl]; e++ {
 		if q := &s.peers[s.nbr[e]]; !q.departed {
@@ -230,7 +230,7 @@ func TestAnnounceRetryBackoff(t *testing.T) {
 	f.trackerDown = true
 
 	id := int(s.trk.present[0])
-	sl := s.peers[id].slot
+	sl := s.slotOf[id]
 	for n := 0; n < 12; n++ {
 		if got := s.Announce(id); got != 0 {
 			t.Fatalf("announce during outage handed out %d connections", got)
@@ -257,7 +257,7 @@ func TestAnnounceRetryBackoff(t *testing.T) {
 		if int(pid) == id {
 			continue
 		}
-		if f.retryAt[s.peers[pid].slot] >= 0 {
+		if f.retryAt[s.slotOf[pid]] >= 0 {
 			failsBefore++ // other peers may fail their own first announce
 		}
 	}
@@ -296,11 +296,11 @@ func TestPartitionCutAndHeal(t *testing.T) {
 	crossEdges := func() int {
 		cross := 0
 		for _, id := range s.trk.present {
-			p := &s.peers[id]
-			base := p.slot * s.edgeCap
-			for e := base; e < base+s.deg[p.slot]; e++ {
+			sl := s.slotOf[id]
+			base := sl * s.edgeCap
+			for e := base; e < base+s.deg[sl]; e++ {
 				q := &s.peers[s.nbr[e]]
-				if !q.departed && f.side[q.slot] != f.side[p.slot] {
+				if !q.departed && f.side[s.slotOf[q.id]] != f.side[sl] {
 					cross++
 				}
 			}

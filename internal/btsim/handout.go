@@ -92,11 +92,11 @@ type swarmHandout Swarm
 
 func (h *swarmHandout) PresentCount() int     { return h.trk.PresentCount() }
 func (h *swarmHandout) PresentAt(i int) int32 { return h.trk.PresentAt(i) }
-func (h *swarmHandout) DegreeOf(id int32) int { return int(h.deg[h.peers[id].slot]) }
+func (h *swarmHandout) DegreeOf(id int32) int { return int(h.deg[h.slotOf[id]]) }
 
 func (h *swarmHandout) SameSide(a, b int32) bool {
 	if f := h.flt; f != nil && f.partitionOn {
-		return f.side[h.peers[b].slot] == f.side[h.peers[a].slot]
+		return f.side[h.slotOf[b]] == f.side[h.slotOf[a]]
 	}
 	return true
 }
@@ -116,7 +116,7 @@ func (h *swarmHandout) Connect(a, b int32) {
 // CSR block order — wiring-history dependent — so callers comparing
 // neighbor sets should sort.
 func (s *Swarm) Neighbors(dst []int32, id int) []int32 {
-	if id < 0 || id >= len(s.peers) || s.peers[id].departed || s.peers[id].slot < 0 {
+	if id < 0 || id >= len(s.peers) || s.peers[id].departed || s.slotOf[id] < 0 {
 		return dst
 	}
 	base, end := s.edges(id)

@@ -18,12 +18,14 @@ package btsim
 //
 // Cross-shard writes are confined to two order-free channels:
 //
-//   - the send pass writes xfer[ev] — exclusive, since exactly one
-//     uploader owns the reverse half of any edge — and marks the
-//     recipient's slot in the `incoming` bitmap with an atomic OR
-//     (idempotent, so arrival order cannot matter);
+//   - the send pass writes xfer[ev] with a plain store — exclusive, since
+//     exactly one uploader owns the reverse half of any edge — and the
+//     receive pass, after the barrier, walks its own shard's occupied
+//     slots and drains their nonzero entries;
 //   - swarm-wide float totals accumulate into per-shard partials that the
 //     serial epilogue folds in shard order.
+//
+// The shard cursor is the only atomic: no pass needs a flag or lock.
 //
 // Piece-mode transfer stays serial: a mid-round piece completion changes
 // interest and rarity for uploaders later in slot order, an inherently
@@ -53,7 +55,6 @@ package btsim
 // against an eager recomputation.
 
 import (
-	"math/bits"
 	"sync/atomic"
 
 	"stratmatch/internal/par"
@@ -106,12 +107,11 @@ type shardState struct {
 	xferDirty  []uint64
 
 	// Content-unlimited transfer state (nil in piece mode): xfer[e] is the
-	// kbit written to edge e's owner this round by the e-reverse uploader,
-	// incoming flags slots with any nonzero xfer entry, and
+	// kbit written to edge e's owner this round by the e-reverse uploader
+	// (zero between rounds: the receive pass drains it), and
 	// activeEdges[sl*activeStride:…]/activeCnt[sl] cache the slot's active
 	// transfer list between choke changes.
 	xfer         []float64
-	incoming     []uint64
 	activeCnt    []int32
 	activeEdges  []int32
 	activeStride int
@@ -123,8 +123,7 @@ type shardState struct {
 }
 
 // Slot-bitmap helpers. All Step-phase writers touch only words of their
-// own shard (shard bounds are 64-aligned), so these need no atomics; the
-// one cross-shard marking (incoming) uses atomic OR directly.
+// own shard (shard bounds are 64-aligned), so these need no atomics.
 func bmWords(n int) int             { return (n + 63) >> 6 }
 func bmGet(bm []uint64, i int) bool { return bm[i>>6]&(1<<uint(i&63)) != 0 }
 func bmSet(bm []uint64, i int)      { bm[i>>6] |= 1 << uint(i&63) }
@@ -182,7 +181,6 @@ func (s *Swarm) resizeShards() {
 	sh.sumDown = grown(sh.sumDown, n*8)
 	if s.opt.ContentUnlimited {
 		sh.xfer = grown(sh.xfer, s.slotCap*int(s.edgeCap))
-		sh.incoming = grown(sh.incoming, w)
 		sh.activeCnt = grown(sh.activeCnt, s.slotCap)
 		sh.activeEdges = grown(sh.activeEdges, s.slotCap*sh.activeStride)
 	}
@@ -348,7 +346,7 @@ func (s *Swarm) rebuildActive(sl int, u *peer) {
 // sendShard is the content-unlimited uploader pass over one shard: each
 // present uploader splits its capacity over its cached active list,
 // writing the per-edge amount into xfer (exclusive: one uploader per
-// reverse edge) and flagging the recipient's slot. Only uploader-local
+// reverse edge, so a plain store suffices). Only uploader-local
 // state (totalUp, the shard partial) is accumulated here; recipient-side
 // accumulation happens in recvShard so each float total has exactly one
 // deterministic accumulation order.
@@ -378,8 +376,6 @@ func (s *Swarm) sendShard(k int) {
 		for a := 0; a < na; a++ {
 			ev := s.rev[sh.activeEdges[abase+a]] // recipient's edge back to u
 			sh.xfer[ev] = share
-			vsl := int(ev / s.edgeCap)
-			atomic.OrUint64(&sh.incoming[vsl>>6], 1<<uint(vsl&63))
 			u.totalUp += share
 			sumUp += share
 		}
@@ -387,38 +383,38 @@ func (s *Swarm) sendShard(k int) {
 	sh.sumUp[k*8] = sumUp
 }
 
-// recvShard is the content-unlimited downloader pass over one shard:
-// every slot flagged by uploaders drains its xfer entries into its
+// recvShard is the content-unlimited downloader pass over one shard: every
+// occupied slot, in slot order, drains its nonzero xfer entries into its
 // receive windows and download totals (in edge order — deterministic and
-// worker-independent), leaving xfer all-zero and incoming clear for the
-// next round.
+// worker-independent), leaving xfer all-zero for the next round. A slot
+// whose block held a nonzero entry gets its windowNZ bit; since every
+// amount sent is capacity/na > 0, that is exactly the set of slots some
+// uploader sent to.
 func (s *Swarm) recvShard(k int) {
 	lo, hi := s.shardBounds(k)
 	sh := &s.sh
 	var sumDown float64
-	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
-		bitsW := sh.incoming[wi]
-		if bitsW == 0 {
+	for sl := lo; sl < hi; sl++ {
+		id := s.slotPeer[sl]
+		if id < 0 {
 			continue
 		}
-		sh.incoming[wi] = 0
-		for bitsW != 0 {
-			t := bits.TrailingZeros64(bitsW)
-			sl := wi<<6 + t
-			bitsW &^= 1 << uint(t)
-			v := &s.peers[s.slotPeer[sl]]
-			base := int32(sl) * s.edgeCap
-			end := base + s.deg[sl]
-			for e := base; e < end; e++ {
-				a := sh.xfer[e]
-				if a == 0 {
-					continue
-				}
-				sh.xfer[e] = 0
-				s.recvWindow[e] += a
-				v.totalDown += a
-				sumDown += a
+		v := &s.peers[id]
+		base := int32(sl) * s.edgeCap
+		end := base + s.deg[sl]
+		got := false
+		for e := base; e < end; e++ {
+			a := sh.xfer[e]
+			if a == 0 {
+				continue
 			}
+			sh.xfer[e] = 0
+			s.recvWindow[e] += a
+			v.totalDown += a
+			sumDown += a
+			got = true
+		}
+		if got {
 			bmSet(sh.windowNZ, sl)
 		}
 	}

@@ -159,9 +159,9 @@ func TestShardBoundaryChurnByteIdentical(t *testing.T) {
 
 // TestShardDeltaMergeStress pushes the cross-shard delta-merge path hard —
 // many shards, many workers, churn every round — and is most valuable
-// under -race (CI runs it there): the atomic incoming-bitmap OR, the
-// exclusive xfer writes and the slot-ordered drain are all exercised with
-// real contention.
+// under -race (CI runs it there): the exclusive plain xfer stores of the
+// send pass, the barrier, and the receive pass's slot-ordered drain are
+// all exercised with real contention.
 func TestShardDeltaMergeStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")

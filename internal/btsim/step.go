@@ -74,7 +74,7 @@ func (s *Swarm) Depart(id int) {
 	}
 	s.flushJoinRanks() // the shift below needs settled ranks
 	p := &s.peers[id]
-	sl := p.slot
+	sl := s.slotOf[id]
 	base := sl * s.edgeCap
 	for s.deg[sl] > 0 {
 		e := base + s.deg[sl] - 1 // unwire p's edges from the back
@@ -85,7 +85,7 @@ func (s *Swarm) Depart(id int) {
 			// p's leaving retires it before the timeout sweep would.
 			s.flt.staleEdges--
 		}
-		s.availSub(q.slot, p.have)
+		s.availSub(er/s.edgeCap, p.have)
 		s.removeEdgeHalf(q, er)
 		s.deg[sl]--
 		s.liveDegSum--
@@ -102,7 +102,7 @@ func (s *Swarm) Depart(id int) {
 	p.optimistic = -1
 	p.departed = true
 	p.departRound = s.round
-	p.slot = -1
+	s.slotOf[id] = -1
 	if p.done {
 		s.presentDone--
 	}
@@ -135,7 +135,7 @@ func (s *Swarm) Crash(id int) {
 	s.flushJoinRanks() // the shift below needs settled ranks
 	f := s.flt
 	p := &s.peers[id]
-	sl := p.slot
+	sl := s.slotOf[id]
 	// Stale-edge accounting: every present neighbor's half towards p goes
 	// stale; p's own halves towards already-crashed neighbors stop counting
 	// (their owner is no longer present). Surviving neighbors' candidate
@@ -147,7 +147,7 @@ func (s *Swarm) Crash(id int) {
 			f.staleEdges--
 		} else {
 			f.staleEdges++
-			s.markEdgeTouched(q.slot)
+			s.markEdgeTouched(s.rev[e] / s.edgeCap)
 		}
 	}
 	s.liveDegSum -= int64(s.deg[sl]) // p's own halves leave the present sum
@@ -184,13 +184,13 @@ func (s *Swarm) sweepCrashed() {
 			break
 		}
 		f.crashHead++
-		sl := p.slot
+		sl := s.slotOf[id]
 		base := sl * s.edgeCap
 		for s.deg[sl] > 0 {
 			e := base + s.deg[sl] - 1
 			q := &s.peers[s.nbr[e]]
 			er := s.rev[e]
-			s.availSub(q.slot, p.have)
+			s.availSub(er/s.edgeCap, p.have)
 			s.removeEdgeHalf(q, er)
 			s.deg[sl]--
 			if !q.departed {
@@ -202,7 +202,7 @@ func (s *Swarm) sweepCrashed() {
 			s.pieceProgress[i] = 0
 			s.avail[i] = 0
 		}
-		p.slot = -1
+		s.slotOf[id] = -1
 		s.slotPeer[sl] = -1
 		s.freeSlots = append(s.freeSlots, sl)
 		s.havePool = append(s.havePool, p.have)
@@ -414,6 +414,7 @@ func (s *Swarm) transfer() {
 			e := s.active[a]
 			v := &s.peers[s.nbr[e]]
 			ev := s.rev[e] // v's edge back to u: no neighbor-list search
+			vsl := int(ev / s.edgeCap)
 			moved := false
 			remaining := share
 			for remaining > 1e-9 && !v.done {
@@ -425,7 +426,7 @@ func (s *Swarm) transfer() {
 						break // u has nothing v needs
 					}
 				}
-				idx := int(v.slot)*P + piece
+				idx := vsl*P + piece
 				need := s.opt.PieceKbit - s.pieceProgress[idx]
 				amt := remaining
 				if need < amt {
@@ -445,7 +446,7 @@ func (s *Swarm) transfer() {
 				}
 			}
 			if moved {
-				bmSet(s.sh.windowNZ, int(v.slot))
+				bmSet(s.sh.windowNZ, vsl)
 			}
 		}
 	}
@@ -466,7 +467,7 @@ func (s *Swarm) pickPiece(v, u *peer) int {
 			s.mark[piece] = s.stamp
 		}
 	}
-	abase := int(v.slot) * s.opt.Pieces
+	abase := int(s.slotOf[v.id]) * s.opt.Pieces
 	bestFresh, bestFreshAvail := -1, int32(1<<30)
 	bestAny, bestAnyAvail := -1, int32(1<<30)
 	for piece := 0; piece < s.opt.Pieces; piece++ {
@@ -495,14 +496,15 @@ func (s *Swarm) completePiece(v *peer, piece int) {
 	v.haveCount++
 	P := s.opt.Pieces
 	base, end := s.edges(v.id)
-	s.markEdgeTouched(v.slot)
+	s.markEdgeTouched(base / s.edgeCap)
 	for e := base; e < end; e++ {
 		if s.inflight[e] == int32(piece) {
 			s.inflight[e] = -1
 		}
 		q := &s.peers[s.nbr[e]]
-		s.avail[int(q.slot)*P+piece]++
-		s.markEdgeTouched(q.slot)
+		qsl := s.rev[e] / s.edgeCap
+		s.avail[int(qsl)*P+piece]++
+		s.markEdgeTouched(qsl)
 		if q.have.has(piece) {
 			// v no longer misses this piece from q.
 			s.want[e]--

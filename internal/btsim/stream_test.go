@@ -24,7 +24,7 @@ func recountCompletedLeechers(s *Swarm) int {
 func recountLiveDegSum(s *Swarm) int64 {
 	var deg int64
 	for _, id := range s.trk.present {
-		deg += int64(s.deg[s.peers[id].slot])
+		deg += int64(s.deg[s.slotOf[id]])
 	}
 	return deg
 }

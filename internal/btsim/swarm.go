@@ -26,9 +26,13 @@
 // metrics. Connection state lives in fixed-stride CSR slots: a present peer
 // occupies slot sl and its edges are e ∈ [sl·edgeCap, sl·edgeCap+deg[sl]),
 // giving every peer edge-capacity headroom so joins and departures are
-// O(degree) swap-updates instead of rebuilds. Departed peers' slots go on a
-// free list and are recycled (grown by doubling only when the concurrent
-// population exceeds all past peaks). rev[e] is the index of the opposite
+// O(degree) swap-updates instead of rebuilds. The id → slot map is its own
+// array, slotOf, not a roster field: the tracker handout reads a
+// candidate's degree through it for every draw, and a 4-byte array entry
+// is much cheaper to fetch than a whole roster entry. Code holding an edge
+// index derives the slot from it instead (e / edgeCap). Departed peers'
+// slots go on a free list and are recycled (grown by doubling only when
+// the concurrent population exceeds all past peaks). rev[e] is the index of the opposite
 // edge, maintained across joins, departures and swap-deletes so no step
 // ever searches a neighbor list. Interest (want) and piece rarity (avail,
 // indexed by slot) are maintained incrementally on piece completion, edge
@@ -138,7 +142,6 @@ func (o *Options) withDefaults() Options {
 // package comment).
 type peer struct {
 	id       int
-	slot     int32 // CSR slot while present, −1 after departing
 	capacity float64
 	isSeed   bool // joined as a seed: never downloads
 	departed bool // left the swarm
@@ -184,6 +187,7 @@ type Swarm struct {
 	// and rev[e] the opposite edge's index.
 	edgeCap   int32
 	slotCap   int
+	slotOf    []int32 // peer id → CSR slot while present, −1 after departing
 	slotPeer  []int32 // slot → occupant peer id, −1 when free
 	freeSlots []int32 // stack of free slots
 	deg       []int32 // slot → current degree
@@ -302,7 +306,6 @@ func New(o Options) (*Swarm, error) {
 		}
 		p := &s.peers[i]
 		p.id = i
-		p.slot = int32(i)
 		p.capacity = capKbps
 		p.isSeed = i >= opt.Leechers
 		p.have = newBitset(opt.Pieces)
@@ -347,8 +350,10 @@ func New(o Options) (*Swarm, error) {
 	for sl := range s.slotPeer {
 		s.slotPeer[sl] = -1
 	}
+	s.slotOf = make([]int32, n, s.slotCap)
 	for i := 0; i < n; i++ {
 		s.slotPeer[i] = int32(i)
+		s.slotOf[i] = int32(i)
 	}
 	s.freeSlots = make([]int32, 0, s.slotCap)
 	for sl := s.slotCap - 1; sl >= n; sl-- {
@@ -415,7 +420,7 @@ func bandwidthRanks(peers []peer) []int {
 
 // edges returns the live edge range [base, end) of a present peer.
 func (s *Swarm) edges(id int) (base, end int32) {
-	sl := s.peers[id].slot
+	sl := s.slotOf[id]
 	base = sl * s.edgeCap
 	return base, base + s.deg[sl]
 }
@@ -448,7 +453,7 @@ func (s *Swarm) Degree(id int) int {
 	if id < 0 || id >= len(s.peers) || s.peers[id].departed {
 		return 0
 	}
-	return int(s.deg[s.peers[id].slot])
+	return int(s.deg[s.slotOf[id]])
 }
 
 // Join adds a new peer mid-simulation: it takes a recycled (or new) CSR
@@ -469,7 +474,6 @@ func (s *Swarm) Join(capacityKbps float64, asSeed bool) int {
 	}
 	s.peers = append(s.peers, peer{
 		id:          id,
-		slot:        sl,
 		capacity:    capacityKbps,
 		have:        bs,
 		isSeed:      asSeed,
@@ -486,6 +490,7 @@ func (s *Swarm) Join(capacityKbps float64, asSeed bool) int {
 		p.doneRound = s.round
 		s.presentDone++
 	}
+	s.slotOf = append(s.slotOf, sl)
 	s.slotPeer[sl] = int32(id)
 	s.present++
 	if s.flt != nil {
@@ -561,7 +566,7 @@ func (s *Swarm) grow() {
 // the per-edge transfer state and the incremental interest and availability
 // counters. Callers guarantee headroom on both sides and no existing edge.
 func (s *Swarm) addEdge(a, b *peer) {
-	asl, bsl := a.slot, b.slot
+	asl, bsl := s.slotOf[a.id], s.slotOf[b.id]
 	ea := asl*s.edgeCap + s.deg[asl]
 	eb := bsl*s.edgeCap + s.deg[bsl]
 	s.nbr[ea], s.nbr[eb] = int32(b.id), int32(a.id)
@@ -585,7 +590,7 @@ func (s *Swarm) addEdge(a, b *peer) {
 // last edge into its place and fixing the moved edge's reverse pointer (and
 // q's optimistic slot, if it referenced either edge).
 func (s *Swarm) removeEdgeHalf(q *peer, er int32) {
-	qsl := q.slot
+	qsl := s.slotOf[q.id]
 	last := qsl*s.edgeCap + s.deg[qsl] - 1
 	if q.optimistic == er {
 		q.optimistic = -1
@@ -614,8 +619,9 @@ func (s *Swarm) removeEdgeHalf(q *peer, er int32) {
 
 // hasEdge reports whether peer a already has a connection to peer id b.
 func (s *Swarm) hasEdge(a *peer, b int) bool {
-	base := a.slot * s.edgeCap
-	for e := base; e < base+s.deg[a.slot]; e++ {
+	asl := s.slotOf[a.id]
+	base := asl * s.edgeCap
+	for e := base; e < base+s.deg[asl]; e++ {
 		if s.nbr[e] == int32(b) {
 			return true
 		}

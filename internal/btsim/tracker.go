@@ -55,8 +55,8 @@ func (s *Swarm) Announce(id int) int {
 	if id < 0 || id >= len(s.peers) || s.peers[id].departed {
 		return 0
 	}
-	p := &s.peers[id]
-	if p.slot < 0 {
+	sl := s.slotOf[id]
+	if sl < 0 {
 		// The peer's slot has been recycled out from under it — a stale
 		// re-announce replayed across a checkpoint/resume boundary can do
 		// this. Touching the CSR arrays would read another occupant's block,
@@ -66,11 +66,11 @@ func (s *Swarm) Announce(id int) int {
 	s.tel.Inc(telemetry.CtrAnnounces)
 	if f := s.flt; f != nil {
 		if f.trackerDown || (f.lossRate > 0 && f.r.Bool(f.lossRate)) {
-			f.announceFailed(p.slot, s.round)
+			f.announceFailed(sl, s.round)
 			s.tel.Inc(telemetry.CtrAnnounceFailures)
 			return 0
 		}
-		f.announceOK(p.slot)
+		f.announceOK(sl)
 	}
 	// The selection loop itself is the shared HandoutPolicy (handout.go):
 	// the trackerd service registry runs the identical policy, so served
@@ -98,7 +98,7 @@ func (s *Swarm) ReannounceUnderConnected(interval int) int {
 		if interval > 1 && (s.round+id)%interval != 0 {
 			continue
 		}
-		sl := s.peers[id].slot
+		sl := s.slotOf[id]
 		if sl < 0 {
 			continue // slot recycled under a stale registry entry; see Announce
 		}
