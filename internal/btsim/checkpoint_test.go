@@ -327,23 +327,53 @@ func TestResumeSpec(t *testing.T) {
 }
 
 // checkpointPins holds the sha256 of each catalog scenario's round-100
-// checkpoint file at seed 1, scale 0.3.
-var checkpointPins = map[string]string{
-	"flashcrowd":  "91c7fabf2566632a4b7b4ab280c1fffe76c1b5a1694c1924f9b0a4de92ae7ffa",
-	"poisson":     "74e505ae4c02b21160a3e7a50eaf676b8cafe867e9b966db8466ab171e50ad1c",
-	"massdepart":  "8b0fdb0b87cc565eac0af0719f5247959172d97676577af25716181185e2256e",
-	"tracereplay": "9595ab87fc13a175c74d53365eda00fea7a2b550985a7000eb3ab84484fe4b45",
-	"seedstarve":  "f20305d43604e24b5f9e83e984d46cc81bf309e64751713b3398c41d24f4954b",
-	"slowquit":    "af3934e30443af3d38a91b6304b2d4c79f104983f5455159fc39558da7e35c07",
-	"trackerdown": "8c213f156ab5a607068be793f587ccb56bf8f7f94e3ca029fe137c24d8e4d0da",
-	"splitbrain":  "2c428ad134ee1c28b86ac4accf4b333b2a2e79e2932c4236e6778f31bf93457e",
-	"crashcrowd":  "b83e27dc95e0c4f76e3f76ef16c8b176cf56adcbf3a1f0e93c33673f0f880c98",
+// checkpoint file and of its last one, at seed 1, scale 0.3. The first
+// checkpoint of a run is encoded into a fresh buffer; every later one
+// reuses the run's buffer, so the second hash pins that a reused buffer
+// carries nothing over from the checkpoint before it.
+var checkpointPins = map[string][2]string{
+	"flashcrowd": {
+		"91c7fabf2566632a4b7b4ab280c1fffe76c1b5a1694c1924f9b0a4de92ae7ffa",
+		"66ba789137292b6d4c27d17be0f7a194ef001cddfd238c3630ebf2ab6e9bc6ad", // ckpt-000000600.ckpt
+	},
+	"poisson": {
+		"74e505ae4c02b21160a3e7a50eaf676b8cafe867e9b966db8466ab171e50ad1c",
+		"c988c0f28df8ab6cf37b8f408161ab470031c2ffa688dc64fc61177f0e7b6a66", // ckpt-000000800.ckpt
+	},
+	"massdepart": {
+		"8b0fdb0b87cc565eac0af0719f5247959172d97676577af25716181185e2256e",
+		"90ee55a0873eff4365d116f7bedbb269c558b151d22acd7d4f70ef65f771d985", // ckpt-000000700.ckpt
+	},
+	"tracereplay": {
+		"9595ab87fc13a175c74d53365eda00fea7a2b550985a7000eb3ab84484fe4b45",
+		"1d1a84f03d6835928aa8fa0ccb2771948b9009ac081079c4e5bcd6805da639e4", // ckpt-000000500.ckpt
+	},
+	"seedstarve": {
+		"f20305d43604e24b5f9e83e984d46cc81bf309e64751713b3398c41d24f4954b",
+		"a89fcb1b552bf8e96fe5e2018a9cca1c986723635064b086a48bed633c6f263d", // ckpt-000000500.ckpt
+	},
+	"slowquit": {
+		"af3934e30443af3d38a91b6304b2d4c79f104983f5455159fc39558da7e35c07",
+		"d3686b8582553409fe247b097f94879a4808cc47a35b22e929dd76728d16a1f5", // ckpt-000000500.ckpt
+	},
+	"trackerdown": {
+		"8c213f156ab5a607068be793f587ccb56bf8f7f94e3ca029fe137c24d8e4d0da",
+		"688678da2479488782e690ea00a6d3c7b42798beb8f5019fca1e59b45a4bd34d", // ckpt-000000800.ckpt
+	},
+	"splitbrain": {
+		"2c428ad134ee1c28b86ac4accf4b333b2a2e79e2932c4236e6778f31bf93457e",
+		"11ac714dc52e7bfc404e1a8baf908619645299709465cff655d432563d7ec53f", // ckpt-000000600.ckpt
+	},
+	"crashcrowd": {
+		"b83e27dc95e0c4f76e3f76ef16c8b176cf56adcbf3a1f0e93c33673f0f880c98",
+		"ec56a13d83aee7e1cf0d250556151706cb4750957f8c9d59d561031124ecdaab", // ckpt-000000600.ckpt
+	},
 }
 
 // TestCheckpointBytesPinned pins the checkpoint codec's output bytes: a
 // refactor of the roster, the CSR arrays or the codec itself must leave
-// every catalog scenario's round-100 checkpoint byte-identical. A format
-// change that moves them on purpose bumps checkpoint.Version and
+// every catalog scenario's first and last checkpoint byte-identical. A
+// format change that moves them on purpose bumps checkpoint.Version and
 // re-records the table.
 func TestCheckpointBytesPinned(t *testing.T) {
 	if got, want := len(checkpointPins), len(ScenarioNames()); got != want {
@@ -362,12 +392,18 @@ func TestCheckpointBytesPinned(t *testing.T) {
 			if _, err := sc.Run(); err != nil {
 				t.Fatal(err)
 			}
-			b, err := os.ReadFile(filepath.Join(dir, checkpoint.FileName(100)))
+			last, err := checkpoint.Latest(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != checkpointPins[name] {
-				t.Fatalf("round-100 checkpoint sha256 %s, pinned %s", got, checkpointPins[name])
+			for i, path := range []string{filepath.Join(dir, checkpoint.FileName(100)), last} {
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != checkpointPins[name][i] {
+					t.Errorf("%s sha256 %s, pinned %s", filepath.Base(path), got, checkpointPins[name][i])
+				}
 			}
 		})
 	}

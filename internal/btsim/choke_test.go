@@ -1,6 +1,10 @@
 package btsim
 
-import "testing"
+import (
+	"testing"
+
+	"stratmatch/internal/rng"
+)
 
 func TestChokeSlotsBounded(t *testing.T) {
 	// A leecher never holds more than TFTSlots unchoked neighbors plus one
@@ -94,6 +98,83 @@ func TestRarestFirstPicksRarest(t *testing.T) {
 	// From peer 2 (has only piece 0), peer 0 must accept piece 0.
 	if got := s.pickPiece(&s.peers[0], &s.peers[2]); got != 0 {
 		t.Fatalf("picked %d from a single-piece holder", got)
+	}
+}
+
+// pickPieceOracle is pickPiece written as the plain per-piece scan: the
+// lowest-numbered rarest piece u has and v lacks, among pieces none of v's
+// connections is feeding if there are any, else among all of them.
+func pickPieceOracle(s *Swarm, v, u *peer) int {
+	inflight := make(map[int]bool)
+	base, end := s.edges(v.id)
+	for e := base; e < end; e++ {
+		if piece := s.inflight[e]; piece >= 0 {
+			inflight[int(piece)] = true
+		}
+	}
+	avail := s.avail[int(s.slotOf[v.id])*s.opt.Pieces:]
+	fresh, rarest := -1, -1
+	for piece := 0; piece < s.opt.Pieces; piece++ {
+		if v.have.has(piece) || !u.have.has(piece) {
+			continue
+		}
+		if rarest < 0 || avail[piece] < avail[rarest] {
+			rarest = piece
+		}
+		if !inflight[piece] && (fresh < 0 || avail[piece] < avail[fresh]) {
+			fresh = piece
+		}
+	}
+	if fresh >= 0 {
+		return fresh
+	}
+	return rarest
+}
+
+// TestPickPieceMatchesOracle checks the word-at-a-time rarest-first scan
+// against the per-piece oracle across bitset word boundaries (the catalog
+// runs 32 pieces, one word), on random have sets of every density, heavily
+// tied availability counts and random in-flight marks.
+func TestPickPieceMatchesOracle(t *testing.T) {
+	r := rng.New(41)
+	for _, pieces := range []int{1, 63, 64, 65, 130} {
+		s, err := New(Options{Leechers: 6, Seeds: 1, Pieces: pieces, PieceKbit: 100,
+			NeighborCount: 4, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		randomHave := func(b bitset, density float64) {
+			b.clear()
+			for i := 0; i < pieces; i++ {
+				if r.Bool(density) {
+					b.set(i)
+				}
+			}
+		}
+		densities := []float64{0, 0.1, 0.5, 0.9, 1}
+		for trial := 0; trial < 400; trial++ {
+			v := &s.peers[r.Intn(len(s.peers))]
+			u := &s.peers[r.Intn(len(s.peers))]
+			if u == v {
+				continue
+			}
+			randomHave(v.have, densities[r.Intn(len(densities))])
+			randomHave(u.have, densities[r.Intn(len(densities))])
+			abase := int(s.slotOf[v.id]) * pieces
+			for i := 0; i < pieces; i++ {
+				s.avail[abase+i] = int32(r.Intn(3))
+			}
+			base, end := s.edges(v.id)
+			for e := base; e < end; e++ {
+				s.inflight[e] = -1
+				if r.Bool(0.6) {
+					s.inflight[e] = int32(r.Intn(pieces))
+				}
+			}
+			if got, want := s.pickPiece(v, u), pickPieceOracle(s, v, u); got != want {
+				t.Fatalf("pieces=%d trial %d: pickPiece %d, oracle %d", pieces, trial, got, want)
+			}
+		}
 	}
 }
 

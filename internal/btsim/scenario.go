@@ -104,6 +104,10 @@ type Scenario struct {
 	// verify — or recover — the exact workload. Empty for hand-built
 	// scenarios.
 	specJSON []byte
+	// shardSlots overrides a fresh run's shard width (0: the default). It
+	// lets tests put shard boundaries inside catalog-sized populations; a
+	// resumed run takes the width from its checkpoint.
+	shardSlots int
 }
 
 // Event is a scheduled membership shock: at Round, DepartFraction of the
@@ -271,6 +275,9 @@ func (sc Scenario) freshRun() (*scenarioRun, error) {
 	s, err := New(opt)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+	}
+	if sc.shardSlots > 0 {
+		s.setShardSlots(sc.shardSlots)
 	}
 	// The fault sub-stream splits off only when faults are present, so a
 	// fault-free scenario's churn and capacity streams — and therefore its

@@ -10,30 +10,52 @@ import (
 	"stratmatch/internal/telemetry"
 )
 
+// testShardSlots is the shard width the cross-worker catalog tests run
+// at. At the default width every catalog scenario fits in one shard, which
+// steps inline whatever the worker count, so these tests run the catalog at
+// scale 1 (160 to 342 slots) with the narrowest legal shards, so each
+// scenario spans several shards and the pool really splits the work.
+const testShardSlots = 64
+
+// runMultiShard runs sc from scratch at testShardSlots-wide shards and
+// returns the result, failing the test unless the swarm has grown to at
+// least two shards by the end of the run.
+func runMultiShard(t *testing.T, sc Scenario) *ScenarioResult {
+	t.Helper()
+	sc.shardSlots = testShardSlots
+	run, err := sc.freshRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := seriesCollector{res: ScenarioResult{Name: sc.Name}}
+	if err := run.loop(&col); err != nil {
+		t.Fatal(err)
+	}
+	if n := run.s.numShards(); n < 2 {
+		t.Fatalf("scenario %s reached %d shard(s) at width %d, want at least 2", sc.Name, n, testShardSlots)
+	}
+	return &col.res
+}
+
 // TestShardedStepByteIdenticalCatalog is the tentpole acceptance property:
-// every catalog scenario — churn and faults alike — produces a result
-// byte-identical to the serial run at every tested worker count. Shards own
-// their RNG sub-streams and cross-shard effects merge in slot order, so the
-// worker count must be invisible in the output.
+// every catalog scenario — churn and faults, piece mode included — run
+// across several shards produces a result byte-identical to the serial run
+// at every tested worker count. Shards own their RNG sub-streams and
+// cross-shard effects merge in slot order, so the worker count must be
+// invisible in the output.
 func TestShardedStepByteIdenticalCatalog(t *testing.T) {
 	for _, name := range ScenarioNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			serial, err := NamedScenario(name, 11, 0.15)
+			base, err := NamedScenario(name, 11, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			golden, err := serial.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			goldenStr := fmtResult(golden)
+			goldenStr := fmtResult(runMultiShard(t, base))
+			base.shardSlots = testShardSlots
 			for _, workers := range []int{2, 4} {
-				sc, err := NamedScenario(name, 11, 0.15)
-				if err != nil {
-					t.Fatal(err)
-				}
+				sc := base
 				sc.StepWorkers = workers
 				res, err := sc.Run()
 				if err != nil {
@@ -359,10 +381,10 @@ func TestEventDrivenSkipsHappen(t *testing.T) {
 }
 
 // TestCheckpointResumeAcrossWorkerCounts pins that the worker count is a
-// pure runtime knob end to end: a run checkpointed under 4 workers resumes
-// byte-identically under 1 worker and under 4, matching the serial golden
-// run's tail. Checkpoints carry per-shard RNG positions and dirty-set
-// state, never the worker count.
+// pure runtime knob end to end: a multi-shard run checkpointed under 4
+// workers resumes byte-identically under 1 worker and under 4, matching the
+// serial golden run's tail. Checkpoints carry the shard width, per-shard RNG
+// positions and dirty-set state, never the worker count.
 func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("checkpoint matrix")
@@ -371,11 +393,17 @@ func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			sc := ckptScenario(t, name, 21)
-			golden, err := sc.Run()
+			sp, err := NamedSpec(name, 21, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sp.SampleEvery = 1 // the golden tail below slices the series by round
+			sc, err := sp.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := runMultiShard(t, sc)
+			sc.shardSlots = testShardSlots
 			goldenStr := fmtResult(golden)
 
 			dir := t.TempDir()
