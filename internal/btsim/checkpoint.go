@@ -85,7 +85,8 @@ func (run *scenarioRun) writeCheckpoint(nextRound int) error {
 }
 
 // encode serializes the complete run state as a checkpoint payload whose
-// resume point is nextRound.
+// resume point is nextRound. The payload lives in the run's writer buffer
+// and is valid until the next encode.
 func (run *scenarioRun) encode(nextRound int) ([]byte, error) {
 	sc := run.sc
 	s := run.s
@@ -94,7 +95,8 @@ func (run *scenarioRun) encode(nextRound int) ([]byte, error) {
 	// rank reader would have flushed anyway, so it cannot perturb the
 	// trajectory.
 	s.flushJoinRanks()
-	var w checkpoint.Writer
+	w := &run.ckpt
+	w.Reset()
 
 	// Binding: what workload this snapshot belongs to.
 	w.String(sc.Name)
@@ -107,7 +109,7 @@ func (run *scenarioRun) encode(nextRound int) ([]byte, error) {
 	w.Bool(run.alive)
 	w.F64(run.sampler.classes.lo)
 	w.F64(run.sampler.classes.hi)
-	writeRNG(&w, run.churnR)
+	writeRNG(w, run.churnR)
 	w.Bool(run.faultsOn)
 
 	// Swarm options, resolved: defaults applied and (for capacity-sampled
@@ -119,7 +121,7 @@ func (run *scenarioRun) encode(nextRound int) ([]byte, error) {
 	}
 	w.Blob(optJSON)
 	w.Int(s.round)
-	writeRNG(&w, s.r)
+	writeRNG(w, s.r)
 	w.Int(int(s.edgeCap))
 	w.Int(s.slotCap)
 	w.Int(s.present)
@@ -196,7 +198,7 @@ func (run *scenarioRun) encode(nextRound int) ([]byte, error) {
 			return nil, err
 		}
 		w.Blob(fspecJSON)
-		writeRNG(&w, f.r)
+		writeRNG(w, f.r)
 		w.Bool(f.trackerDown)
 		w.F64(f.lossRate)
 		w.Bool(f.partitionOn)
@@ -231,7 +233,7 @@ func (run *scenarioRun) encode(nextRound int) ([]byte, error) {
 	w.Int(s.sh.slotsPerShard)
 	w.Int(len(s.sh.streams))
 	for _, sr := range s.sh.streams {
-		writeRNG(&w, sr)
+		writeRNG(w, sr)
 	}
 	w.U64s(s.sh.chokeDirty)
 	w.U64s(s.sh.windowNZ)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -406,6 +407,47 @@ func TestCheckpointBytesPinned(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCheckpointWriteReusesBuffer pins the steady state of the checkpoint
+// write path: once a run's first checkpoint has sized its encode buffer,
+// every later writeCheckpoint allocates less than an eighth of its payload
+// — no payload-sized copy to seal it, no buffer regrown from empty.
+func TestCheckpointWriteReusesBuffer(t *testing.T) {
+	if raceEnabled {
+		// The race detector makes sync.Pool drop items at random, so the
+		// pooled buffers of encoding/json and os.ReadDir reallocate.
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	sc, err := NamedScenario("poisson", 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.CheckpointDir = t.TempDir()
+	run, err := sc.freshRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := 300
+	run.s.Run(round)
+	if err := run.writeCheckpoint(round); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		run.s.Run(10)
+		round += 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := run.writeCheckpoint(round); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		alloc, payload := after.TotalAlloc-before.TotalAlloc, uint64(run.ckpt.Len())
+		if alloc*8 >= payload {
+			t.Errorf("checkpoint at round %d allocated %d bytes for a %d-byte payload, want < 1/8",
+				round, alloc, payload)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"stratmatch/internal/checkpoint"
 	"stratmatch/internal/rng"
 	"stratmatch/internal/stats"
 	"stratmatch/internal/telemetry"
@@ -247,6 +248,9 @@ type scenarioRun struct {
 	sampleEvery int
 	reannounce  int
 	faultsOn    bool
+	// ckpt is the checkpoint encode buffer, reused by every checkpoint of
+	// the run.
+	ckpt checkpoint.Writer
 }
 
 // freshRun builds the run state for a from-scratch execution.

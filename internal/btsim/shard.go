@@ -14,7 +14,8 @@ package btsim
 // of the shard index, independent of worker count and of when the shard
 // was materialised) and global state frozen for the phase. The result is
 // therefore byte-identical at any worker count, including workers == 1,
-// which runs the same passes inline with no pool.
+// which runs the same passes inline with no pool (as does a swarm of one
+// shard at any worker count).
 //
 // Cross-shard writes are confined to two order-free channels:
 //
@@ -63,10 +64,11 @@ import (
 )
 
 // defaultShardSlots is the production shard width: wide enough that a
-// 10^4-peer swarm stays effectively serial (one shard, no cross-shard
-// traffic), narrow enough that a 10^6-peer swarm has ~500 shards to load-
-// balance across workers. Tests shrink it (setShardSlots) to force churn
-// across shard boundaries.
+// swarm of up to 2048 slots (every catalog scenario through scale 5) is one
+// shard, which runShards steps inline without waking the worker pool,
+// narrow enough that a 10^6-peer swarm has ~500 shards to load-balance
+// across workers. Tests shrink it (setShardSlots, Scenario.shardSlots) to
+// force churn across shard boundaries.
 const defaultShardSlots = 2048
 
 // Parallel phase discriminators for runShards.
@@ -244,12 +246,14 @@ func (s *Swarm) Close() {
 }
 
 // runShards executes one phase over every shard: inline in shard order
-// when serial, via the persistent pool otherwise. Shard handout order is
-// irrelevant to the result (each shard is self-contained for the phase),
-// so the atomic cursor needs no further coordination.
+// when serial or when the swarm has a single shard (waking the pool would
+// only hand that shard to one worker and leave the rest idle), via the
+// persistent pool otherwise. Shard handout order is irrelevant to the
+// result (each shard is self-contained for the phase), so the atomic
+// cursor needs no further coordination.
 func (s *Swarm) runShards(ph int) {
 	n := s.numShards()
-	if s.sh.workers <= 1 || s.sh.pool == nil {
+	if n == 1 || s.sh.pool == nil {
 		for k := 0; k < n; k++ {
 			s.runShard(k, ph, 0)
 		}

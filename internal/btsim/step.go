@@ -1,6 +1,8 @@
 package btsim
 
 import (
+	"math/bits"
+
 	"stratmatch/internal/rng"
 	"stratmatch/internal/telemetry"
 )
@@ -468,18 +470,22 @@ func (s *Swarm) pickPiece(v, u *peer) int {
 		}
 	}
 	abase := int(s.slotOf[v.id]) * s.opt.Pieces
+	avail := s.avail[abase : abase+s.opt.Pieces]
 	bestFresh, bestFreshAvail := -1, int32(1<<30)
 	bestAny, bestAnyAvail := -1, int32(1<<30)
-	for piece := 0; piece < s.opt.Pieces; piece++ {
-		if v.have.has(piece) || !u.have.has(piece) {
-			continue
-		}
-		a := s.avail[abase+piece]
-		if a < bestAnyAvail {
-			bestAny, bestAnyAvail = piece, a
-		}
-		if s.mark[piece] != s.stamp && a < bestFreshAvail {
-			bestFresh, bestFreshAvail = piece, a
+	// Visit the pieces u has and v lacks a bitset word at a time, in
+	// ascending order (bits past the piece count are never set), so the
+	// strict < keeps the lowest-numbered piece among equally rare ones.
+	for i, uw := range u.have.words {
+		for m := uw &^ v.have.words[i]; m != 0; m &= m - 1 {
+			piece := i<<6 | bits.TrailingZeros64(m)
+			a := avail[piece]
+			if a < bestAnyAvail {
+				bestAny, bestAnyAvail = piece, a
+			}
+			if s.mark[piece] != s.stamp && a < bestFreshAvail {
+				bestFresh, bestFreshAvail = piece, a
+			}
 		}
 	}
 	if bestFresh >= 0 {

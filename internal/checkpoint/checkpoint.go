@@ -14,11 +14,15 @@
 //   - Primitives: Writer appends fixed-width values and length-prefixed
 //     slices; Reader is its sticky-error inverse. Every slice read guards
 //     its length prefix against the bytes actually remaining, so a hostile
-//     length cannot drive a huge allocation.
+//     length cannot drive a huge allocation. A Writer is reusable: Reset
+//     empties it and keeps its buffer, so a run that checkpoints
+//     repeatedly encodes every snapshot into the same memory.
 //   - Durability: WriteFile writes atomically (tmp file in the target
 //     directory, fsync, rename), so a crash mid-write can never leave a
-//     half-written checkpoint under the final name. Latest and Rotate
-//     manage a directory of numbered snapshots (keep the newest K).
+//     half-written checkpoint under the final name. It writes the header
+//     and then the caller's payload buffer, so sealing copies nothing.
+//     Latest and Rotate manage a directory of numbered snapshots (keep
+//     the newest K).
 //
 // Integers are encoded as 8-byte little-endian words and floats as their
 // IEEE-754 bits: the format favors simplicity and exactness (float64 values
@@ -62,16 +66,23 @@ var ErrCorrupt = errors.New("corrupt checkpoint")
 // understand.
 var ErrVersion = errors.New("unsupported checkpoint version")
 
-// Seal wraps a payload in the container framing: magic, version, payload
-// length, CRC32 (of the payload), payload.
+// header returns the container framing that precedes payload: magic,
+// version, payload length and the payload's CRC32.
+func header(payload []byte) [headerSize]byte {
+	var h [headerSize]byte
+	copy(h[:], magic)
+	binary.LittleEndian.PutUint32(h[8:], Version)
+	binary.LittleEndian.PutUint64(h[12:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(h[20:], crc32.ChecksumIEEE(payload))
+	return h
+}
+
+// Seal wraps a payload in the container framing: the header, then the
+// payload. WriteFile writes the same bytes without building them in one
+// buffer.
 func Seal(payload []byte) []byte {
-	out := make([]byte, headerSize+len(payload))
-	copy(out, magic)
-	binary.LittleEndian.PutUint32(out[8:], Version)
-	binary.LittleEndian.PutUint64(out[12:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(out[20:], crc32.ChecksumIEEE(payload))
-	copy(out[headerSize:], payload)
-	return out
+	h := header(payload)
+	return append(h[:], payload...)
 }
 
 // Open verifies a sealed container and returns its payload. Every failure
@@ -103,10 +114,15 @@ func Open(data []byte) ([]byte, error) {
 }
 
 // Writer appends fixed-width primitives to a growing payload buffer. The
-// zero value is ready to use.
+// zero value is ready to use; Reset empties it for the next payload while
+// keeping its capacity, so a writer reused across checkpoints stops
+// growing once it has held the largest one.
 type Writer struct {
 	buf []byte
 }
+
+// Reset discards the accumulated payload and keeps the buffer.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
 // Bytes returns the accumulated payload.
 func (w *Writer) Bytes() []byte { return w.buf }
@@ -368,38 +384,57 @@ func (r *Reader) Bools() []bool {
 	return s
 }
 
-// WriteFile seals the payload and writes it atomically: the bytes go to a
-// temporary file in the destination directory, are fsynced, and the file is
-// renamed over the final path. A crash at any point leaves either the old
-// checkpoint or the new one under path — never a torn mix.
+// fileSystem is the file-system surface WriteFile writes through: the
+// temp file's write and sync, and the rename into place.
+type fileSystem struct {
+	write  func(f *os.File, b []byte) (int, error)
+	sync   func(f *os.File) error
+	rename func(oldpath, newpath string) error
+}
+
+// fileOps is the fileSystem WriteFile uses. Tests swap in failing versions
+// to inject write faults.
+var fileOps = fileSystem{
+	write:  (*os.File).Write,
+	sync:   (*os.File).Sync,
+	rename: os.Rename,
+}
+
+// WriteFile writes the sealed payload atomically: the header and then the
+// caller's payload go to a temporary file in the destination directory,
+// which is fsynced and renamed over the final path. A crash or a failed
+// write at any point leaves either the old checkpoint or the new one under
+// path — never a torn mix — and a failure removes the temporary file. It
+// returns the file size.
 func WriteFile(path string, payload []byte) (int, error) {
-	data := Seal(payload)
+	h := header(payload)
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: %w", err)
 	}
 	tmpName := tmp.Name()
-	cleanup := func(err error) (int, error) {
+	fail := func(err error) (int, error) {
 		tmp.Close()
 		os.Remove(tmpName)
 		return 0, fmt.Errorf("checkpoint: write %s: %w", path, err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
+	if _, err := fileOps.write(tmp, h[:]); err != nil {
+		return fail(err)
 	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
+	if _, err := fileOps.write(tmp, payload); err != nil {
+		return fail(err)
+	}
+	if err := fileOps.sync(tmp); err != nil {
+		return fail(err)
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("checkpoint: write %s: %w", path, err)
+		return fail(err)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("checkpoint: write %s: %w", path, err)
+	if err := fileOps.rename(tmpName, path); err != nil {
+		return fail(err)
 	}
-	return len(data), nil
+	return headerSize + len(payload), nil
 }
 
 // ReadFile reads and verifies a checkpoint file, returning its payload.

@@ -5,6 +5,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -208,6 +210,104 @@ func TestWriteFileReadFileRoundTrip(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("directory holds %d entries, want just the checkpoint", len(entries))
+	}
+}
+
+// writeFaults names the failures injectWriteFault plants in WriteFile.
+var writeFaults = []string{"header", "payload", "sync", "rename"}
+
+// injectWriteFault makes WriteFile fail, until the test ends, while it
+// writes the checkpoint named target: with ENOSPC on the header write
+// ("header"), with EIO after half the payload has reached the file
+// ("payload"), with EIO from fsync ("sync") or from the rename into place
+// ("rename"). Writes of other checkpoints go through. It returns the
+// injected error.
+func injectWriteFault(t testing.TB, fault, target string) error {
+	t.Helper()
+	saved := fileOps
+	t.Cleanup(func() { fileOps = saved })
+	hit := func(name string) bool { return strings.HasPrefix(filepath.Base(name), target+".tmp") }
+	writes := 0 // writes to the target's temp file so far
+	switch fault {
+	case "header", "payload":
+		failAt := 1 // the header is the temp file's first write, the payload its second
+		if fault == "payload" {
+			failAt = 2
+		}
+		fileOps.write = func(f *os.File, b []byte) (int, error) {
+			if !hit(f.Name()) {
+				return saved.write(f, b)
+			}
+			if writes++; writes < failAt {
+				return saved.write(f, b)
+			}
+			if fault == "header" {
+				return 0, syscall.ENOSPC
+			}
+			n, _ := saved.write(f, b[:len(b)/2])
+			return n, syscall.EIO
+		}
+		if fault == "header" {
+			return syscall.ENOSPC
+		}
+	case "sync":
+		fileOps.sync = func(f *os.File) error {
+			if hit(f.Name()) {
+				return syscall.EIO
+			}
+			return saved.sync(f)
+		}
+	case "rename":
+		fileOps.rename = func(oldpath, newpath string) error {
+			if hit(oldpath) {
+				return &os.LinkError{Op: "rename", Old: oldpath, New: newpath, Err: syscall.EIO}
+			}
+			return saved.rename(oldpath, newpath)
+		}
+	default:
+		t.Fatalf("unknown write fault %q", fault)
+	}
+	return syscall.EIO
+}
+
+// TestWriteFileFaults injects a failure at each step of WriteFile after a
+// good checkpoint is on disk: the error names the path and the cause, no
+// temp file is left behind, and Latest still returns the good checkpoint,
+// which still reads back.
+func TestWriteFileFaults(t *testing.T) {
+	payload, verify := buildPayload(t)
+	for _, fault := range writeFaults {
+		t.Run(fault, func(t *testing.T) {
+			dir := t.TempDir()
+			good := filepath.Join(dir, FileName(100))
+			if _, err := WriteFile(good, payload); err != nil {
+				t.Fatal(err)
+			}
+			bad := filepath.Join(dir, FileName(200))
+			injected := injectWriteFault(t, fault, FileName(200))
+			_, err := WriteFile(bad, payload)
+			if err == nil {
+				t.Fatal("WriteFile succeeded through an injected fault")
+			}
+			if !errors.Is(err, injected) || !strings.Contains(err.Error(), bad) {
+				t.Errorf("error %q does not name %s and wrap %v", err, bad, injected)
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmps) > 0 {
+				t.Errorf("temp files left behind: %v", tmps)
+			}
+			if _, err := os.Stat(bad); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("failed checkpoint exists under its final name: %v", err)
+			}
+			latest, err := Latest(dir)
+			if err != nil || latest != good {
+				t.Fatalf("Latest = %q, %v; want %s", latest, err, good)
+			}
+			got, err := ReadFile(latest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verify(NewReader(got))
+		})
 	}
 }
 
