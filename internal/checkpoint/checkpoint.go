@@ -414,25 +414,25 @@ func WriteFile(path string, payload []byte) (int, error) {
 		return 0, fmt.Errorf("checkpoint: %w", err)
 	}
 	tmpName := tmp.Name()
-	fail := func(err error) (int, error) {
+	cleanup := func(err error) (int, error) {
 		tmp.Close()
 		os.Remove(tmpName)
 		return 0, fmt.Errorf("checkpoint: write %s: %w", path, err)
 	}
 	if _, err := fileOps.write(tmp, h[:]); err != nil {
-		return fail(err)
+		return cleanup(err)
 	}
 	if _, err := fileOps.write(tmp, payload); err != nil {
-		return fail(err)
+		return cleanup(err)
 	}
 	if err := fileOps.sync(tmp); err != nil {
-		return fail(err)
+		return cleanup(err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fail(err)
+		return cleanup(err)
 	}
 	if err := fileOps.rename(tmpName, path); err != nil {
-		return fail(err)
+		return cleanup(err)
 	}
 	return headerSize + len(payload), nil
 }
