@@ -11,10 +11,10 @@ import (
 )
 
 // testShardSlots is the shard width the cross-worker catalog tests run
-// at. At the default width every catalog scenario fits in one shard, which
-// steps inline whatever the worker count, so these tests run the catalog at
-// scale 1 (160 to 342 slots) with the narrowest legal shards, so each
-// scenario spans several shards and the pool really splits the work.
+// at. At the default width every catalog scenario is one shard, which
+// steps inline whatever the worker count. At scale 1 (160 to 342 slots)
+// and the narrowest legal width, each scenario spans several shards and
+// the pool really splits the work.
 const testShardSlots = 64
 
 // runMultiShard runs sc from scratch at testShardSlots-wide shards and
