@@ -10,6 +10,14 @@ package btsim
 // the sample/event stream and final result the uninterrupted run would
 // have produced from that round on.
 //
+// The layout is written down once. Each section of the state — binding,
+// runner, swarm header, roster, slot arrays, CSR edges, tracker, faults,
+// shards — has one walk that names its fields in order through a codec.
+// In write mode (encode) the codec appends each field; in read mode
+// (loadCheckpoint) it reads each field back into the same variable, so
+// the encoder and the decoder cannot drift apart. ResumeSpec walks the
+// binding section alone.
+//
 // What is deliberately NOT saved is everything reconstructible without
 // observable effect: scratch buffers (candidate/active lists, the
 // pickPiece mark array — a fresh zero stamp is behaviorally identical),
@@ -18,11 +26,15 @@ package btsim
 // (rebuilt from the registry), and telemetry (runtime instrumentation,
 // never simulation state).
 //
-// Loading trusts nothing: the codec layer rejects truncation, bit flips
-// and version skew; the decoder bounds-checks every index and size before
-// it allocates or writes; and the restored swarm must pass the full
-// CheckInvariants audit before a single round runs. A corrupt file yields
-// a descriptive error, never a panic and never silently-wrong state.
+// Loading trusts nothing. The container layer rejects truncation, bit
+// flips and version skew. The swarm options and fault spec a file saves
+// must equal the ones the scenario derives, so no saved value chooses the
+// edge stride or the piece count. In read mode the codec checks every
+// count, index and length before the allocation or index it guards, and
+// the first failed check ends the walk. The restored swarm must then pass
+// the full CheckInvariants audit before a single round runs. A corrupt
+// file yields a descriptive error, never a panic and never silently-wrong
+// state.
 
 import (
 	"bytes"
@@ -88,174 +100,466 @@ func (run *scenarioRun) writeCheckpoint(nextRound int) error {
 // resume point is nextRound. The payload lives in the run's writer buffer
 // and is valid until the next encode.
 func (run *scenarioRun) encode(nextRound int) ([]byte, error) {
-	sc := run.sc
-	s := run.s
 	// Ranks are read (and saved) below; pending joins would otherwise leak
 	// their −1 sentinel into the snapshot. Flushing here is where the next
 	// rank reader would have flushed anyway, so it cannot perturb the
 	// trajectory.
-	s.flushJoinRanks()
-	w := &run.ckpt
-	w.Reset()
-
-	// Binding: what workload this snapshot belongs to.
-	w.String(sc.Name)
-	w.U64(sc.Opt.Seed)
-	w.Int(sc.Rounds)
-	w.Blob(sc.specJSON)
-
-	// Runner state.
-	w.Int(nextRound)
-	w.Bool(run.alive)
-	w.F64(run.sampler.classes.lo)
-	w.F64(run.sampler.classes.hi)
-	writeRNG(w, run.churnR)
-	w.Bool(run.faultsOn)
-
-	// Swarm options, resolved: defaults applied and (for capacity-sampled
-	// scenarios) the initial UploadKbps vector materialized, so the resumed
-	// swarm is rebuilt from values, not re-derived draws.
-	optJSON, err := json.Marshal(s.opt)
-	if err != nil {
+	run.s.flushJoinRanks()
+	if err := run.marshalStart(); err != nil {
 		return nil, err
 	}
-	w.Blob(optJSON)
-	w.Int(s.round)
-	writeRNG(w, s.r)
-	w.Int(int(s.edgeCap))
-	w.Int(s.slotCap)
-	w.Int(s.present)
-	w.Int(s.presentDone)
-	w.Int(s.totalDeparted)
-	w.Int(s.completedLeechers)
-	w.I64(s.liveDegSum)
-	w.F64(s.sumUp)
-	w.F64(s.sumDown)
+	run.ckpt.Reset()
+	run.walk(&codec{w: &run.ckpt}, &nextRound)
+	return run.ckpt.Bytes(), nil
+}
 
-	// Roster.
-	w.Int(len(s.peers))
-	for i := range s.peers {
-		p := &s.peers[i]
-		w.Int(int(s.slotOf[i]))
-		w.F64(p.capacity)
-		w.Bool(p.isSeed)
-		w.Bool(p.departed)
-		w.Int(p.joinRound)
-		w.Int(p.departRound)
-		w.Int(p.haveCount)
-		w.Bool(p.done)
-		w.Int(p.doneRound)
-		w.Int(int(p.optimistic))
-		w.F64(p.totalUp)
-		w.F64(p.totalDown)
-		w.F64(p.tftPartnerRankSum)
-		w.Int(p.tftPartnerCount)
-		// Departed-and-swept peers have released their bitfield; present and
-		// crashed-pending peers still own one.
-		w.Bool(p.have.words != nil)
-		if p.have.words != nil {
-			w.U64s(p.have.words)
+// marshalStart marshals, once per run, the swarm options and fault spec
+// the run started from. Every checkpoint saves these bytes, and a resume
+// requires the saved bytes to equal the ones its scenario derives.
+func (run *scenarioRun) marshalStart() error {
+	if run.optJSON != nil {
+		return nil
+	}
+	optJSON, err := json.Marshal(run.s.opt)
+	if err != nil {
+		return err
+	}
+	if run.faultsOn {
+		if run.faultJSON, err = json.Marshal(*run.sc.Faults); err != nil {
+			return err
 		}
 	}
-	w.Ints(s.rank)
+	run.optJSON = optJSON
+	return nil
+}
 
-	// Slot occupancy and the free stack (order matters: it is a LIFO, and
-	// allocation order shapes every later join).
-	w.I32s(s.slotPeer)
-	w.I32s(s.freeSlots)
-	w.I32s(s.deg)
+// binding is what workload a checkpoint belongs to.
+type binding struct {
+	name   string
+	seed   uint64
+	rounds int
+	spec   []byte
+}
 
-	// Per-occupied-slot CSR state: only the live edge prefix of each block
-	// (the tail beyond deg is dead and rewritten before any read) plus the
-	// slot's availability and piece-progress rows.
+func (c *codec) binding(b *binding) {
+	c.str(&b.name)
+	c.u64(&b.seed)
+	c.int(&b.rounds)
+	c.blob(&b.spec)
+}
+
+// walk names the complete run state in checkpoint order; next is the
+// round the checkpoint resumes into. In read mode run starts out holding
+// only what the scenario derives — its options, marshalled start bytes and
+// fault flag — and a swarm with nothing but its options and edge stride
+// set, and the walk checks the file against them.
+func (run *scenarioRun) walk(c *codec, next *int) {
+	sc := run.sc
+	b := binding{sc.Name, sc.Opt.Seed, sc.Rounds, sc.specJSON}
+	c.binding(&b)
+	// Checks whose messages carry values sit in read-mode blocks, so the
+	// write path neither boxes those values nor calls the checks.
+	if c.reading() {
+		c.check(b.name == sc.Name, "checkpoint is for scenario %q", b.name)
+		c.check(b.seed == sc.Opt.Seed, "checkpoint seed %d, scenario seed %d", b.seed, sc.Opt.Seed)
+		c.check(b.rounds == sc.Rounds, "checkpoint horizon %d rounds, scenario %d", b.rounds, sc.Rounds)
+		c.check(len(b.spec) == 0 || len(sc.specJSON) == 0 || bytes.Equal(b.spec, sc.specJSON),
+			"checkpoint was taken from a different spec for %q", b.name)
+	}
+
+	c.int(next)
+	c.bool(&run.alive)
+	c.f64(&run.sampler.classes.lo)
+	c.f64(&run.sampler.classes.hi)
+	c.rng(&run.churnR, "churn")
+	faultsOn := run.faultsOn
+	c.bool(&faultsOn)
+	c.check(faultsOn == run.faultsOn, "checkpoint and scenario disagree about fault injection")
+
+	s := run.s
+	c.swarmHeader(s, run.optJSON)
+	if c.reading() {
+		c.check(*next >= 0 && *next <= sc.Rounds, "resume round %d outside [0, %d]", *next, sc.Rounds)
+		c.check(s.round == *next, "swarm is at round %d, resume point is %d", s.round, *next)
+	}
+	c.roster(s)
+	c.slots(s)
+	c.edges(s)
+	c.tracker(s)
+	if run.faultsOn {
+		c.faults(s, *sc.Faults, run.faultJSON)
+	}
+	c.shards(s)
+}
+
+// swarmHeader walks the swarm's options, clock, RNG, geometry and running
+// counters. The saved options only have to match the derived ones; the
+// edge stride and piece count that size every array come from the
+// scenario, never from the file.
+func (c *codec) swarmHeader(s *Swarm, optJSON []byte) {
+	c.match(optJSON, "swarm options")
+	c.int(&s.round)
+	c.rng(&s.r, "swarm")
+	c.same(int(s.edgeCap), "edge capacity")
+	// Each slot costs at least 16 payload bytes (its occupant and degree).
+	c.size(&s.slotCap, 1, 16, max(int(s.edgeCap), s.opt.Pieces), "slot capacity")
+	c.int(&s.present)
+	c.int(&s.presentDone)
+	c.int(&s.totalDeparted)
+	c.int(&s.completedLeechers)
+	c.i64(&s.liveDegSum)
+	c.f64(&s.sumUp)
+	c.f64(&s.sumDown)
+}
+
+// roster walks every peer ever seen (departed ones keep their totals),
+// then the rank vector.
+func (c *codec) roster(s *Swarm) {
+	n := len(s.peers)
+	// A peer costs at least ~92 payload bytes.
+	c.size(&n, 0, 64, 1, "roster size")
+	if c.reading() {
+		s.peers = make([]peer, n)
+		s.slotOf = make([]int32, n)
+		s.rank = make([]int, n)
+	}
+	edges := s.slotCap * int(s.edgeCap)
+	for i := range s.peers {
+		p := &s.peers[i]
+		p.id = i
+		c.i32(&s.slotOf[i])
+		c.f64(&p.capacity)
+		c.bool(&p.isSeed)
+		c.bool(&p.departed)
+		c.int(&p.joinRound)
+		c.int(&p.departRound)
+		c.int(&p.haveCount)
+		c.bool(&p.done)
+		c.int(&p.doneRound)
+		c.i32(&p.optimistic)
+		c.f64(&p.totalUp)
+		c.f64(&p.totalDown)
+		c.f64(&p.tftPartnerRankSum)
+		c.int(&p.tftPartnerCount)
+		// Departed-and-swept peers have released their bitfield; present and
+		// crashed-pending peers still own one.
+		has := p.have.words != nil
+		c.bool(&has)
+		if c.reading() {
+			c.inRange(int(s.slotOf[i]), -1, s.slotCap, "peer %d: slot", i)
+			c.inRange(p.haveCount, 0, s.opt.Pieces+1, "peer %d: piece count", i)
+			c.inRange(int(p.optimistic), -1, edges, "peer %d: optimistic edge", i)
+			c.check(has || s.slotOf[i] < 0, "peer %d: slotted but has no bitfield", i)
+			if has {
+				p.have = newBitset(s.opt.Pieces)
+			}
+		}
+		if has {
+			c.u64sInto(p.have.words, "bitfield")
+		}
+	}
+	c.intsInto(s.rank, "rank vector")
+}
+
+// slots walks slot occupancy, the free stack (order matters: it is a
+// LIFO, and allocation order shapes every later join) and the degrees;
+// read mode then allocates the slot storage they describe.
+func (c *codec) slots(s *Swarm) {
+	if c.reading() {
+		s.slotPeer = make([]int32, s.slotCap)
+		s.deg = make([]int32, s.slotCap)
+	}
+	c.i32sInto(s.slotPeer, "slot occupancy")
+	c.idxs(s.slotPeer, -1, len(s.peers), "slot %d: occupant")
+	c.i32s(&s.freeSlots)
+	c.idxs(s.freeSlots, 0, s.slotCap, "free list entry %d: slot")
+	c.i32sInto(s.deg, "degrees")
+	c.idxs(s.deg, 0, int(s.edgeCap)+1, "slot %d: degree")
+	if c.reading() {
+		c.check(len(s.freeSlots) <= s.slotCap, "free list has %d entries for capacity %d", len(s.freeSlots), s.slotCap)
+		s.allocSlots()
+	}
+}
+
+// edges walks each occupied slot's CSR state: only the live edge prefix of
+// its block (the tail beyond deg is dead and rewritten before any read)
+// plus the slot's availability and piece-progress rows.
+func (c *codec) edges(s *Swarm) {
+	peers, edges, pieces := len(s.peers), s.slotCap*int(s.edgeCap), s.opt.Pieces
 	for sl := 0; sl < s.slotCap; sl++ {
 		if s.slotPeer[sl] < 0 {
 			continue
 		}
 		base := int32(sl) * s.edgeCap
 		for e := base; e < base+s.deg[sl]; e++ {
-			w.Int(int(s.nbr[e]))
-			w.Int(int(s.rev[e]))
-			w.F64(s.recvWindow[e])
-			w.F64(s.recvRate[e])
-			w.Bool(s.unchoked[e])
-			w.Int(int(s.inflight[e]))
-			w.Int(int(s.want[e]))
+			c.i32(&s.nbr[e])
+			c.i32(&s.rev[e])
+			c.f64(&s.recvWindow[e])
+			c.f64(&s.recvRate[e])
+			c.bool(&s.unchoked[e])
+			c.i32(&s.inflight[e])
+			c.i32(&s.want[e])
+			if c.reading() {
+				c.inRange(int(s.nbr[e]), 0, peers, "edge %d: target", int(e))
+				c.inRange(int(s.rev[e]), 0, edges, "edge %d: reverse index", int(e))
+				c.inRange(int(s.inflight[e]), -1, pieces, "edge %d: in-flight piece", int(e))
+			}
 		}
-		pbase := sl * s.opt.Pieces
-		w.I32s(s.avail[pbase : pbase+s.opt.Pieces])
-		w.F64s(s.pieceProgress[pbase : pbase+s.opt.Pieces])
-	}
-
-	// Tracker registry, in order — handout sampling indexes into it, so the
-	// order is part of the deterministic state.
-	w.I32s(s.trk.present)
-
-	if run.faultsOn {
-		f := s.flt
-		fspecJSON, err := json.Marshal(f.spec)
-		if err != nil {
-			return nil, err
-		}
-		w.Blob(fspecJSON)
-		writeRNG(w, f.r)
-		w.Bool(f.trackerDown)
-		w.F64(f.lossRate)
-		w.Bool(f.partitionOn)
-		w.Int(f.partIdx)
-		w.F64(f.partFraction)
-		sides := make([]byte, len(f.side))
-		for i, v := range f.side {
-			sides[i] = byte(v)
-		}
-		w.Blob(sides)
-		w.I32s(f.retryAt)
-		w.Blob(f.retryN)
-		// Only the unswept crash-queue suffix matters; the restored queue
-		// starts compacted.
-		w.I32s(f.crashq[f.crashHead:])
-		w.Int(f.staleEdges)
-		w.Int(f.totalCrashed)
-		w.Int(f.announceFailures)
-		w.Int(f.announceRetries)
-	}
-
-	// Shard layer: the shard width (part of the trajectory — shard streams
-	// are keyed by shard index), every per-shard RNG sub-stream position,
-	// and the lazy-stepping dirty sets. xferDirty and the active-list
-	// caches are deliberately absent: the decoder marks every slot
-	// cache-stale, and a rebuild is a pure function of the saved choke
-	// state, so the first resumed transfer recomputes exactly the caches
-	// the original run held. The series sampler keeps no state: it sums
-	// the live roster at each sample. The step worker count is a runtime
-	// knob, not state — a run may checkpoint under one count and resume
-	// under another.
-	w.Int(s.sh.slotsPerShard)
-	w.Int(len(s.sh.streams))
-	for _, sr := range s.sh.streams {
-		writeRNG(w, sr)
-	}
-	w.U64s(s.sh.chokeDirty)
-	w.U64s(s.sh.windowNZ)
-	w.U64s(s.sh.ratesNZ)
-	return w.Bytes(), nil
-}
-
-func writeRNG(w *checkpoint.Writer, r *rng.RNG) {
-	st := r.Save()
-	for _, word := range st {
-		w.U64(word)
+		c.i32sInto(s.avail[sl*pieces:(sl+1)*pieces], "availability row")
+		c.f64sInto(s.pieceProgress[sl*pieces:(sl+1)*pieces], "piece-progress row")
 	}
 }
 
-// readRNG decodes a generator state; the all-zero state (xoshiro's invalid
-// fixed point) reads as nil, which callers reject.
-func readRNG(r *checkpoint.Reader) *rng.RNG {
+// tracker walks the tracker registry in order — handout sampling indexes
+// into it, so the order is part of the deterministic state — and read mode
+// rebuilds the position index from it.
+func (c *codec) tracker(s *Swarm) {
+	c.i32s(&s.trk.present)
+	c.idxs(s.trk.present, 0, len(s.peers), "tracker entry %d: peer")
+	if c.reading() {
+		s.trk.pos = make([]int32, len(s.peers))
+		for i := range s.trk.pos {
+			s.trk.pos[i] = -1
+		}
+		for i, id := range s.trk.present {
+			s.trk.pos[id] = int32(i)
+		}
+	}
+}
+
+// faults walks the fault controller. Read mode re-arms the layer from the
+// scenario's spec (re-deriving the knobs exactly as the original run did);
+// the live window flags, per-slot retry and partition state, crash queue
+// and counters then overwrite the fresh state.
+func (c *codec) faults(s *Swarm, spec FaultsSpec, specJSON []byte) {
+	c.match(specJSON, "fault spec")
+	if c.reading() {
+		s.EnableFaults(spec, nil)
+	}
+	f := s.flt
+	c.rng(&f.r, "fault")
+	c.bool(&f.trackerDown)
+	c.f64(&f.lossRate)
+	c.bool(&f.partitionOn)
+	c.int(&f.partIdx)
+	c.check(f.partIdx >= -1 && f.partIdx < len(spec.Injections), "partition index %d out of range", f.partIdx)
+	c.f64(&f.partFraction)
+	c.bytesInto(f.side, "partition sides")
+	c.i32sInto(f.retryAt, "retry rounds")
+	c.bytesInto(f.retryN, "retry counts")
+	// Only the unswept crash-queue suffix matters; the restored queue
+	// starts compacted.
+	q := f.crashq[f.crashHead:]
+	c.i32s(&q)
+	c.idxs(q, 0, len(s.peers), "crash queue entry %d: peer")
+	if c.reading() {
+		f.crashq = q
+	}
+	c.int(&f.staleEdges)
+	c.int(&f.totalCrashed)
+	c.int(&f.announceFailures)
+	c.int(&f.announceRetries)
+}
+
+// shards walks the shard layer: the shard width (part of the trajectory —
+// shard streams are keyed by shard index), every per-shard RNG sub-stream
+// position, and the lazy-stepping dirty sets. xferDirty and the
+// active-list caches are deliberately absent: read mode marks every slot
+// cache-stale, and a rebuild is a pure function of the saved choke state,
+// so the first resumed transfer recomputes exactly the caches the original
+// run held. The series sampler keeps no state: it sums the live roster at
+// each sample. The step worker count is a runtime knob, not state — a run
+// may checkpoint under one count and resume under another.
+func (c *codec) shards(s *Swarm) {
+	width := s.sh.slotsPerShard
+	c.int(&width)
+	if c.reading() {
+		c.check(width >= 64 && width%64 == 0 && width <= maxStateElems, "implausible shard width %d", width)
+		s.setShardSlots(width)
+	}
+	c.same(len(s.sh.streams), "shard stream count")
+	for k := range s.sh.streams {
+		c.rng(&s.sh.streams[k], "shard")
+	}
+	c.u64sInto(s.sh.chokeDirty, "choke dirty set")
+	c.u64sInto(s.sh.windowNZ, "window dirty set")
+	c.u64sInto(s.sh.ratesNZ, "rate dirty set")
+	if c.reading() {
+		for i := range s.sh.xferDirty {
+			s.sh.xferDirty[i] = ^uint64(0)
+		}
+	}
+}
+
+// codec walks checkpoint fields in one of two modes: with w set it appends
+// each field a walk names, with r set it reads the field back into the
+// same variable. Only read mode checks what it reads; its first failed
+// check panics with a walkError, which readWalk turns back into an error.
+type codec struct {
+	w *checkpoint.Writer
+	r *checkpoint.Reader
+}
+
+type walkError struct{ err error }
+
+// readWalk runs walk in read mode over payload and returns the failure
+// that ended it, if any.
+func readWalk(payload []byte, walk func(c *codec)) (err error) {
+	defer func() {
+		if e := recover(); e != nil {
+			we, ok := e.(walkError)
+			if !ok {
+				panic(e)
+			}
+			err = we.err
+		}
+	}()
+	c := &codec{r: checkpoint.NewReader(payload)}
+	walk(c)
+	return c.r.Err()
+}
+
+func (c *codec) reading() bool { return c.r != nil }
+
+// fail ends a read-mode walk. A decoding failure takes precedence: the
+// reader is sticky and returns zeros after it, so a check those zeros fail
+// reports the truncation or bad byte, not the zero. Plain field reads do
+// not stop the walk themselves: the zeros are checked like any value
+// before they size or index anything, and readWalk reports the failure
+// when the walk ends.
+func (c *codec) fail(format string, args ...any) {
+	err := c.r.Err()
+	if err == nil {
+		err = fmt.Errorf(format, args...)
+	}
+	panic(walkError{err})
+}
+
+// check fails a read-mode walk unless ok.
+func (c *codec) check(ok bool, format string, args ...any) {
+	if c.r != nil && !ok {
+		c.fail(format, args...)
+	}
+}
+
+// inRange fails a read-mode walk unless lo <= v < hi; what names the
+// value, with a %d for at.
+func (c *codec) inRange(v, lo, hi int, what string, at int) {
+	if c.r != nil && (v < lo || v >= hi) {
+		c.fail(what+" %d out of range [%d, %d)", at, v, lo, hi)
+	}
+}
+
+// idxs fails a read-mode walk unless every entry of vals lies in [lo, hi).
+func (c *codec) idxs(vals []int32, lo, hi int, what string) {
+	for i := 0; c.r != nil && i < len(vals); i++ {
+		c.inRange(int(vals[i]), lo, hi, what, i)
+	}
+}
+
+// size walks a count that read mode allocates by: at least lo, with
+// minBytes of payload still left per element and cells state cells per
+// element within maxStateElems.
+func (c *codec) size(n *int, lo, minBytes, cells int, what string) {
+	c.int(n)
+	if c.r != nil && (*n < lo || *n > c.r.Remaining()/minBytes || int64(*n)*int64(cells) > maxStateElems) {
+		c.fail("implausible %s %d", what, *n)
+	}
+}
+
+// same walks an int the reader already knows; the saved value must match.
+func (c *codec) same(v int, what string) {
+	saved := v
+	c.int(&saved)
+	if saved != v {
+		c.fail("checkpoint %s %d, want %d", what, saved, v)
+	}
+}
+
+// match walks bytes the reader already knows; the saved copy must match.
+func (c *codec) match(b []byte, what string) {
+	saved := b
+	c.blob(&saved)
+	if !bytes.Equal(saved, b) {
+		c.fail("checkpoint %s differ from the scenario's", what)
+	}
+}
+
+// field walks one value: write mode appends it with put, read mode reads
+// it back with get.
+func field[T any](c *codec, v *T, put func(*checkpoint.Writer, T), get func(*checkpoint.Reader) T) {
+	if c.w != nil {
+		put(c.w, *v)
+	} else {
+		*v = get(c.r)
+	}
+}
+
+func (c *codec) u64(v *uint64)   { field(c, v, (*checkpoint.Writer).U64, (*checkpoint.Reader).U64) }
+func (c *codec) int(v *int)      { field(c, v, (*checkpoint.Writer).Int, (*checkpoint.Reader).Int) }
+func (c *codec) i64(v *int64)    { field(c, v, (*checkpoint.Writer).I64, (*checkpoint.Reader).I64) }
+func (c *codec) i32(v *int32)    { field(c, v, (*checkpoint.Writer).I32, (*checkpoint.Reader).I32) }
+func (c *codec) f64(v *float64)  { field(c, v, (*checkpoint.Writer).F64, (*checkpoint.Reader).F64) }
+func (c *codec) bool(v *bool)    { field(c, v, (*checkpoint.Writer).Bool, (*checkpoint.Reader).Bool) }
+func (c *codec) blob(v *[]byte)  { field(c, v, (*checkpoint.Writer).Blob, (*checkpoint.Reader).Blob) }
+func (c *codec) str(v *string)   { field(c, v, (*checkpoint.Writer).String, (*checkpoint.Reader).String) }
+func (c *codec) i32s(v *[]int32) { field(c, v, (*checkpoint.Writer).I32s, (*checkpoint.Reader).I32s) }
+
+// into walks a length-prefixed slice into dst, whose length read mode
+// already knows and has allocated: put appends the slice, get reads one
+// element.
+func into[T any](c *codec, dst []T, what string, put func(*checkpoint.Writer, []T), get func(*checkpoint.Reader) T) {
+	if c.w != nil {
+		put(c.w, dst)
+		return
+	}
+	if n := c.r.Int(); n != len(dst) {
+		c.fail("%s has %d entries, want %d", what, n, len(dst))
+	}
+	for i := range dst {
+		dst[i] = get(c.r)
+	}
+}
+
+func (c *codec) i32sInto(dst []int32, what string) {
+	into(c, dst, what, (*checkpoint.Writer).I32s, (*checkpoint.Reader).I32)
+}
+
+func (c *codec) intsInto(dst []int, what string) {
+	into(c, dst, what, (*checkpoint.Writer).Ints, (*checkpoint.Reader).Int)
+}
+
+func (c *codec) u64sInto(dst []uint64, what string) {
+	into(c, dst, what, (*checkpoint.Writer).U64s, (*checkpoint.Reader).U64)
+}
+
+func (c *codec) f64sInto(dst []float64, what string) {
+	into(c, dst, what, (*checkpoint.Writer).F64s, (*checkpoint.Reader).F64)
+}
+
+func (c *codec) bytesInto(dst []byte, what string) {
+	b := dst
+	c.blob(&b)
+	if len(b) != len(dst) {
+		c.fail("%s has %d entries, want %d", what, len(b), len(dst))
+	}
+	copy(dst, b)
+}
+
+// rng walks a generator state; read mode rejects the all-zero state
+// (xoshiro's invalid fixed point).
+func (c *codec) rng(r **rng.RNG, what string) {
 	var st rng.State
-	for i := range st {
-		st[i] = r.U64()
+	if c.w != nil {
+		st = (*r).Save()
 	}
-	return rng.FromState(st)
+	for i := range st {
+		c.u64(&st[i])
+	}
+	if c.r != nil {
+		*r = rng.FromState(st)
+		c.check(*r != nil, "invalid %s RNG state", what)
+	}
 }
 
 // resolveCheckpointPath accepts a checkpoint file or a directory of
@@ -300,404 +604,33 @@ func (sc Scenario) loadCheckpoint(payload []byte) (*scenarioRun, error) {
 	fail := func(format string, args ...any) (*scenarioRun, error) {
 		return nil, fmt.Errorf("scenario %s: resume: %s", sc.Name, fmt.Sprintf(format, args...))
 	}
-	r := checkpoint.NewReader(payload)
-	name := r.String()
-	seed := r.U64()
-	rounds := r.Int()
-	specJSON := r.Blob()
-	nextRound := r.Int()
-	alive := r.Bool()
-	classes := classBounds{lo: r.F64(), hi: r.F64()}
-	churnR := readRNG(r)
-	faultsOn := r.Bool()
-	if err := r.Err(); err != nil {
+	opt, _, _ := sc.startOptions()
+	if err := opt.validate(); err != nil {
 		return fail("%v", err)
 	}
-
-	// Binding: the checkpoint must belong to this exact workload.
-	if name != sc.Name {
-		return fail("checkpoint is for scenario %q", name)
+	run := &scenarioRun{
+		sc:       &sc,
+		s:        &Swarm{opt: opt, edgeCap: int32(opt.MaxNeighbors)},
+		faultsOn: !sc.Faults.IsZero(),
 	}
-	if seed != sc.Opt.Seed {
-		return fail("checkpoint seed %d, scenario seed %d", seed, sc.Opt.Seed)
+	if err := run.marshalStart(); err != nil {
+		return fail("%v", err)
 	}
-	if rounds != sc.Rounds {
-		return fail("checkpoint horizon %d rounds, scenario %d", rounds, sc.Rounds)
-	}
-	if len(specJSON) > 0 && len(sc.specJSON) > 0 && !bytes.Equal(specJSON, sc.specJSON) {
-		return fail("checkpoint was taken from a different spec for %q", name)
-	}
-	if faultsOn != !sc.Faults.IsZero() {
-		return fail("checkpoint and scenario disagree about fault injection")
-	}
-	if nextRound < 0 || nextRound > sc.Rounds {
-		return fail("resume round %d outside [0, %d]", nextRound, sc.Rounds)
-	}
-	if churnR == nil {
-		return fail("invalid churn RNG state")
-	}
-
-	s, err := decodeSwarm(r, faultsOn)
+	err := readWalk(payload, func(c *codec) {
+		run.walk(c, &run.start)
+		c.check(c.r.Remaining() == 0, "%d trailing bytes after the state", c.r.Remaining())
+	})
 	if err != nil {
 		return fail("%v", err)
-	}
-	if r.Remaining() != 0 {
-		return fail("%d trailing bytes after the state", r.Remaining())
-	}
-	if s.round != nextRound {
-		return fail("swarm is at round %d, resume point is %d", s.round, nextRound)
 	}
 	// The deep audit: structural invariants, counter recounts, edge
 	// symmetry. A payload that decodes cleanly but describes an
 	// inconsistent swarm dies here instead of corrupting a run.
-	if err := s.CheckInvariants(); err != nil {
+	if err := run.s.CheckInvariants(); err != nil {
 		return fail("restored state failed the invariant audit: %v", err)
-	}
-	run := &scenarioRun{
-		sc:       &sc,
-		s:        s,
-		churnR:   churnR,
-		sampler:  seriesSampler{classes: classes},
-		alive:    alive,
-		start:    nextRound,
-		faultsOn: faultsOn,
 	}
 	run.resolveIntervals()
 	return run, nil
-}
-
-// decodeSwarm rebuilds a Swarm from the checkpoint stream. Every count,
-// index and dimension is validated against the already-read state before
-// it is used, so hostile payloads cannot trigger panics or outsized
-// allocations.
-func decodeSwarm(r *checkpoint.Reader, faultsOn bool) (*Swarm, error) {
-	optJSON := r.Blob()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	var opt Options
-	if err := json.Unmarshal(optJSON, &opt); err != nil {
-		return nil, fmt.Errorf("swarm options: %v", err)
-	}
-	round := r.Int()
-	swarmR := readRNG(r)
-	edgeCapIn := r.Int()
-	slotCap := r.Int()
-	present := r.Int()
-	presentDone := r.Int()
-	totalDeparted := r.Int()
-	completedLeechers := r.Int()
-	liveDegSum := r.I64()
-	sumUp := r.F64()
-	sumDown := r.F64()
-	npeers := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	// The options drive modulo arithmetic and array geometry; a saved swarm
-	// always carries the defaulted values, so zeros or inversions here mean
-	// corruption.
-	if opt.Leechers < 1 || opt.Pieces < 1 || opt.PieceKbit <= 0 ||
-		opt.NeighborCount < 1 || opt.MaxNeighbors < opt.NeighborCount ||
-		opt.TFTSlots < 1 || opt.OptimisticSlots < 0 ||
-		opt.ChokeIntervalRounds < 1 || opt.OptimisticIntervalRounds < 1 {
-		return nil, errors.New("implausible swarm options")
-	}
-	if swarmR == nil {
-		return nil, errors.New("invalid swarm RNG state")
-	}
-	if edgeCapIn != opt.MaxNeighbors {
-		return nil, fmt.Errorf("edge capacity %d does not match max neighbors %d", edgeCapIn, opt.MaxNeighbors)
-	}
-	edgeCap := int32(opt.MaxNeighbors)
-	if slotCap < 1 ||
-		int64(slotCap)*int64(edgeCap) > maxStateElems ||
-		int64(slotCap)*int64(opt.Pieces) > maxStateElems {
-		return nil, fmt.Errorf("implausible slot capacity %d", slotCap)
-	}
-	total := slotCap * int(edgeCap)
-	// A peer costs at least ~92 payload bytes, so the roster length is
-	// bounded by the bytes actually present.
-	if npeers < 0 || npeers > r.Remaining()/64 {
-		return nil, fmt.Errorf("implausible roster size %d", npeers)
-	}
-	haveWords := (opt.Pieces + 63) / 64
-
-	peers := make([]peer, npeers)
-	slotOf := make([]int32, npeers)
-	for i := range peers {
-		p := &peers[i]
-		p.id = i
-		slotOf[i] = int32(r.Int())
-		p.capacity = r.F64()
-		p.isSeed = r.Bool()
-		p.departed = r.Bool()
-		p.joinRound = r.Int()
-		p.departRound = r.Int()
-		p.haveCount = r.Int()
-		p.done = r.Bool()
-		p.doneRound = r.Int()
-		p.optimistic = int32(r.Int())
-		p.totalUp = r.F64()
-		p.totalDown = r.F64()
-		p.tftPartnerRankSum = r.F64()
-		p.tftPartnerCount = r.Int()
-		hasHave := r.Bool()
-		if hasHave {
-			words := r.U64s()
-			if len(words) != haveWords {
-				return nil, fmt.Errorf("peer %d: bitfield has %d words, want %d", i, len(words), haveWords)
-			}
-			p.have = bitset{words: words, n: opt.Pieces}
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		switch {
-		case slotOf[i] < -1 || slotOf[i] >= int32(slotCap):
-			return nil, fmt.Errorf("peer %d: slot %d out of range", i, slotOf[i])
-		case slotOf[i] >= 0 && !hasHave:
-			return nil, fmt.Errorf("peer %d: slotted but has no bitfield", i)
-		case p.optimistic < -1 || p.optimistic >= int32(total):
-			return nil, fmt.Errorf("peer %d: optimistic edge %d out of range", i, p.optimistic)
-		case p.haveCount < 0 || p.haveCount > opt.Pieces:
-			return nil, fmt.Errorf("peer %d: piece count %d out of range", i, p.haveCount)
-		}
-	}
-	rank := r.Ints()
-	slotPeer := r.I32s()
-	freeSlots := r.I32s()
-	deg := r.I32s()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if len(rank) != npeers {
-		return nil, fmt.Errorf("rank vector has %d entries for %d peers", len(rank), npeers)
-	}
-	if len(slotPeer) != slotCap || len(deg) != slotCap {
-		return nil, fmt.Errorf("slot arrays sized %d/%d for capacity %d", len(slotPeer), len(deg), slotCap)
-	}
-	for sl, id := range slotPeer {
-		if id < -1 || int(id) >= npeers {
-			return nil, fmt.Errorf("slot %d: occupant %d out of range", sl, id)
-		}
-		if deg[sl] < 0 || deg[sl] > edgeCap {
-			return nil, fmt.Errorf("slot %d: degree %d out of range", sl, deg[sl])
-		}
-	}
-	if len(freeSlots) > slotCap {
-		return nil, fmt.Errorf("free list has %d entries for capacity %d", len(freeSlots), slotCap)
-	}
-	for _, sl := range freeSlots {
-		if sl < 0 || int(sl) >= slotCap {
-			return nil, fmt.Errorf("free slot %d out of range", sl)
-		}
-	}
-
-	s := &Swarm{
-		opt:               opt,
-		peers:             peers,
-		r:                 swarmR,
-		round:             round,
-		rank:              rank,
-		edgeCap:           edgeCap,
-		slotCap:           slotCap,
-		slotOf:            slotOf,
-		slotPeer:          slotPeer,
-		freeSlots:         freeSlots,
-		deg:               deg,
-		nbr:               make([]int32, total),
-		rev:               make([]int32, total),
-		recvWindow:        make([]float64, total),
-		recvRate:          make([]float64, total),
-		unchoked:          make([]bool, total),
-		inflight:          make([]int32, total),
-		want:              make([]int32, total),
-		avail:             make([]int32, slotCap*opt.Pieces),
-		pieceProgress:     make([]float64, slotCap*opt.Pieces),
-		present:           present,
-		presentDone:       presentDone,
-		totalDeparted:     totalDeparted,
-		completedLeechers: completedLeechers,
-		liveDegSum:        liveDegSum,
-		sumUp:             sumUp,
-		sumDown:           sumDown,
-		active:            make([]int32, edgeCap),
-		mark:              make([]uint64, opt.Pieces),
-		rankOrder:         make([]int32, slotCap),
-	}
-	s.joinSort.s = s
-	s.initShards()
-	for sl := 0; sl < slotCap; sl++ {
-		if slotPeer[sl] < 0 {
-			continue
-		}
-		base := int32(sl) * edgeCap
-		for e := base; e < base+deg[sl]; e++ {
-			s.nbr[e] = int32(r.Int())
-			s.rev[e] = int32(r.Int())
-			s.recvWindow[e] = r.F64()
-			s.recvRate[e] = r.F64()
-			s.unchoked[e] = r.Bool()
-			s.inflight[e] = int32(r.Int())
-			s.want[e] = int32(r.Int())
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			switch {
-			case s.nbr[e] < 0 || int(s.nbr[e]) >= npeers:
-				return nil, fmt.Errorf("edge %d: target %d out of range", e, s.nbr[e])
-			case s.rev[e] < 0 || int(s.rev[e]) >= total:
-				return nil, fmt.Errorf("edge %d: reverse index %d out of range", e, s.rev[e])
-			case s.inflight[e] < -1 || int(s.inflight[e]) >= opt.Pieces:
-				return nil, fmt.Errorf("edge %d: in-flight piece %d out of range", e, s.inflight[e])
-			}
-		}
-		availRow := r.I32s()
-		progRow := r.F64s()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if len(availRow) != opt.Pieces || len(progRow) != opt.Pieces {
-			return nil, fmt.Errorf("slot %d: piece rows sized %d/%d for %d pieces",
-				sl, len(availRow), len(progRow), opt.Pieces)
-		}
-		copy(s.avail[sl*opt.Pieces:], availRow)
-		copy(s.pieceProgress[sl*opt.Pieces:], progRow)
-	}
-
-	trkPresent := r.I32s()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	s.trk.present = trkPresent
-	s.trk.pos = make([]int32, npeers)
-	for i := range s.trk.pos {
-		s.trk.pos[i] = -1
-	}
-	for i, id := range trkPresent {
-		if id < 0 || int(id) >= npeers {
-			return nil, fmt.Errorf("tracker entry %d out of range", id)
-		}
-		s.trk.pos[id] = int32(i)
-	}
-
-	if faultsOn {
-		if err := decodeFaults(r, s, npeers); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := decodeShards(r, s); err != nil {
-		return nil, err
-	}
-	return s, r.Err()
-}
-
-// decodeShards restores the shard layer from the tail of the payload:
-// shard width, per-shard RNG sub-stream positions and the lazy-stepping
-// dirty bitmaps. xferDirty is set everywhere instead of restored —
-// rebuilding an active-list cache is a pure function of the
-// already-decoded choke state, so the first transfer after resume
-// reconstructs the exact caches the original run held.
-func decodeShards(r *checkpoint.Reader, s *Swarm) error {
-	sps := r.Int()
-	nstreams := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if sps < 64 || sps%64 != 0 || sps > maxStateElems {
-		return fmt.Errorf("implausible shard width %d", sps)
-	}
-	s.setShardSlots(sps)
-	if nstreams != s.numShards() {
-		return fmt.Errorf("checkpoint carries %d shard streams, geometry needs %d", nstreams, s.numShards())
-	}
-	for k := 0; k < nstreams; k++ {
-		sr := readRNG(r)
-		if sr == nil {
-			return fmt.Errorf("invalid shard %d RNG state", k)
-		}
-		s.sh.streams[k] = sr
-	}
-	chokeDirty := r.U64s()
-	windowNZ := r.U64s()
-	ratesNZ := r.U64s()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	nw := bmWords(s.slotCap)
-	if len(chokeDirty) != nw || len(windowNZ) != nw || len(ratesNZ) != nw {
-		return fmt.Errorf("dirty bitmaps sized %d/%d/%d words for capacity %d",
-			len(chokeDirty), len(windowNZ), len(ratesNZ), s.slotCap)
-	}
-	copy(s.sh.chokeDirty, chokeDirty)
-	copy(s.sh.windowNZ, windowNZ)
-	copy(s.sh.ratesNZ, ratesNZ)
-	for i := range s.sh.xferDirty {
-		s.sh.xferDirty[i] = ^uint64(0)
-	}
-	return nil
-}
-
-// decodeFaults rebuilds the fault controller: the spec re-arms the layer
-// (re-deriving the knobs exactly as the original run did), then the live
-// window flags, per-slot retry/partition state, crash queue and counters
-// overwrite the fresh state.
-func decodeFaults(r *checkpoint.Reader, s *Swarm, npeers int) error {
-	fspecJSON := r.Blob()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	var fspec FaultsSpec
-	if err := json.Unmarshal(fspecJSON, &fspec); err != nil {
-		return fmt.Errorf("faults spec: %v", err)
-	}
-	if fspec.RetryBaseRounds < 0 || fspec.RetryCapRounds < 0 || fspec.NeighborTimeoutRounds < 0 {
-		return errors.New("implausible fault knobs")
-	}
-	faultR := readRNG(r)
-	if faultR == nil {
-		return errors.New("invalid fault RNG state")
-	}
-	s.EnableFaults(fspec, faultR)
-	f := s.flt
-	f.trackerDown = r.Bool()
-	f.lossRate = r.F64()
-	f.partitionOn = r.Bool()
-	f.partIdx = r.Int()
-	f.partFraction = r.F64()
-	sides := r.Blob()
-	retryAt := r.I32s()
-	retryN := r.Blob()
-	crashq := r.I32s()
-	f.staleEdges = r.Int()
-	f.totalCrashed = r.Int()
-	f.announceFailures = r.Int()
-	f.announceRetries = r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if f.partIdx < -1 || f.partIdx >= len(fspec.Injections) {
-		return fmt.Errorf("partition index %d out of range", f.partIdx)
-	}
-	if len(sides) != s.slotCap || len(retryAt) != s.slotCap || len(retryN) != s.slotCap {
-		return fmt.Errorf("fault arrays sized %d/%d/%d for capacity %d",
-			len(sides), len(retryAt), len(retryN), s.slotCap)
-	}
-	for i, v := range sides {
-		f.side[i] = int8(v)
-	}
-	f.retryAt = retryAt
-	f.retryN = retryN
-	for _, id := range crashq {
-		if id < 0 || int(id) >= npeers {
-			return fmt.Errorf("crash-queue entry %d out of range", id)
-		}
-	}
-	f.crashq = crashq
-	f.crashHead = 0
-	return nil
 }
 
 // ResumeSpec reads the scenario spec embedded in a checkpoint (a file, or
@@ -714,18 +647,14 @@ func ResumeSpec(path string) (ScenarioSpec, error) {
 	if err != nil {
 		return ScenarioSpec{}, err
 	}
-	r := checkpoint.NewReader(payload)
-	_ = r.String() // name
-	_ = r.U64()    // seed
-	_ = r.Int()    // rounds
-	specJSON := r.Blob()
-	if err := r.Err(); err != nil {
+	var b binding
+	if err := readWalk(payload, func(c *codec) { c.binding(&b) }); err != nil {
 		return ScenarioSpec{}, fmt.Errorf("checkpoint: read %s: %v", resolved, err)
 	}
-	if len(specJSON) == 0 {
+	if len(b.spec) == 0 {
 		return ScenarioSpec{}, fmt.Errorf("checkpoint %s embeds no scenario spec (hand-built scenario); rebuild the scenario and set ResumeFrom", resolved)
 	}
-	sp, err := ParseSpec(specJSON)
+	sp, err := ParseSpec(b.spec)
 	if err != nil {
 		return ScenarioSpec{}, fmt.Errorf("checkpoint %s: embedded spec: %w", resolved, err)
 	}

@@ -25,33 +25,8 @@ import (
 func FuzzLoadCheckpoint(f *testing.F) {
 	scenarios := map[string]Scenario{}
 	for _, name := range []string{"poisson", "crashcrowd"} {
-		sp, err := NamedSpec(name, 11, 0.15)
-		if err != nil {
-			f.Fatal(err)
-		}
-		sp = sp.Scaled(0.12)
-		sc, err := sp.Compile()
-		if err != nil {
-			f.Fatal(err)
-		}
+		sc, sealed := corpusCheckpoint(f, name)
 		scenarios[name] = sc
-
-		dir := f.TempDir()
-		ck := sc
-		ck.CheckpointEvery = sc.Rounds / 2
-		ck.CheckpointDir = dir
-		ck.CheckpointRetain = -1
-		if _, err := ck.Run(); err != nil {
-			f.Fatal(err)
-		}
-		latest, err := checkpoint.Latest(dir)
-		if err != nil {
-			f.Fatal(err)
-		}
-		sealed, err := os.ReadFile(latest)
-		if err != nil {
-			f.Fatal(err)
-		}
 		payload, err := checkpoint.Open(sealed)
 		if err != nil {
 			f.Fatal(err)
@@ -83,6 +58,38 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			}
 		}
 	})
+}
+
+// corpusCheckpoint compiles a catalog scenario at seed 11 and scale 0.15,
+// shrunk by 0.12, runs it with a checkpoint at half time, and returns the
+// scenario with its last sealed checkpoint.
+func corpusCheckpoint(tb testing.TB, name string) (Scenario, []byte) {
+	tb.Helper()
+	sp, err := NamedSpec(name, 11, 0.15)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sc, err := sp.Scaled(0.12).Compile()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir := tb.TempDir()
+	ck := sc
+	ck.CheckpointEvery = sc.Rounds / 2
+	ck.CheckpointDir = dir
+	ck.CheckpointRetain = -1
+	if _, err := ck.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	latest, err := checkpoint.Latest(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sealed, err := os.ReadFile(latest)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sc, sealed
 }
 
 // TestLoadCheckpointCorruptionMatrix complements the fuzzer

@@ -2,6 +2,7 @@ package btsim
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -296,6 +297,84 @@ func TestCheckpointBindingRejected(t *testing.T) {
 			t.Fatal("resume from a missing path succeeded")
 		}
 	})
+}
+
+// TestLoadCheckpointRejectsHostileOptions: the swarm options a checkpoint
+// saves must equal the ones its scenario derives. A fuzz-corpus payload
+// whose max_neighbors and edge-capacity word are rewritten to
+// 2^26/slotCap — the largest edge stride the slot-capacity bound admits —
+// is rejected with an error naming the options before any CSR array is
+// sized from them. Options that match the file but that no swarm can be
+// built from are rejected too, instead of sizing arrays from them.
+func TestLoadCheckpointRejectsHostileOptions(t *testing.T) {
+	sc, sealed := corpusCheckpoint(t, "poisson")
+	payload, err := checkpoint.Open(sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := checkpoint.NewReader(payload)
+	offset := func() int { return len(payload) - r.Remaining() }
+	words := func(n int) {
+		for ; n > 0; n-- {
+			r.U64()
+		}
+	}
+	_, _, _, _ = r.String(), r.U64(), r.Int(), r.Blob() // binding
+	r.Int()                                             // resume round
+	r.Bool()                                            // drained-edge flag
+	words(2 + 4)                                        // class bounds, churn RNG
+	r.Bool()                                            // fault injection
+	optAt := offset()
+	optJSON := r.Blob()
+	roundAt := offset()
+	words(5) // swarm round and RNG
+	edgeCapAt := offset()
+	r.Int()
+	slotCap := r.Int()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var opt Options
+	if err := json.Unmarshal(optJSON, &opt); err != nil {
+		t.Fatal(err)
+	}
+	// rewrite saves o as the options and o.MaxNeighbors as the edge
+	// capacity.
+	rewrite := func(o Options) []byte {
+		b, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w checkpoint.Writer
+		w.Blob(b)
+		out := append(append([]byte(nil), payload[:optAt]...), w.Bytes()...)
+		out = append(out, payload[roundAt:edgeCapAt]...)
+		w.Reset()
+		w.Int(o.MaxNeighbors)
+		return append(append(out, w.Bytes()...), payload[edgeCapAt+8:]...)
+	}
+
+	huge := opt
+	huge.MaxNeighbors = (1 << 26) / slotCap
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = sc.loadCheckpoint(rewrite(huge))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "options") {
+		t.Errorf("hostile options (max_neighbors %d, %d slots) returned %v, want an error naming the options",
+			huge.MaxNeighbors, slotCap, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Errorf("loading hostile options allocated %d MB, want < 16 MB", alloc>>20)
+	}
+
+	invalid := opt
+	invalid.MaxNeighbors = -1
+	bad := sc
+	bad.Opt = invalid
+	if _, err := bad.loadCheckpoint(rewrite(invalid)); err == nil || !strings.Contains(err.Error(), "max neighbors -1") {
+		t.Errorf("options no swarm can be built from returned %v, want the validation error", err)
+	}
 }
 
 // TestResumeSpec: the spec embedded in a checkpoint reconstructs the

@@ -255,7 +255,7 @@ type faultState struct {
 	// occupant's partition side; retryAt is the round its next announce
 	// retry fires (−1 when none pending); retryN counts consecutive failed
 	// announces (the backoff exponent).
-	side    []int8
+	side    []uint8
 	retryAt []int32
 	retryN  []uint8
 
@@ -296,7 +296,7 @@ func (s *Swarm) EnableFaults(spec FaultsSpec, r *rng.RNG) {
 	if f.timeout == 0 {
 		f.timeout = 25
 	}
-	f.side = make([]int8, s.slotCap)
+	f.side = make([]uint8, s.slotCap)
 	f.retryAt = make([]int32, s.slotCap)
 	for i := range f.retryAt {
 		f.retryAt[i] = -1

@@ -249,18 +249,25 @@ type scenarioRun struct {
 	reannounce  int
 	faultsOn    bool
 	// ckpt is the checkpoint encode buffer, reused by every checkpoint of
-	// the run.
-	ckpt checkpoint.Writer
+	// the run; optJSON and faultJSON are the marshalled swarm options and
+	// fault spec every checkpoint saves (see marshalStart).
+	ckpt      checkpoint.Writer
+	optJSON   []byte
+	faultJSON []byte
 }
 
-// freshRun builds the run state for a from-scratch execution.
-func (sc Scenario) freshRun() (*scenarioRun, error) {
+// startOptions derives the options a run's swarm starts from: sc.Opt with
+// defaults applied and, for capacity-sampled scenarios, the initial
+// UploadKbps vector drawn, so a checkpoint records values, not draws. It
+// returns the churn driver's sub-stream and the root stream the fault
+// layer splits from next.
+func (sc *Scenario) startOptions() (opt Options, churnR, base *rng.RNG) {
 	// The churn driver's randomness splits off the seed so it cannot
 	// collide with the swarm's own stream (same discipline as the replica
 	// fan-outs); a second split covers the initial capacity draw.
-	base := rng.New(sc.Opt.Seed)
-	churnR := base.Split()
-	opt := sc.Opt
+	base = rng.New(sc.Opt.Seed)
+	churnR = base.Split()
+	opt = sc.Opt
 	if sc.CapacityDist != nil && opt.UploadKbps == nil {
 		// Initial leechers draw from the same capacity distribution as
 		// arrivals (keeping the capacity-tercile classes meaningful);
@@ -276,6 +283,12 @@ func (sc Scenario) freshRun() (*scenarioRun, error) {
 		}
 		opt.UploadKbps = caps
 	}
+	return opt.withDefaults(), churnR, base
+}
+
+// freshRun builds the run state for a from-scratch execution.
+func (sc Scenario) freshRun() (*scenarioRun, error) {
+	opt, churnR, base := sc.startOptions()
 	s, err := New(opt)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)

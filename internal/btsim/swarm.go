@@ -136,6 +136,29 @@ func (o *Options) withDefaults() Options {
 	return opt
 }
 
+// validate rejects defaulted options no swarm can be built from.
+func (opt *Options) validate() error {
+	n := opt.Leechers + opt.Seeds
+	switch {
+	case opt.Leechers < 1:
+		return fmt.Errorf("btsim: %d leechers", opt.Leechers)
+	case opt.Pieces < 1:
+		return fmt.Errorf("btsim: %d pieces", opt.Pieces)
+	case opt.PieceKbit <= 0:
+		return fmt.Errorf("btsim: piece size %v", opt.PieceKbit)
+	case opt.UploadKbps != nil && len(opt.UploadKbps) != n:
+		return fmt.Errorf("btsim: %d capacities for %d peers", len(opt.UploadKbps), n)
+	case opt.NeighborCount < 1:
+		return fmt.Errorf("btsim: neighbor count %d", opt.NeighborCount)
+	case opt.MaxNeighbors < opt.NeighborCount:
+		return fmt.Errorf("btsim: max neighbors %d below neighbor count %d",
+			opt.MaxNeighbors, opt.NeighborCount)
+	case opt.TFTSlots < 1:
+		return fmt.Errorf("btsim: %d TFT slots", opt.TFTSlots)
+	}
+	return nil
+}
+
 // peer holds the per-peer scalar state. The roster is append-only: a peer
 // keeps its id and statistics after departing. All per-connection and
 // per-piece state lives in the Swarm's slot-indexed flat arrays (see the
@@ -280,24 +303,10 @@ type Swarm struct {
 // Leechers..Leechers+Seeds-1 are seeds.
 func New(o Options) (*Swarm, error) {
 	opt := o.withDefaults()
-	n := opt.Leechers + opt.Seeds
-	switch {
-	case opt.Leechers < 1:
-		return nil, fmt.Errorf("btsim: %d leechers", opt.Leechers)
-	case opt.Pieces < 1:
-		return nil, fmt.Errorf("btsim: %d pieces", opt.Pieces)
-	case opt.PieceKbit <= 0:
-		return nil, fmt.Errorf("btsim: piece size %v", opt.PieceKbit)
-	case opt.UploadKbps != nil && len(opt.UploadKbps) != n:
-		return nil, fmt.Errorf("btsim: %d capacities for %d peers", len(opt.UploadKbps), n)
-	case opt.NeighborCount < 1:
-		return nil, fmt.Errorf("btsim: neighbor count %d", opt.NeighborCount)
-	case opt.MaxNeighbors < opt.NeighborCount:
-		return nil, fmt.Errorf("btsim: max neighbors %d below neighbor count %d",
-			opt.MaxNeighbors, opt.NeighborCount)
-	case opt.TFTSlots < 1:
-		return nil, fmt.Errorf("btsim: %d TFT slots", opt.TFTSlots)
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
+	n := opt.Leechers + opt.Seeds
 	s := &Swarm{opt: opt, r: rng.New(opt.Seed), peers: make([]peer, n)}
 	for i := 0; i < n; i++ {
 		capKbps := 400.0
@@ -360,23 +369,7 @@ func New(o Options) (*Swarm, error) {
 		s.freeSlots = append(s.freeSlots, int32(sl))
 	}
 	s.deg = make([]int32, s.slotCap)
-
-	total := s.slotCap * int(s.edgeCap)
-	s.nbr = make([]int32, total)
-	s.rev = make([]int32, total)
-	s.recvWindow = make([]float64, total)
-	s.recvRate = make([]float64, total)
-	s.unchoked = make([]bool, total)
-	s.inflight = make([]int32, total)
-	s.want = make([]int32, total)
-	s.avail = make([]int32, s.slotCap*opt.Pieces)
-	s.pieceProgress = make([]float64, s.slotCap*opt.Pieces)
-
-	s.active = make([]int32, s.edgeCap)
-	s.mark = make([]uint64, opt.Pieces)
-	s.rankOrder = make([]int32, s.slotCap)
-	s.joinSort.s = s
-	s.initShards()
+	s.allocSlots()
 
 	// Initial wiring goes through the tracker, exactly like later joins:
 	// every peer registers, then announces in id order, topping its
@@ -390,6 +383,28 @@ func New(o Options) (*Swarm, error) {
 		s.Announce(i)
 	}
 	return s, nil
+}
+
+// allocSlots allocates zeroed CSR, piece and scratch storage for
+// s.slotCap slots and sets up the shard layer. New and a checkpoint load
+// both build a swarm's slot storage through it.
+func (s *Swarm) allocSlots() {
+	total := s.slotCap * int(s.edgeCap)
+	s.nbr = make([]int32, total)
+	s.rev = make([]int32, total)
+	s.recvWindow = make([]float64, total)
+	s.recvRate = make([]float64, total)
+	s.unchoked = make([]bool, total)
+	s.inflight = make([]int32, total)
+	s.want = make([]int32, total)
+	s.avail = make([]int32, s.slotCap*s.opt.Pieces)
+	s.pieceProgress = make([]float64, s.slotCap*s.opt.Pieces)
+
+	s.active = make([]int32, s.edgeCap)
+	s.mark = make([]uint64, s.opt.Pieces)
+	s.rankOrder = make([]int32, s.slotCap)
+	s.joinSort.s = s
+	s.initShards()
 }
 
 // bandwidthRanks returns rank[i] = position of peer i when sorted by

@@ -12,8 +12,10 @@
 //     never a panic, never silently-corrupt state (FuzzLoadCheckpoint in the
 //     consumers leans on this).
 //   - Primitives: Writer appends fixed-width values and length-prefixed
-//     slices; Reader is its sticky-error inverse. Every slice read guards
-//     its length prefix against the bytes actually remaining, so a hostile
+//     slices; Reader is its sticky-error inverse for scalars, blobs and
+//     []int32, and a caller that already knows a slice's length reads its
+//     prefix and elements one at a time. Every slice read guards its
+//     length prefix against the bytes actually remaining, so a hostile
 //     length cannot drive a huge allocation. A Writer is reusable: Reset
 //     empties it and keeps its buffer, so a run that checkpoints
 //     repeatedly encodes every snapshot into the same memory.
@@ -200,14 +202,6 @@ func (w *Writer) F64s(s []float64) {
 	}
 }
 
-// Bools appends a length-prefixed []bool, one byte per element.
-func (w *Writer) Bools(s []bool) {
-	w.U64(uint64(len(s)))
-	for _, v := range s {
-		w.Bool(v)
-	}
-}
-
 // Reader decodes a payload written by Writer. It is sticky-error: the
 // first failure (truncation, oversized length prefix) poisons the reader,
 // every later read returns zero values, and Err reports the failure —
@@ -328,58 +322,6 @@ func (r *Reader) I32s() []int32 {
 	s := make([]int32, n)
 	for i := range s {
 		s[i] = r.I32()
-	}
-	return s
-}
-
-// Ints reads a length-prefixed []int.
-func (r *Reader) Ints() []int {
-	n := r.sliceLen(8)
-	if n == 0 {
-		return nil
-	}
-	s := make([]int, n)
-	for i := range s {
-		s[i] = r.Int()
-	}
-	return s
-}
-
-// U64s reads a length-prefixed []uint64.
-func (r *Reader) U64s() []uint64 {
-	n := r.sliceLen(8)
-	if n == 0 {
-		return nil
-	}
-	s := make([]uint64, n)
-	for i := range s {
-		s[i] = r.U64()
-	}
-	return s
-}
-
-// F64s reads a length-prefixed []float64.
-func (r *Reader) F64s() []float64 {
-	n := r.sliceLen(8)
-	if n == 0 {
-		return nil
-	}
-	s := make([]float64, n)
-	for i := range s {
-		s[i] = r.F64()
-	}
-	return s
-}
-
-// Bools reads a length-prefixed []bool.
-func (r *Reader) Bools() []bool {
-	n := r.sliceLen(1)
-	if n == 0 {
-		return nil
-	}
-	s := make([]bool, n)
-	for i := range s {
-		s[i] = r.Bool()
 	}
 	return s
 }
