@@ -4,11 +4,11 @@ package btsim
 // complete run state — the swarm's roster, CSR wiring, free lists,
 // bitfields and counters; the tracker registry (in handout order); the
 // fault controller's windows, backoff timers and crash queue; every RNG
-// stream position; and the runner's own sampler bounds, round cursor and
-// drained-edge flag — serialized with the internal/checkpoint codec. The
-// bar is byte-identity: a run resumed from a checkpoint produces exactly
-// the sample/event stream and final result the uninterrupted run would
-// have produced from that round on.
+// stream position; and the runner's own capacity-class bounds, round
+// cursor and drained-edge flag — serialized with the internal/checkpoint
+// codec. The bar is byte-identity: a run resumed from a checkpoint
+// produces exactly the sample/event stream and final result the
+// uninterrupted run would have produced from that round on.
 //
 // The layout is written down once. Each section of the state — binding,
 // runner, swarm header, roster, slot arrays, CSR edges, tracker, faults,
@@ -169,8 +169,8 @@ func (run *scenarioRun) walk(c *codec, next *int) {
 
 	c.int(next)
 	c.bool(&run.alive)
-	c.f64(&run.sampler.classes.lo)
-	c.f64(&run.sampler.classes.hi)
+	c.f64(&run.classes.lo)
+	c.f64(&run.classes.hi)
 	c.rng(&run.churnR, "churn")
 	faultsOn := run.faultsOn
 	c.bool(&faultsOn)

@@ -579,7 +579,7 @@ func TestScenarioCheckpointOffZeroAlloc(t *testing.T) {
 		default:
 		}
 		run.s.Step()
-		sink = run.sampler.sample(run.s)
+		sink = run.s.sample(run.classes)
 	}
 	if allocs := testing.AllocsPerRun(200, body); allocs != 0 {
 		t.Fatalf("round body with checkpointing off allocates %.1f objects, want 0", allocs)

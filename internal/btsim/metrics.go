@@ -73,26 +73,23 @@ type Metrics struct {
 
 // Snapshot computes metrics for the current state.
 func (s *Swarm) Snapshot() Metrics {
-	s.flushJoinRanks() // the per-peer rows below read ranks
 	m := Metrics{
 		Round: s.round, Present: s.present, PresentSeeds: s.presentDone,
-		TotalDeparted: s.totalDeparted,
+		TotalDeparted: s.totalDeparted, CompletedLeechers: s.completedLeechers,
+		Peers: make([]PeerMetrics, len(s.peers)),
 	}
 	if s.flt != nil {
 		m.TotalCrashed = s.flt.totalCrashed
 	}
-	var (
-		ownRanks, partnerRanks []float64
-		offsets                []float64
-		doneRounds             []float64
-	)
-	// Normalize rank offsets by the present population (== the roster for
-	// a static swarm); ranks live on that scale. With nobody present the
-	// offset loop below never runs, so n == 0 cannot divide anything.
-	n := float64(s.present)
+	// The pass flushes join ranks, which the per-peer rows below read too;
+	// its share ratios need capacity classes, which only a scenario has.
+	m.StratCorrelation, m.MeanAbsRankOffset, _ = s.stratify(classBounds{})
+	var doneSum float64
+	doneN := 0
 	for i := range s.peers {
 		p := &s.peers[i]
-		pm := PeerMetrics{
+		pm := &m.Peers[i]
+		*pm = PeerMetrics{
 			ID:                 p.id,
 			Capacity:           p.capacity,
 			Rank:               s.rank[p.id],
@@ -113,38 +110,71 @@ func (s *Swarm) Snapshot() Metrics {
 		if p.tftPartnerCount > 0 {
 			pm.MeanTFTPartnerRank = p.tftPartnerRankSum / float64(p.tftPartnerCount)
 		}
-		if !p.isSeed {
-			if p.done {
-				m.CompletedLeechers++
-				if p.doneRound > 0 {
-					doneRounds = append(doneRounds, float64(p.doneRound))
-				}
-			}
-			// Only present peers feed the stratification aggregates:
-			// departed peers' frozen ranks come from whatever population
-			// size existed when they left, and mixing those scales with
-			// the present normalization would make the offsets
-			// meaningless under churn (sample() applies the same rule).
-			if p.tftPartnerCount > 0 && !p.departed {
-				ownRanks = append(ownRanks, float64(s.rank[p.id]))
-				partnerRanks = append(partnerRanks, pm.MeanTFTPartnerRank)
-				offsets = append(offsets, math.Abs(float64(s.rank[p.id])-pm.MeanTFTPartnerRank)/n)
-			}
+		if !p.isSeed && p.done && p.doneRound > 0 {
+			doneSum += float64(p.doneRound)
+			doneN++
 		}
-		m.Peers = append(m.Peers, pm)
 	}
-	m.StratCorrelation = stats.Pearson(ownRanks, partnerRanks)
-	if len(offsets) > 0 {
-		m.MeanAbsRankOffset = stats.Summarize(offsets).Mean
-	} else {
-		m.MeanAbsRankOffset = math.NaN()
-	}
-	if len(doneRounds) > 0 {
-		m.MeanCompletionRound = stats.Summarize(doneRounds).Mean
-	} else {
-		m.MeanCompletionRound = math.NaN()
+	m.MeanCompletionRound = math.NaN()
+	if doneN > 0 {
+		m.MeanCompletionRound = doneSum / float64(doneN)
 	}
 	return m
+}
+
+// stratify is the one pass over the present roster that every
+// stratification statistic comes from; Snapshot and the scenario sampler
+// both call it, so later observables belong here too. It allocates
+// nothing and sums in tracker-registry order, serially, so a result is a
+// pure function of the swarm's state. Seeds are skipped, and so are
+// departed peers: their frozen ranks come from whatever population size
+// existed when they left, and mixing those scales with the present
+// normalization would make the offsets meaningless under churn.
+//
+// corr is the Pearson correlation of own rank against mean TFT-partner
+// rank over peers with TFT history, and offset the mean of |own −
+// partner| / present over the same peers (both NaN when undefined).
+// shareRatio is the mean download/upload ratio per capacity class of
+// peers that uploaded anything (NaN for an empty class).
+func (s *Swarm) stratify(classes classBounds) (corr, offset float64, shareRatio [3]float64) {
+	s.flushJoinRanks()
+	var (
+		acc              stats.PearsonAcc
+		offSum           float64
+		ratioSum, ratioN [3]float64
+	)
+	// Ranks live on the present population's scale (== the roster for a
+	// static swarm). With nobody present the loop never runs, so n == 0
+	// cannot divide anything.
+	n := float64(s.present)
+	for _, id := range s.trk.present {
+		p := &s.peers[id]
+		if p.isSeed {
+			continue
+		}
+		if p.tftPartnerCount > 0 {
+			own := float64(s.rank[id])
+			partner := p.tftPartnerRankSum / float64(p.tftPartnerCount)
+			acc.Add(own, partner)
+			offSum += math.Abs(own-partner) / n
+		}
+		if p.totalUp > 0 {
+			cl := classes.class(p.capacity)
+			ratioSum[cl] += p.totalDown / p.totalUp
+			ratioN[cl]++
+		}
+	}
+	corr, offset = acc.Corr(), math.NaN()
+	if acc.N() > 0 {
+		offset = offSum / float64(acc.N())
+	}
+	for cl := range shareRatio {
+		shareRatio[cl] = math.NaN()
+		if ratioN[cl] > 0 {
+			shareRatio[cl] = ratioSum[cl] / ratioN[cl]
+		}
+	}
+	return corr, offset, shareRatio
 }
 
 // TotalUploaded returns the total kbit uploaded by all peers so far. O(1):

@@ -2,12 +2,10 @@ package btsim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"stratmatch/internal/checkpoint"
 	"stratmatch/internal/rng"
-	"stratmatch/internal/stats"
 	"stratmatch/internal/telemetry"
 )
 
@@ -47,10 +45,11 @@ type Scenario struct {
 	// re-announces (0: every 10 rounds, matching the choke interval).
 	ReannounceInterval int
 	// SampleEvery is the time-series sampling period (0: every 10 rounds).
-	// Sampling streams off counters the swarm maintains incrementally and
-	// reuses run-level scratch, so SampleEvery: 1 — one SeriesPoint per
-	// round — costs O(1) amortized allocations per round (the series
-	// append) and is the intended setting for dense time-series studies.
+	// A sample reads counters the swarm maintains incrementally plus one
+	// allocation-free pass over the present roster, so SampleEvery: 1 —
+	// one SeriesPoint per round — costs O(1) amortized allocations per
+	// round (the series append) and is the intended setting for dense
+	// time-series studies.
 	SampleEvery int
 	// Telemetry is an optional runtime-telemetry recorder (see
 	// internal/telemetry): when set, the runner and engine record phase
@@ -239,7 +238,7 @@ type scenarioRun struct {
 	sc      *Scenario
 	s       *Swarm
 	churnR  *rng.RNG // the churn driver's sub-stream
-	sampler seriesSampler
+	classes classBounds
 	scratch []int32
 	// alive tracks the population-drained edge detector; start is the first
 	// round the loop executes (0 fresh, checkpoint's resume round otherwise).
@@ -307,7 +306,7 @@ func (sc Scenario) freshRun() (*scenarioRun, error) {
 		sc:       &sc,
 		s:        s,
 		churnR:   churnR,
-		sampler:  seriesSampler{classes: newClassBounds(s)},
+		classes:  newClassBounds(s),
 		alive:    s.present > 0,
 		faultsOn: faultsOn,
 	}
@@ -400,7 +399,7 @@ func (run *scenarioRun) loop(obs Observer) error {
 		}
 		if round%run.sampleEvery == 0 || round == sc.Rounds-1 {
 			ssp := tel.StartPhase(telemetry.PhaseSample)
-			pt := run.sampler.sample(s)
+			pt := s.sample(run.classes)
 			obs.OnSample(pt)
 			tel.EndPhase(telemetry.PhaseSample, ssp)
 			tel.Inc(telemetry.CtrSamples)
@@ -465,24 +464,12 @@ func (c classBounds) class(capacity float64) int {
 	}
 }
 
-// seriesSampler is the scenario runner's streaming metrics accumulator: it
-// turns the swarm's incrementally maintained counters (population flows,
-// completed leechers, live degree sum) plus one allocation-free pass over
-// the present roster (share-ratio class sums, streaming rank correlation)
-// into a SeriesPoint. Snapshot builds the same statistics by rescanning and
-// materializing per-peer rows; the sampler exists so scenarios can take a
-// point every round without paying Snapshot-scale allocation.
-type seriesSampler struct {
-	classes classBounds
-}
-
-// sample computes one SeriesPoint from the live swarm state. It allocates
-// nothing, and it keeps no sums between samples: the stratification terms
-// are summed afresh over the present roster each time, so a point depends
-// only on the swarm's current state and a resumed run needs no sampler
-// state.
-func (sp *seriesSampler) sample(s *Swarm) SeriesPoint {
-	s.flushJoinRanks() // the correlation reads ranks
+// sample computes one SeriesPoint from the live swarm state: the
+// incrementally maintained counters (population flows, completed leechers,
+// live degree sum) plus the stratify pass. It allocates nothing and keeps
+// nothing between samples, so a point depends only on the swarm's current
+// state and a resumed run needs no sampler state.
+func (s *Swarm) sample(classes classBounds) SeriesPoint {
 	pt := SeriesPoint{
 		Round:     s.round,
 		Present:   s.present,
@@ -495,33 +482,7 @@ func (sp *seriesSampler) sample(s *Swarm) SeriesPoint {
 	if s.present > 0 {
 		pt.MeanDegree = float64(s.liveDegSum) / float64(s.present)
 	}
-
-	var (
-		corr             stats.PearsonAcc
-		ratioSum, ratioN [3]float64
-	)
-	for _, id := range s.trk.present {
-		p := &s.peers[id]
-		if p.isSeed {
-			continue
-		}
-		if p.tftPartnerCount > 0 {
-			corr.Add(float64(s.rank[p.id]), p.tftPartnerRankSum/float64(p.tftPartnerCount))
-		}
-		if p.totalUp > 0 {
-			cl := sp.classes.class(p.capacity)
-			ratioSum[cl] += p.totalDown / p.totalUp
-			ratioN[cl]++
-		}
-	}
-	pt.StratCorr = corr.Corr()
-	for cl := range pt.ShareRatioByClass {
-		if ratioN[cl] > 0 {
-			pt.ShareRatioByClass[cl] = ratioSum[cl] / ratioN[cl]
-		} else {
-			pt.ShareRatioByClass[cl] = math.NaN()
-		}
-	}
+	pt.StratCorr, _, pt.ShareRatioByClass = s.stratify(classes)
 	if f := s.flt; f != nil {
 		pt.StaleEdges = f.staleEdges
 		pt.Crashed = f.totalCrashed

@@ -2,7 +2,6 @@ package btsim
 
 import (
 	"fmt"
-	"math"
 	"path/filepath"
 	"testing"
 
@@ -206,149 +205,6 @@ func TestShardDeltaMergeStress(t *testing.T) {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
-	}
-}
-
-// approxSeries compares two series points: integer fields exactly, float
-// fields to a relative tolerance (the sampler sums the same terms as
-// Snapshot, but in tracker order rather than id order).
-func approxSeries(a, b SeriesPoint, tol float64) error {
-	ints := func(name string, x, y int) error {
-		if x != y {
-			return fmt.Errorf("%s: %d != %d", name, x, y)
-		}
-		return nil
-	}
-	floats := func(name string, x, y float64) error {
-		if math.IsNaN(x) && math.IsNaN(y) {
-			return nil
-		}
-		if diff := math.Abs(x - y); diff > tol*math.Max(1, math.Max(math.Abs(x), math.Abs(y))) {
-			return fmt.Errorf("%s: %v != %v (diff %v)", name, x, y, diff)
-		}
-		return nil
-	}
-	checks := []error{
-		ints("Round", a.Round, b.Round),
-		ints("Present", a.Present, b.Present),
-		ints("Leechers", a.Leechers, b.Leechers),
-		ints("Seeds", a.Seeds, b.Seeds),
-		ints("Joined", a.Joined, b.Joined),
-		ints("Departed", a.Departed, b.Departed),
-		ints("Completed", a.Completed, b.Completed),
-		ints("StaleEdges", a.StaleEdges, b.StaleEdges),
-		ints("Crashed", a.Crashed, b.Crashed),
-		ints("AnnounceFailures", a.AnnounceFailures, b.AnnounceFailures),
-		ints("AnnounceRetries", a.AnnounceRetries, b.AnnounceRetries),
-		floats("MeanDegree", a.MeanDegree, b.MeanDegree),
-		floats("StratCorr", a.StratCorr, b.StratCorr),
-		floats("ShareRatio[0]", a.ShareRatioByClass[0], b.ShareRatioByClass[0]),
-		floats("ShareRatio[1]", a.ShareRatioByClass[1], b.ShareRatioByClass[1]),
-		floats("ShareRatio[2]", a.ShareRatioByClass[2], b.ShareRatioByClass[2]),
-	}
-	for _, err := range checks {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TestLazySamplerMatchesEager is the differential pin for the streaming
-// series sampler, which reads the swarm's incrementally maintained
-// counters and sums the roster without materializing it: across the whole
-// catalog, plus tracereplay at seed 1 and scale 3 (a long run whose early
-// contributors all leave), every sample must match the same point rebuilt
-// from an eager Snapshot of the swarm it was taken from — integer fields
-// exactly, correlation and share-ratio aggregates to summation-order
-// rounding.
-func TestLazySamplerMatchesEager(t *testing.T) {
-	type input struct {
-		label, scenario string
-		seed            uint64
-		scale           float64
-	}
-	var inputs []input
-	for _, name := range ScenarioNames() {
-		inputs = append(inputs, input{name, name, 9, 0.15})
-	}
-	inputs = append(inputs, input{"tracereplay_seed1_scale3", "tracereplay", 1, 3})
-	for _, in := range inputs {
-		in := in
-		t.Run(in.label, func(t *testing.T) {
-			t.Parallel()
-			sc, err := NamedScenario(in.scenario, in.seed, in.scale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			samples := 0
-			err = runAuditing(sc, func(s *Swarm, classes classBounds, pt SeriesPoint) error {
-				samples++
-				if err := approxSeries(pt, snapshotPoint(s, classes, pt), 1e-12); err != nil {
-					return fmt.Errorf("sample %d (round %d): %w", samples, pt.Round, err)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if samples == 0 {
-				t.Fatal("no samples taken")
-			}
-		})
-	}
-}
-
-// snapshotPoint rebuilds pt's population and stratification fields from
-// s.Snapshot()'s per-peer rows, in id order; the fields Snapshot does not
-// recount (mean degree, the fault counters) are copied from pt.
-func snapshotPoint(s *Swarm, classes classBounds, pt SeriesPoint) SeriesPoint {
-	m := s.Snapshot()
-	want := pt
-	want.Round = m.Round
-	want.Present = m.Present
-	want.Seeds = m.PresentSeeds
-	want.Leechers = m.Present - m.PresentSeeds
-	want.Joined = len(m.Peers)
-	want.Departed = m.TotalDeparted
-	want.Completed = m.CompletedLeechers
-	want.Crashed = m.TotalCrashed
-	want.StratCorr = m.StratCorrelation
-	var ratioSum, ratioN [3]float64
-	for _, pm := range m.Peers {
-		if pm.IsSeed || pm.Departed || pm.TotalUp <= 0 {
-			continue
-		}
-		cl := classes.class(pm.Capacity)
-		ratioSum[cl] += pm.ShareRatio
-		ratioN[cl]++
-	}
-	for cl := range want.ShareRatioByClass {
-		want.ShareRatioByClass[cl] = ratioSum[cl] / ratioN[cl] // NaN when empty, as in the sampler
-	}
-	return want
-}
-
-// TestSeriesStatsZeroAlloc pins the cost model of the series sampler:
-// summing the roster and reading the aggregates allocates nothing, so
-// per-round sampling (SampleEvery 1, the flash-crowd configuration) adds
-// no garbage to the steady-state round.
-func TestSeriesStatsZeroAlloc(t *testing.T) {
-	s, err := New(Options{
-		Leechers: 100, Pieces: 1, ContentUnlimited: true,
-		NeighborCount: 10, Seed: 41,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := seriesSampler{classes: newClassBounds(s)}
-	s.Run(30)
-	sample := func() {
-		s.Step()
-		_ = sp.sample(s)
-	}
-	if allocs := testing.AllocsPerRun(100, sample); allocs != 0 {
-		t.Fatalf("step+sample allocates %.1f objects per round, want 0", allocs)
 	}
 }
 

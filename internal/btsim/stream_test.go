@@ -1,6 +1,8 @@
 package btsim
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,30 +11,11 @@ import (
 	"stratmatch/internal/stats"
 )
 
-// recountCompletedLeechers recomputes the streaming counter from the roster.
-func recountCompletedLeechers(s *Swarm) int {
-	n := 0
-	for i := range s.peers {
-		if !s.peers[i].isSeed && s.peers[i].done {
-			n++
-		}
-	}
-	return n
-}
-
-// recountLiveDegSum recomputes the streaming degree sum from the present set.
-func recountLiveDegSum(s *Swarm) int64 {
-	var deg int64
-	for _, id := range s.trk.present {
-		deg += int64(s.deg[s.slotOf[id]])
-	}
-	return deg
-}
-
 // TestStreamingCountersMatchRecount drives a swarm through joins, steps and
-// departures and checks the incrementally maintained metric counters against
-// full recounts at every stage — the invariant the zero-alloc scenario
-// sampler rests on.
+// departures and checks the incrementally maintained metric counters
+// (completedLeechers, liveDegSum among them) against CheckInvariants' full
+// recounts at every stage — the invariant the zero-alloc scenario sampler
+// rests on.
 func TestStreamingCountersMatchRecount(t *testing.T) {
 	s, err := New(Options{
 		Leechers: 30, Seeds: 2, Pieces: 16, PieceKbit: 256,
@@ -44,11 +27,8 @@ func TestStreamingCountersMatchRecount(t *testing.T) {
 	r := rng.New(42)
 	check := func(round int) {
 		t.Helper()
-		if got, want := s.completedLeechers, recountCompletedLeechers(s); got != want {
-			t.Fatalf("round %d: completedLeechers %d, recount %d", round, got, want)
-		}
-		if got, want := s.liveDegSum, recountLiveDegSum(s); got != want {
-			t.Fatalf("round %d: liveDegSum %d, recount %d", round, got, want)
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 	}
 	check(0)
@@ -70,46 +50,150 @@ func TestStreamingCountersMatchRecount(t *testing.T) {
 	check(400)
 }
 
-// TestSeriesSamplerMatchesSnapshot cross-validates the streaming sampler
-// against the allocation-heavy Snapshot on the same state: population
-// counts, completions, mean degree and the stratification correlation must
-// agree (the sampler feeds Pearson the same pairs, though in present-set
-// order, so correlations match to float tolerance).
-func TestSeriesSamplerMatchesSnapshot(t *testing.T) {
-	sc, err := NamedScenario("massdepart", 7, 0.25)
-	if err != nil {
-		t.Fatal(err)
+// TestLazySamplerMatchesEager pins the one stratification pass, which
+// sums the present roster in tracker order without materializing it,
+// against an eager oracle that test code rebuilds from Snapshot's
+// per-peer rows in id order. Across the whole catalog, plus tracereplay
+// at seed 1 and scale 3 (a long run whose early contributors all leave),
+// every sample point and a Snapshot taken right after it must match the
+// oracle: counts exactly, correlation, offsets and ratios to
+// summation-order rounding.
+func TestLazySamplerMatchesEager(t *testing.T) {
+	type input struct {
+		label, scenario string
+		seed            uint64
+		scale           float64
 	}
-	sc.SampleEvery = 1
-	res, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
+	var inputs []input
+	for _, name := range ScenarioNames() {
+		inputs = append(inputs, input{name, name, 9, 0.15})
 	}
-	if want := sc.Rounds; len(res.Series) != want {
-		t.Fatalf("SampleEvery=1: %d samples for %d rounds", len(res.Series), want)
+	inputs = append(inputs, input{"tracereplay_seed1_scale3", "tracereplay", 1, 3})
+	for _, in := range inputs {
+		in := in
+		t.Run(in.label, func(t *testing.T) {
+			t.Parallel()
+			sc, err := NamedScenario(in.scenario, in.seed, in.scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samples := 0
+			err = runAuditing(sc, func(s *Swarm, classes classBounds, pt SeriesPoint) error {
+				samples++
+				m := s.Snapshot()
+				if err := rowOracle(m.Peers, classes).match(pt, m, 1e-12); err != nil {
+					return fmt.Errorf("sample %d (round %d): %w", samples, pt.Round, err)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if samples == 0 {
+				t.Fatal("no samples taken")
+			}
+		})
 	}
-	last := res.Series[len(res.Series)-1]
-	m := res.Final
-	if last.Present != m.Present || last.Seeds != m.PresentSeeds {
-		t.Fatalf("population mismatch: series %+v, snapshot present %d seeds %d",
-			last, m.Present, m.PresentSeeds)
-	}
-	if last.Completed != m.CompletedLeechers {
-		t.Fatalf("completed: series %d, snapshot %d", last.Completed, m.CompletedLeechers)
-	}
-	// Recompute the final correlation Snapshot-style.
-	var own, partner []float64
-	for _, pm := range m.Peers {
-		if !pm.IsSeed && !pm.Departed && !math.IsNaN(pm.MeanTFTPartnerRank) {
-			own = append(own, float64(pm.Rank))
-			partner = append(partner, pm.MeanTFTPartnerRank)
+}
+
+// rowStats holds the population and stratification statistics rebuilt
+// from Metrics.Peers rows alone.
+type rowStats struct {
+	present, seeds, departed, completed int
+	corr, offset, completionRound       float64
+	shareRatio                          [3]float64
+}
+
+// rowOracle recomputes, in id order and with stats.Pearson, what the
+// stratify pass and Snapshot report: present non-seed peers with TFT
+// history feed the correlation and the rank offsets, present non-seed
+// uploaders the class share ratios.
+func rowOracle(rows []PeerMetrics, classes classBounds) rowStats {
+	var o rowStats
+	for _, pm := range rows {
+		switch {
+		case pm.Departed:
+			o.departed++
+		case pm.Done:
+			o.present++
+			o.seeds++
+		default:
+			o.present++
 		}
 	}
-	want := stats.Pearson(own, partner)
-	if math.IsNaN(want) != math.IsNaN(last.StratCorr) ||
-		(!math.IsNaN(want) && math.Abs(want-last.StratCorr) > 1e-9) {
-		t.Fatalf("strat correlation: series %v, snapshot-style %v", last.StratCorr, want)
+	mean := func(xs []float64) float64 {
+		if len(xs) == 0 {
+			return math.NaN()
+		}
+		return stats.Summarize(xs).Mean
 	}
+	var own, partner, offsets, doneRounds []float64
+	var ratioSum, ratioN [3]float64
+	for _, pm := range rows {
+		if pm.IsSeed {
+			continue
+		}
+		if pm.Done {
+			o.completed++
+			if pm.DoneRound > 0 {
+				doneRounds = append(doneRounds, float64(pm.DoneRound))
+			}
+		}
+		if pm.Departed {
+			continue
+		}
+		if !math.IsNaN(pm.MeanTFTPartnerRank) {
+			own = append(own, float64(pm.Rank))
+			partner = append(partner, pm.MeanTFTPartnerRank)
+			offsets = append(offsets, math.Abs(float64(pm.Rank)-pm.MeanTFTPartnerRank)/float64(o.present))
+		}
+		if pm.TotalUp > 0 {
+			cl := classes.class(pm.Capacity)
+			ratioSum[cl] += pm.ShareRatio
+			ratioN[cl]++
+		}
+	}
+	o.corr = stats.Pearson(own, partner)
+	o.offset = mean(offsets)
+	o.completionRound = mean(doneRounds)
+	for cl := range o.shareRatio {
+		o.shareRatio[cl] = ratioSum[cl] / ratioN[cl] // NaN when empty
+	}
+	return o
+}
+
+// match checks a sample point and the Snapshot taken with it against the
+// oracle: counts exactly, floats to a relative tolerance (NaN matches NaN).
+func (o rowStats) match(pt SeriesPoint, m Metrics, tol float64) error {
+	var errs []error
+	ints := func(name string, got, want int) {
+		if got != want {
+			errs = append(errs, fmt.Errorf("%s: %d, oracle %d", name, got, want))
+		}
+	}
+	floats := func(name string, got, want float64) {
+		if math.IsNaN(got) && math.IsNaN(want) {
+			return
+		}
+		if diff := math.Abs(got - want); !(diff <= tol*math.Max(1, math.Max(math.Abs(got), math.Abs(want)))) {
+			errs = append(errs, fmt.Errorf("%s: %v, oracle %v (diff %v)", name, got, want, diff))
+		}
+	}
+	ints("sample Present", pt.Present, o.present)
+	ints("sample Seeds", pt.Seeds, o.seeds)
+	ints("sample Leechers", pt.Leechers, o.present-o.seeds)
+	ints("sample Joined", pt.Joined, len(m.Peers))
+	ints("sample Departed", pt.Departed, o.departed)
+	ints("sample Completed", pt.Completed, o.completed)
+	floats("sample StratCorr", pt.StratCorr, o.corr)
+	for cl := range pt.ShareRatioByClass {
+		floats(fmt.Sprintf("sample ShareRatioByClass[%d]", cl), pt.ShareRatioByClass[cl], o.shareRatio[cl])
+	}
+	ints("Snapshot CompletedLeechers", m.CompletedLeechers, o.completed)
+	floats("Snapshot StratCorrelation", m.StratCorrelation, o.corr)
+	floats("Snapshot MeanAbsRankOffset", m.MeanAbsRankOffset, o.offset)
+	floats("Snapshot MeanCompletionRound", m.MeanCompletionRound, o.completionRound)
+	return errors.Join(errs...)
 }
 
 // discardObserver keeps only the latest sample — the O(1)-memory consumer
@@ -134,7 +218,7 @@ type auditObserver struct {
 
 func (o *auditObserver) OnSample(pt SeriesPoint) {
 	if o.err == nil {
-		o.err = o.check(o.run.s, o.run.sampler.classes, pt)
+		o.err = o.check(o.run.s, o.run.classes, pt)
 	}
 }
 
@@ -187,27 +271,56 @@ func TestScenarioObserverZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestScenarioStepSampleZeroAlloc pins the tentpole guarantee: stepping a
-// churning swarm AND taking a time-series sample every round allocates
-// nothing once the swarm is warm (the scenario runner's series append is the
-// only amortized-O(1) cost on top).
-func TestScenarioStepSampleZeroAlloc(t *testing.T) {
-	caps := bandwidth.RankBandwidths(bandwidth.Saroiu(), 60)
-	s, err := New(Options{
-		Leechers: 58, Seeds: 2, Pieces: 32, PieceKbit: 512,
-		PostFlashCrowd: true, NeighborCount: 10, UploadKbps: caps, Seed: 43,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestSampleAllocs pins the cost model of sampling on warm swarms, both
+// trading pieces after a flash crowd and content-unlimited: a step plus a
+// time-series sample allocates nothing, so per-round sampling
+// (SampleEvery 1, the flash-crowd configuration) adds no garbage to the
+// steady-state round, and a step plus a Snapshot allocates exactly one
+// object, its per-peer rows.
+func TestSampleAllocs(t *testing.T) {
+	pieceMode := Options{
+		Leechers: 58, Seeds: 2, Pieces: 32, PieceKbit: 512, PostFlashCrowd: true,
+		NeighborCount: 10, UploadKbps: bandwidth.RankBandwidths(bandwidth.Saroiu(), 60), Seed: 43,
 	}
-	s.Run(60)
-	sampler := seriesSampler{classes: newClassBounds(s)}
-	var sink SeriesPoint
-	if allocs := testing.AllocsPerRun(200, func() {
-		s.Step()
-		sink = sampler.sample(s)
-	}); allocs != 0 {
-		t.Fatalf("step+sample allocates %.2f objects per round, want 0", allocs)
+	unlimited := Options{
+		Leechers: 100, Pieces: 1, ContentUnlimited: true,
+		NeighborCount: 10, Seed: 41,
 	}
-	_ = sink
+	cases := []struct {
+		name       string
+		opt        Options
+		warm, runs int
+		snapshot   bool
+		want       float64
+	}{
+		{"piece-mode", pieceMode, 60, 200, false, 0},
+		{"content-unlimited", unlimited, 30, 100, false, 0},
+		{"snapshot", pieceMode, 60, 200, true, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			classes := newClassBounds(s)
+			s.Run(tc.warm)
+			var (
+				pt SeriesPoint
+				m  Metrics
+			)
+			allocs := testing.AllocsPerRun(tc.runs, func() {
+				s.Step()
+				if tc.snapshot {
+					m = s.Snapshot()
+				} else {
+					pt = s.sample(classes)
+				}
+			})
+			if allocs != tc.want {
+				t.Fatalf("allocates %.2f objects per round, want %.0f", allocs, tc.want)
+			}
+			_, _ = pt, m
+		})
+	}
 }
