@@ -96,6 +96,41 @@ func TestLazySamplerMatchesEager(t *testing.T) {
 	}
 }
 
+// TestSeriesSamplerMatchesSnapshot checks the public Scenario.Run path end
+// to end: at SampleEvery 1 it returns one point per round, and the last
+// point agrees with the run's final Snapshot — population counts and
+// completions exactly, the stratification correlation with the row
+// oracle's to summation-order rounding.
+func TestSeriesSamplerMatchesSnapshot(t *testing.T) {
+	sc, err := NamedScenario("massdepart", 7, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.SampleEvery = 1
+	res, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sc.Rounds; len(res.Series) != want {
+		t.Fatalf("SampleEvery=1: %d samples for %d rounds", len(res.Series), want)
+	}
+	last := res.Series[len(res.Series)-1]
+	m := res.Final
+	if last.Present != m.Present || last.Seeds != m.PresentSeeds {
+		t.Fatalf("population mismatch: series %+v, snapshot present %d seeds %d",
+			last, m.Present, m.PresentSeeds)
+	}
+	if last.Completed != m.CompletedLeechers {
+		t.Fatalf("completed: series %d, snapshot %d", last.Completed, m.CompletedLeechers)
+	}
+	// The correlation does not depend on the class bounds.
+	want := rowOracle(m.Peers, classBounds{}).corr
+	if math.IsNaN(want) != math.IsNaN(last.StratCorr) ||
+		(!math.IsNaN(want) && math.Abs(want-last.StratCorr) > 1e-12*math.Max(1, math.Abs(want))) {
+		t.Fatalf("strat correlation: series %v, row oracle %v", last.StratCorr, want)
+	}
+}
+
 // rowStats holds the population and stratification statistics rebuilt
 // from Metrics.Peers rows alone.
 type rowStats struct {
