@@ -26,6 +26,12 @@ package btsim
 // (rebuilt from the registry), and telemetry (runtime instrumentation,
 // never simulation state).
 //
+// The binding section names the workload: the scenario's name, seed and
+// horizon and the JSON bytes of the spec it was compiled from. Every
+// Scenario comes from ScenarioSpec.Compile, so every checkpoint embeds its
+// spec; ResumeSpec recovers it, and a load requires it to equal the
+// scenario's byte for byte.
+//
 // Loading trusts nothing. The container layer rejects truncation, bit
 // flips and version skew. The swarm options and fault spec a file saves
 // must equal the ones the scenario derives, so no saved value chooses the
@@ -72,15 +78,15 @@ func (run *scenarioRun) writeCheckpoint(nextRound int) error {
 	defer tel.EndPhase(telemetry.PhaseCheckpointWrite, span)
 	payload, err := run.encode(nextRound)
 	if err != nil {
-		return fmt.Errorf("scenario %s: checkpoint: %w", sc.Name, err)
+		return fmt.Errorf("scenario %s: checkpoint: %w", sc.spec.Name, err)
 	}
 	if err := os.MkdirAll(sc.CheckpointDir, 0o755); err != nil {
-		return fmt.Errorf("scenario %s: checkpoint: %w", sc.Name, err)
+		return fmt.Errorf("scenario %s: checkpoint: %w", sc.spec.Name, err)
 	}
 	path := filepath.Join(sc.CheckpointDir, checkpoint.FileName(nextRound))
 	n, err := checkpoint.WriteFile(path, payload)
 	if err != nil {
-		return fmt.Errorf("scenario %s: %w", sc.Name, err)
+		return fmt.Errorf("scenario %s: %w", sc.spec.Name, err)
 	}
 	tel.Inc(telemetry.CtrCheckpointsWritten)
 	tel.Add(telemetry.CtrCheckpointBytes, n)
@@ -90,7 +96,7 @@ func (run *scenarioRun) writeCheckpoint(nextRound int) error {
 	}
 	if retain > 0 {
 		if err := checkpoint.Rotate(sc.CheckpointDir, retain); err != nil {
-			return fmt.Errorf("scenario %s: %w", sc.Name, err)
+			return fmt.Errorf("scenario %s: %w", sc.spec.Name, err)
 		}
 	}
 	return nil
@@ -125,7 +131,7 @@ func (run *scenarioRun) marshalStart() error {
 		return err
 	}
 	if run.faultsOn {
-		if run.faultJSON, err = json.Marshal(*run.sc.Faults); err != nil {
+		if run.faultJSON, err = json.Marshal(*run.sc.spec.Faults); err != nil {
 			return err
 		}
 	}
@@ -155,16 +161,16 @@ func (c *codec) binding(b *binding) {
 // set, and the walk checks the file against them.
 func (run *scenarioRun) walk(c *codec, next *int) {
 	sc := run.sc
-	b := binding{sc.Name, sc.Opt.Seed, sc.Rounds, sc.specJSON}
+	b := binding{sc.spec.Name, sc.Opt.Seed, sc.spec.Rounds, sc.specJSON}
 	c.binding(&b)
 	// Checks whose messages carry values sit in read-mode blocks, so the
 	// write path neither boxes those values nor calls the checks.
 	if c.reading() {
-		c.check(b.name == sc.Name, "checkpoint is for scenario %q", b.name)
+		c.check(b.name == sc.spec.Name, "checkpoint is for scenario %q", b.name)
 		c.check(b.seed == sc.Opt.Seed, "checkpoint seed %d, scenario seed %d", b.seed, sc.Opt.Seed)
-		c.check(b.rounds == sc.Rounds, "checkpoint horizon %d rounds, scenario %d", b.rounds, sc.Rounds)
-		c.check(len(b.spec) == 0 || len(sc.specJSON) == 0 || bytes.Equal(b.spec, sc.specJSON),
-			"checkpoint was taken from a different spec for %q", b.name)
+		c.check(b.rounds == sc.spec.Rounds, "checkpoint horizon %d rounds, scenario %d", b.rounds, sc.spec.Rounds)
+		c.check(len(b.spec) > 0, "checkpoint embeds no scenario spec")
+		c.check(bytes.Equal(b.spec, sc.specJSON), "checkpoint was taken from a different spec for %q", b.name)
 	}
 
 	c.int(next)
@@ -179,7 +185,7 @@ func (run *scenarioRun) walk(c *codec, next *int) {
 	s := run.s
 	c.swarmHeader(s, run.optJSON)
 	if c.reading() {
-		c.check(*next >= 0 && *next <= sc.Rounds, "resume round %d outside [0, %d]", *next, sc.Rounds)
+		c.check(*next >= 0 && *next <= sc.spec.Rounds, "resume round %d outside [0, %d]", *next, sc.spec.Rounds)
 		c.check(s.round == *next, "swarm is at round %d, resume point is %d", s.round, *next)
 	}
 	c.roster(s)
@@ -187,7 +193,7 @@ func (run *scenarioRun) walk(c *codec, next *int) {
 	c.edges(s)
 	c.tracker(s)
 	if run.faultsOn {
-		c.faults(s, *sc.Faults, run.faultJSON)
+		c.faults(s, *sc.spec.Faults, run.faultJSON)
 	}
 	c.shards(s)
 }
@@ -583,11 +589,11 @@ func (sc Scenario) resumeRun() (*scenarioRun, error) {
 	defer tel.EndPhase(telemetry.PhaseCheckpointLoad, span)
 	path, err := resolveCheckpointPath(sc.ResumeFrom)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: resume: %w", sc.Name, err)
+		return nil, fmt.Errorf("scenario %s: resume: %w", sc.spec.Name, err)
 	}
 	payload, err := checkpoint.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: resume: %w", sc.Name, err)
+		return nil, fmt.Errorf("scenario %s: resume: %w", sc.spec.Name, err)
 	}
 	run, err := sc.loadCheckpoint(payload)
 	if err != nil {
@@ -602,7 +608,7 @@ func (sc Scenario) resumeRun() (*scenarioRun, error) {
 // (FuzzLoadCheckpoint hammers this contract).
 func (sc Scenario) loadCheckpoint(payload []byte) (*scenarioRun, error) {
 	fail := func(format string, args ...any) (*scenarioRun, error) {
-		return nil, fmt.Errorf("scenario %s: resume: %s", sc.Name, fmt.Sprintf(format, args...))
+		return nil, fmt.Errorf("scenario %s: resume: %s", sc.spec.Name, fmt.Sprintf(format, args...))
 	}
 	opt, _, _ := sc.startOptions()
 	if err := opt.validate(); err != nil {
@@ -611,7 +617,7 @@ func (sc Scenario) loadCheckpoint(payload []byte) (*scenarioRun, error) {
 	run := &scenarioRun{
 		sc:       &sc,
 		s:        &Swarm{opt: opt, edgeCap: int32(opt.MaxNeighbors)},
-		faultsOn: !sc.Faults.IsZero(),
+		faultsOn: !sc.spec.Faults.IsZero(),
 	}
 	if err := run.marshalStart(); err != nil {
 		return fail("%v", err)
@@ -635,9 +641,8 @@ func (sc Scenario) loadCheckpoint(payload []byte) (*scenarioRun, error) {
 
 // ResumeSpec reads the scenario spec embedded in a checkpoint (a file, or
 // a directory whose newest checkpoint is used), so a resume can recompile
-// the exact workload from the snapshot alone. Checkpoints of hand-built
-// (non-spec) scenarios carry no spec and are rejected with a descriptive
-// error.
+// the exact workload from the snapshot alone. It is the only way to
+// recover a workload from a checkpoint file.
 func ResumeSpec(path string) (ScenarioSpec, error) {
 	resolved, err := resolveCheckpointPath(path)
 	if err != nil {
@@ -650,9 +655,6 @@ func ResumeSpec(path string) (ScenarioSpec, error) {
 	var b binding
 	if err := readWalk(payload, func(c *codec) { c.binding(&b) }); err != nil {
 		return ScenarioSpec{}, fmt.Errorf("checkpoint: read %s: %v", resolved, err)
-	}
-	if len(b.spec) == 0 {
-		return ScenarioSpec{}, fmt.Errorf("checkpoint %s embeds no scenario spec (hand-built scenario); rebuild the scenario and set ResumeFrom", resolved)
 	}
 	sp, err := ParseSpec(b.spec)
 	if err != nil {

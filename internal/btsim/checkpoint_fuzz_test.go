@@ -75,7 +75,7 @@ func corpusCheckpoint(tb testing.TB, name string) (Scenario, []byte) {
 	}
 	dir := tb.TempDir()
 	ck := sc
-	ck.CheckpointEvery = sc.Rounds / 2
+	ck.CheckpointEvery = sc.spec.Rounds / 2
 	ck.CheckpointDir = dir
 	ck.CheckpointRetain = -1
 	if _, err := ck.Run(); err != nil {
@@ -100,7 +100,7 @@ func TestLoadCheckpointCorruptionMatrix(t *testing.T) {
 	sc := ckptScenario(t, "trackerdown", 46)
 	dir := t.TempDir()
 	ck := sc
-	ck.CheckpointEvery = sc.Rounds / 3
+	ck.CheckpointEvery = sc.spec.Rounds / 3
 	ck.CheckpointDir = dir
 	if _, err := ck.Run(); err != nil {
 		t.Fatal(err)

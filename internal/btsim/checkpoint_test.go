@@ -14,22 +14,40 @@ import (
 	"stratmatch/internal/checkpoint"
 )
 
-// ckptScenario compiles a catalog scenario shrunk to a short horizon with
-// dense sampling — small enough that resuming from every single round
-// stays cheap, faithful enough to exercise churn, shocks and faults.
-func ckptScenario(t testing.TB, name string, seed uint64) Scenario {
+// namedSpec builds a catalog spec, failing the test on error.
+func namedSpec(t testing.TB, name string, seed uint64, scale float64) ScenarioSpec {
 	t.Helper()
-	sp, err := NamedSpec(name, seed, 0.15)
+	sp, err := NamedSpec(name, seed, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp = sp.Scaled(0.12)
-	sp.SampleEvery = 1
+	return sp
+}
+
+// mustCompile compiles sp, failing the test on error.
+func mustCompile(t testing.TB, sp ScenarioSpec) Scenario {
+	t.Helper()
 	sc, err := sp.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sc
+}
+
+// ckptSpec is a catalog spec shrunk to a short horizon with dense
+// sampling — small enough that resuming from every single round stays
+// cheap, faithful enough to exercise churn, shocks and faults.
+func ckptSpec(t testing.TB, name string, seed uint64) ScenarioSpec {
+	t.Helper()
+	sp := namedSpec(t, name, seed, 0.15).Scaled(0.12)
+	sp.SampleEvery = 1
+	return sp
+}
+
+// ckptScenario compiles ckptSpec.
+func ckptScenario(t testing.TB, name string, seed uint64) Scenario {
+	t.Helper()
+	return mustCompile(t, ckptSpec(t, name, seed))
 }
 
 // fmtResult renders a run result into a comparable string. Formatting
@@ -119,7 +137,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			}
 
 			// One checkpoint every in.every rounds; resume from each.
-			for k := in.every; k <= sc.Rounds; k += in.every {
+			for k := in.every; k <= sc.spec.Rounds; k += in.every {
 				res := sc
 				res.ResumeFrom = filepath.Join(dir, checkpoint.FileName(k))
 				resumed, err := res.Run()
@@ -221,7 +239,7 @@ func TestCheckpointRotation(t *testing.T) {
 	if len(entries) != 3 {
 		t.Fatalf("retention left %d checkpoints, want 3", len(entries))
 	}
-	for i, want := range []int{sc.Rounds - 2, sc.Rounds - 1, sc.Rounds} {
+	for i, want := range []int{sc.spec.Rounds - 2, sc.spec.Rounds - 1, sc.spec.Rounds} {
 		if got := entries[i].Name(); got != checkpoint.FileName(want) {
 			t.Fatalf("retained file %d is %s, want %s", i, got, checkpoint.FileName(want))
 		}
@@ -232,8 +250,8 @@ func TestCheckpointRotation(t *testing.T) {
 			nCkpt++
 		}
 	}
-	if nCkpt != sc.Rounds {
-		t.Fatalf("%d checkpoint events for %d rounds", nCkpt, sc.Rounds)
+	if nCkpt != sc.spec.Rounds {
+		t.Fatalf("%d checkpoint events for %d rounds", nCkpt, sc.spec.Rounds)
 	}
 }
 
@@ -243,7 +261,7 @@ func TestCheckpointBindingRejected(t *testing.T) {
 	sc := ckptScenario(t, "flashcrowd", 46)
 	dir := t.TempDir()
 	ck := sc
-	ck.CheckpointEvery = sc.Rounds // single checkpoint at the end of the run
+	ck.CheckpointEvery = sc.spec.Rounds // single checkpoint at the end of the run
 	ck.CheckpointDir = dir
 	if _, err := ck.Run(); err != nil {
 		t.Fatal(err)
@@ -251,44 +269,26 @@ func TestCheckpointBindingRejected(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		mutate func(*Scenario)
+		mutate func(*ScenarioSpec)
 		want   string
 	}{
-		{"wrong name", func(s *Scenario) { s.Name = "other" }, "scenario"},
-		{"wrong seed", func(s *Scenario) { s.Opt.Seed++ }, "seed"},
-		{"wrong horizon", func(s *Scenario) { s.Rounds++ }, "horizon"},
+		{"wrong name", func(sp *ScenarioSpec) { sp.Name = "other" }, "scenario"},
+		{"wrong seed", func(sp *ScenarioSpec) { sp.Swarm.Seed++ }, "seed"},
+		{"wrong horizon", func(sp *ScenarioSpec) { sp.Rounds++ }, "horizon"},
+		{"wrong spec", func(sp *ScenarioSpec) { sp.ReannounceInterval = 5 }, "different spec"},
+		{"wrong sampling", func(sp *ScenarioSpec) { sp.SampleEvery = 7 }, "different spec"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := sc
-			tc.mutate(&bad)
+			sp := ckptSpec(t, "flashcrowd", 46)
+			tc.mutate(&sp)
+			bad := mustCompile(t, sp)
 			bad.ResumeFrom = dir
 			if _, err := bad.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("resume with %s returned %v, want error mentioning %q", tc.name, err, tc.want)
 			}
 		})
 	}
-
-	t.Run("wrong spec", func(t *testing.T) {
-		other := ckptScenario(t, "flashcrowd", 46)
-		other.SampleEvery = 7 // post-compile override: spec bytes still match
-		sp, err := NamedSpec("flashcrowd", 46, 0.15)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp = sp.Scaled(0.12)
-		sp.SampleEvery = 1
-		sp.ReannounceInterval = 5 // a real spec difference
-		diff, err := sp.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		diff.ResumeFrom = dir
-		if _, err := diff.Run(); err == nil || !strings.Contains(err.Error(), "different spec") {
-			t.Fatalf("resume with a different spec returned %v", err)
-		}
-		_ = other
-	})
 
 	t.Run("missing path", func(t *testing.T) {
 		bad := sc
@@ -297,6 +297,39 @@ func TestCheckpointBindingRejected(t *testing.T) {
 			t.Fatal("resume from a missing path succeeded")
 		}
 	})
+}
+
+// TestCheckpointEmptySpecRejected: every scenario is compiled from a spec,
+// so a checkpoint whose embedded spec blob is empty describes no workload.
+// Loading it under a scenario and recovering its spec both fail with an
+// error that names the spec.
+func TestCheckpointEmptySpecRejected(t *testing.T) {
+	sc, sealed := corpusCheckpoint(t, "poisson")
+	payload, err := checkpoint.Open(sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := checkpoint.NewReader(payload)
+	_, _, _ = r.String(), r.U64(), r.Int() // binding: name, seed, horizon
+	specAt := len(payload) - r.Remaining()
+	if len(r.Blob()) == 0 {
+		t.Fatal("corpus checkpoint embeds no spec")
+	}
+	var w checkpoint.Writer
+	w.Blob(nil)
+	emptied := append(append(append([]byte(nil), payload[:specAt]...), w.Bytes()...), payload[len(payload)-r.Remaining():]...)
+
+	_, loadErr := sc.loadCheckpoint(emptied)
+	path := filepath.Join(t.TempDir(), checkpoint.FileName(1))
+	if _, err := checkpoint.WriteFile(path, emptied); err != nil {
+		t.Fatal(err)
+	}
+	_, resumeErr := ResumeSpec(path)
+	for what, err := range map[string]error{"loadCheckpoint": loadErr, "ResumeSpec": resumeErr} {
+		if err == nil || !strings.Contains(err.Error(), "spec") || strings.Contains(err.Error(), "hand-built") {
+			t.Errorf("%s on an empty spec blob returned %v, want an error naming the spec", what, err)
+		}
+	}
 }
 
 // TestLoadCheckpointRejectsHostileOptions: the swarm options a checkpoint
@@ -396,9 +429,9 @@ func TestResumeSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rebuilt.Name != sc.Name || rebuilt.Rounds != sc.Rounds || rebuilt.Opt.Seed != sc.Opt.Seed {
+	if rebuilt.spec.Name != sc.spec.Name || rebuilt.spec.Rounds != sc.spec.Rounds || rebuilt.Opt.Seed != sc.Opt.Seed {
 		t.Fatalf("embedded spec rebuilt %s/%d/%d, want %s/%d/%d",
-			rebuilt.Name, rebuilt.Rounds, rebuilt.Opt.Seed, sc.Name, sc.Rounds, sc.Opt.Seed)
+			rebuilt.spec.Name, rebuilt.spec.Rounds, rebuilt.Opt.Seed, sc.spec.Name, sc.spec.Rounds, sc.Opt.Seed)
 	}
 	rebuilt.ResumeFrom = dir
 	if _, err := rebuilt.Run(); err != nil {
@@ -557,15 +590,15 @@ func TestAnnounceRecycledSlotNoop(t *testing.T) {
 // the poll and the disabled checkpoint branch add nothing.
 func TestScenarioCheckpointOffZeroAlloc(t *testing.T) {
 	stop := make(chan struct{}) // never fires
-	sc := Scenario{
+	sc := mustCompile(t, ScenarioSpec{
 		Name: "alloc-pin",
-		Opt: Options{Leechers: 40, Seeds: 2, Pieces: 32, PieceKbit: 512,
+		Swarm: Options{Leechers: 40, Seeds: 2, Pieces: 32, PieceKbit: 512,
 			PostFlashCrowd: true, NeighborCount: 8, Seed: 77},
-		Rounds:        400,
-		SampleEvery:   1,
-		CheckpointDir: t.TempDir(),
-		Interrupt:     stop,
-	}
+		Rounds:      400,
+		SampleEvery: 1,
+	})
+	sc.CheckpointDir = t.TempDir()
+	sc.Interrupt = stop
 	run, err := sc.freshRun()
 	if err != nil {
 		t.Fatal(err)

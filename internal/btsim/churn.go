@@ -6,33 +6,54 @@ import (
 	"stratmatch/internal/rng"
 )
 
-// Arrivals is a pluggable peer-arrival process for dynamic swarms: the
-// scenario runner asks it every round how many peers join. Implementations
-// draw any randomness from the supplied deterministic source, so a scenario
-// replays identically for a given seed.
-type Arrivals interface {
-	// Arrivals returns how many peers join at the given round.
-	Arrivals(round int, r *rng.RNG) int
-}
-
-// PoissonArrivals models the steady-state regime measured by Guo et al.
-// and assumed by fluid models of BitTorrent: peers arrive as a Poisson
-// process with a constant expected rate per round.
-type PoissonArrivals struct {
-	// PerRound is the expected number of arrivals per round (λ).
-	PerRound float64
-}
-
-// Arrivals draws a Poisson(PerRound) count via Knuth's product method —
-// exact and allocation-free. Large rates are split into chunks of at most
-// 32 and the independent chunk draws summed (a Poisson sum is Poisson), so
-// e^−λ never underflows and the count stays exact at any rate.
-func (p PoissonArrivals) Arrivals(_ int, r *rng.RNG) int {
+// sumArrivals sums the processes' arrival counts at round in list order,
+// which is the order their draws take from r. A scenario's top-level
+// Arrivals list and a "combined" process's Parts both sum this way.
+func sumArrivals(procs []ArrivalSpec, round int, r *rng.RNG) int {
 	total := 0
-	for lambda := p.PerRound; lambda > 0; lambda -= 32 {
-		total += poissonKnuth(math.Min(lambda, 32), r)
+	for i := range procs {
+		total += procs[i].arrivals(round, r)
 	}
 	return total
+}
+
+// arrivals returns how many peers the process delivers at round, drawing
+// any randomness from r so a scenario replays identically for a given
+// seed. It assumes the spec validated.
+//
+//   - "poisson" is the steady-state regime measured by Guo et al. and
+//     assumed by fluid models of BitTorrent: a Poisson(Rate) count, drawn
+//     with Knuth's product method, exact and allocation-free. Large rates
+//     are split into chunks of at most 32 and the chunk draws summed (a
+//     Poisson sum is Poisson), so e^−λ never underflows.
+//   - "burst" is a flash crowd: Total peers spread evenly over the Rounds
+//     rounds from Start (a cumulative-difference split keeps the total
+//     exact for any duration), then nothing.
+//   - "trace" replays Counts[round], zero beyond the trace.
+//   - "combined" sums its Parts.
+func (a *ArrivalSpec) arrivals(round int, r *rng.RNG) int {
+	switch a.Kind {
+	case "poisson":
+		total := 0
+		for lambda := a.Rate; lambda > 0; lambda -= 32 {
+			total += poissonKnuth(math.Min(lambda, 32), r)
+		}
+		return total
+	case "burst":
+		d := max(a.Rounds, 1)
+		i := round - a.Start
+		if a.Total <= 0 || i < 0 || i >= d {
+			return 0
+		}
+		return a.Total*(i+1)/d - a.Total*i/d
+	case "trace":
+		if round < 0 || round >= len(a.Counts) {
+			return 0
+		}
+		return a.Counts[round]
+	default: // "combined"
+		return sumArrivals(a.Parts, round, r)
+	}
 }
 
 // poissonKnuth multiplies uniforms until the product drops below e^−λ;
@@ -49,64 +70,12 @@ func poissonKnuth(lambda float64, r *rng.RNG) int {
 	return k
 }
 
-// BurstArrivals models a flash crowd: Total peers arrive spread evenly over
-// the Rounds rounds starting at Start, then arrivals stop.
-type BurstArrivals struct {
-	Start  int // first round of the burst
-	Rounds int // burst duration (at least 1)
-	Total  int // peers arriving over the whole burst
-}
-
-// Arrivals returns the deterministic per-round share of the burst.
-func (b BurstArrivals) Arrivals(round int, _ *rng.RNG) int {
-	if b.Total <= 0 || round < b.Start {
-		return 0
-	}
-	d := b.Rounds
-	if d < 1 {
-		d = 1
-	}
-	i := round - b.Start
-	if i >= d {
-		return 0
-	}
-	// Cumulative-difference split keeps the total exact for any duration.
-	return b.Total*(i+1)/d - b.Total*i/d
-}
-
-// TraceArrivals replays a recorded (or hand-written) arrival schedule:
-// Counts[round] peers join at each round, zero beyond the trace.
-type TraceArrivals struct {
-	Counts []int
-}
-
-// Arrivals returns the trace entry for the round.
-func (t TraceArrivals) Arrivals(round int, _ *rng.RNG) int {
-	if round < 0 || round >= len(t.Counts) {
-		return 0
-	}
-	return t.Counts[round]
-}
-
-// CombinedArrivals sums several arrival processes (e.g. a Poisson baseline
-// plus a scheduled burst).
-type CombinedArrivals []Arrivals
-
-// Arrivals sums the component processes in order.
-func (c CombinedArrivals) Arrivals(round int, r *rng.RNG) int {
-	total := 0
-	for _, a := range c {
-		total += a.Arrivals(round, r)
-	}
-	return total
-}
-
 // Departures configures the peer-lifecycle departure rules a scenario
 // applies after every round: leechers may abandon, and completed leechers
 // (promoted to seeds) linger for a while before leaving — the
 // leecher → seed → gone lifecycle of real swarms. The zero value is inert
-// (nobody ever departs), mirroring a nil Arrivals. The struct is plain
-// data; the tags are its ScenarioSpec wire names.
+// (nobody ever departs), mirroring an empty arrival list. The struct is
+// plain data; the tags are its ScenarioSpec wire names.
 type Departures struct {
 	// AbandonPerRound is the probability that a present, unfinished
 	// leecher gives up in any given round.

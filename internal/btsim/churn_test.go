@@ -296,11 +296,11 @@ func TestStepAllocsUnderSteadyChurn(t *testing.T) {
 	churnR := rng.New(sc.Opt.Seed).Split()
 	var scratch []int32
 	step := func() {
-		for k := sc.Arrivals.Arrivals(s.round, churnR); k > 0; k-- {
-			s.Join(sc.CapacityDist.Sample(churnR), false)
+		for k := sumArrivals(sc.spec.Arrivals, s.round, churnR); k > 0; k-- {
+			s.Join(sc.capacity.Sample(churnR), false)
 		}
 		s.Step()
-		s.applyDepartures(sc.Departures, churnR, &scratch)
+		s.applyDepartures(sc.spec.Departures, churnR, &scratch)
 		s.ReannounceUnderConnected(10)
 	}
 	for i := 0; i < 500; i++ { // warm: roster capacity, bitset pool, scratch
@@ -384,10 +384,10 @@ func TestAbandonRankBias(t *testing.T) {
 // traces are exact, Poisson matches its mean, and combination sums.
 func TestArrivalProcesses(t *testing.T) {
 	r := rng.New(8)
-	b := BurstArrivals{Start: 5, Rounds: 7, Total: 23}
+	b := ArrivalSpec{Kind: "burst", Start: 5, Rounds: 7, Total: 23}
 	total := 0
 	for round := 0; round < 50; round++ {
-		k := b.Arrivals(round, r)
+		k := b.arrivals(round, r)
 		if k > 0 && (round < 5 || round >= 12) {
 			t.Fatalf("burst arrival outside its window at round %d", round)
 		}
@@ -397,16 +397,16 @@ func TestArrivalProcesses(t *testing.T) {
 		t.Fatalf("burst delivered %d arrivals, want 23", total)
 	}
 
-	tr := TraceArrivals{Counts: []int{3, 0, 2}}
-	if tr.Arrivals(0, r) != 3 || tr.Arrivals(1, r) != 0 || tr.Arrivals(2, r) != 2 || tr.Arrivals(3, r) != 0 {
+	tr := ArrivalSpec{Kind: "trace", Counts: []int{3, 0, 2}}
+	if tr.arrivals(0, r) != 3 || tr.arrivals(1, r) != 0 || tr.arrivals(2, r) != 2 || tr.arrivals(3, r) != 0 {
 		t.Fatal("trace replay broken")
 	}
 
-	p := PoissonArrivals{PerRound: 1.7}
+	p := ArrivalSpec{Kind: "poisson", Rate: 1.7}
 	sum := 0
 	const rounds = 20000
 	for i := 0; i < rounds; i++ {
-		sum += p.Arrivals(i, r)
+		sum += p.arrivals(i, r)
 	}
 	mean := float64(sum) / rounds
 	// 4σ band: σ/√n = √1.7/√20000 ≈ 0.0092.
@@ -414,18 +414,21 @@ func TestArrivalProcesses(t *testing.T) {
 		t.Fatalf("Poisson mean %.3f, want ≈ 1.7", mean)
 	}
 
-	c := CombinedArrivals{BurstArrivals{Start: 0, Rounds: 1, Total: 2}, TraceArrivals{Counts: []int{5}}}
-	if c.Arrivals(0, r) != 7 {
+	c := ArrivalSpec{Kind: "combined", Parts: []ArrivalSpec{
+		{Kind: "burst", Start: 0, Rounds: 1, Total: 2},
+		{Kind: "trace", Counts: []int{5}},
+	}}
+	if c.arrivals(0, r) != 7 {
 		t.Fatal("combined arrivals do not sum")
 	}
 
 	// Large rates take the chunked path (e^−λ would underflow whole):
 	// the mean must still be exact.
-	big := PoissonArrivals{PerRound: 1000}
+	big := ArrivalSpec{Kind: "poisson", Rate: 1000}
 	bigSum := 0.0
 	const bigRounds = 3000
 	for i := 0; i < bigRounds; i++ {
-		bigSum += float64(big.Arrivals(i, r))
+		bigSum += float64(big.arrivals(i, r))
 	}
 	bigSigma := math.Sqrt(1000.0 / bigRounds)
 	if bigMean := bigSum / bigRounds; math.Abs(bigMean-1000) > 5*bigSigma {

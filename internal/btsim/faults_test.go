@@ -554,21 +554,17 @@ func TestFaultScenariosWatchdogClean(t *testing.T) {
 	for _, name := range ScenarioNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			sp, err := NamedSpec(name, 5, 0.25)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sp := namedSpec(t, name, 5, 0.25)
 			if sp.Faults != nil {
 				sp.Faults.Watchdog = true
+			} else {
+				sp.SampleEvery = 1
 			}
-			sc, err := sp.Compile()
-			if err != nil {
-				t.Fatal(err)
-			}
+			sc := mustCompile(t, sp)
+			var err error
 			if sp.Faults != nil {
 				_, err = sc.Run()
 			} else {
-				sc.SampleEvery = 1
 				err = runAuditing(sc, func(s *Swarm, _ classBounds, _ SeriesPoint) error {
 					return s.CheckInvariants()
 				})
@@ -587,16 +583,14 @@ func TestFaultScenariosWatchdogClean(t *testing.T) {
 func TestFaultedScenarioAllocs(t *testing.T) {
 	run := func(rounds int) func() {
 		return func() {
-			sc, err := NamedScenario("crashcrowd", 45, 0.3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc.Rounds = rounds
-			sc.SampleEvery = 1
+			sp := namedSpec(t, "crashcrowd", 45, 0.3)
+			sp.Rounds = rounds
+			sp.SampleEvery = 1
 			// Keep the crash window open across both horizons so the long run
 			// measures the per-round fault cost, not a quiet tail.
-			sc.Faults.Injections[0].Start = 0
-			sc.Faults.Injections[0].Rounds = 0
+			sp.Faults.Injections[0].Start = 0
+			sp.Faults.Injections[0].Rounds = 0
+			sc := mustCompile(t, sp)
 			var obs discardObserver
 			if err := sc.RunObserver(&obs); err != nil {
 				t.Fatal(err)

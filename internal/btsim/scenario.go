@@ -1,6 +1,7 @@
 package btsim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -9,48 +10,19 @@ import (
 	"stratmatch/internal/telemetry"
 )
 
-// Scenario composes a swarm, an arrival process, lifecycle departures and
-// scheduled events into a named, reproducible experiment. All randomness —
-// the swarm's own and the churn driver's — derives from Opt.Seed, so a
-// scenario replays byte-identically for a given seed.
+// Scenario is a compiled ScenarioSpec plus the knobs of one run.
+// ScenarioSpec.Compile is the only way to build one: the workload (name,
+// horizon, arrivals, capacities, departures, shocks, faults, sampling) is
+// a private copy of the validated spec, and all randomness derives from
+// Opt.Seed, so a scenario replays byte-identically for a given seed. The
+// exported fields are the compiled swarm options and the run-time knobs;
+// the knobs change how a run executes and is observed, never what it
+// computes. A Scenario is a value: copy it to vary the knobs per run.
 type Scenario struct {
-	// Name identifies the scenario in reports and the CLI catalog.
-	Name string
-	// Opt configures the initial swarm. Set Opt.MaxPeers to the expected
-	// concurrent peak to avoid growth reallocation mid-run.
+	// Opt is the compiled swarm configuration: the spec's Swarm options
+	// with MaxPeers sized to the expected concurrent peak (see
+	// ScenarioSpec.Compile).
 	Opt Options
-	// Rounds is the scenario length.
-	Rounds int
-	// Arrivals is the arrival process (nil: nobody joins).
-	Arrivals Arrivals
-	// CapacityDist draws upload capacities for arriving peers (nil: every
-	// arrival gets 400 kbps). When set and Opt.UploadKbps is nil, the
-	// initial leechers draw from it too (initial seeds get 5000 kbps).
-	CapacityDist CapacitySampler
-	// ArrivalSeedFraction is the probability that an arrival is a seed
-	// rather than a leecher (usually 0; small values model replica
-	// injection).
-	ArrivalSeedFraction float64
-	// Departures are the per-round lifecycle rules (abandonment, seed
-	// linger).
-	Departures Departures
-	// Events are scheduled one-shot membership shocks.
-	Events []Event
-	// Faults is the deterministic fault-injection plan (tracker outages,
-	// crash-stop peers, announce loss, partitions) plus the engine's
-	// failure-handling knobs; nil (or a zero block) injects nothing and
-	// keeps the run byte-identical to a fault-free scenario.
-	Faults *FaultsSpec
-	// ReannounceInterval staggers under-connected peers' tracker
-	// re-announces (0: every 10 rounds, matching the choke interval).
-	ReannounceInterval int
-	// SampleEvery is the time-series sampling period (0: every 10 rounds).
-	// A sample reads counters the swarm maintains incrementally plus one
-	// allocation-free pass over the present roster, so SampleEvery: 1 —
-	// one SeriesPoint per round — costs O(1) amortized allocations per
-	// round (the series append) and is the intended setting for dense
-	// time-series studies.
-	SampleEvery int
 	// Telemetry is an optional runtime-telemetry recorder (see
 	// internal/telemetry): when set, the runner and engine record phase
 	// durations, counters and gauges into it, and observers implementing
@@ -87,9 +59,8 @@ type Scenario struct {
 	// ResumeFrom resumes the run from a checkpoint: a checkpoint file, or a
 	// directory holding checkpoints (the newest is used). The scenario must
 	// describe the same workload the checkpoint came from — name, seed,
-	// rounds and (for spec-compiled scenarios) the embedded spec are
-	// verified, and the restored state passes the full invariant audit
-	// before any round runs.
+	// rounds and the embedded spec are verified, and the restored state
+	// passes the full invariant audit before any round runs.
 	ResumeFrom string
 	// Interrupt, when non-nil, makes the runner poll the channel at each
 	// round boundary: once it is closed (or receives), the runner writes a
@@ -99,10 +70,15 @@ type Scenario struct {
 	// SIGINT/SIGTERM and run-cancellation path.
 	Interrupt <-chan struct{}
 
-	// specJSON is the serialized ScenarioSpec this scenario was compiled
-	// from, stamped by Compile and embedded in checkpoints so a resume can
-	// verify — or recover — the exact workload. Empty for hand-built
-	// scenarios.
+	// spec is the validated workload, deep-copied from the spec Compile
+	// was given, so later edits to that spec never reach the scenario.
+	spec ScenarioSpec
+	// capacity draws arriving peers' upload capacities (nil: every arrival
+	// gets 400 kbps); it is spec.Capacity compiled.
+	capacity capacitySampler
+	// specJSON is the spec's serialized form, stamped by Compile and
+	// embedded in checkpoints so a resume can verify, or recover, the exact
+	// workload.
 	specJSON []byte
 	// shardSlots overrides a fresh run's shard width (0: the default). It
 	// lets tests put shard boundaries inside catalog-sized populations; a
@@ -175,10 +151,10 @@ type ScenarioResult struct {
 // sampleEvery resolves the effective sampling period (0 means every 10
 // rounds) — the single source for both the runner and Run's pre-sizing.
 func (sc Scenario) sampleEvery() int {
-	if sc.SampleEvery <= 0 {
+	if sc.spec.SampleEvery <= 0 {
 		return 10
 	}
-	return sc.SampleEvery
+	return sc.spec.SampleEvery
 }
 
 // Run executes the scenario and materializes the complete time series —
@@ -186,10 +162,8 @@ func (sc Scenario) sampleEvery() int {
 // want the whole series in hand. Memory is O(rounds / SampleEvery); for
 // dense sampling over long horizons, stream through RunObserver instead.
 func (sc Scenario) Run() (*ScenarioResult, error) {
-	col := seriesCollector{res: ScenarioResult{Name: sc.Name}}
-	if sc.Rounds > 0 {
-		col.res.Series = make([]SeriesPoint, 0, (sc.Rounds-1)/sc.sampleEvery()+2)
-	}
+	col := seriesCollector{res: ScenarioResult{Name: sc.spec.Name}}
+	col.res.Series = make([]SeriesPoint, 0, (sc.spec.Rounds-1)/sc.sampleEvery()+2)
 	if err := sc.RunObserver(&col); err != nil {
 		return nil, err
 	}
@@ -209,11 +183,11 @@ func (sc Scenario) Run() (*ScenarioResult, error) {
 // earlier checkpoint and continues from the round after it — the remaining
 // output stream is byte-identical to the uninterrupted run's.
 func (sc Scenario) RunObserver(obs Observer) error {
-	if sc.Rounds < 1 {
-		return fmt.Errorf("scenario %s: %d rounds", sc.Name, sc.Rounds)
+	if sc.specJSON == nil {
+		return errors.New("btsim: scenario not compiled; build it with ScenarioSpec.Compile")
 	}
 	if sc.CheckpointDir == "" && sc.CheckpointEvery > 0 {
-		return fmt.Errorf("scenario %s: checkpointing requested without a checkpoint directory", sc.Name)
+		return fmt.Errorf("scenario %s: checkpointing requested without a checkpoint directory", sc.spec.Name)
 	}
 	var (
 		run *scenarioRun
@@ -256,7 +230,7 @@ type scenarioRun struct {
 }
 
 // startOptions derives the options a run's swarm starts from: sc.Opt with
-// defaults applied and, for capacity-sampled scenarios, the initial
+// defaults applied and, for capacity-sampled specs, the initial
 // UploadKbps vector drawn, so a checkpoint records values, not draws. It
 // returns the churn driver's sub-stream and the root stream the fault
 // layer splits from next.
@@ -267,7 +241,7 @@ func (sc *Scenario) startOptions() (opt Options, churnR, base *rng.RNG) {
 	base = rng.New(sc.Opt.Seed)
 	churnR = base.Split()
 	opt = sc.Opt
-	if sc.CapacityDist != nil && opt.UploadKbps == nil {
+	if sc.capacity != nil && opt.UploadKbps == nil {
 		// Initial leechers draw from the same capacity distribution as
 		// arrivals (keeping the capacity-tercile classes meaningful);
 		// initial seeds are well-provisioned, like the CLI's replica
@@ -275,7 +249,7 @@ func (sc *Scenario) startOptions() (opt Options, churnR, base *rng.RNG) {
 		capR := base.Split()
 		caps := make([]float64, opt.Leechers+opt.Seeds)
 		for i := 0; i < opt.Leechers; i++ {
-			caps[i] = sc.CapacityDist.Sample(capR)
+			caps[i] = sc.capacity.Sample(capR)
 		}
 		for i := opt.Leechers; i < len(caps); i++ {
 			caps[i] = 5000
@@ -290,7 +264,7 @@ func (sc Scenario) freshRun() (*scenarioRun, error) {
 	opt, churnR, base := sc.startOptions()
 	s, err := New(opt)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		return nil, fmt.Errorf("scenario %s: %w", sc.spec.Name, err)
 	}
 	if sc.shardSlots > 0 {
 		s.setShardSlots(sc.shardSlots)
@@ -298,9 +272,9 @@ func (sc Scenario) freshRun() (*scenarioRun, error) {
 	// The fault sub-stream splits off only when faults are present, so a
 	// fault-free scenario's churn and capacity streams — and therefore its
 	// whole output — stay byte-identical to earlier versions.
-	faultsOn := !sc.Faults.IsZero()
+	faultsOn := !sc.spec.Faults.IsZero()
 	if faultsOn {
-		s.EnableFaults(*sc.Faults, base.Split())
+		s.EnableFaults(*sc.spec.Faults, base.Split())
 	}
 	run := &scenarioRun{
 		sc:       &sc,
@@ -318,7 +292,7 @@ func (sc Scenario) freshRun() (*scenarioRun, error) {
 // periods from the scenario's (possibly zero) settings.
 func (run *scenarioRun) resolveIntervals() {
 	run.sampleEvery = run.sc.sampleEvery()
-	run.reannounce = run.sc.ReannounceInterval
+	run.reannounce = run.sc.spec.ReannounceInterval
 	if run.reannounce <= 0 {
 		run.reannounce = 10
 	}
@@ -327,13 +301,14 @@ func (run *scenarioRun) resolveIntervals() {
 // loop executes rounds start..Rounds-1 and delivers the closing snapshot.
 func (run *scenarioRun) loop(obs Observer) error {
 	sc := run.sc
+	sp := &sc.spec
 	s := run.s
 	tel := sc.Telemetry // nil when telemetry is off; all hooks no-op
 	s.SetTelemetry(tel)
 	s.SetStepWorkers(sc.StepWorkers)
 	defer s.Close() // release the step-worker pool, if any
 	tObs, _ := obs.(TelemetryObserver)
-	for round := run.start; round < sc.Rounds; round++ {
+	for round := run.start; round < sp.Rounds; round++ {
 		if sc.Interrupt != nil {
 			select {
 			case <-sc.Interrupt:
@@ -347,7 +322,7 @@ func (run *scenarioRun) loop(obs Observer) error {
 						return err
 					}
 				}
-				return fmt.Errorf("scenario %s: %w at round %d", sc.Name, ErrInterrupted, round)
+				return fmt.Errorf("scenario %s: %w at round %d", sp.Name, ErrInterrupted, round)
 			default:
 			}
 		}
@@ -357,17 +332,15 @@ func (run *scenarioRun) loop(obs Observer) error {
 			tel.EndPhase(telemetry.PhaseFaults, fsp)
 		}
 		asp := tel.StartPhase(telemetry.PhaseAnnounce)
-		if sc.Arrivals != nil {
-			for k := sc.Arrivals.Arrivals(round, run.churnR); k > 0; k-- {
-				capKbps := 400.0
-				if sc.CapacityDist != nil {
-					capKbps = sc.CapacityDist.Sample(run.churnR)
-				}
-				s.Join(capKbps, run.churnR.Bool(sc.ArrivalSeedFraction))
+		for k := sumArrivals(sp.Arrivals, round, run.churnR); k > 0; k-- {
+			capKbps := 400.0
+			if sc.capacity != nil {
+				capKbps = sc.capacity.Sample(run.churnR)
 			}
+			s.Join(capKbps, run.churnR.Bool(sp.ArrivalSeedFraction))
 		}
 		tel.EndPhase(telemetry.PhaseAnnounce, asp)
-		for _, ev := range sc.Events {
+		for _, ev := range sp.Events {
 			if ev.Round == round {
 				gone := s.massDepart(ev.DepartFraction, ev.IncludeSeeds, run.churnR, &run.scratch)
 				tel.Inc(telemetry.CtrEvents)
@@ -375,7 +348,7 @@ func (run *scenarioRun) loop(obs Observer) error {
 			}
 		}
 		s.Step()
-		s.applyDepartures(sc.Departures, run.churnR, &run.scratch)
+		s.applyDepartures(sp.Departures, run.churnR, &run.scratch)
 		if run.faultsOn {
 			fsp := tel.StartPhase(telemetry.PhaseFaults)
 			s.faultEndRound(round, obs)
@@ -386,7 +359,7 @@ func (run *scenarioRun) loop(obs Observer) error {
 		tel.EndPhase(telemetry.PhaseAnnounce, asp)
 		if run.faultsOn && s.flt.watchdog {
 			if err := s.CheckInvariants(); err != nil {
-				return fmt.Errorf("scenario %s: round %d: %w", sc.Name, round, err)
+				return fmt.Errorf("scenario %s: round %d: %w", sp.Name, round, err)
 			}
 		}
 		switch {
@@ -397,7 +370,7 @@ func (run *scenarioRun) loop(obs Observer) error {
 		case s.present > 0:
 			run.alive = true
 		}
-		if round%run.sampleEvery == 0 || round == sc.Rounds-1 {
+		if round%run.sampleEvery == 0 || round == sp.Rounds-1 {
 			ssp := tel.StartPhase(telemetry.PhaseSample)
 			pt := s.sample(run.classes)
 			obs.OnSample(pt)

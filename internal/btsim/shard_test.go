@@ -26,12 +26,12 @@ func runMultiShard(t *testing.T, sc Scenario) *ScenarioResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := seriesCollector{res: ScenarioResult{Name: sc.Name}}
+	col := seriesCollector{res: ScenarioResult{Name: sc.spec.Name}}
 	if err := run.loop(&col); err != nil {
 		t.Fatal(err)
 	}
 	if n := run.s.numShards(); n < 2 {
-		t.Fatalf("scenario %s reached %d shard(s) at width %d, want at least 2", sc.Name, n, testShardSlots)
+		t.Fatalf("scenario %s reached %d shard(s) at width %d, want at least 2", sc.spec.Name, n, testShardSlots)
 	}
 	return &col.res
 }
@@ -263,7 +263,7 @@ func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 			goldenStr := fmtResult(golden)
 
 			dir := t.TempDir()
-			mid := sc.Rounds / 2
+			mid := sc.spec.Rounds / 2
 			ck := sc
 			ck.StepWorkers = 4
 			ck.CheckpointEvery = mid

@@ -3,21 +3,26 @@ package btsim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"reflect"
+	"slices"
+	"strings"
 
 	"stratmatch/internal/bandwidth"
 	"stratmatch/internal/rng"
 )
 
 // ScenarioSpec is a declarative, plain-data description of a churn
-// scenario: everything a Scenario expresses — swarm options, arrival
-// processes, capacity distribution, lifecycle departures, scheduled
-// shocks, sampling — as serializable values with no Go interfaces. A spec
-// round-trips through JSON byte-identically (see ParseSpec) and compiles
-// into a runnable Scenario with Compile, so workloads can live in files,
-// flow through CLIs and network APIs, and be diffed and versioned like
-// configuration instead of being hardcoded in Go.
+// scenario: swarm options, arrival processes, capacity distribution,
+// lifecycle departures, scheduled shocks, faults and sampling, as
+// serializable values with no Go interfaces. It is the only workload type:
+// a spec round-trips through JSON byte-identically (see ParseSpec) and
+// compiles into a runnable Scenario with Compile, so workloads can live in
+// files, flow through CLIs and network APIs, and be diffed and versioned
+// like configuration instead of being hardcoded in Go.
 type ScenarioSpec struct {
 	// Name identifies the scenario in reports and the CLI catalog.
 	Name string `json:"name"`
@@ -58,8 +63,8 @@ type ScenarioSpec struct {
 	SampleEvery int `json:"sample_every,omitempty"`
 }
 
-// ArrivalSpec is the tagged union over arrival processes. Kind selects the
-// variant; only that variant's fields may be set:
+// ArrivalSpec is an arrival process, a tagged union over its kinds. Kind
+// selects the variant; only that variant's fields may be set:
 //
 //   - "poisson":  Rate (expected arrivals per round)
 //   - "burst":    Total peers spread evenly over Rounds rounds from Start
@@ -94,19 +99,18 @@ type CapacitySpec struct {
 	Anchors []bandwidth.Anchor `json:"anchors,omitempty"`
 }
 
-// CapacitySampler draws upload capacities for arriving peers.
-// *bandwidth.Distribution implements it; UniformCapacity is the degenerate
-// single-value sampler.
-type CapacitySampler interface {
+// capacitySampler is a compiled CapacitySpec: it draws upload capacities
+// for arriving peers. *bandwidth.Distribution implements it;
+// uniformCapacity is the degenerate single-value sampler.
+type capacitySampler interface {
 	Sample(r *rng.RNG) float64
 }
 
-// UniformCapacity is a CapacitySampler giving every peer the same upload
-// capacity in kbps. It consumes no randomness.
-type UniformCapacity float64
+// uniformCapacity gives every peer the same upload capacity in kbps. It
+// consumes no randomness.
+type uniformCapacity float64
 
-// Sample returns the fixed capacity.
-func (u UniformCapacity) Sample(*rng.RNG) float64 { return float64(u) }
+func (u uniformCapacity) Sample(*rng.RNG) float64 { return float64(u) }
 
 // ParseSpec decodes a JSON scenario spec. Unknown fields are rejected —
 // a misspelled field name silently changing a workload is exactly the
@@ -116,7 +120,9 @@ func ParseSpec(data []byte) (ScenarioSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var sp ScenarioSpec
-	if err := dec.Decode(&sp); err != nil {
+	if err := dec.Decode(&sp); errors.Is(err, io.EOF) {
+		return ScenarioSpec{}, errors.New("btsim: parse spec: empty input, want a spec object")
+	} else if err != nil {
 		return ScenarioSpec{}, fmt.Errorf("btsim: parse spec: %w", err)
 	}
 	if dec.More() {
@@ -132,10 +138,14 @@ func (sp *ScenarioSpec) specErr(path, format string, args ...any) error {
 }
 
 // Validate checks every field the spec layer is responsible for and
-// reports the first violation with its exact field path. Swarm options are
-// checked lightly here (counts and vector lengths); the remaining swarm
-// rules are enforced by New when the compiled scenario runs.
+// reports the first violation with its exact field path. Every float must
+// be finite. Swarm options are checked lightly here (counts and vector
+// lengths); the remaining swarm rules are enforced by New when the
+// compiled scenario runs.
 func (sp ScenarioSpec) Validate() error {
+	if path, v, bad := nonFinite(reflect.ValueOf(sp)); bad {
+		return sp.specErr(path[1:], "must be finite, got %v", v)
+	}
 	if sp.Name == "" {
 		return sp.specErr("name", "required")
 	}
@@ -207,25 +217,42 @@ func (sp ScenarioSpec) Validate() error {
 	return nil
 }
 
+// nonFinite walks a spec value and reports the first NaN or ±Inf float in
+// it, with its JSON path (a leading "." included). The range checks in
+// Validate let NaN through, and neither NaN nor ±Inf marshals to JSON.
+func nonFinite(v reflect.Value) (path string, f float64, bad bool) {
+	switch v.Kind() {
+	case reflect.Float64:
+		f = v.Float()
+		return "", f, math.IsNaN(f) || math.IsInf(f, 0)
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return nonFinite(v.Elem())
+		}
+	case reflect.Slice:
+		for i := range v.Len() {
+			if p, f, bad := nonFinite(v.Index(i)); bad {
+				return fmt.Sprintf("[%d]%s", i, p), f, true
+			}
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if p, f, bad := nonFinite(v.Field(i)); bad {
+				name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+				return "." + name + p, f, true
+			}
+		}
+	}
+	return "", 0, false
+}
+
 // validate checks one arrival variant: its own fields, and that no foreign
 // variant's fields leak in (a set foreign field is always a spec mistake).
 func (a ArrivalSpec) validate(sp *ScenarioSpec, path string) error {
-	foreign := func(field, set string) error {
-		return sp.specErr(path+"."+field, "only valid for kind %q, not %q", set, a.Kind)
-	}
 	switch a.Kind {
 	case "poisson":
 		if a.Rate < 0 {
 			return sp.specErr(path+".rate", "must be >= 0, got %v", a.Rate)
-		}
-		if a.Start != 0 || a.Rounds != 0 || a.Total != 0 {
-			return foreign("start/rounds/total", "burst")
-		}
-		if a.Counts != nil {
-			return foreign("counts", "trace")
-		}
-		if a.Parts != nil {
-			return foreign("parts", "combined")
 		}
 	case "burst":
 		if a.Start < 0 {
@@ -237,52 +264,38 @@ func (a ArrivalSpec) validate(sp *ScenarioSpec, path string) error {
 		if a.Total < 0 {
 			return sp.specErr(path+".total", "must be >= 0, got %d", a.Total)
 		}
-		if a.Rate != 0 {
-			return foreign("rate", "poisson")
-		}
-		if a.Counts != nil {
-			return foreign("counts", "trace")
-		}
-		if a.Parts != nil {
-			return foreign("parts", "combined")
-		}
 	case "trace":
 		for i, c := range a.Counts {
 			if c < 0 {
 				return sp.specErr(fmt.Sprintf("%s.counts[%d]", path, i), "must be >= 0, got %d", c)
 			}
 		}
-		if a.Rate != 0 {
-			return foreign("rate", "poisson")
-		}
-		if a.Start != 0 || a.Rounds != 0 || a.Total != 0 {
-			return foreign("start/rounds/total", "burst")
-		}
-		if a.Parts != nil {
-			return foreign("parts", "combined")
-		}
 	case "combined":
 		if len(a.Parts) == 0 {
 			return sp.specErr(path+".parts", "must list at least one sub-process")
-		}
-		if a.Rate != 0 {
-			return foreign("rate", "poisson")
-		}
-		if a.Start != 0 || a.Rounds != 0 || a.Total != 0 {
-			return foreign("start/rounds/total", "burst")
-		}
-		if a.Counts != nil {
-			return foreign("counts", "trace")
-		}
-		for i, part := range a.Parts {
-			if err := part.validate(sp, fmt.Sprintf("%s.parts[%d]", path, i)); err != nil {
-				return err
-			}
 		}
 	case "":
 		return sp.specErr(path+".kind", "required (one of poisson, burst, trace, combined)")
 	default:
 		return sp.specErr(path+".kind", "unknown kind %q (one of poisson, burst, trace, combined)", a.Kind)
+	}
+	for _, f := range []struct {
+		field, kind string
+		set         bool
+	}{
+		{"rate", "poisson", a.Rate != 0},
+		{"start/rounds/total", "burst", a.Start != 0 || a.Rounds != 0 || a.Total != 0},
+		{"counts", "trace", a.Counts != nil},
+		{"parts", "combined", a.Parts != nil},
+	} {
+		if f.set && f.kind != a.Kind {
+			return sp.specErr(path+"."+f.field, "only valid for kind %q, not %q", f.kind, a.Kind)
+		}
+	}
+	for i, part := range a.Parts {
+		if err := part.validate(sp, fmt.Sprintf("%s.parts[%d]", path, i)); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -318,61 +331,69 @@ func (c *CapacitySpec) validate(sp *ScenarioSpec) error {
 	return nil
 }
 
-// Compile validates the spec and builds the runnable Scenario. When
-// Swarm.MaxPeers is 0 it is auto-sized to MaxPeersEstimate, so spec
-// authors never need to know the CSR growth internals.
+// Compile validates the spec and builds the runnable Scenario, which keeps
+// a deep copy of the spec, so editing the spec afterwards never reaches
+// it. When Swarm.MaxPeers is 0 the scenario's Opt.MaxPeers is sized to
+// MaxPeersEstimate, so spec authors never need to know the CSR growth
+// internals.
 func (sp ScenarioSpec) Compile() (Scenario, error) {
 	if err := sp.Validate(); err != nil {
 		return Scenario{}, err
 	}
-	sc := Scenario{
-		Name:                sp.Name,
-		Opt:                 sp.Swarm,
-		Rounds:              sp.Rounds,
-		ArrivalSeedFraction: sp.ArrivalSeedFraction,
-		Departures:          sp.Departures,
-		Events:              append([]Event(nil), sp.Events...),
-		ReannounceInterval:  sp.ReannounceInterval,
-		SampleEvery:         sp.SampleEvery,
+	// Checkpoints embed the spec's serialized form, so a resume can verify
+	// it is continuing the exact workload the snapshot came from (and the
+	// CLI can recompile the scenario from the snapshot alone). Go's JSON
+	// float formatting round-trips exactly, so equal specs always stamp
+	// equal bytes.
+	data, err := json.Marshal(sp)
+	if err != nil {
+		return Scenario{}, fmt.Errorf("btsim: spec %q: %w", sp.Name, err)
 	}
-	// Every mutable slice is copied (trace counts in compile, anchors in
-	// bandwidth.New), so editing the spec after Compile never reaches an
-	// already-compiled scenario.
-	sc.Opt.UploadKbps = append([]float64(nil), sp.Swarm.UploadKbps...)
-	switch len(sp.Arrivals) {
-	case 0:
-	case 1:
-		sc.Arrivals = sp.Arrivals[0].compile()
-	default:
-		comb := make(CombinedArrivals, len(sp.Arrivals))
-		for i, a := range sp.Arrivals {
-			comb[i] = a.compile()
-		}
-		sc.Arrivals = comb
-	}
+	sc := Scenario{spec: sp.clone(), specJSON: data}
+	sc.Opt = sc.spec.Swarm
+	sc.Opt.UploadKbps = slices.Clone(sp.Swarm.UploadKbps)
 	if sp.Capacity != nil {
-		sc.CapacityDist = sp.Capacity.compile()
-	}
-	// A zero-valued faults block is normalized away, so specs that carry
-	// `"faults": {}` run byte-identically to specs without the block.
-	if !sp.Faults.IsZero() {
-		sc.Faults = sp.Faults.clone()
+		sc.capacity = sp.Capacity.compile()
 	}
 	if sc.Opt.MaxPeers == 0 {
 		if est := sp.MaxPeersEstimate(); est > sp.Swarm.Leechers+sp.Swarm.Seeds {
 			sc.Opt.MaxPeers = est
 		}
 	}
-	// Stamp the spec's serialized form into the scenario. Checkpoints embed
-	// it, so a resume can verify it is continuing the exact workload the
-	// snapshot came from (and the CLI can recompile the scenario from the
-	// snapshot alone). Marshaling now makes the stamp immune to later caller
-	// mutation of the spec; Go's JSON float formatting round-trips exactly,
-	// so equal specs always stamp equal bytes.
-	if data, err := json.Marshal(sp); err == nil {
-		sc.specJSON = data
-	}
 	return sc, nil
+}
+
+// clone deep-copies every slice and pointer in the spec. A zero-valued
+// faults block is normalized away, so specs that carry `"faults": {}` run
+// byte-identically to specs without the block.
+func (sp ScenarioSpec) clone() ScenarioSpec {
+	out := sp
+	out.Swarm.UploadKbps = slices.Clone(sp.Swarm.UploadKbps)
+	out.Arrivals = cloneArrivals(sp.Arrivals)
+	if sp.Capacity != nil {
+		c := *sp.Capacity
+		c.Anchors = slices.Clone(c.Anchors)
+		out.Capacity = &c
+	}
+	out.Events = slices.Clone(sp.Events)
+	out.Faults = nil
+	if !sp.Faults.IsZero() {
+		out.Faults = sp.Faults.clone()
+	}
+	return out
+}
+
+func cloneArrivals(procs []ArrivalSpec) []ArrivalSpec {
+	if procs == nil {
+		return nil
+	}
+	out := make([]ArrivalSpec, len(procs))
+	for i, a := range procs {
+		a.Counts = slices.Clone(a.Counts)
+		a.Parts = cloneArrivals(a.Parts)
+		out[i] = a
+	}
+	return out
 }
 
 // HasFaults reports whether compiling the spec yields a run with the fault
@@ -383,31 +404,11 @@ func (sp ScenarioSpec) HasFaults() bool {
 	return !sp.Faults.IsZero()
 }
 
-// compile assumes the spec validated.
-func (a ArrivalSpec) compile() Arrivals {
-	switch a.Kind {
-	case "poisson":
-		return PoissonArrivals{PerRound: a.Rate}
-	case "burst":
-		return BurstArrivals{Start: a.Start, Rounds: a.Rounds, Total: a.Total}
-	case "trace":
-		// Copied so later spec edits cannot rewrite an already-compiled
-		// scenario's schedule (Compile copies every mutable slice).
-		return TraceArrivals{Counts: append([]int(nil), a.Counts...)}
-	default: // "combined"
-		comb := make(CombinedArrivals, len(a.Parts))
-		for i, part := range a.Parts {
-			comb[i] = part.compile()
-		}
-		return comb
-	}
-}
-
 // compile assumes the spec validated; the static anchor tables cannot fail.
-func (c *CapacitySpec) compile() CapacitySampler {
+func (c *CapacitySpec) compile() capacitySampler {
 	switch c.Kind {
 	case "uniform":
-		return UniformCapacity(c.Kbps)
+		return uniformCapacity(c.Kbps)
 	case "anchors":
 		d, err := bandwidth.New(c.Anchors)
 		if err != nil {

@@ -1,10 +1,15 @@
 package btsim
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"stratmatch/internal/bandwidth"
 )
 
 // TestSpecRoundTripByteIdentical is the serialization contract: every
@@ -133,6 +138,31 @@ func TestCompileValidationErrorPaths(t *testing.T) {
 		{"event fraction range", func(sp *ScenarioSpec) { sp.Events[0].DepartFraction = -0.1 }, "events[0].depart_fraction"},
 		{"negative reannounce", func(sp *ScenarioSpec) { sp.ReannounceInterval = -1 }, "reannounce_interval"},
 		{"negative sample every", func(sp *ScenarioSpec) { sp.SampleEvery = -1 }, "sample_every"},
+		// Non-finite floats slip past range checks like `p < 0 || p > 1`
+		// and do not marshal, so each is rejected by path.
+		{"NaN seed fraction", func(sp *ScenarioSpec) { sp.ArrivalSeedFraction = math.NaN() }, "arrival_seed_fraction: must be finite, got NaN"},
+		{"NaN abandon", func(sp *ScenarioSpec) { sp.Departures.AbandonPerRound = math.NaN() }, "departures.abandon_per_round: must be finite"},
+		{"NaN rate", func(sp *ScenarioSpec) { sp.Arrivals[0].Rate = math.NaN() }, "arrivals[0].rate: must be finite"},
+		{"Inf rank bias", func(sp *ScenarioSpec) { sp.Departures.AbandonRankBias = math.Inf(1) }, "departures.abandon_rank_bias: must be finite, got +Inf"},
+		{"-Inf piece size", func(sp *ScenarioSpec) { sp.Swarm.PieceKbit = math.Inf(-1) }, "swarm.piece_kbit: must be finite, got -Inf"},
+		{"NaN capacity entry", func(sp *ScenarioSpec) {
+			sp.Swarm.UploadKbps = make([]float64, 9)
+			sp.Swarm.UploadKbps[4] = math.NaN()
+		}, "swarm.upload_kbps[4]: must be finite"},
+		{"NaN nested rate", func(sp *ScenarioSpec) {
+			sp.Arrivals[1] = ArrivalSpec{Kind: "combined", Parts: []ArrivalSpec{{Kind: "poisson", Rate: math.NaN()}}}
+		}, "arrivals[1].parts[0].rate: must be finite"},
+		{"NaN uniform kbps", func(sp *ScenarioSpec) { sp.Capacity = &CapacitySpec{Kind: "uniform", Kbps: math.NaN()} }, "capacity.kbps: must be finite"},
+		{"Inf anchor", func(sp *ScenarioSpec) {
+			sp.Capacity = &CapacitySpec{Kind: "anchors", Anchors: []bandwidth.Anchor{{Kbps: 10, CDF: 0}, {Kbps: math.Inf(1), CDF: 1}}}
+		}, "capacity.anchors[1].kbps: must be finite"},
+		{"NaN event fraction", func(sp *ScenarioSpec) { sp.Events[0].DepartFraction = math.NaN() }, "events[0].depart_fraction: must be finite"},
+		{"NaN fault rate", func(sp *ScenarioSpec) {
+			sp.Faults = &FaultsSpec{Injections: []FaultSpec{{Kind: FaultCrash, Start: 1, Rate: math.NaN()}}}
+		}, "faults.injections[0].rate: must be finite"},
+		{"NaN partition fraction", func(sp *ScenarioSpec) {
+			sp.Faults = &FaultsSpec{Injections: []FaultSpec{{Kind: FaultPartition, Start: 1, Rounds: 5, Fraction: math.NaN()}}}
+		}, "faults.injections[0].fraction: must be finite"},
 	}
 	if base := validSpec(); base.Validate() != nil {
 		t.Fatalf("baseline spec invalid: %v", base.Validate())
@@ -149,6 +179,40 @@ func TestCompileValidationErrorPaths(t *testing.T) {
 				t.Fatalf("error %q does not carry path %q", err, tc.wantPath)
 			}
 		})
+	}
+}
+
+// TestCompileCopiesSpec: a compiled scenario keeps its own deep copy of
+// the spec, so editing every slice and pointer of the caller's spec after
+// Compile changes nothing the scenario runs or checkpoints.
+func TestCompileCopiesSpec(t *testing.T) {
+	sp := validSpec()
+	sp.Swarm.UploadKbps = []float64{100, 200, 300, 400, 500, 600, 700, 800, 5000}
+	sp.Arrivals = append(sp.Arrivals,
+		ArrivalSpec{Kind: "trace", Counts: []int{1, 2}},
+		ArrivalSpec{Kind: "combined", Parts: []ArrivalSpec{{Kind: "trace", Counts: []int{3}}}})
+	sp.Capacity = &CapacitySpec{Kind: "anchors", Anchors: []bandwidth.Anchor{{Kbps: 10, CDF: 0}, {Kbps: 900, CDF: 1}}}
+	sp.Faults = &FaultsSpec{Injections: []FaultSpec{{Kind: FaultCrash, Start: 1, Rate: 0.01}}}
+	sc := mustCompile(t, sp)
+
+	sp.Swarm.UploadKbps[0] = 1
+	sp.Arrivals[0].Rate = 9
+	sp.Arrivals[2].Counts[0] = 7
+	sp.Arrivals[3].Parts[0].Counts[0] = 7
+	sp.Capacity.Anchors[1].Kbps = 20
+	sp.Capacity.Kind = "saroiu"
+	sp.Events[0].Round = 3
+	sp.Faults.Injections[0].Rate = 0.5
+
+	held, err := json.Marshal(sc.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(held, sc.specJSON) {
+		t.Fatalf("scenario's spec changed with the caller's:\nheld    %s\nstamped %s", held, sc.specJSON)
+	}
+	if sc.Opt.UploadKbps[0] != 100 {
+		t.Fatalf("compiled options share the caller's capacity vector: %v", sc.Opt.UploadKbps)
 	}
 }
 
@@ -208,12 +272,42 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"name":"x","rounds":10}{"name":"y"}`)); err == nil {
 		t.Fatal("second object accepted")
 	}
+	if _, err := ParseSpec([]byte(" \n")); err == nil || !strings.Contains(err.Error(), "empty input") {
+		t.Fatalf("empty input returned %v, want an error naming it", err)
+	}
 	sp, err := ParseSpec([]byte(`{"name":"x","rounds":10,"swarm":{"leechers":4,"pieces":8}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.Name != "x" || sp.Rounds != 10 || sp.Swarm.Leechers != 4 {
 		t.Fatalf("parsed spec wrong: %+v", sp)
+	}
+}
+
+// TestMultiArrivalRunPinned pins the draw order of a spec with several
+// arrival processes: the runner sums every process's count at a round,
+// in list order, before any arrival draws its capacity. A burst listed
+// before a Poisson process and a nested "combined" process make a join
+// placed between two processes' draws move the bytes. The catalog, whose
+// specs list one process each, does not cover this. The hash predates the
+// arrival processes becoming ArrivalSpec methods, so it also pins that
+// the draws did not move then.
+func TestMultiArrivalRunPinned(t *testing.T) {
+	sp := validSpec()
+	sp.Rounds = 200
+	sp.Arrivals = []ArrivalSpec{
+		{Kind: "burst", Start: 5, Rounds: 40, Total: 30},
+		{Kind: "poisson", Rate: 0.3},
+		{Kind: "combined", Parts: []ArrivalSpec{{Kind: "trace", Counts: []int{0, 2, 0, 3}}, {Kind: "poisson", Rate: 0.1}}},
+	}
+	sp.ArrivalSeedFraction = 0.1
+	res, err := runSpec(t, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "9c2f255a7ccfb5d8b44ee124e502ec908470b815dc3b947f1dcf8d62cc67ee46"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmtResult(res)))); got != want {
+		t.Fatalf("multi-arrival run hash %s, want %s", got, want)
 	}
 }
 

@@ -102,16 +102,14 @@ func TestLazySamplerMatchesEager(t *testing.T) {
 // completions exactly, the stratification correlation with the row
 // oracle's to summation-order rounding.
 func TestSeriesSamplerMatchesSnapshot(t *testing.T) {
-	sc, err := NamedScenario("massdepart", 7, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.SampleEvery = 1
+	sp := namedSpec(t, "massdepart", 7, 0.25)
+	sp.SampleEvery = 1
+	sc := mustCompile(t, sp)
 	res, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sc.Rounds; len(res.Series) != want {
+	if want := sc.spec.Rounds; len(res.Series) != want {
 		t.Fatalf("SampleEvery=1: %d samples for %d rounds", len(res.Series), want)
 	}
 	last := res.Series[len(res.Series)-1]
@@ -281,12 +279,10 @@ func runAuditing(sc Scenario, check func(s *Swarm, classes classBounds, pt Serie
 func TestScenarioObserverZeroAlloc(t *testing.T) {
 	run := func(rounds int) func() {
 		return func() {
-			sc, err := NamedScenario("poisson", 45, 0.3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc.Rounds = rounds
-			sc.SampleEvery = 1
+			sp := namedSpec(t, "poisson", 45, 0.3)
+			sp.Rounds = rounds
+			sp.SampleEvery = 1
+			sc := mustCompile(t, sp)
 			var obs discardObserver
 			if err := sc.RunObserver(&obs); err != nil {
 				t.Fatal(err)

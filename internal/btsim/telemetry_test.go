@@ -39,8 +39,8 @@ func TestScenarioTelemetryByteIdentical(t *testing.T) {
 				t.Fatal("telemetry-on run diverged from telemetry-off run")
 			}
 			// And the recorder actually saw the run.
-			if got := instrumented.Telemetry.Counter(telemetry.CtrRounds); got != uint64(instrumented.Rounds) {
-				t.Fatalf("rounds counter = %d, want %d", got, instrumented.Rounds)
+			if got := instrumented.Telemetry.Counter(telemetry.CtrRounds); got != uint64(instrumented.spec.Rounds) {
+				t.Fatalf("rounds counter = %d, want %d", got, instrumented.spec.Rounds)
 			}
 			if instrumented.Telemetry.Counter(telemetry.CtrSamples) == 0 {
 				t.Fatal("samples counter stayed zero on an instrumented run")
@@ -180,13 +180,13 @@ func (o *callOrderObserver) OnDone(Metrics) {
 // round's sample, the final round is always sampled, and OnDone fires
 // exactly once, last.
 func TestObserverCallOrder(t *testing.T) {
-	sc := Scenario{
+	sc := mustCompile(t, ScenarioSpec{
 		Name:        "order",
-		Opt:         Options{Leechers: 30, Seeds: 2, Pieces: 16, Seed: 7, PostFlashCrowd: true},
+		Swarm:       Options{Leechers: 30, Seeds: 2, Pieces: 16, Seed: 7, PostFlashCrowd: true},
 		Rounds:      55,
 		SampleEvery: 10,
 		Events:      []Event{{Round: 23, DepartFraction: 0.5}},
-	}
+	})
 	var obs callOrderObserver
 	if err := sc.RunObserver(&obs); err != nil {
 		t.Fatal(err)
@@ -270,12 +270,12 @@ func (o *telemetryFlushObserver) OnTelemetry(round int, snap TelemetrySnapshot) 
 // non-empty snapshot; without a recorder it is never called.
 func TestOnTelemetryFlush(t *testing.T) {
 	mk := func() Scenario {
-		return Scenario{
+		return mustCompile(t, ScenarioSpec{
 			Name:        "flush",
-			Opt:         Options{Leechers: 20, Seeds: 2, Pieces: 16, Seed: 9},
+			Swarm:       Options{Leechers: 20, Seeds: 2, Pieces: 16, Seed: 9},
 			Rounds:      35,
 			SampleEvery: 10,
-		}
+		})
 	}
 	sc := mk()
 	sc.Telemetry = telemetry.New()

@@ -65,9 +65,9 @@ func Churn(cfg Config) (*Result, error) {
 	// Flash crowd: the burst forms a crowd several times the initial
 	// population, and the crowd drains — most arrivals complete the file.
 	var peakRatio, drained []float64
-	flashRuns, flashSc, _ := cat.scenario("flashcrowd")
+	flashRuns, flash := cat.scenario("flashcrowd")
 	for _, run := range flashRuns {
-		initial := flashSc.Opt.Leechers + flashSc.Opt.Seeds
+		initial := flash.Swarm.Leechers + flash.Swarm.Seeds
 		peak := 0
 		for _, pt := range run.Series {
 			if pt.Present > peak {
@@ -76,7 +76,7 @@ func Churn(cfg Config) (*Result, error) {
 		}
 		last := run.Series[len(run.Series)-1]
 		peakRatio = append(peakRatio, float64(peak)/float64(initial))
-		drained = append(drained, float64(last.Completed)/float64(run.TotalJoined-flashSc.Opt.Seeds))
+		drained = append(drained, float64(last.Completed)/float64(run.TotalJoined-flash.Swarm.Seeds))
 	}
 	res.noteCheck(stats.Summarize(peakRatio).Mean > 2.5,
 		"flash crowd forms: peak population %.1fx the initial swarm", stats.Summarize(peakRatio).Mean)
@@ -86,7 +86,7 @@ func Churn(cfg Config) (*Result, error) {
 
 	// Poisson steady state: continuous turnover with a live, bounded swarm.
 	var turnover, alive []float64
-	poissonRuns, _, _ := cat.scenario("poisson")
+	poissonRuns, _ := cat.scenario("poisson")
 	for _, run := range poissonRuns {
 		last := run.Series[len(run.Series)-1]
 		turnover = append(turnover, float64(run.TotalDeparted))
@@ -102,11 +102,11 @@ func Churn(cfg Config) (*Result, error) {
 	// Mass departure: the overlay heals (mean degree recovers towards the
 	// tracker target) and downloads keep completing afterwards.
 	var healedDeg, extraDone []float64
-	massRuns, massSc, _ := cat.scenario("massdepart")
+	massRuns, mass := cat.scenario("massdepart")
 	for _, run := range massRuns {
 		last := run.Series[len(run.Series)-1]
-		healedDeg = append(healedDeg, last.MeanDegree/float64(massSc.Opt.NeighborCount))
-		eventRound := massSc.Events[0].Round
+		healedDeg = append(healedDeg, last.MeanDegree/float64(mass.Swarm.NeighborCount))
+		eventRound := mass.Events[0].Round
 		atEvent := 0
 		for _, pt := range run.Series {
 			if pt.Round <= eventRound {
@@ -124,9 +124,9 @@ func Churn(cfg Config) (*Result, error) {
 
 	// Trace replay: the schedule is deterministic, so the membership flow
 	// is exact — every replica joins precisely initial + Σ counts peers.
-	traceRuns, traceSc, traceSpec := cat.scenario("tracereplay")
-	wantJoined := traceSc.Opt.Leechers + traceSc.Opt.Seeds
-	for _, c := range traceSpec.Arrivals[0].Counts {
+	traceRuns, trace := cat.scenario("tracereplay")
+	wantJoined := trace.Swarm.Leechers + trace.Swarm.Seeds
+	for _, c := range trace.Arrivals[0].Counts {
 		wantJoined += c
 	}
 	traceExact := true
@@ -141,10 +141,10 @@ func Churn(cfg Config) (*Result, error) {
 	// Seed starvation: with InitialSeedsStay off the original content
 	// sources leave after their linger, yet the swarm keeps completing
 	// downloads off arrival-injected replicas.
-	starveRuns, starveSc, _ := cat.scenario("seedstarve")
+	starveRuns, starve := cat.scenario("seedstarve")
 	seedsGone, starveDone := true, 0.0
 	for _, run := range starveRuns {
-		for id := starveSc.Opt.Leechers; id < starveSc.Opt.Leechers+starveSc.Opt.Seeds; id++ {
+		for id := starve.Swarm.Leechers; id < starve.Swarm.Leechers+starve.Swarm.Seeds; id++ {
 			if !run.Final.Peers[id].Departed {
 				seedsGone = false
 			}
@@ -158,7 +158,7 @@ func Churn(cfg Config) (*Result, error) {
 
 	// Capacity-correlated abandonment: leechers that gave up mid-download
 	// must be drawn from the slow end of the capacity distribution.
-	quitRuns, _, _ := cat.scenario("slowquit")
+	quitRuns, _ := cat.scenario("slowquit")
 	var quitCap, stayCap []float64
 	for _, run := range quitRuns {
 		for _, pm := range run.Final.Peers {

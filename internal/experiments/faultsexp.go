@@ -63,7 +63,7 @@ func Faults(cfg Config) (*Result, error) {
 	// overlay it already has — peers present throughout, announces failing
 	// and retrying with backoff — and resume completing downloads once the
 	// tracker returns.
-	tdRuns, _, tdSpec := cat.scenario("trackerdown")
+	tdRuns, tdSpec := cat.scenario("trackerdown")
 	outage := tdSpec.Faults.Injections[0]
 	outageEnd := outage.Start + outage.Rounds
 	survived := true
@@ -96,7 +96,7 @@ func Faults(cfg Config) (*Result, error) {
 	// while the split holds; after the heal the tracker re-knits it and
 	// rank-correlated matching re-forms — the reconvergence the paper's
 	// Figure 2 studies for single removals, here after a bisection.
-	sbRuns, _, sbSpec := cat.scenario("splitbrain")
+	sbRuns, sbSpec := cat.scenario("splitbrain")
 	split := sbSpec.Faults.Injections[0]
 	healRound := split.Start + split.Rounds
 	var degDip, degHealed, tailCorr []float64
@@ -152,7 +152,7 @@ func Faults(cfg Config) (*Result, error) {
 	// for a while (overlay rot), and the failure-detection sweep retires
 	// every one of them by the end — with replica 0's watchdog certifying
 	// all structural invariants every single round.
-	ccRuns, _, _ := cat.scenario("crashcrowd")
+	ccRuns, _ := cat.scenario("crashcrowd")
 	var crashed, peakStale []float64
 	staleDrained := true
 	for _, run := range ccRuns {

@@ -29,26 +29,24 @@ func (c Config) forEach(n int, fn func(i int) error) error {
 const catalogReplicas = 3
 
 // catalogRuns is a catalog sweep, scenario-major: replica r of names[si]
-// sits at index si*catalogReplicas+r of runs, specs and scens.
+// sits at index si*catalogReplicas+r of runs and specs.
 type catalogRuns struct {
 	names []string
 	runs  []*btsim.ScenarioResult
 	specs []btsim.ScenarioSpec
-	scens []btsim.Scenario
 }
 
 // runCatalog runs catalogReplicas seeds of every named catalog scenario
 // through the declarative spec path: build the spec, let hook (if non-nil)
-// adjust it, compile, then fan the replicas out through the replica store.
-// Replica seeds and slots are fixed before the fan-out, so results are
-// byte-identical for any worker count.
+// adjust it, then fan the replicas out, each compiling its spec and running
+// through the replica store. Replica seeds and slots are fixed before the
+// fan-out, so results are byte-identical for any worker count.
 func (c Config) runCatalog(prefix string, names []string, hook func(replica int, spec *btsim.ScenarioSpec)) (*catalogRuns, error) {
 	n := len(names) * catalogReplicas
 	cr := &catalogRuns{
 		names: names,
 		runs:  make([]*btsim.ScenarioResult, n),
 		specs: make([]btsim.ScenarioSpec, n),
-		scens: make([]btsim.Scenario, n),
 	}
 	for i := range n {
 		spec, err := btsim.NamedSpec(names[i/catalogReplicas], c.Seed+uint64(i%catalogReplicas)*0x9e3779b9, c.scale())
@@ -59,19 +57,20 @@ func (c Config) runCatalog(prefix string, names []string, hook func(replica int,
 			hook(i%catalogReplicas, &spec)
 		}
 		cr.specs[i] = spec
-		if cr.scens[i], err = spec.Compile(); err != nil {
-			return nil, err
-		}
-		// Telemetry is runtime-only: attached after Compile, never part of
-		// the spec, so recorded runs stay byte-identical to bare ones.
-		cr.scens[i].Telemetry = c.Telemetry
 	}
 	// With Config.CheckpointDir set, completed replicas are persisted and a
 	// rerun only executes the ones that never finished.
 	store := c.replicaStore()
 	if err := c.forEach(n, func(i int) error {
+		sc, err := cr.specs[i].Compile()
+		if err != nil {
+			return err
+		}
+		// Telemetry is runtime-only: attached after Compile, never part of
+		// the spec, so recorded runs stay byte-identical to bare ones.
+		sc.Telemetry = c.Telemetry
 		key := fmt.Sprintf("%s-%s-r%d", prefix, names[i/catalogReplicas], i%catalogReplicas)
-		res, err := store.runReplica(key, cr.scens[i])
+		res, err := store.runReplica(key, sc)
 		cr.runs[i] = res
 		return err
 	}); err != nil {
@@ -81,14 +80,14 @@ func (c Config) runCatalog(prefix string, names []string, hook func(replica int,
 }
 
 // scenario returns the named scenario's replica runs with its first
-// replica's compiled scenario and spec, so checks look scenarios up by
-// name and can never desynchronize from the catalog order.
-func (cr *catalogRuns) scenario(name string) ([]*btsim.ScenarioResult, btsim.Scenario, btsim.ScenarioSpec) {
+// replica's spec, so checks look scenarios up by name and can never
+// desynchronize from the catalog order.
+func (cr *catalogRuns) scenario(name string) ([]*btsim.ScenarioResult, btsim.ScenarioSpec) {
 	for si, n := range cr.names {
 		if n == name {
 			i := si * catalogReplicas
-			return cr.runs[i : i+catalogReplicas], cr.scens[i], cr.specs[i]
+			return cr.runs[i : i+catalogReplicas], cr.specs[i]
 		}
 	}
-	return nil, btsim.Scenario{}, btsim.ScenarioSpec{}
+	return nil, btsim.ScenarioSpec{}
 }

@@ -105,9 +105,9 @@ func newRunManager(maxRuns int, ckRoot string, tel *telemetry.Recorder) *runMana
 
 var errDraining = errors.New("trackerd: draining, not accepting runs")
 
-// submit registers a new run for the parsed spec. The caller then drives it
-// with execute on its own goroutine (the HTTP handler's, so the response
-// stream is the run's output).
+// submit registers a new run for a spec that compiled. The caller then
+// drives it with execute on its own goroutine (the HTTP handler's, so the
+// response stream is the run's output).
 func (m *runManager) submit(spec btsim.ScenarioSpec) (*run, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -141,12 +141,13 @@ func (o progressObserver) OnSample(pt btsim.SeriesPoint) {
 	o.Emitter.OnSample(pt)
 }
 
-// execute runs rn to completion (or suspension) on the calling goroutine,
-// streaming jsonl through em. ckEvery is the run's periodic checkpoint
-// interval (0: only drain/cancel snapshots). cancelWait is an extra
-// cancellation signal (the client's request context) honoured while
-// waiting for a pool slot; onStart fires once the run holds a slot.
-func (m *runManager) execute(rn *run, spec btsim.ScenarioSpec, sampleEvery, ckEvery int, em *emit.Emitter, cancelWait <-chan struct{}, onStart func()) error {
+// execute runs the compiled scenario sc as rn to completion (or
+// suspension) on the calling goroutine, streaming jsonl through em.
+// ckEvery is the run's periodic checkpoint interval (0: only drain/cancel
+// snapshots). cancelWait is an extra cancellation signal (the client's
+// request context) honoured while waiting for a pool slot; onStart fires
+// once the run holds a slot.
+func (m *runManager) execute(rn *run, sc btsim.Scenario, ckEvery int, em *emit.Emitter, cancelWait <-chan struct{}, onStart func()) error {
 	defer m.wg.Done()
 	defer close(rn.done)
 
@@ -173,14 +174,6 @@ func (m *runManager) execute(rn *run, spec btsim.ScenarioSpec, sampleEvery, ckEv
 		onStart()
 	}
 
-	if sampleEvery > 0 {
-		spec.SampleEvery = sampleEvery
-	}
-	sc, err := spec.Compile()
-	if err != nil {
-		rn.fail(err)
-		return err
-	}
 	// The daemon's shared recorder rides along: the emitter deliberately
 	// does not implement TelemetryObserver, so attaching it never adds
 	// lines to the stream and the output stays byte-identical to an
@@ -192,7 +185,7 @@ func (m *runManager) execute(rn *run, spec btsim.ScenarioSpec, sampleEvery, ckEv
 	sc.CheckpointEvery = ckEvery
 	sc.CheckpointRetain = -1
 
-	err = sc.RunObserver(progressObserver{Emitter: em, rn: rn})
+	err := sc.RunObserver(progressObserver{Emitter: em, rn: rn})
 	switch {
 	case err == nil:
 		if em.Err() != nil {

@@ -172,7 +172,8 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 // jsonl` would print for the same spec and seed, chunked as the run
 // produces them. Optional query parameters: sample_every (override the
 // spec's sampling period) and checkpoint_every (override the daemon's
-// periodic checkpoint default for this run).
+// periodic checkpoint default for this run). A spec that fails validation
+// is answered 422 with its field-path error, and no run is registered.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
@@ -198,6 +199,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if sampleEvery > 0 {
+		spec.SampleEvery = sampleEvery
+	}
+	sc, err := spec.Compile()
+	if err != nil {
+		httpError(w, http.StatusUnprocessableEntity, "%v", err)
+		return
+	}
 	rn, err := s.rm.submit(spec)
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
@@ -221,7 +230,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			flush()
 		}
 	}
-	if err := s.rm.execute(rn, spec, sampleEvery, ckEvery, em, r.Context().Done(), onStart); err != nil {
+	if err := s.rm.execute(rn, sc, ckEvery, em, r.Context().Done(), onStart); err != nil {
 		s.cfg.Logf("trackerd: run %d: %v", rn.id, err)
 	} else {
 		s.cfg.Logf("trackerd: run %d done", rn.id)

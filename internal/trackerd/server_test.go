@@ -352,3 +352,36 @@ func TestServerAnnounceScrapeHTTP(t *testing.T) {
 		t.Fatalf("bad spec: %d", resp.StatusCode)
 	}
 }
+
+// TestServerRejectsInvalidSpec: a spec that parses but fails validation is
+// answered 422 with its field-path error before any run is registered, so
+// GET /runs stays empty.
+func TestServerRejectsInvalidSpec(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const bad = `{"name":"bad","swarm":{"leechers":10,"seeds":1,"pieces":4,"seed":1},"rounds":-3,"departures":{}}`
+	resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), `spec "bad": rounds: must be >= 1, got -3`) {
+		t.Fatalf("invalid spec: status %d, body %q; want 422 with the field path", resp.StatusCode, msg)
+	}
+
+	resp, err = http.Get(ts.URL + "/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct{ Runs []RunStatus }
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Runs) != 0 {
+		t.Fatalf("a rejected spec registered runs: %+v", list.Runs)
+	}
+}

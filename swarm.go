@@ -105,28 +105,18 @@ func (sw *Swarm) StepWorkers() int { return sw.s.StepWorkers() }
 // and safe to call more than once.
 func (sw *Swarm) Close() { sw.s.Close() }
 
-// Dynamic-membership scenarios: composable arrival processes, lifecycle
-// departures and scheduled shocks, run by a deterministic scenario driver.
-// See NewScenario's catalog for ready-made configurations.
+// Dynamic-membership scenarios: a ScenarioSpec's arrival processes,
+// lifecycle departures and scheduled shocks, run by a deterministic
+// scenario driver. See NewScenario's catalog for ready-made configurations.
 type (
-	// Scenario composes a swarm with churn processes into a named,
-	// reproducible experiment. Run materializes the full series;
+	// Scenario is a compiled ScenarioSpec plus run-time knobs (telemetry,
+	// step workers, checkpoints). Run materializes the full series;
 	// RunObserver streams it.
 	Scenario = btsim.Scenario
 	// ScenarioResult holds a scenario's time series and closing metrics.
 	ScenarioResult = btsim.ScenarioResult
 	// ScenarioPoint is one sample of a scenario time series.
 	ScenarioPoint = btsim.SeriesPoint
-	// Arrivals is a pluggable peer-arrival process.
-	Arrivals = btsim.Arrivals
-	// PoissonArrivals arrive at a constant expected rate per round.
-	PoissonArrivals = btsim.PoissonArrivals
-	// BurstArrivals model a flash crowd over a fixed window.
-	BurstArrivals = btsim.BurstArrivals
-	// TraceArrivals replay a recorded per-round arrival schedule.
-	TraceArrivals = btsim.TraceArrivals
-	// CombinedArrivals sum several arrival processes.
-	CombinedArrivals = btsim.CombinedArrivals
 	// Departures are per-round lifecycle rules (abandonment — uniform or
 	// capacity-correlated — and seed linger).
 	Departures = btsim.Departures
