@@ -64,3 +64,22 @@ func (b bitset) anyMissingIn(other bitset) bool {
 	}
 	return false
 }
+
+// addTo adds d to row[i] for every piece i the bitfield holds, iterating
+// only the set bits: one neighbor's contribution to an availability row.
+func (b bitset) addTo(row []int32, d int32) {
+	for wi, w := range b.words {
+		for w != 0 {
+			row[wi<<6+bits.TrailingZeros64(w)] += d
+			w &= w - 1
+		}
+	}
+}
+
+// padded reports whether a bit past n is set. No engine path sets one; a
+// loaded bitfield that does is rejected, because addTo and pickPiece read
+// every set bit as a piece index.
+func (b bitset) padded() bool {
+	extra := len(b.words)*64 - b.n
+	return extra > 0 && b.words[len(b.words)-1]>>(64-extra) != 0
+}

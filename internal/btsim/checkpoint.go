@@ -1,13 +1,13 @@
 package btsim
 
-// Durable checkpoint/restore for scenario runs. A checkpoint is the
-// complete run state — the swarm's roster, CSR wiring, free lists,
-// bitfields and counters; the tracker registry (in handout order); the
-// fault controller's windows, backoff timers and crash queue; every RNG
-// stream position; and the runner's own capacity-class bounds, round
-// cursor and drained-edge flag — serialized with the internal/checkpoint
-// codec. The bar is byte-identity: a run resumed from a checkpoint
-// produces exactly the sample/event stream and final result the
+// Durable checkpoint/restore for scenario runs. A checkpoint is the run
+// state nothing else determines — the swarm's roster, CSR wiring, free
+// lists, bitfields and transfer sums; the tracker registry (in handout
+// order); the fault controller's windows, backoff timers and crash queue;
+// every RNG stream position; and the runner's own capacity-class bounds,
+// round cursor and drained-edge flag — serialized with the
+// internal/checkpoint codec. The bar is byte-identity: a run resumed from a
+// checkpoint produces exactly the sample/event stream and final result the
 // uninterrupted run would have produced from that round on.
 //
 // The layout is written down once. Each section of the state — binding,
@@ -24,23 +24,33 @@ package btsim
 // the recycled-bitset pool (bitsets are cleared on reuse), free slots'
 // edge rows (rewritten before first read), the tracker's position index
 // (rebuilt from the registry), and telemetry (runtime instrumentation,
-// never simulation state).
+// never simulation state). Nor are the integers that are functions of the
+// roster, the bitfields and the wiring: the membership and degree
+// counters (present, presentDone, totalDeparted, completedLeechers,
+// liveDegSum), each edge's rev and want, each occupied slot's avail row,
+// and the fault layer's staleEdges. A load recounts them with recount, the
+// definition CheckInvariants checks the maintained values against, so they
+// resume exactly as they were. The float transfer sums stay saved: a
+// re-sum can differ in the last bits.
 //
 // The binding section names the workload: the scenario's name, seed and
 // horizon and the JSON bytes of the spec it was compiled from. Every
 // Scenario comes from ScenarioSpec.Compile, so every checkpoint embeds its
 // spec; ResumeSpec recovers it, and a load requires it to equal the
-// scenario's byte for byte.
+// scenario's byte for byte. That also fixes the fault layer: whether it is
+// on, and its spec, come from the scenario's spec.
 //
 // Loading trusts nothing. The container layer rejects truncation, bit
-// flips and version skew. The swarm options and fault spec a file saves
-// must equal the ones the scenario derives, so no saved value chooses the
+// flips and version skew. The swarm options a file saves must equal the
+// ones the scenario derives (Scenario.Opt is writable after Compile, so
+// the spec bytes alone do not fix them), so no saved value chooses the
 // edge stride or the piece count. In read mode the codec checks every
 // count, index and length before the allocation or index it guards, and
-// the first failed check ends the walk. The restored swarm must then pass
-// the full CheckInvariants audit before a single round runs. A corrupt
-// file yields a descriptive error, never a panic and never silently-wrong
-// state.
+// the first failed check ends the walk. The recount then rebuilds the
+// unsaved values, failing on any edge it cannot count, and the restored
+// swarm must pass the full CheckInvariants audit before a single round
+// runs. A corrupt file yields a descriptive error, never a panic and never
+// silently-wrong state.
 
 import (
 	"bytes"
@@ -67,6 +77,27 @@ var ErrInterrupted = errors.New("run interrupted")
 // claiming huge dimensions is rejected before the allocation it is
 // angling for.
 const maxStateElems = 1 << 26
+
+// CheckStateBudget rejects a scenario whose swarm would preallocate more
+// than maxStateElems cells in one state array — the bound a checkpoint
+// load enforces — before anything is allocated. The largest array has
+// max(MaxPeers, initial peers) slots of max(edge stride, pieces) cells.
+// The peer count is estimated in float64, so an arrival volume too large
+// for an int fails here instead of wrapping. The tracker daemon runs the
+// check on every submitted spec.
+func (sc *Scenario) CheckStateBudget() error {
+	opt := sc.Opt.withDefaults()
+	peers := max(float64(opt.MaxPeers), float64(opt.Leechers)+float64(opt.Seeds))
+	if sc.spec.Swarm.MaxPeers == 0 {
+		peers = max(peers, sc.spec.peerEstimate())
+	}
+	stride := max(opt.MaxNeighbors, opt.Pieces)
+	if cells := peers * float64(stride); cells > maxStateElems {
+		return fmt.Errorf("btsim: spec %q: swarm state of %.4g cells (%.4g peers × %d) exceeds the budget of %d",
+			sc.spec.Name, cells, peers, stride, maxStateElems)
+	}
+	return nil
+}
 
 // writeCheckpoint snapshots the run into CheckpointDir as the checkpoint
 // that resumes from nextRound, atomically, then rotates old checkpoints
@@ -119,24 +150,14 @@ func (run *scenarioRun) encode(nextRound int) ([]byte, error) {
 	return run.ckpt.Bytes(), nil
 }
 
-// marshalStart marshals, once per run, the swarm options and fault spec
-// the run started from. Every checkpoint saves these bytes, and a resume
-// requires the saved bytes to equal the ones its scenario derives.
-func (run *scenarioRun) marshalStart() error {
-	if run.optJSON != nil {
-		return nil
+// marshalStart marshals, once per run, the swarm options the run started
+// from. Every checkpoint saves these bytes, and a resume requires the saved
+// bytes to equal the ones its scenario derives.
+func (run *scenarioRun) marshalStart() (err error) {
+	if run.optJSON == nil {
+		run.optJSON, err = json.Marshal(run.s.opt)
 	}
-	optJSON, err := json.Marshal(run.s.opt)
-	if err != nil {
-		return err
-	}
-	if run.faultsOn {
-		if run.faultJSON, err = json.Marshal(*run.sc.spec.Faults); err != nil {
-			return err
-		}
-	}
-	run.optJSON = optJSON
-	return nil
+	return err
 }
 
 // binding is what workload a checkpoint belongs to.
@@ -154,11 +175,11 @@ func (c *codec) binding(b *binding) {
 	c.blob(&b.spec)
 }
 
-// walk names the complete run state in checkpoint order; next is the
-// round the checkpoint resumes into. In read mode run starts out holding
-// only what the scenario derives — its options, marshalled start bytes and
-// fault flag — and a swarm with nothing but its options and edge stride
-// set, and the walk checks the file against them.
+// walk names the saved run state in checkpoint order; next is the round the
+// checkpoint resumes into. In read mode run starts out holding only what
+// the scenario derives — its options, marshalled options and fault flag —
+// and a swarm with nothing but its options and edge stride set, and the
+// walk checks the file against them.
 func (run *scenarioRun) walk(c *codec, next *int) {
 	sc := run.sc
 	b := binding{sc.spec.Name, sc.Opt.Seed, sc.spec.Rounds, sc.specJSON}
@@ -178,9 +199,6 @@ func (run *scenarioRun) walk(c *codec, next *int) {
 	c.f64(&run.classes.lo)
 	c.f64(&run.classes.hi)
 	c.rng(&run.churnR, "churn")
-	faultsOn := run.faultsOn
-	c.bool(&faultsOn)
-	c.check(faultsOn == run.faultsOn, "checkpoint and scenario disagree about fault injection")
 
 	s := run.s
 	c.swarmHeader(s, run.optJSON)
@@ -193,13 +211,13 @@ func (run *scenarioRun) walk(c *codec, next *int) {
 	c.edges(s)
 	c.tracker(s)
 	if run.faultsOn {
-		c.faults(s, *sc.spec.Faults, run.faultJSON)
+		c.faults(s, *sc.spec.Faults)
 	}
 	c.shards(s)
 }
 
-// swarmHeader walks the swarm's options, clock, RNG, geometry and running
-// counters. The saved options only have to match the derived ones; the
+// swarmHeader walks the swarm's options, clock, RNG, geometry and transfer
+// sums. The saved options only have to match the derived ones; the
 // edge stride and piece count that size every array come from the
 // scenario, never from the file.
 func (c *codec) swarmHeader(s *Swarm, optJSON []byte) {
@@ -209,11 +227,6 @@ func (c *codec) swarmHeader(s *Swarm, optJSON []byte) {
 	c.same(int(s.edgeCap), "edge capacity")
 	// Each slot costs at least 16 payload bytes (its occupant and degree).
 	c.size(&s.slotCap, 1, 16, max(int(s.edgeCap), s.opt.Pieces), "slot capacity")
-	c.int(&s.present)
-	c.int(&s.presentDone)
-	c.int(&s.totalDeparted)
-	c.int(&s.completedLeechers)
-	c.i64(&s.liveDegSum)
 	c.f64(&s.sumUp)
 	c.f64(&s.sumDown)
 }
@@ -262,6 +275,9 @@ func (c *codec) roster(s *Swarm) {
 		}
 		if has {
 			c.u64sInto(p.have.words, "bitfield")
+			if c.reading() {
+				c.check(!p.have.padded(), "peer %d: bitfield sets a bit past piece %d", i, s.opt.Pieces)
+			}
 		}
 	}
 	c.intsInto(s.rank, "rank vector")
@@ -289,9 +305,10 @@ func (c *codec) slots(s *Swarm) {
 
 // edges walks each occupied slot's CSR state: only the live edge prefix of
 // its block (the tail beyond deg is dead and rewritten before any read)
-// plus the slot's availability and piece-progress rows.
+// plus the slot's piece-progress row. Each edge's rev and want and the
+// slot's avail row are recounted on load.
 func (c *codec) edges(s *Swarm) {
-	peers, edges, pieces := len(s.peers), s.slotCap*int(s.edgeCap), s.opt.Pieces
+	peers, pieces := len(s.peers), s.opt.Pieces
 	for sl := 0; sl < s.slotCap; sl++ {
 		if s.slotPeer[sl] < 0 {
 			continue
@@ -299,19 +316,15 @@ func (c *codec) edges(s *Swarm) {
 		base := int32(sl) * s.edgeCap
 		for e := base; e < base+s.deg[sl]; e++ {
 			c.i32(&s.nbr[e])
-			c.i32(&s.rev[e])
 			c.f64(&s.recvWindow[e])
 			c.f64(&s.recvRate[e])
 			c.bool(&s.unchoked[e])
 			c.i32(&s.inflight[e])
-			c.i32(&s.want[e])
 			if c.reading() {
 				c.inRange(int(s.nbr[e]), 0, peers, "edge %d: target", int(e))
-				c.inRange(int(s.rev[e]), 0, edges, "edge %d: reverse index", int(e))
 				c.inRange(int(s.inflight[e]), -1, pieces, "edge %d: in-flight piece", int(e))
 			}
 		}
-		c.i32sInto(s.avail[sl*pieces:(sl+1)*pieces], "availability row")
 		c.f64sInto(s.pieceProgress[sl*pieces:(sl+1)*pieces], "piece-progress row")
 	}
 }
@@ -336,9 +349,9 @@ func (c *codec) tracker(s *Swarm) {
 // faults walks the fault controller. Read mode re-arms the layer from the
 // scenario's spec (re-deriving the knobs exactly as the original run did);
 // the live window flags, per-slot retry and partition state, crash queue
-// and counters then overwrite the fresh state.
-func (c *codec) faults(s *Swarm, spec FaultsSpec, specJSON []byte) {
-	c.match(specJSON, "fault spec")
+// and cumulative counters then overwrite the fresh state. staleEdges is
+// recounted on load.
+func (c *codec) faults(s *Swarm, spec FaultsSpec) {
 	if c.reading() {
 		s.EnableFaults(spec, nil)
 	}
@@ -361,7 +374,6 @@ func (c *codec) faults(s *Swarm, spec FaultsSpec, specJSON []byte) {
 	if c.reading() {
 		f.crashq = q
 	}
-	c.int(&f.staleEdges)
 	c.int(&f.totalCrashed)
 	c.int(&f.announceFailures)
 	c.int(&f.announceRetries)
@@ -603,7 +615,8 @@ func (sc Scenario) resumeRun() (*scenarioRun, error) {
 }
 
 // loadCheckpoint decodes a verified checkpoint payload into a runnable
-// state, enforcing the scenario binding and the full invariant audit. It
+// state, enforcing the scenario binding, rebuilding the recounted values
+// and running the full invariant audit. It
 // never panics on corrupt input — every failure is a descriptive error
 // (FuzzLoadCheckpoint hammers this contract).
 func (sc Scenario) loadCheckpoint(payload []byte) (*scenarioRun, error) {
@@ -627,6 +640,9 @@ func (sc Scenario) loadCheckpoint(payload []byte) (*scenarioRun, error) {
 		c.check(c.r.Remaining() == 0, "%d trailing bytes after the state", c.r.Remaining())
 	})
 	if err != nil {
+		return fail("%v", err)
+	}
+	if err := run.s.recount(true); err != nil {
 		return fail("%v", err)
 	}
 	// The deep audit: structural invariants, counter recounts, edge

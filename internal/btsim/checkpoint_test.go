@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -159,6 +160,104 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLoadRebuildsDerivedState: a checkpoint saves none of the values a
+// load recounts, so at every checkpoint of every catalog scenario the
+// loaded swarm's rebuilt counters, per-edge rev and want, avail rows and
+// stale-edge count must equal the maintained values of the live swarm that
+// wrote the file. The faulted scenarios cover staleEdges: crashcrowd
+// checkpoints while crashed peers still await the sweep.
+func TestLoadRebuildsDerivedState(t *testing.T) {
+	maxStale := 0
+	for _, name := range ScenarioNames() {
+		sc := mustCompile(t, namedSpec(t, name, 1, 0.3))
+		sc.CheckpointEvery = 10
+		sc.CheckpointDir = t.TempDir()
+		run, err := sc.freshRun()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loads := 0
+		obs := &checkpointObserver{check: func() error {
+			path, err := checkpoint.Latest(sc.CheckpointDir)
+			if err != nil {
+				return err
+			}
+			payload, err := checkpoint.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			loaded, err := sc.loadCheckpoint(payload)
+			if err != nil {
+				return err
+			}
+			loads++
+			if run.s.flt != nil {
+				maxStale = max(maxStale, run.s.flt.staleEdges)
+			}
+			if err := sameDerived(loaded.s, run.s); err != nil {
+				return fmt.Errorf("%s: %w", filepath.Base(path), err)
+			}
+			return nil
+		}}
+		if err := run.loop(obs); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if obs.err != nil {
+			t.Fatalf("%s: %v", name, obs.err)
+		}
+		if loads == 0 {
+			t.Fatalf("%s: no checkpoint was loaded", name)
+		}
+	}
+	if maxStale == 0 {
+		t.Fatal("no checkpoint held a stale edge, so the staleEdges rebuild went unchecked")
+	}
+}
+
+// checkpointObserver calls check right after each checkpoint is written,
+// keeping the first error.
+type checkpointObserver struct {
+	discardObserver
+	check func() error
+	err   error
+}
+
+func (o *checkpointObserver) OnEvent(ev RunEvent) {
+	if ev.Kind == "checkpoint" && o.err == nil {
+		o.err = o.check()
+	}
+}
+
+// sameDerived compares the values a checkpoint load rebuilds with those of
+// the swarm the checkpoint was taken from.
+func sameDerived(got, want *Swarm) error {
+	if got.counters != want.counters {
+		return fmt.Errorf("counters %+v, live %+v", got.counters, want.counters)
+	}
+	for sl := 0; sl < want.slotCap; sl++ {
+		if want.slotPeer[sl] < 0 {
+			continue
+		}
+		lo := sl * int(want.edgeCap)
+		hi := lo + int(want.deg[sl])
+		switch {
+		case !slices.Equal(got.rev[lo:hi], want.rev[lo:hi]):
+			return fmt.Errorf("slot %d: rev %v, live %v", sl, got.rev[lo:hi], want.rev[lo:hi])
+		case !slices.Equal(got.want[lo:hi], want.want[lo:hi]):
+			return fmt.Errorf("slot %d: want %v, live %v", sl, got.want[lo:hi], want.want[lo:hi])
+		case !slices.Equal(got.availRow(sl), want.availRow(sl)):
+			return fmt.Errorf("slot %d: avail %v, live %v", sl, got.availRow(sl), want.availRow(sl))
+		}
+	}
+	if (got.flt == nil) != (want.flt == nil) {
+		return fmt.Errorf("fault layer armed %v, live %v", got.flt != nil, want.flt != nil)
+	}
+	if want.flt != nil && got.flt.staleEdges != want.flt.staleEdges {
+		return fmt.Errorf("staleEdges %d, live %d", got.flt.staleEdges, want.flt.staleEdges)
+	}
+	return nil
 }
 
 // seriesAfterRound keeps the samples a run resumed at round boundary k
@@ -356,7 +455,6 @@ func TestLoadCheckpointRejectsHostileOptions(t *testing.T) {
 	r.Int()                                             // resume round
 	r.Bool()                                            // drained-edge flag
 	words(2 + 4)                                        // class bounds, churn RNG
-	r.Bool()                                            // fault injection
 	optAt := offset()
 	optJSON := r.Blob()
 	roundAt := offset()
@@ -446,40 +544,40 @@ func TestResumeSpec(t *testing.T) {
 // carries nothing over from the checkpoint before it.
 var checkpointPins = map[string][2]string{
 	"flashcrowd": {
-		"91c7fabf2566632a4b7b4ab280c1fffe76c1b5a1694c1924f9b0a4de92ae7ffa",
-		"66ba789137292b6d4c27d17be0f7a194ef001cddfd238c3630ebf2ab6e9bc6ad", // ckpt-000000600.ckpt
+		"1b9391fd4f00239b93dbb07ac30e603011105cb4e773f5d5560a25a8b01c103a",
+		"7e7c1d72ea98f43c810cdaadb2fa4945ace7f587ce54de5df283ddda1c292ec6", // ckpt-000000600.ckpt
 	},
 	"poisson": {
-		"74e505ae4c02b21160a3e7a50eaf676b8cafe867e9b966db8466ab171e50ad1c",
-		"c988c0f28df8ab6cf37b8f408161ab470031c2ffa688dc64fc61177f0e7b6a66", // ckpt-000000800.ckpt
+		"a9192db7c7dee42e2fe09934cc088ddf294cea680ead4d57afbc683e7dc024be",
+		"eec8df2c4f1500651b769febee169e5b8514c13555ffb4a80422f33b33eb3afc", // ckpt-000000800.ckpt
 	},
 	"massdepart": {
-		"8b0fdb0b87cc565eac0af0719f5247959172d97676577af25716181185e2256e",
-		"90ee55a0873eff4365d116f7bedbb269c558b151d22acd7d4f70ef65f771d985", // ckpt-000000700.ckpt
+		"89fdf5a48f50a39fdf4f792f1ea99ef76566a8039514bf4bc5988049f8c5624d",
+		"7249cdcc5f2d621a46e7ed357de5c9fe821ecaca76db793067165612b7402f71", // ckpt-000000700.ckpt
 	},
 	"tracereplay": {
-		"9595ab87fc13a175c74d53365eda00fea7a2b550985a7000eb3ab84484fe4b45",
-		"1d1a84f03d6835928aa8fa0ccb2771948b9009ac081079c4e5bcd6805da639e4", // ckpt-000000500.ckpt
+		"d2257918fd09e64132b41f155e56fafdb34909171bc37a9c478fa4ee3fb554dc",
+		"40c368400c4942ee652685eef4a2093d1199ca456eaf6f6ce2e798f410835724", // ckpt-000000500.ckpt
 	},
 	"seedstarve": {
-		"f20305d43604e24b5f9e83e984d46cc81bf309e64751713b3398c41d24f4954b",
-		"a89fcb1b552bf8e96fe5e2018a9cca1c986723635064b086a48bed633c6f263d", // ckpt-000000500.ckpt
+		"99fc5ef64fa29c94b29ec5cdb4fdaf48f354a79889f8ea51b76baab3f25b30ec",
+		"4420a440e297182b6cc5127996cb033f31144f43536ffb3b09ebc81094e9fed0", // ckpt-000000500.ckpt
 	},
 	"slowquit": {
-		"af3934e30443af3d38a91b6304b2d4c79f104983f5455159fc39558da7e35c07",
-		"d3686b8582553409fe247b097f94879a4808cc47a35b22e929dd76728d16a1f5", // ckpt-000000500.ckpt
+		"39cf50d805f92ea1346aa13c7f62df8f79e5f729a1f13d3c24b036f9ffbd1f3e",
+		"51d6bf5f297204d79999e14af8465531627c9e621d721128fce432b92215f37a", // ckpt-000000500.ckpt
 	},
 	"trackerdown": {
-		"8c213f156ab5a607068be793f587ccb56bf8f7f94e3ca029fe137c24d8e4d0da",
-		"688678da2479488782e690ea00a6d3c7b42798beb8f5019fca1e59b45a4bd34d", // ckpt-000000800.ckpt
+		"55cbecfc1780038ba589dc0ce8ee2389191566ec7f9c267003091ba1b043a00f",
+		"96d0e17f22a26aa4ab967ba15271cfd815fc654691ef4aec5706830df0804a11", // ckpt-000000800.ckpt
 	},
 	"splitbrain": {
-		"2c428ad134ee1c28b86ac4accf4b333b2a2e79e2932c4236e6778f31bf93457e",
-		"11ac714dc52e7bfc404e1a8baf908619645299709465cff655d432563d7ec53f", // ckpt-000000600.ckpt
+		"0372e7c2ed4a3cc5809f3754afcf29b4c82ee1155d750257843cde2c6b17e191",
+		"e3e326f5e9abe9cd2ace4d2a566c50fb5e844b6a20f462f2a95c80100d90e20f", // ckpt-000000600.ckpt
 	},
 	"crashcrowd": {
-		"b83e27dc95e0c4f76e3f76ef16c8b176cf56adcbf3a1f0e93c33673f0f880c98",
-		"ec56a13d83aee7e1cf0d250556151706cb4750957f8c9d59d561031124ecdaab", // ckpt-000000600.ckpt
+		"62dcbf10f9294ee332816b8b95668c01c480e149ab3c3bfa94210bab1cbb1958",
+		"136853b4956fa7b631353635b955202600f5d709c62b9d3f2c758e28c9916f93", // ckpt-000000600.ckpt
 	},
 }
 

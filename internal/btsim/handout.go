@@ -102,8 +102,7 @@ func (h *swarmHandout) SameSide(a, b int32) bool {
 }
 
 func (h *swarmHandout) Connected(a, b int32) bool {
-	s := (*Swarm)(h)
-	return s.hasEdge(&s.peers[a], int(b))
+	return (*Swarm)(h).edgeTo(a, b) >= 0
 }
 
 func (h *swarmHandout) Connect(a, b int32) {

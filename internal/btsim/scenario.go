@@ -222,11 +222,10 @@ type scenarioRun struct {
 	reannounce  int
 	faultsOn    bool
 	// ckpt is the checkpoint encode buffer, reused by every checkpoint of
-	// the run; optJSON and faultJSON are the marshalled swarm options and
-	// fault spec every checkpoint saves (see marshalStart).
-	ckpt      checkpoint.Writer
-	optJSON   []byte
-	faultJSON []byte
+	// the run; optJSON is the marshalled swarm options every checkpoint
+	// saves (see marshalStart).
+	ckpt    checkpoint.Writer
+	optJSON []byte
 }
 
 // startOptions derives the options a run's swarm starts from: sc.Opt with

@@ -424,13 +424,20 @@ func (c *CapacitySpec) compile() capacitySampler {
 // when Swarm.MaxPeers is left 0: the initial population plus the expected
 // number of arrivals over the whole horizon. It ignores departures, so it
 // is an upper bound on the expected peak; the swarm still grows by
-// doubling if a run exceeds it.
+// doubling if a run exceeds it. An estimate past math.MaxInt32 reads as
+// math.MaxInt32; Scenario.CheckStateBudget rejects such a spec.
 func (sp ScenarioSpec) MaxPeersEstimate() int {
+	return int(min(sp.peerEstimate(), math.MaxInt32))
+}
+
+// peerEstimate is MaxPeersEstimate in float64, which no arrival volume can
+// wrap.
+func (sp ScenarioSpec) peerEstimate() float64 {
 	expected := 0.0
 	for _, a := range sp.Arrivals {
 		expected += a.expectedTotal(sp.Rounds)
 	}
-	return sp.Swarm.Leechers + sp.Swarm.Seeds + int(math.Ceil(expected))
+	return float64(sp.Swarm.Leechers) + float64(sp.Swarm.Seeds) + math.Ceil(expected)
 }
 
 // expectedTotal is the expected number of arrivals the process delivers

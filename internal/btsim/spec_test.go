@@ -443,3 +443,37 @@ func (r *recordingObserver) OnDone(m Metrics) {
 	r.final = m
 	r.doneCalls++
 }
+
+// TestCheckStateBudget: a spec whose swarm would preallocate more state
+// cells than a checkpoint load admits is rejected before anything is
+// allocated — by initial population, by a Poisson rate whose expected
+// arrivals no int can hold, and by a burst total — while the largest
+// catalog scenario, flashcrowd1m at scale 1, passes. Only the check runs;
+// no over-budget swarm is built.
+func TestCheckStateBudget(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*ScenarioSpec)
+	}{
+		{"1e9 leechers", func(sp *ScenarioSpec) { sp.Swarm.Leechers = 1_000_000_000 }},
+		{"poisson rate 1e300", func(sp *ScenarioSpec) { sp.Arrivals[0].Rate = 1e300 }},
+		{"burst total 1e12", func(sp *ScenarioSpec) { sp.Arrivals[1].Total = 1_000_000_000_000 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := validSpec()
+			sp.Swarm.MaxPeers = 0
+			tc.edit(&sp)
+			sc := mustCompile(t, sp)
+			if err := sc.CheckStateBudget(); err == nil || !strings.Contains(err.Error(), "exceeds the budget") {
+				t.Fatalf("CheckStateBudget = %v, want an over-budget error", err)
+			}
+		})
+	}
+	for _, sp := range []ScenarioSpec{validSpec(), namedSpec(t, "flashcrowd1m", 1, 1)} {
+		sc := mustCompile(t, sp)
+		if err := sc.CheckStateBudget(); err != nil {
+			t.Errorf("%s: %v", sp.Name, err)
+		}
+	}
+}

@@ -43,7 +43,6 @@ package btsim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"stratmatch/internal/rng"
 	"stratmatch/internal/telemetry"
@@ -246,19 +245,7 @@ type Swarm struct {
 	// churn does not allocate.
 	havePool []bitset
 
-	// Membership counters. present includes promoted seeds; presentDone is
-	// the present peers holding every piece (initial seeds + finished
-	// leechers that have not departed).
-	present       int
-	presentDone   int
-	totalDeparted int
-
-	// Streaming metric counters, maintained incrementally so scenario
-	// time-series sampling never rescans or allocates: completedLeechers
-	// counts leechers that ever finished the file (departed ones included);
-	// liveDegSum is Σ deg over present peers (two endpoints per edge).
-	completedLeechers int
-	liveDegSum        int64
+	counters
 
 	trk PresentSet
 
@@ -297,6 +284,25 @@ type Swarm struct {
 	pendingJoin []int32
 	rankOrder   []int32
 	joinSort    joinSorter
+}
+
+// counters are the swarm's membership and degree counters, maintained
+// incrementally so scenario time-series sampling never rescans or
+// allocates. Each is a function of the roster and the degrees: a
+// checkpoint load recounts them (recount) instead of reading them, and
+// CheckInvariants compares them with the same recount.
+type counters struct {
+	// present includes promoted seeds; presentDone is the present peers
+	// holding every piece (initial seeds + finished leechers that have not
+	// departed).
+	present       int
+	presentDone   int
+	totalDeparted int
+	// completedLeechers counts leechers that ever finished the file
+	// (departed ones included); liveDegSum is Σ deg over present peers (two
+	// endpoints per edge).
+	completedLeechers int
+	liveDegSum        int64
 }
 
 // New builds a swarm. Peer ids 0..Leechers-1 are leechers,
@@ -632,39 +638,26 @@ func (s *Swarm) removeEdgeHalf(q *peer, er int32) {
 	s.markEdgeTouched(qsl)
 }
 
-// hasEdge reports whether peer a already has a connection to peer id b.
-func (s *Swarm) hasEdge(a *peer, b int) bool {
-	asl := s.slotOf[a.id]
+// edgeTo returns peer a's edge to peer b, or −1 when they are not
+// connected.
+func (s *Swarm) edgeTo(a, b int32) int32 {
+	asl := s.slotOf[a]
 	base := asl * s.edgeCap
 	for e := base; e < base+s.deg[asl]; e++ {
-		if s.nbr[e] == int32(b) {
-			return true
+		if s.nbr[e] == b {
+			return e
 		}
 	}
-	return false
+	return -1
 }
 
-// availAdd counts b's pieces into slot sl's availability (iterating only
-// the set bits).
-func (s *Swarm) availAdd(sl int32, b bitset) {
-	base := int(sl) * s.opt.Pieces
-	for wi, w := range b.words {
-		for w != 0 {
-			piece := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			s.avail[base+piece]++
-		}
-	}
-}
+// availAdd counts b's pieces into slot sl's availability.
+func (s *Swarm) availAdd(sl int32, b bitset) { b.addTo(s.availRow(int(sl)), 1) }
 
 // availSub removes b's pieces from slot sl's availability.
-func (s *Swarm) availSub(sl int32, b bitset) {
-	base := int(sl) * s.opt.Pieces
-	for wi, w := range b.words {
-		for w != 0 {
-			piece := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			s.avail[base+piece]--
-		}
-	}
+func (s *Swarm) availSub(sl int32, b bitset) { b.addTo(s.availRow(int(sl)), -1) }
+
+// availRow is slot sl's availability row, one counter per piece.
+func (s *Swarm) availRow(sl int) []int32 {
+	return s.avail[sl*s.opt.Pieces : (sl+1)*s.opt.Pieces]
 }

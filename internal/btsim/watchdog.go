@@ -1,15 +1,19 @@
 package btsim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CheckInvariants audits the swarm's structural invariants by full recount:
 // roster/slot/tracker agreement, free-list integrity, the present-rank
-// permutation, CSR edge symmetry (rev involution, no self or duplicate
-// edges), the incrementally maintained want and avail counters against
-// their bitfield definitions, and the membership, degree-sum and
-// stale-edge counters. It understands the fault layer: a crashed peer may
-// keep its slot and edge block until the failure-detection sweep, and
-// present peers may hold stale edges to it.
+// permutation, CSR edge structure (no self or duplicate edges, every edge
+// reversed), and every incrementally maintained value a checkpoint does
+// not save — the membership and degree counters, each edge's rev and want,
+// each slot's avail row and the stale-edge count — against recount, the
+// definition a checkpoint load rebuilds them with. It understands the
+// fault layer: a crashed peer may keep its slot and edge block until the
+// failure-detection sweep, and present peers may hold stale edges to it.
 //
 // A violation is returned as a descriptive error; nil means every
 // invariant holds. The audit rescans the whole swarm and allocates
@@ -26,17 +30,12 @@ func (s *Swarm) CheckInvariants() error {
 		}
 	}
 
-	// Roster ↔ slot ↔ tracker agreement, plus counter recounts.
-	present, presentDone, completed, departed := 0, 0, 0, 0
+	// Roster ↔ slot ↔ tracker agreement.
 	occupied := 0
 	for i := range s.peers {
 		p := &s.peers[i]
 		sl := s.slotOf[i]
-		if !p.isSeed && p.done {
-			completed++
-		}
 		if p.departed {
-			departed++
 			if s.trk.pos[p.id] != -1 {
 				return fmt.Errorf("btsim: invariant: departed peer %d still registered with the tracker", p.id)
 			}
@@ -47,10 +46,6 @@ func (s *Swarm) CheckInvariants() error {
 				return fmt.Errorf("btsim: invariant: crash-queue peer %d has no slot", p.id)
 			}
 		} else {
-			present++
-			if p.done {
-				presentDone++
-			}
 			if sl < 0 {
 				return fmt.Errorf("btsim: invariant: present peer %d has no slot", p.id)
 			}
@@ -66,17 +61,13 @@ func (s *Swarm) CheckInvariants() error {
 			}
 		}
 	}
-	switch {
-	case present != s.present:
-		return fmt.Errorf("btsim: invariant: present counter %d, recount %d", s.present, present)
-	case presentDone != s.presentDone:
-		return fmt.Errorf("btsim: invariant: presentDone counter %d, recount %d", s.presentDone, presentDone)
-	case completed != s.completedLeechers:
-		return fmt.Errorf("btsim: invariant: completedLeechers counter %d, recount %d", s.completedLeechers, completed)
-	case departed != s.totalDeparted:
-		return fmt.Errorf("btsim: invariant: totalDeparted counter %d, recount %d", s.totalDeparted, departed)
-	case len(s.trk.present) != present:
-		return fmt.Errorf("btsim: invariant: tracker holds %d peers, %d present", len(s.trk.present), present)
+	// The counters, the edge structure and the per-edge and per-slot values
+	// it feeds.
+	if err := s.recount(false); err != nil {
+		return fmt.Errorf("btsim: invariant: %w", err)
+	}
+	if len(s.trk.present) != s.present {
+		return fmt.Errorf("btsim: invariant: tracker holds %d peers, %d present", len(s.trk.present), s.present)
 	}
 
 	// Free-list integrity: free slots are vacant and unique, and together
@@ -97,91 +88,116 @@ func (s *Swarm) CheckInvariants() error {
 	}
 
 	// Present ranks form a permutation of 0..present-1.
-	seenRank := make([]bool, present)
+	seenRank := make([]bool, s.present)
 	for _, id := range s.trk.present {
 		r := s.rank[id]
-		if r < 0 || r >= present || seenRank[r] {
+		if r < 0 || r >= s.present || seenRank[r] {
 			return fmt.Errorf("btsim: invariant: present ranks are not a permutation (peer %d has rank %d)", id, r)
 		}
 		seenRank[r] = true
 	}
+	return s.checkLazyStepping()
+}
 
-	// Edge structure and the incremental counters it feeds.
-	liveDeg := int64(0)
+// recount recomputes the values the engine maintains incrementally that
+// are functions of the roster, the bitfields and the wiring: the
+// membership and degree counters; for each live edge its rev (the owner's
+// edge within the target's block, unique because duplicate edges are
+// rejected) and want (the pieces the target holds that the owner lacks);
+// each occupied slot's avail row; and the stale-edge count (present
+// owners' edges to crashed peers). It is their one definition. With fill
+// set it stores them, which is how a checkpoint load rebuilds the values
+// it does not save; otherwise it compares them with the maintained values,
+// as CheckInvariants does.
+//
+// A load runs it on state no audit has checked yet, so it checks every
+// index it follows: an edge it cannot count is an error, never a panic.
+func (s *Swarm) recount(fill bool) error {
+	var c counters
+	for i := range s.peers {
+		p := &s.peers[i]
+		if !p.isSeed && p.done {
+			c.completedLeechers++
+		}
+		if p.departed {
+			c.totalDeparted++
+			continue
+		}
+		c.present++
+		if p.done {
+			c.presentDone++
+		}
+		if sl := s.slotOf[i]; sl >= 0 {
+			c.liveDegSum += int64(s.deg[sl])
+		}
+	}
+	if fill {
+		s.counters = c
+	} else if c != s.counters {
+		return fmt.Errorf("counters %+v, recount %+v", s.counters, c)
+	}
+
 	stale := 0
-	availRe := make([]int32, s.opt.Pieces)
+	rev, want, avail := make([]int32, s.edgeCap), make([]int32, s.edgeCap), make([]int32, s.opt.Pieces)
 	for sl := 0; sl < s.slotCap; sl++ {
 		oid := s.slotPeer[sl]
 		if oid < 0 {
 			continue
 		}
-		o := &s.peers[oid]
-		d := s.deg[sl]
-		if d < 0 || d > s.edgeCap {
-			return fmt.Errorf("btsim: invariant: slot %d degree %d out of range", sl, d)
+		o, base, d := &s.peers[oid], int32(sl)*s.edgeCap, s.deg[sl]
+		switch {
+		case s.slotOf[oid] != int32(sl):
+			return fmt.Errorf("slot %d holds peer %d, which is in slot %d", sl, oid, s.slotOf[oid])
+		case d < 0 || d > s.edgeCap:
+			return fmt.Errorf("slot %d degree %d out of range", sl, d)
 		}
-		if !o.departed {
-			liveDeg += int64(d)
+		if fill {
+			rev, want, avail = s.rev[base:], s.want[base:], s.availRow(sl)
 		}
-		for i := range availRe {
-			availRe[i] = 0
-		}
-		base := int32(sl) * s.edgeCap
-		for e := base; e < base+d; e++ {
-			t := s.nbr[e]
-			if t < 0 || int(t) >= len(s.peers) {
-				return fmt.Errorf("btsim: invariant: edge %d targets unknown peer %d", e, t)
+		clear(avail)
+		for i := range d {
+			e, t := base+i, s.nbr[base+i]
+			switch {
+			case t < 0 || int(t) >= len(s.peers):
+				return fmt.Errorf("edge %d targets unknown peer %d", e, t)
+			case t == oid:
+				return fmt.Errorf("peer %d has a self-edge", oid)
+			case s.slotOf[t] < 0:
+				return fmt.Errorf("peer %d has an edge to slotless peer %d", oid, t)
+			case slices.Contains(s.nbr[base:e], t):
+				return fmt.Errorf("peer %d has duplicate edges to %d", oid, t)
+			}
+			if rev[i] = s.edgeTo(t, oid); rev[i] < 0 {
+				return fmt.Errorf("edge %d (peer %d → %d) has no reverse edge", e, oid, t)
 			}
 			q := &s.peers[t]
-			if t == oid {
-				return fmt.Errorf("btsim: invariant: peer %d has a self-edge", oid)
-			}
-			qsl := s.slotOf[t]
-			if qsl < 0 {
-				return fmt.Errorf("btsim: invariant: peer %d has an edge to slotless peer %d", oid, t)
-			}
-			er := s.rev[e]
-			if er < qsl*s.edgeCap || er >= qsl*s.edgeCap+s.deg[qsl] ||
-				s.nbr[er] != oid || s.rev[er] != e {
-				return fmt.Errorf("btsim: invariant: rev involution broken on edge %d (peer %d → %d)", e, oid, t)
-			}
-			for e2 := base; e2 < e; e2++ {
-				if s.nbr[e2] == t {
-					return fmt.Errorf("btsim: invariant: peer %d has duplicate edges to %d", oid, t)
-				}
-			}
-			if want := int32(o.have.countMissingIn(q.have)); s.want[e] != want {
-				return fmt.Errorf("btsim: invariant: want[%d] = %d, recount %d (peer %d → %d)",
-					e, s.want[e], want, oid, t)
-			}
-			for piece := 0; piece < s.opt.Pieces; piece++ {
-				if q.have.has(piece) {
-					availRe[piece]++
-				}
-			}
+			want[i] = int32(o.have.countMissingIn(q.have))
+			q.have.addTo(avail, 1)
 			if !o.departed && q.departed {
 				stale++
 			}
 		}
-		abase := sl * s.opt.Pieces
-		for piece := 0; piece < s.opt.Pieces; piece++ {
-			if s.avail[abase+piece] != availRe[piece] {
-				return fmt.Errorf("btsim: invariant: avail[slot %d, piece %d] = %d, recount %d",
-					sl, piece, s.avail[abase+piece], availRe[piece])
+		if fill {
+			continue
+		}
+		for i := range d {
+			if e := base + i; s.rev[e] != rev[i] || s.want[e] != want[i] {
+				return fmt.Errorf("edge %d (peer %d → %d) has rev %d, want %d; recount %d, %d",
+					e, oid, s.nbr[e], s.rev[e], s.want[e], rev[i], want[i])
 			}
 		}
+		if !slices.Equal(s.availRow(sl), avail) {
+			return fmt.Errorf("slot %d avail %v, recount %v", sl, s.availRow(sl), avail)
+		}
 	}
-	if liveDeg != s.liveDegSum {
-		return fmt.Errorf("btsim: invariant: liveDegSum %d, recount %d", s.liveDegSum, liveDeg)
-	}
-	if s.flt != nil && stale != s.flt.staleEdges {
-		return fmt.Errorf("btsim: invariant: staleEdges %d, recount %d", s.flt.staleEdges, stale)
-	}
-	if s.flt == nil && stale != 0 {
-		return fmt.Errorf("btsim: invariant: %d stale edges without a fault layer", stale)
-	}
-	if err := s.checkLazyStepping(); err != nil {
-		return err
+	switch {
+	case s.flt == nil && stale != 0:
+		return fmt.Errorf("%d stale edges without a fault layer", stale)
+	case s.flt == nil:
+	case fill:
+		s.flt.staleEdges = stale
+	case stale != s.flt.staleEdges:
+		return fmt.Errorf("staleEdges %d, recount %d", s.flt.staleEdges, stale)
 	}
 	return nil
 }

@@ -49,8 +49,12 @@ import (
 // v2 appended the sharded-stepping state (shard width, per-shard RNG
 // sub-streams, dirty sets) and the series sampler's running sums to the
 // swarm payload; v3 drops the sampler's sums and its dirty set again (a
-// resumed swarm re-sums them from its state).
-const Version = 3
+// resumed swarm re-sums them from its state); v4 drops every integer a
+// load can recount from the roster, the bitfields and the wiring (the
+// membership and degree counters, per-edge reverse indexes and interest
+// counts, availability rows, the stale-edge count) and the fault flag and
+// fault spec, which the embedded scenario spec already fixes.
+const Version = 4
 
 // magic identifies a checkpoint container; 8 bytes, never versioned (the
 // version word after it is).

@@ -183,7 +183,6 @@ func (m *runManager) execute(rn *run, sc btsim.Scenario, ckEvery int, em *emit.E
 	ckDir := filepath.Join(m.ckRoot, fmt.Sprintf("run-%d", rn.id))
 	sc.CheckpointDir = ckDir
 	sc.CheckpointEvery = ckEvery
-	sc.CheckpointRetain = -1
 
 	err := sc.RunObserver(progressObserver{Emitter: em, rn: rn})
 	switch {

@@ -172,8 +172,11 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 // jsonl` would print for the same spec and seed, chunked as the run
 // produces them. Optional query parameters: sample_every (override the
 // spec's sampling period) and checkpoint_every (override the daemon's
-// periodic checkpoint default for this run). A spec that fails validation
-// is answered 422 with its field-path error, and no run is registered.
+// periodic checkpoint default for this run). A run keeps the scenario
+// runner's default of its 3 newest checkpoints. A spec that fails
+// validation, or whose swarm state exceeds btsim's budget
+// (Scenario.CheckStateBudget), is answered 422 with the error, and no run
+// is registered.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
@@ -203,6 +206,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		spec.SampleEvery = sampleEvery
 	}
 	sc, err := spec.Compile()
+	if err == nil {
+		err = sc.CheckStateBudget()
+	}
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
 		return

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -385,3 +387,140 @@ func TestServerRejectsInvalidSpec(t *testing.T) {
 		t.Fatalf("a rejected spec registered runs: %+v", list.Runs)
 	}
 }
+
+// TestServerRejectsOverBudgetSpec: a 100-byte spec asking for a billion
+// leechers is answered 422 with the state-budget error before any run is
+// registered or any swarm state is allocated.
+func TestServerRejectsOverBudgetSpec(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const huge = `{"name":"huge","swarm":{"leechers":1000000000,"seeds":1,"pieces":4,"seed":1},"rounds":10,"departures":{}}`
+	resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "exceeds the budget") {
+		t.Fatalf("over-budget spec: status %d, body %q; want 422 with the budget error", resp.StatusCode, msg)
+	}
+	if runs := listRuns(t, ts.URL); len(runs) != 0 {
+		t.Fatalf("an over-budget spec registered runs: %+v", runs)
+	}
+}
+
+// listRuns reads GET /runs.
+func listRuns(t *testing.T, url string) []RunStatus {
+	t.Helper()
+	resp, err := http.Get(url + "/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct{ Runs []RunStatus }
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	return list.Runs
+}
+
+// TestServerRunKeepsDefaultRetention: however often a submission asks to
+// checkpoint, its run-<id>/ keeps only the scenario runner's default of the
+// 3 newest files, so a client cannot grow the daemon's disk use without
+// bound. The newest file is the only one a resume reads, and a drained run
+// still resumes from it.
+func TestServerRunKeepsDefaultRetention(t *testing.T) {
+	root := t.TempDir()
+	srv, ts := newTestServer(t, Config{CheckpointDir: root})
+	post := func(spec btsim.ScenarioSpec) *http.Response {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/runs?checkpoint_every=10", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			msg, _ := io.ReadAll(resp.Body)
+			t.Fatalf("status %d: %s", resp.StatusCode, msg)
+		}
+		return resp
+	}
+	checkpoints := func(dir string) int {
+		files, err := filepath.Glob(filepath.Join(dir, "ckpt-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(files)
+	}
+
+	spec, err := btsim.NamedSpec("poisson", 46, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Rounds/10 <= 3 {
+		t.Fatalf("poisson runs %d rounds: too few checkpoints to rotate", spec.Rounds)
+	}
+	resp := post(spec)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	dir := filepath.Join(root, "run-"+resp.Header.Get("X-Run-Id"))
+	if n := checkpoints(dir); n == 0 || n > 3 {
+		t.Fatalf("%d rounds checkpointed every 10 left %d files in %s, want 1 to 3", spec.Rounds, n, dir)
+	}
+
+	// Drain a long run after about ten periodic checkpoints.
+	resp = post(slowSpec(48))
+	defer resp.Body.Close()
+	drained := make(chan []RunStatus, 1)
+	samples := 0
+	readLines(t, resp.Body, func(line string) bool {
+		if strings.Contains(line, `"type":"sample"`) {
+			if samples++; samples == 100 {
+				go func() { drained <- srv.Drain() }()
+			}
+		}
+		return true
+	})
+	suspended := <-drained
+	if len(suspended) != 1 || suspended[0].Resume == "" {
+		t.Fatalf("drain suspended %+v, want one resumable run", suspended)
+	}
+	resumeDir := suspended[0].Resume
+	if n := checkpoints(resumeDir); n == 0 || n > 3 {
+		t.Fatalf("drained run left %d checkpoint files, want 1 to 3", n)
+	}
+	rspec, err := btsim.ResumeSpec(resumeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := rspec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.ResumeFrom = resumeDir
+	stop := make(chan struct{})
+	sc.Interrupt = stop
+	obs := &stopAtSample{stop: stop}
+	if err := sc.RunObserver(obs); !errors.Is(err, btsim.ErrInterrupted) || obs.samples == 0 {
+		t.Fatalf("resume returned %v after %d samples, want an interrupt after the first", err, obs.samples)
+	}
+}
+
+// stopAtSample closes stop at its first sample, so a resumed run steps one
+// round and then suspends.
+type stopAtSample struct {
+	stop    chan struct{}
+	samples int
+}
+
+func (o *stopAtSample) OnSample(btsim.SeriesPoint) {
+	if o.samples++; o.samples == 1 {
+		close(o.stop)
+	}
+}
+func (o *stopAtSample) OnEvent(btsim.RunEvent) {}
+func (o *stopAtSample) OnDone(btsim.Metrics)   {}
