@@ -51,6 +51,12 @@ package btsim
 // swarm must pass the full CheckInvariants audit before a single round
 // runs. A corrupt file yields a descriptive error, never a panic and never
 // silently-wrong state.
+//
+// Only the encode runs on the stepping path. A writer goroutine persists
+// the file (startCheckpoint, persist) while the run steps on, and the
+// runner holds the observer calls made meanwhile until the file is durable
+// (see outbox), so the stream a consumer sees is the one an in-place write
+// would have produced.
 
 import (
 	"bytes"
@@ -100,17 +106,91 @@ func (sc *Scenario) CheckStateBudget() error {
 }
 
 // writeCheckpoint snapshots the run into CheckpointDir as the checkpoint
-// that resumes from nextRound, atomically, then rotates old checkpoints
-// away per CheckpointRetain.
+// that resumes from nextRound and returns once the file is durable: it is
+// startCheckpoint followed by awaitCheckpoint.
 func (run *scenarioRun) writeCheckpoint(nextRound int) error {
-	sc := run.sc
-	tel := sc.Telemetry
-	span := tel.StartPhase(telemetry.PhaseCheckpointWrite)
-	defer tel.EndPhase(telemetry.PhaseCheckpointWrite, span)
-	payload, err := run.encode(nextRound)
-	if err != nil {
-		return fmt.Errorf("scenario %s: checkpoint: %w", sc.spec.Name, err)
+	if err := run.startCheckpoint(nextRound); err != nil {
+		return err
 	}
+	return run.awaitCheckpoint()
+}
+
+// startCheckpoint encodes the checkpoint that resumes from nextRound into
+// the run's one encode buffer and hands it to a writer goroutine, which
+// persists it. The write before it is awaited first, because it still
+// reads that buffer. From here until the write is awaited, run.out holds
+// the observer calls.
+func (run *scenarioRun) startCheckpoint(nextRound int) error {
+	if err := run.awaitCheckpoint(); err != nil {
+		return err
+	}
+	tel := run.sc.Telemetry
+	span := tel.StartPhase(telemetry.PhaseCheckpointWrite)
+	payload, err := run.encode(nextRound)
+	tel.EndPhase(telemetry.PhaseCheckpointWrite, span)
+	if err != nil {
+		return fmt.Errorf("scenario %s: checkpoint: %w", run.sc.spec.Name, err)
+	}
+	if run.written == nil {
+		run.written = make(chan error, 1)
+	}
+	run.out.hold = true
+	go func() { run.written <- run.sc.persist(payload, nextRound) }()
+	return nil
+}
+
+// pollCheckpoint finishes the write in flight if it is done, without
+// blocking.
+func (run *scenarioRun) pollCheckpoint() error {
+	if !run.out.hold {
+		return nil
+	}
+	select {
+	case err := <-run.written:
+		return run.finishWrite(err)
+	default:
+		return nil
+	}
+}
+
+// awaitCheckpoint waits for the write in flight, if any, and finishes it.
+func (run *scenarioRun) awaitCheckpoint() error {
+	if !run.out.hold {
+		return nil
+	}
+	tel := run.sc.Telemetry
+	span := tel.StartPhase(telemetry.PhaseCheckpointWrite)
+	err := <-run.written
+	tel.EndPhase(telemetry.PhaseCheckpointWrite, span)
+	return run.finishWrite(err)
+}
+
+// finishWrite ends a write whose outcome is err. A durable file releases
+// the observer calls held behind it, in order; a failed write drops them
+// and is returned, so the stream stops where it would have had the run
+// waited for the write in place.
+func (run *scenarioRun) finishWrite(err error) error {
+	if err != nil {
+		run.out.drop()
+		return err
+	}
+	tel := run.sc.Telemetry
+	span := tel.StartPhase(telemetry.PhaseSample) // delivery is part of sampling
+	run.out.release()
+	tel.EndPhase(telemetry.PhaseSample, span)
+	return nil
+}
+
+// persist makes an encoded checkpoint durable: it writes payload
+// atomically into CheckpointDir as the checkpoint that resumes from
+// nextRound, then rotates old checkpoints away per CheckpointRetain. It
+// runs on the writer goroutine and reads only the scenario's settings and
+// payload, which the stepping path leaves alone until the outcome is
+// received.
+func (sc *Scenario) persist(payload []byte, nextRound int) error {
+	tel := sc.Telemetry
+	span := tel.StartPhase(telemetry.PhaseCheckpointSync)
+	defer tel.EndPhase(telemetry.PhaseCheckpointSync, span)
 	if err := os.MkdirAll(sc.CheckpointDir, 0o755); err != nil {
 		return fmt.Errorf("scenario %s: checkpoint: %w", sc.spec.Name, err)
 	}

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"stratmatch/internal/checkpoint"
 )
@@ -167,45 +168,46 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 // loaded swarm's rebuilt counters, per-edge rev and want, avail rows and
 // stale-edge count must equal the maintained values of the live swarm that
 // wrote the file. The faulted scenarios cover staleEdges: crashcrowd
-// checkpoints while crashed peers still await the sweep.
+// checkpoints while crashed peers still await the sweep. The test steps
+// the rounds itself and writes each checkpoint in place, because the
+// loop's "checkpoint" event arrives only after the run has stepped on.
 func TestLoadRebuildsDerivedState(t *testing.T) {
 	maxStale := 0
 	for _, name := range ScenarioNames() {
 		sc := mustCompile(t, namedSpec(t, name, 1, 0.3))
-		sc.CheckpointEvery = 10
 		sc.CheckpointDir = t.TempDir()
 		run, err := sc.freshRun()
 		if err != nil {
 			t.Fatal(err)
 		}
+		run.out.obs = &discardObserver{}
 		loads := 0
-		obs := &checkpointObserver{check: func() error {
-			path, err := checkpoint.Latest(sc.CheckpointDir)
-			if err != nil {
-				return err
+		for round := 0; round < sc.spec.Rounds; round++ {
+			if err := run.runRound(round); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			payload, err := checkpoint.ReadFile(path)
+			if (round+1)%10 != 0 {
+				continue
+			}
+			if err := run.writeCheckpoint(round + 1); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			file := checkpoint.FileName(round + 1)
+			payload, err := checkpoint.ReadFile(filepath.Join(sc.CheckpointDir, file))
 			if err != nil {
-				return err
+				t.Fatalf("%s: %v", name, err)
 			}
 			loaded, err := sc.loadCheckpoint(payload)
 			if err != nil {
-				return err
+				t.Fatalf("%s: %s: %v", name, file, err)
 			}
 			loads++
 			if run.s.flt != nil {
 				maxStale = max(maxStale, run.s.flt.staleEdges)
 			}
 			if err := sameDerived(loaded.s, run.s); err != nil {
-				return fmt.Errorf("%s: %w", filepath.Base(path), err)
+				t.Fatalf("%s: %s: %v", name, file, err)
 			}
-			return nil
-		}}
-		if err := run.loop(obs); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if obs.err != nil {
-			t.Fatalf("%s: %v", name, obs.err)
 		}
 		if loads == 0 {
 			t.Fatalf("%s: no checkpoint was loaded", name)
@@ -213,20 +215,6 @@ func TestLoadRebuildsDerivedState(t *testing.T) {
 	}
 	if maxStale == 0 {
 		t.Fatal("no checkpoint held a stale edge, so the staleEdges rebuild went unchecked")
-	}
-}
-
-// checkpointObserver calls check right after each checkpoint is written,
-// keeping the first error.
-type checkpointObserver struct {
-	discardObserver
-	check func() error
-	err   error
-}
-
-func (o *checkpointObserver) OnEvent(ev RunEvent) {
-	if ev.Kind == "checkpoint" && o.err == nil {
-		o.err = o.check()
 	}
 }
 
@@ -316,6 +304,143 @@ func TestCheckpointInterruptAndResume(t *testing.T) {
 	}
 	if got, want := fmtResult(resumed), fmtResult(golden); got != want {
 		t.Fatalf("resume after interrupt diverged:\n--- want ---\n%s--- got ---\n%s", want, got)
+	}
+}
+
+// TestCheckpointExitLeavesNothingBehind: however RunObserver returns — at
+// the end of the run, on a failed write, on an interrupt or on an
+// invariant-audit failure — it has waited for the checkpoint write in
+// flight, so no writer goroutine and no temp file outlive it.
+func TestCheckpointExitLeavesNothingBehind(t *testing.T) {
+	cases := []struct {
+		name string
+		// run starts a checkpointing run into dir and returns its error.
+		run  func(t *testing.T, dir string) error
+		want func(err error) bool
+	}{
+		{"done", func(t *testing.T, dir string) error {
+			sc := exitScenario(t, "poisson", dir)
+			err := sc.RunObserver(&discardObserver{})
+			last := checkpoint.FileName(sc.spec.Rounds / 100 * 100)
+			if _, serr := os.Stat(filepath.Join(dir, last)); err == nil && serr != nil {
+				t.Errorf("the last checkpoint is not on disk when the run returns: %v", serr)
+			}
+			return err
+		}, func(err error) bool { return err == nil }},
+		{"write error", func(t *testing.T, dir string) error {
+			// A directory under the second checkpoint's name fails its
+			// rename after the temp file is written and synced.
+			if err := os.MkdirAll(filepath.Join(dir, checkpoint.FileName(200), "x"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			sc := exitScenario(t, "poisson", dir)
+			return sc.RunObserver(&discardObserver{})
+		}, func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), checkpoint.FileName(200))
+		}},
+		{"interrupt", func(t *testing.T, dir string) error {
+			sc := exitScenario(t, "poisson", dir)
+			stop := make(chan struct{})
+			sc.Interrupt = stop
+			return sc.RunObserver(&eventHook{kind: "checkpoint", fn: func() { close(stop) }})
+		}, func(err error) bool { return errors.Is(err, ErrInterrupted) }},
+		{"audit error", func(t *testing.T, dir string) error {
+			sp := namedSpec(t, "crashcrowd", 1, 0.3)
+			sp.SampleEvery = 1
+			sp.Faults.Watchdog = true
+			sc := mustCompile(t, sp)
+			sc.CheckpointEvery = 10
+			sc.CheckpointDir = dir
+			run, err := sc.freshRun()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Corrupt a counter at the sample before the first checkpoint:
+			// the file is encoded from the corrupt state and the next
+			// round's audit fails while it is being written.
+			return run.loop(&sampleHook{round: 10, fn: func() { run.s.totalDeparted++ }})
+		}, func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), "invariant")
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			before := runtime.NumGoroutine()
+			if err := tc.run(t, dir); !tc.want(err) {
+				t.Fatalf("run returned %v", err)
+			}
+			// A write still in flight would change the directory later.
+			atReturn := dirNames(t, dir)
+			after := runtime.NumGoroutine()
+			for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
+				time.Sleep(5 * time.Millisecond)
+				after = runtime.NumGoroutine()
+			}
+			if after > before {
+				t.Errorf("%d goroutines after the run, %d before", after, before)
+			}
+			if later := dirNames(t, dir); !slices.Equal(later, atReturn) {
+				t.Errorf("checkpoint directory changed after the run returned: %v, then %v", atReturn, later)
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmps) > 0 {
+				t.Errorf("temp files left behind: %v", tmps)
+			}
+		})
+	}
+}
+
+// dirNames lists dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// exitScenario is a catalog scenario checkpointing every 100 rounds into
+// dir.
+func exitScenario(t *testing.T, name, dir string) Scenario {
+	t.Helper()
+	sc, err := NamedScenario(name, 1, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.CheckpointEvery = 100
+	sc.CheckpointDir = dir
+	return sc
+}
+
+// eventHook calls fn at the first event of the given kind.
+type eventHook struct {
+	discardObserver
+	kind string
+	fn   func()
+}
+
+func (o *eventHook) OnEvent(ev RunEvent) {
+	if ev.Kind == o.kind && o.fn != nil {
+		o.fn()
+		o.fn = nil
+	}
+}
+
+// sampleHook calls fn at the sample of the given round.
+type sampleHook struct {
+	discardObserver
+	round int
+	fn    func()
+}
+
+func (o *sampleHook) OnSample(pt SeriesPoint) {
+	if pt.Round == o.round {
+		o.fn()
 	}
 }
 

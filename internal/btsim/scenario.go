@@ -226,6 +226,11 @@ type scenarioRun struct {
 	// saves (see marshalStart).
 	ckpt    checkpoint.Writer
 	optJSON []byte
+	// out delivers observer calls, holding them while a checkpoint write
+	// is in flight; written carries the write's outcome back from the
+	// writer goroutine.
+	out     outbox
+	written chan error
 }
 
 // startOptions derives the options a run's swarm starts from: sc.Opt with
@@ -298,6 +303,13 @@ func (run *scenarioRun) resolveIntervals() {
 }
 
 // loop executes rounds start..Rounds-1 and delivers the closing snapshot.
+// A checkpoint is encoded at its round boundary and persisted on a writer
+// goroutine while the loop steps on; the observer calls made meanwhile are
+// held (see outbox) and released when the loop, polling at each round
+// boundary, finds the file durable. Every way out of the loop waits for
+// the write in flight first, and a failed write is returned with the calls
+// behind it dropped, so the observer sees the stream the run would have
+// produced had it waited for each write in place.
 func (run *scenarioRun) loop(obs Observer) error {
 	sc := run.sc
 	sp := &sc.spec
@@ -306,8 +318,12 @@ func (run *scenarioRun) loop(obs Observer) error {
 	s.SetTelemetry(tel)
 	s.SetStepWorkers(sc.StepWorkers)
 	defer s.Close() // release the step-worker pool, if any
-	tObs, _ := obs.(TelemetryObserver)
+	run.out.obs = obs
+	run.out.tObs, _ = obs.(TelemetryObserver)
 	for round := run.start; round < sp.Rounds; round++ {
+		if err := run.pollCheckpoint(); err != nil {
+			return err
+		}
 		if sc.Interrupt != nil {
 			select {
 			case <-sc.Interrupt:
@@ -325,79 +341,97 @@ func (run *scenarioRun) loop(obs Observer) error {
 			default:
 			}
 		}
-		if run.faultsOn {
-			fsp := tel.StartPhase(telemetry.PhaseFaults)
-			s.faultBeginRound(round, obs)
-			tel.EndPhase(telemetry.PhaseFaults, fsp)
-		}
-		asp := tel.StartPhase(telemetry.PhaseAnnounce)
-		for k := sumArrivals(sp.Arrivals, round, run.churnR); k > 0; k-- {
-			capKbps := 400.0
-			if sc.capacity != nil {
-				capKbps = sc.capacity.Sample(run.churnR)
+		if err := run.runRound(round); err != nil {
+			// The calls this round made come after the write in flight.
+			if werr := run.awaitCheckpoint(); werr != nil {
+				return werr
 			}
-			s.Join(capKbps, run.churnR.Bool(sp.ArrivalSeedFraction))
-		}
-		tel.EndPhase(telemetry.PhaseAnnounce, asp)
-		for _, ev := range sp.Events {
-			if ev.Round == round {
-				gone := s.massDepart(ev.DepartFraction, ev.IncludeSeeds, run.churnR, &run.scratch)
-				tel.Inc(telemetry.CtrEvents)
-				obs.OnEvent(RunEvent{Round: round, Kind: "shock", Departed: gone})
-			}
-		}
-		s.Step()
-		s.applyDepartures(sp.Departures, run.churnR, &run.scratch)
-		if run.faultsOn {
-			fsp := tel.StartPhase(telemetry.PhaseFaults)
-			s.faultEndRound(round, obs)
-			tel.EndPhase(telemetry.PhaseFaults, fsp)
-		}
-		asp = tel.StartPhase(telemetry.PhaseAnnounce)
-		s.ReannounceUnderConnected(run.reannounce)
-		tel.EndPhase(telemetry.PhaseAnnounce, asp)
-		if run.faultsOn && s.flt.watchdog {
-			if err := s.CheckInvariants(); err != nil {
-				return fmt.Errorf("scenario %s: round %d: %w", sp.Name, round, err)
-			}
-		}
-		switch {
-		case s.present == 0 && run.alive:
-			tel.Inc(telemetry.CtrEvents)
-			obs.OnEvent(RunEvent{Round: round, Kind: "drained"})
-			run.alive = false
-		case s.present > 0:
-			run.alive = true
-		}
-		if round%run.sampleEvery == 0 || round == sp.Rounds-1 {
-			ssp := tel.StartPhase(telemetry.PhaseSample)
-			pt := s.sample(run.classes)
-			obs.OnSample(pt)
-			tel.EndPhase(telemetry.PhaseSample, ssp)
-			tel.Inc(telemetry.CtrSamples)
-			if tel != nil {
-				tel.SetGauge(telemetry.GaugeRound, int64(pt.Round))
-				tel.SetGauge(telemetry.GaugePresent, int64(pt.Present))
-				tel.SetGauge(telemetry.GaugeLeechers, int64(pt.Leechers))
-				tel.SetGauge(telemetry.GaugeSeeds, int64(pt.Seeds))
-				tel.SetGauge(telemetry.GaugeStaleEdges, int64(pt.StaleEdges))
-				if tObs != nil {
-					tObs.OnTelemetry(pt.Round, tel.Snapshot())
-				}
-			}
+			return err
 		}
 		if sc.CheckpointEvery > 0 && (round+1)%sc.CheckpointEvery == 0 {
-			// Write first, then announce: every "checkpoint" event an
-			// observer sees refers to a file already safely on disk, so a
-			// consumer cut off mid-stream can trust its last checkpoint line.
-			if err := run.writeCheckpoint(round + 1); err != nil {
+			// The "checkpoint" event is held with the calls after it until
+			// the file is on disk, so a consumer cut off mid-stream can
+			// trust its last checkpoint line.
+			if err := run.startCheckpoint(round + 1); err != nil {
 				return err
 			}
 			tel.Inc(telemetry.CtrEvents)
-			obs.OnEvent(RunEvent{Round: round, Kind: "checkpoint"})
+			run.out.OnEvent(RunEvent{Round: round, Kind: "checkpoint"})
 		}
 	}
-	obs.OnDone(s.Snapshot())
+	if err := run.awaitCheckpoint(); err != nil {
+		return err
+	}
+	run.out.OnDone(s.Snapshot())
+	return nil
+}
+
+// runRound executes one round and reports it through run.out. The only
+// error is the invariant watchdog's.
+func (run *scenarioRun) runRound(round int) error {
+	sc := run.sc
+	sp := &sc.spec
+	s := run.s
+	tel := sc.Telemetry
+	if run.faultsOn {
+		fsp := tel.StartPhase(telemetry.PhaseFaults)
+		s.faultBeginRound(round, &run.out)
+		tel.EndPhase(telemetry.PhaseFaults, fsp)
+	}
+	asp := tel.StartPhase(telemetry.PhaseAnnounce)
+	for k := sumArrivals(sp.Arrivals, round, run.churnR); k > 0; k-- {
+		capKbps := 400.0
+		if sc.capacity != nil {
+			capKbps = sc.capacity.Sample(run.churnR)
+		}
+		s.Join(capKbps, run.churnR.Bool(sp.ArrivalSeedFraction))
+	}
+	tel.EndPhase(telemetry.PhaseAnnounce, asp)
+	for _, ev := range sp.Events {
+		if ev.Round == round {
+			gone := s.massDepart(ev.DepartFraction, ev.IncludeSeeds, run.churnR, &run.scratch)
+			tel.Inc(telemetry.CtrEvents)
+			run.out.OnEvent(RunEvent{Round: round, Kind: "shock", Departed: gone})
+		}
+	}
+	s.Step()
+	s.applyDepartures(sp.Departures, run.churnR, &run.scratch)
+	if run.faultsOn {
+		fsp := tel.StartPhase(telemetry.PhaseFaults)
+		s.faultEndRound(round, &run.out)
+		tel.EndPhase(telemetry.PhaseFaults, fsp)
+	}
+	asp = tel.StartPhase(telemetry.PhaseAnnounce)
+	s.ReannounceUnderConnected(run.reannounce)
+	tel.EndPhase(telemetry.PhaseAnnounce, asp)
+	if run.faultsOn && s.flt.watchdog {
+		if err := s.CheckInvariants(); err != nil {
+			return fmt.Errorf("scenario %s: round %d: %w", sp.Name, round, err)
+		}
+	}
+	switch {
+	case s.present == 0 && run.alive:
+		tel.Inc(telemetry.CtrEvents)
+		run.out.OnEvent(RunEvent{Round: round, Kind: "drained"})
+		run.alive = false
+	case s.present > 0:
+		run.alive = true
+	}
+	if round%run.sampleEvery == 0 || round == sp.Rounds-1 {
+		ssp := tel.StartPhase(telemetry.PhaseSample)
+		pt := s.sample(run.classes)
+		run.out.OnSample(pt)
+		tel.EndPhase(telemetry.PhaseSample, ssp)
+		tel.Inc(telemetry.CtrSamples)
+		if tel != nil {
+			tel.SetGauge(telemetry.GaugeRound, int64(pt.Round))
+			tel.SetGauge(telemetry.GaugePresent, int64(pt.Present))
+			tel.SetGauge(telemetry.GaugeLeechers, int64(pt.Leechers))
+			tel.SetGauge(telemetry.GaugeSeeds, int64(pt.Seeds))
+			tel.SetGauge(telemetry.GaugeStaleEdges, int64(pt.StaleEdges))
+			run.out.telemetry(pt.Round, tel)
+		}
+	}
 	return nil
 }
 

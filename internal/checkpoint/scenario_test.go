@@ -1,6 +1,7 @@
 package checkpoint_test
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"stratmatch/internal/btsim"
 	"stratmatch/internal/checkpoint"
+	"stratmatch/internal/emit"
 )
 
 // TestScenarioCheckpointWriteFaults runs a checkpointing scenario whose
@@ -40,6 +42,48 @@ func TestScenarioCheckpointWriteFaults(t *testing.T) {
 			}
 			if _, err := checkpoint.ReadFile(latest); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestScenarioWriteFaultStreamCut streams a checkpointing run as jsonl
+// while its second checkpoint write fails at each step of WriteFile: the
+// observer calls held behind the write are dropped, so the bytes received
+// are the fault-free stream cut just before that checkpoint's marker.
+func TestScenarioWriteFaultStreamCut(t *testing.T) {
+	stream := func(t *testing.T) ([]byte, error) {
+		spec, err := btsim.NamedSpec("poisson", 1, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := spec.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.CheckpointEvery = 100
+		sc.CheckpointDir = t.TempDir()
+		var buf bytes.Buffer
+		err = sc.RunObserver(emit.New(&buf, spec.HasFaults(), nil))
+		return buf.Bytes(), err
+	}
+	full, err := stream(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := bytes.Index(full, []byte("{\"type\":\"checkpoint\",\"round\":199}\n"))
+	if cut < 0 {
+		t.Fatal("fault-free stream has no round-199 checkpoint marker")
+	}
+	for _, fault := range checkpoint.WriteFaults {
+		t.Run(fault, func(t *testing.T) {
+			injected := checkpoint.InjectWriteFault(t, fault, checkpoint.FileName(200))
+			got, err := stream(t)
+			if !errors.Is(err, injected) {
+				t.Fatalf("run error %v, want one wrapping %v", err, injected)
+			}
+			if !bytes.Equal(got, full[:cut]) {
+				t.Fatalf("stream of %d bytes, want the %d-byte prefix before the round-199 marker", len(got), cut)
 			}
 		})
 	}

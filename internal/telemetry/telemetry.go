@@ -178,10 +178,15 @@ const (
 	// PhaseExperiment is one whole experiment run
 	// (internal/experiments.Run).
 	PhaseExperiment
-	// PhaseCheckpointWrite is one durable checkpoint snapshot (encode +
-	// atomic write + rotation); PhaseCheckpointLoad is one resume load
-	// (read + decode + invariant audit).
+	// PhaseCheckpointWrite is the time checkpoints hold up the stepping
+	// path: each encode, and each wait for a write still in flight (before
+	// the next encode, at an interrupt, at the end of the run).
+	// PhaseCheckpointSync is one durable write on the writer goroutine
+	// (atomic write + fsync + rename + rotation), which the stepping path
+	// overlaps. PhaseCheckpointLoad is one resume load (read + decode +
+	// invariant audit).
 	PhaseCheckpointWrite
+	PhaseCheckpointSync
 	PhaseCheckpointLoad
 	// PhaseHandout is one tracker-daemon announce handout (registry lock
 	// acquisition + neighbor selection), measured per served request.
@@ -207,6 +212,7 @@ var phaseNames = [numPhases]string{
 	PhaseExperiment: "experiment",
 
 	PhaseCheckpointWrite: "checkpoint_write",
+	PhaseCheckpointSync:  "checkpoint_sync",
 	PhaseCheckpointLoad:  "checkpoint_load",
 
 	PhaseHandout: "handout",
