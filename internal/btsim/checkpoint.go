@@ -460,14 +460,14 @@ func (c *codec) faults(s *Swarm, spec FaultsSpec) {
 }
 
 // shards walks the shard layer: the shard width (part of the trajectory —
-// shard streams are keyed by shard index), every per-shard RNG sub-stream
-// position, and the lazy-stepping dirty sets. xferDirty and the
-// active-list caches are deliberately absent: read mode marks every slot
-// cache-stale, and a rebuild is a pure function of the saved choke state,
-// so the first resumed transfer recomputes exactly the caches the original
-// run held. The series sampler keeps no state: it sums the live roster at
-// each sample. The step worker count is a runtime knob, not state — a run
-// may checkpoint under one count and resume under another.
+// shard streams are keyed by shard index) and every per-shard RNG
+// sub-stream position. xferDirty and the active-list caches are
+// deliberately absent: read mode marks every slot cache-stale, and a
+// rebuild is a pure function of the saved choke state, so the first
+// resumed transfer recomputes exactly the caches the original run held.
+// The series sampler keeps no state: it sums the live roster at each
+// sample. The step worker count is a runtime knob, not state — a run may
+// checkpoint under one count and resume under another.
 func (c *codec) shards(s *Swarm) {
 	width := s.sh.slotsPerShard
 	c.int(&width)
@@ -479,9 +479,6 @@ func (c *codec) shards(s *Swarm) {
 	for k := range s.sh.streams {
 		c.rng(&s.sh.streams[k], "shard")
 	}
-	c.u64sInto(s.sh.chokeDirty, "choke dirty set")
-	c.u64sInto(s.sh.windowNZ, "window dirty set")
-	c.u64sInto(s.sh.ratesNZ, "rate dirty set")
 	if c.reading() {
 		for i := range s.sh.xferDirty {
 			s.sh.xferDirty[i] = ^uint64(0)

@@ -669,40 +669,40 @@ func TestResumeSpec(t *testing.T) {
 // carries nothing over from the checkpoint before it.
 var checkpointPins = map[string][2]string{
 	"flashcrowd": {
-		"1b9391fd4f00239b93dbb07ac30e603011105cb4e773f5d5560a25a8b01c103a",
-		"7e7c1d72ea98f43c810cdaadb2fa4945ace7f587ce54de5df283ddda1c292ec6", // ckpt-000000600.ckpt
+		"eb23965120ab44db61065a00bd96a6ec515ad544e456796ad7e6e7315d7555ed",
+		"8baa9ba5e1dd2af2024691c6f5b7259867dbcea8818f65ddc4b23dba2173e6d5", // ckpt-000000600.ckpt
 	},
 	"poisson": {
-		"a9192db7c7dee42e2fe09934cc088ddf294cea680ead4d57afbc683e7dc024be",
-		"eec8df2c4f1500651b769febee169e5b8514c13555ffb4a80422f33b33eb3afc", // ckpt-000000800.ckpt
+		"a680a66e943b1ad245f40acde3abb7fde5393e8b96e2b5af699560b8f87219cf",
+		"67ae0e3976a9137af2fb0b4babeb08a96009e4295dce45777b3bae45c5c58a47", // ckpt-000000800.ckpt
 	},
 	"massdepart": {
-		"89fdf5a48f50a39fdf4f792f1ea99ef76566a8039514bf4bc5988049f8c5624d",
-		"7249cdcc5f2d621a46e7ed357de5c9fe821ecaca76db793067165612b7402f71", // ckpt-000000700.ckpt
+		"85300f61c73bdaf5053376d851140a46c54e28e8985361b7dbb23e70ab292114",
+		"6c70689d182b5829cefeb8faae25e4b1a8de1cccc0aee03ef3ccfc63f3ecb8e3", // ckpt-000000700.ckpt
 	},
 	"tracereplay": {
-		"d2257918fd09e64132b41f155e56fafdb34909171bc37a9c478fa4ee3fb554dc",
-		"40c368400c4942ee652685eef4a2093d1199ca456eaf6f6ce2e798f410835724", // ckpt-000000500.ckpt
+		"42cd506f762f3cad2bbb0aa8b3288fc22e13958ab5b6af4b6e090a0ca9fa0188",
+		"485b2157c0c0e0fcd9faaa88e57f414e75dc1e94d6fb683d01e44dbaea96e09e", // ckpt-000000500.ckpt
 	},
 	"seedstarve": {
-		"99fc5ef64fa29c94b29ec5cdb4fdaf48f354a79889f8ea51b76baab3f25b30ec",
-		"4420a440e297182b6cc5127996cb033f31144f43536ffb3b09ebc81094e9fed0", // ckpt-000000500.ckpt
+		"23cb1a9744fe53af6778c64000e33281f5ca47727d10e0f142d93781d969d6f4",
+		"4e1e6e7fce5b9c3a2aa67ca5548a86fc4a14eb3f0821f39eab79b413a287e6a7", // ckpt-000000500.ckpt
 	},
 	"slowquit": {
-		"39cf50d805f92ea1346aa13c7f62df8f79e5f729a1f13d3c24b036f9ffbd1f3e",
-		"51d6bf5f297204d79999e14af8465531627c9e621d721128fce432b92215f37a", // ckpt-000000500.ckpt
+		"073d549932a9199958ebe97bb512b0b37ec9c5040833ad0ca2523f1c1250e09c",
+		"86faf8af37c23aabdf03a121bf7f1edc666848fd140d9f0a38a88d02e84d969e", // ckpt-000000500.ckpt
 	},
 	"trackerdown": {
-		"55cbecfc1780038ba589dc0ce8ee2389191566ec7f9c267003091ba1b043a00f",
-		"96d0e17f22a26aa4ab967ba15271cfd815fc654691ef4aec5706830df0804a11", // ckpt-000000800.ckpt
+		"aa8502beb83306198ba26efefa978c3dc41038d93852ced9edd45e93ed2c44da",
+		"71b4971ec3306a2d27cc7feeff437dee95f664479dc779ea77605e26e149f981", // ckpt-000000800.ckpt
 	},
 	"splitbrain": {
-		"0372e7c2ed4a3cc5809f3754afcf29b4c82ee1155d750257843cde2c6b17e191",
-		"e3e326f5e9abe9cd2ace4d2a566c50fb5e844b6a20f462f2a95c80100d90e20f", // ckpt-000000600.ckpt
+		"a59af070a5833623d15dc6e1195eb70ad46248053b20cb47c3b21ca81452b0a7",
+		"5909500557289f9a1b732b425e47234c4e6ae654b2ebf21db4067ead5a47bc76", // ckpt-000000600.ckpt
 	},
 	"crashcrowd": {
-		"62dcbf10f9294ee332816b8b95668c01c480e149ab3c3bfa94210bab1cbb1958",
-		"136853b4956fa7b631353635b955202600f5d709c62b9d3f2c758e28c9916f93", // ckpt-000000600.ckpt
+		"947208ab03f1fcf8870b503c5666009d0087d4beea04b85dac9519a85c9dd0bd",
+		"acabd78d00eb048501fba54df24725c2d585e521ac19e34f141fc18fdd34996b", // ckpt-000000600.ckpt
 	},
 }
 

@@ -34,26 +34,18 @@ package btsim
 // magnitude smaller than the content-unlimited flashcrowd this layer
 // exists for). Choke decisions shard in both modes.
 //
-// # Event-driven stepping (dirty sets)
+// # Event-driven transfer (the active-transfer cache)
 //
-// Per-slot bitmaps let steady peers cost nothing between choke intervals:
-//
-//   - chokeDirty: the slot's candidate set may have changed (edges added,
-//     removed or swapped; a neighbor departed, crashed or completed).
-//   - windowNZ: some recvWindow entry in the slot's block may be nonzero.
-//   - ratesNZ: some recvRate entry may be nonzero.
-//   - xferDirty: the slot's cached active-transfer list is stale.
-//
-// A scheduled rechoke is skipped when all of chokeDirty, windowNZ and
-// ratesNZ are clear (and the peer is not a seed — seeds draw randomness
-// every interval): with every rate and window zero and the candidate set
-// unchanged, rerunning the rechoke would reproduce the previous unchoke
-// picks by id order, record no TFT accounting (rates are zero) and draw no
-// randomness (the optimistic slot cannot have been re-unchoked), so the
-// skip is outcome- and RNG-stream-exact, not approximate. The bits are
-// conservative: a spurious mark only forces a rechoke that recomputes the
-// same state. Swarm.CheckInvariants cross-checks the lazy bookkeeping
-// against an eager recomputation.
+// Every on-schedule peer rechokes at each choke interval, as in the
+// paper's Tit-for-Tat model. What is event-driven is the content-unlimited
+// send pass: each uploader's active-transfer list (the edges it unchokes,
+// or holds as its optimistic pick, towards a present leecher) is cached
+// between choke changes. The xferDirty bitmap marks the slots whose cache
+// may be stale — after a rechoke or optimistic rotation, an edge added,
+// removed or swapped, or a neighbor's crash — and the send pass rebuilds
+// only those. A spurious mark only forces a rebuild that recomputes the
+// same list. Swarm.CheckInvariants cross-checks every clean cache against
+// an eager scan.
 
 import (
 	"sync/atomic"
@@ -103,10 +95,7 @@ type shardState struct {
 	next     atomic.Int32
 	scratch  []chokeScratch // per-worker; [0] doubles as the serial scratch
 
-	chokeDirty []uint64
-	windowNZ   []uint64
-	ratesNZ    []uint64
-	xferDirty  []uint64
+	xferDirty []uint64
 
 	// Content-unlimited transfer state (nil in piece mode): xfer[e] is the
 	// kbit written to edge e's owner this round by the e-reverse uploader
@@ -175,9 +164,6 @@ func (s *Swarm) resizeShards() {
 		sh.streams = append(sh.streams, rng.NewStream(s.opt.Seed, uint64(k)))
 	}
 	w := bmWords(s.slotCap)
-	sh.chokeDirty = grown(sh.chokeDirty, w)
-	sh.windowNZ = grown(sh.windowNZ, w)
-	sh.ratesNZ = grown(sh.ratesNZ, w)
 	sh.xferDirty = grown(sh.xferDirty, w)
 	sh.sumUp = grown(sh.sumUp, n*8)
 	sh.sumDown = grown(sh.sumDown, n*8)
@@ -291,8 +277,7 @@ func (s *Swarm) runShard(k, ph, w int) {
 
 // chokeShard runs the choke schedule over one shard's slots, drawing any
 // randomness (seed rotation, optimistic picks) from the shard's own
-// sub-stream. On-schedule leechers whose dirty bits are all clear are
-// skipped — see the package comment for why the skip is exact.
+// sub-stream.
 func (s *Swarm) chokeShard(k, w int) {
 	lo, hi := s.shardBounds(k)
 	rr := s.sh.streams[k]
@@ -309,11 +294,7 @@ func (s *Swarm) chokeShard(k, w int) {
 			continue // crash-stop: a dead peer takes no protocol actions
 		}
 		if (s.round+p.id)%ci == 0 {
-			if p.done || bmGet(s.sh.chokeDirty, sl) || bmGet(s.sh.windowNZ, sl) || bmGet(s.sh.ratesNZ, sl) {
-				s.rechokePeer(p, sl, rr, sc)
-			} else {
-				s.tel.Inc(telemetry.CtrChokeSkips)
-			}
+			s.rechokePeer(p, sl, rr, sc)
 		}
 		if !p.done && (s.round+p.id)%oi == 0 {
 			s.rotateOptimisticPeer(p, rr, sc)
@@ -390,10 +371,7 @@ func (s *Swarm) sendShard(k int) {
 // recvShard is the content-unlimited downloader pass over one shard: every
 // occupied slot, in slot order, drains its nonzero xfer entries into its
 // receive windows and download totals (in edge order — deterministic and
-// worker-independent), leaving xfer all-zero for the next round. A slot
-// whose block held a nonzero entry gets its windowNZ bit; since every
-// amount sent is capacity/na > 0, that is exactly the set of slots some
-// uploader sent to.
+// worker-independent), leaving xfer all-zero for the next round.
 func (s *Swarm) recvShard(k int) {
 	lo, hi := s.shardBounds(k)
 	sh := &s.sh
@@ -406,7 +384,6 @@ func (s *Swarm) recvShard(k int) {
 		v := &s.peers[id]
 		base := int32(sl) * s.edgeCap
 		end := base + s.deg[sl]
-		got := false
 		for e := base; e < end; e++ {
 			a := sh.xfer[e]
 			if a == 0 {
@@ -416,10 +393,6 @@ func (s *Swarm) recvShard(k int) {
 			s.recvWindow[e] += a
 			v.totalDown += a
 			sumDown += a
-			got = true
-		}
-		if got {
-			bmSet(sh.windowNZ, sl)
 		}
 	}
 	sh.sumDown[k*8] = sumDown
@@ -437,22 +410,9 @@ func (s *Swarm) foldShardSums() {
 	}
 }
 
-// slotRecycled resets the shard layer's per-slot flags when sl gets a new
-// occupant: the newcomer is conservatively marked for rechoke and cache
-// rebuild, while the previous occupant's window/rate flags die with its
-// edges (a fresh slot has none).
-func (s *Swarm) slotRecycled(sl int) {
-	sh := &s.sh
-	bmSet(sh.chokeDirty, sl)
-	bmSet(sh.xferDirty, sl)
-	bmClear(sh.windowNZ, sl)
-	bmClear(sh.ratesNZ, sl)
-}
-
-// markEdgeTouched flags a slot whose edge block changed shape (an edge
-// added, removed or swapped into a new index): both the candidate set and
-// the cached active list may be stale.
-func (s *Swarm) markEdgeTouched(sl int32) {
-	bmSet(s.sh.chokeDirty, int(sl))
+// markActiveStale flags a slot whose cached active list may be stale: its
+// edge block changed shape (an edge added, removed or swapped into a new
+// index), a neighbor crashed, or the slot has a new occupant.
+func (s *Swarm) markActiveStale(sl int32) {
 	bmSet(s.sh.xferDirty, int(sl))
 }

@@ -208,10 +208,12 @@ func TestShardDeltaMergeStress(t *testing.T) {
 	}
 }
 
-// TestEventDrivenSkipsHappen is the existence proof for the event-driven
-// stepper: in a converged content-unlimited swarm most peers' choke inputs
-// stop changing, so the dirty-set fast path must actually skip rechokes
-// (and the active-transfer cache must get rebuilt only when edges moved).
+// TestEventDrivenSkipsHappen pins what stays event-driven in the stepper:
+// the content-unlimited send pass rebuilds an uploader's active-transfer
+// cache only when its choke state or edges changed. Over 80 rounds of 120
+// leechers (9,600 sender visits) the cache must be rebuilt at all, and
+// stay clean on at least three visits in four, or it costs more than the
+// eager scan it replaces.
 func TestEventDrivenSkipsHappen(t *testing.T) {
 	s, err := New(Options{
 		Leechers: 120, Pieces: 1, ContentUnlimited: true,
@@ -223,14 +225,13 @@ func TestEventDrivenSkipsHappen(t *testing.T) {
 	tel := telemetry.New()
 	s.SetTelemetry(tel)
 	s.Run(80)
-	if skips := tel.Counter(telemetry.CtrChokeSkips); skips == 0 {
-		t.Fatal("80 converged rounds produced zero choke skips; the dirty-set fast path is dead")
-	}
-	if rebuilds := tel.Counter(telemetry.CtrActiveRebuilds); rebuilds == 0 {
+	rebuilds := tel.Counter(telemetry.CtrActiveRebuilds)
+	if rebuilds == 0 {
 		t.Fatal("no active-cache rebuilds recorded")
 	}
-	// Skips must dwarf rebuild work once converged: every skip is a slot
-	// the eager stepper would have rechoked.
+	if visits := uint64(120 * 80); rebuilds >= visits/4 {
+		t.Fatalf("%d active-cache rebuilds in %d sender visits; the cache is stale on a quarter or more", rebuilds, visits)
+	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +240,8 @@ func TestEventDrivenSkipsHappen(t *testing.T) {
 // TestCheckpointResumeAcrossWorkerCounts pins that the worker count is a
 // pure runtime knob end to end: a multi-shard run checkpointed under 4
 // workers resumes byte-identically under 1 worker and under 4, matching the
-// serial golden run's tail. Checkpoints carry the shard width, per-shard RNG
-// positions and dirty-set state, never the worker count.
+// serial golden run's tail. Checkpoints carry the shard width and per-shard
+// RNG positions, never the worker count.
 func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("checkpoint matrix")

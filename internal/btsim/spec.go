@@ -623,9 +623,10 @@ func XLScenarioNames() []string {
 //     after the window.
 //   - flashcrowd1m: the million-peer flash crowd (XLScenarioNames): a
 //     content-unlimited swarm absorbs ~10^6 newcomers in a ~100-round
-//     burst with every round sampled — the sharded stepping and dirty-set
-//     stress workload. At scale 1 it needs the parallel stepper
-//     (Scenario.StepWorkers / -step-workers) to finish in sane time.
+//     burst with every round sampled — the sharded stepping and
+//     active-transfer-cache stress workload. At scale 1 it needs the
+//     parallel stepper (Scenario.StepWorkers / -step-workers) to finish in
+//     sane time.
 func NamedSpec(name string, seed uint64, scale float64) (ScenarioSpec, error) {
 	if scale <= 0 {
 		scale = 1

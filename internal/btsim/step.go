@@ -140,8 +140,8 @@ func (s *Swarm) Crash(id int) {
 	sl := s.slotOf[id]
 	// Stale-edge accounting: every present neighbor's half towards p goes
 	// stale; p's own halves towards already-crashed neighbors stop counting
-	// (their owner is no longer present). Surviving neighbors' candidate
-	// sets and active lists just changed — mark them for the lazy stepper.
+	// (their owner is no longer present). Surviving neighbors' active
+	// lists just lost a recipient — mark them for a cache rebuild.
 	base := sl * s.edgeCap
 	for e := base; e < base+s.deg[sl]; e++ {
 		q := &s.peers[s.nbr[e]]
@@ -149,7 +149,7 @@ func (s *Swarm) Crash(id int) {
 			f.staleEdges--
 		} else {
 			f.staleEdges++
-			s.markEdgeTouched(s.rev[e] / s.edgeCap)
+			s.markActiveStale(s.rev[e] / s.edgeCap)
 		}
 	}
 	s.liveDegSum -= int64(s.deg[sl]) // p's own halves leave the present sum
@@ -244,33 +244,20 @@ func (s *Swarm) wantsAlong(v, u *peer, e int32) bool {
 // rechokePeer recomputes p's rates from its elapsed window and reassigns its
 // TFT slots. It runs under the choke shard pass: sl is p's slot, rr the
 // shard's RNG sub-stream and sc the calling worker's candidate scratch.
-// The window → rate fold is skipped when the dirty bits prove both are
-// already all-zero (the steady-peer case); the skip writes exactly the
-// values the fold would have.
 func (s *Swarm) rechokePeer(p *peer, sl int, rr *rng.RNG, sc *chokeScratch) {
 	s.tel.Inc(telemetry.CtrRechokes)
-	hadWindow := bmGet(s.sh.windowNZ, sl)
-	if hadWindow || bmGet(s.sh.ratesNZ, sl) {
-		interval := float64(s.opt.ChokeIntervalRounds)
-		base := int32(sl) * s.edgeCap
-		end := base + s.deg[sl]
-		for e := base; e < end; e++ {
-			s.recvRate[e] = s.recvWindow[e] / interval
-			s.recvWindow[e] = 0
-		}
-		bmClear(s.sh.windowNZ, sl)
-		if hadWindow {
-			bmSet(s.sh.ratesNZ, sl)
-		} else {
-			bmClear(s.sh.ratesNZ, sl)
-		}
+	interval := float64(s.opt.ChokeIntervalRounds)
+	base := int32(sl) * s.edgeCap
+	end := base + s.deg[sl]
+	for e := base; e < end; e++ {
+		s.recvRate[e] = s.recvWindow[e] / interval
+		s.recvWindow[e] = 0
 	}
 	if p.done {
 		s.rechokeSeed(p, sl, rr, sc)
 	} else {
 		s.rechokeLeecher(p, sl, rr, sc)
 	}
-	bmClear(s.sh.chokeDirty, sl)
 	bmSet(s.sh.xferDirty, sl)
 }
 
@@ -417,7 +404,6 @@ func (s *Swarm) transfer() {
 			v := &s.peers[s.nbr[e]]
 			ev := s.rev[e] // v's edge back to u: no neighbor-list search
 			vsl := int(ev / s.edgeCap)
-			moved := false
 			remaining := share
 			for remaining > 1e-9 && !v.done {
 				piece := int(s.inflight[ev])
@@ -441,14 +427,10 @@ func (s *Swarm) transfer() {
 				s.sumUp += amt
 				s.sumDown += amt
 				remaining -= amt
-				moved = true
 				if s.pieceProgress[idx] >= s.opt.PieceKbit {
 					v.have.set(piece)
 					s.completePiece(v, piece)
 				}
-			}
-			if moved {
-				bmSet(s.sh.windowNZ, vsl)
 			}
 		}
 	}
@@ -496,13 +478,11 @@ func (s *Swarm) pickPiece(v, u *peer) int {
 
 // completePiece finalizes v's acquisition of piece: incremental interest and
 // availability bookkeeping, in-flight cleanup, and completion (seed
-// promotion) detection. Interest changed in both directions on every edge,
-// so v and all its neighbors are marked for the lazy choke pass.
+// promotion) detection.
 func (s *Swarm) completePiece(v *peer, piece int) {
 	v.haveCount++
 	P := s.opt.Pieces
 	base, end := s.edges(v.id)
-	s.markEdgeTouched(base / s.edgeCap)
 	for e := base; e < end; e++ {
 		if s.inflight[e] == int32(piece) {
 			s.inflight[e] = -1
@@ -510,7 +490,6 @@ func (s *Swarm) completePiece(v *peer, piece int) {
 		q := &s.peers[s.nbr[e]]
 		qsl := s.rev[e] / s.edgeCap
 		s.avail[int(qsl)*P+piece]++
-		s.markEdgeTouched(qsl)
 		if q.have.has(piece) {
 			// v no longer misses this piece from q.
 			s.want[e]--

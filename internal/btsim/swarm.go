@@ -275,8 +275,9 @@ type Swarm struct {
 	stamp  uint64
 
 	// sh is the sharded, event-driven stepping state: shard geometry, the
-	// per-shard RNG sub-streams, dirty bitmaps, per-slot active-transfer
-	// caches and the optional persistent worker pool (see shard.go).
+	// per-shard RNG sub-streams, the per-slot active-transfer caches and
+	// their xferDirty bitmap, and the optional persistent worker pool (see
+	// shard.go).
 	sh shardState
 
 	// pendingJoin / rankOrder / joinSort back the batched join-rank flush
@@ -517,7 +518,7 @@ func (s *Swarm) Join(capacityKbps float64, asSeed bool) int {
 	if s.flt != nil {
 		s.flt.slotJoined(sl)
 	}
-	s.slotRecycled(int(sl))
+	s.markActiveStale(sl) // the cache still lists the previous occupant's edges
 
 	// Rank assignment is deferred: the newcomer parks on the pending list
 	// with rank −1 and the batch merges in before the next rank read (see
@@ -603,8 +604,8 @@ func (s *Swarm) addEdge(a, b *peer) {
 	s.deg[asl]++
 	s.deg[bsl]++
 	s.liveDegSum += 2
-	s.markEdgeTouched(asl)
-	s.markEdgeTouched(bsl)
+	s.markActiveStale(asl)
+	s.markActiveStale(bsl)
 }
 
 // removeEdgeHalf deletes edge er from q's block by swapping the block's
@@ -635,7 +636,7 @@ func (s *Swarm) removeEdgeHalf(q *peer, er int32) {
 	if !q.departed {
 		s.liveDegSum--
 	}
-	s.markEdgeTouched(qsl)
+	s.markActiveStale(qsl)
 }
 
 // edgeTo returns peer a's edge to peer b, or −1 when they are not

@@ -96,7 +96,7 @@ func (s *Swarm) CheckInvariants() error {
 		}
 		seenRank[r] = true
 	}
-	return s.checkLazyStepping()
+	return s.checkActiveCache()
 }
 
 // recount recomputes the values the engine maintains incrementally that
@@ -202,12 +202,12 @@ func (s *Swarm) recount(fill bool) error {
 	return nil
 }
 
-// checkLazyStepping cross-checks the event-driven bookkeeping against an
-// eager recomputation: a clear dirty bit is a claim ("nothing here changed")
-// that must be provably true, while a spurious set bit is merely
-// conservative and not audited. It runs as part of CheckInvariants, between
-// rounds, when the cross-round transfer scratch must also be quiescent.
-func (s *Swarm) checkLazyStepping() error {
+// checkActiveCache cross-checks the content-unlimited transfer state
+// against an eager recomputation: a clean active-list cache must equal the
+// eager scan, while a set xferDirty bit is merely conservative and not
+// audited. It runs as part of CheckInvariants, between rounds, when the
+// cross-round transfer scratch must also be quiescent.
+func (s *Swarm) checkActiveCache() error {
 	sh := &s.sh
 	// The send/recv handoff scratch must be fully drained between rounds.
 	for e, a := range sh.xfer {
@@ -215,53 +215,38 @@ func (s *Swarm) checkLazyStepping() error {
 			return fmt.Errorf("btsim: invariant: xfer[%d] = %g left over between rounds", e, a)
 		}
 	}
+	if !s.opt.ContentUnlimited {
+		return nil
+	}
 	for sl := 0; sl < s.slotCap; sl++ {
 		id := s.slotPeer[sl]
 		if id < 0 {
 			continue
 		}
 		p := &s.peers[id]
+		if p.departed || p.capacity <= 0 || bmGet(sh.xferDirty, sl) {
+			continue
+		}
 		base := int32(sl) * s.edgeCap
 		end := base + s.deg[sl]
-		// A clear windowNZ/ratesNZ bit claims the slot's whole window/rate
-		// block is zero — the claim the exact choke skip relies on.
-		if !bmGet(sh.windowNZ, sl) {
-			for e := base; e < end; e++ {
-				if s.recvWindow[e] != 0 {
-					return fmt.Errorf("btsim: invariant: slot %d windowNZ clear but recvWindow[%d] = %g",
-						sl, e, s.recvWindow[e])
-				}
+		abase := sl * sh.activeStride
+		na := 0
+		for e := base; e < end; e++ {
+			if !s.unchoked[e] && e != p.optimistic {
+				continue
 			}
+			v := &s.peers[s.nbr[e]]
+			if v.departed || v.isSeed {
+				continue
+			}
+			if na >= int(sh.activeCnt[sl]) || sh.activeEdges[abase+na] != e {
+				return fmt.Errorf("btsim: invariant: slot %d active cache diverges from eager scan at entry %d", sl, na)
+			}
+			na++
 		}
-		if !bmGet(sh.ratesNZ, sl) {
-			for e := base; e < end; e++ {
-				if s.recvRate[e] != 0 {
-					return fmt.Errorf("btsim: invariant: slot %d ratesNZ clear but recvRate[%d] = %g",
-						sl, e, s.recvRate[e])
-				}
-			}
-		}
-		// A clean active-list cache must equal the eager recomputation.
-		if s.opt.ContentUnlimited && !p.departed && p.capacity > 0 && !bmGet(sh.xferDirty, sl) {
-			abase := sl * sh.activeStride
-			na := 0
-			for e := base; e < end; e++ {
-				if !s.unchoked[e] && e != p.optimistic {
-					continue
-				}
-				v := &s.peers[s.nbr[e]]
-				if v.departed || v.isSeed {
-					continue
-				}
-				if na >= int(sh.activeCnt[sl]) || sh.activeEdges[abase+na] != e {
-					return fmt.Errorf("btsim: invariant: slot %d active cache diverges from eager scan at entry %d", sl, na)
-				}
-				na++
-			}
-			if na != int(sh.activeCnt[sl]) {
-				return fmt.Errorf("btsim: invariant: slot %d active cache holds %d edges, eager scan %d",
-					sl, sh.activeCnt[sl], na)
-			}
+		if na != int(sh.activeCnt[sl]) {
+			return fmt.Errorf("btsim: invariant: slot %d active cache holds %d edges, eager scan %d",
+				sl, sh.activeCnt[sl], na)
 		}
 	}
 	return nil

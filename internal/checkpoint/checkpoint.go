@@ -53,8 +53,9 @@ import (
 // load can recount from the roster, the bitfields and the wiring (the
 // membership and degree counters, per-edge reverse indexes and interest
 // counts, availability rows, the stale-edge count) and the fault flag and
-// fault spec, which the embedded scenario spec already fixes.
-const Version = 4
+// fault spec, which the embedded scenario spec already fixes; v5 drops the
+// three choke-skip dirty sets, since every scheduled peer now rechokes.
+const Version = 5
 
 // magic identifies a checkpoint container; 8 bytes, never versioned (the
 // version word after it is).

@@ -20,7 +20,7 @@ import (
 // several replicas; replicas fan out over Config.Workers with per-replica
 // seeds and slots, so results are byte-identical for any worker count.
 func Churn(cfg Config) (*Result, error) {
-	cat, err := cfg.runCatalog("churn", btsim.ChurnScenarioNames(), nil)
+	cat, err := cfg.runCatalog(btsim.ChurnScenarioNames(), nil)
 	if err != nil {
 		return nil, err
 	}

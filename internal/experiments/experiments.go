@@ -40,14 +40,6 @@ type Config struct {
 	// are byte-identical with or without it: recording only reads the wall
 	// clock.
 	Telemetry *telemetry.Recorder
-	// CheckpointDir, when set, makes the replica fan-out experiments
-	// (churn, faults) persist each completed replica there and skip
-	// already-completed replicas on a rerun — so an interrupted sweep
-	// resumes instead of starting over. Replicas are deterministic given
-	// (Seed, Scale), and stored results carry that fingerprint, so a resume
-	// is byte-identical to an uninterrupted run; a store written at other
-	// settings is ignored.
-	CheckpointDir string
 }
 
 func (c Config) scale() float64 {

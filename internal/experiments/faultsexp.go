@@ -23,7 +23,7 @@ import (
 // Config.Workers with per-replica seeds; results are byte-identical for
 // any worker count.
 func Faults(cfg Config) (*Result, error) {
-	cat, err := cfg.runCatalog("faults", btsim.FaultScenarioNames(), func(replica int, spec *btsim.ScenarioSpec) {
+	cat, err := cfg.runCatalog(btsim.FaultScenarioNames(), func(replica int, spec *btsim.ScenarioSpec) {
 		// The watchdog audits every invariant every round — O(V·E) per
 		// round, so one replica carries it for the whole catalog.
 		if spec.Name == "crashcrowd" && replica == 0 {

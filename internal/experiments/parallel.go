@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"stratmatch/internal/btsim"
 	"stratmatch/internal/par"
 )
@@ -38,10 +36,10 @@ type catalogRuns struct {
 
 // runCatalog runs catalogReplicas seeds of every named catalog scenario
 // through the declarative spec path: build the spec, let hook (if non-nil)
-// adjust it, then fan the replicas out, each compiling its spec and running
-// through the replica store. Replica seeds and slots are fixed before the
-// fan-out, so results are byte-identical for any worker count.
-func (c Config) runCatalog(prefix string, names []string, hook func(replica int, spec *btsim.ScenarioSpec)) (*catalogRuns, error) {
+// adjust it, then fan the replicas out, each compiling and running its
+// spec. Replica seeds and slots are fixed before the fan-out, so results
+// are byte-identical for any worker count.
+func (c Config) runCatalog(names []string, hook func(replica int, spec *btsim.ScenarioSpec)) (*catalogRuns, error) {
 	n := len(names) * catalogReplicas
 	cr := &catalogRuns{
 		names: names,
@@ -58,9 +56,6 @@ func (c Config) runCatalog(prefix string, names []string, hook func(replica int,
 		}
 		cr.specs[i] = spec
 	}
-	// With Config.CheckpointDir set, completed replicas are persisted and a
-	// rerun only executes the ones that never finished.
-	store := c.replicaStore()
 	if err := c.forEach(n, func(i int) error {
 		sc, err := cr.specs[i].Compile()
 		if err != nil {
@@ -69,8 +64,7 @@ func (c Config) runCatalog(prefix string, names []string, hook func(replica int,
 		// Telemetry is runtime-only: attached after Compile, never part of
 		// the spec, so recorded runs stay byte-identical to bare ones.
 		sc.Telemetry = c.Telemetry
-		key := fmt.Sprintf("%s-%s-r%d", prefix, names[i/catalogReplicas], i%catalogReplicas)
-		res, err := store.runReplica(key, sc)
+		res, err := sc.Run()
 		cr.runs[i] = res
 		return err
 	}); err != nil {

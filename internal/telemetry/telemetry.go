@@ -48,14 +48,11 @@ const (
 	CtrDeparts
 	CtrCrashes
 	// CtrRechokes counts per-peer choke recomputations; CtrOptimistics
-	// counts optimistic-unchoke rotations; CtrChokeSkips counts scheduled
-	// rechokes the event-driven stepper proved to be no-ops and skipped;
-	// CtrActiveRebuilds counts active-transfer-cache rebuilds (the
-	// dirty-set layer's other cost — skips vs rebuilds shows when lazy
-	// stepping wins).
+	// counts optimistic-unchoke rotations; CtrActiveRebuilds counts
+	// active-transfer-cache rebuilds in the content-unlimited send pass
+	// (rebuilds per sender visit shows how often the cache is stale).
 	CtrRechokes
 	CtrOptimistics
-	CtrChokeSkips
 	CtrActiveRebuilds
 	// CtrPieces counts piece completions across all peers.
 	CtrPieces
@@ -96,7 +93,6 @@ var counterNames = [numCounters]string{
 	CtrCrashes:          "btsim_crashes_total",
 	CtrRechokes:         "btsim_rechokes_total",
 	CtrOptimistics:      "btsim_optimistic_rotations_total",
-	CtrChokeSkips:       "btsim_choke_skips_total",
 	CtrActiveRebuilds:   "btsim_active_rebuilds_total",
 	CtrPieces:           "btsim_piece_completions_total",
 	CtrAnnounces:        "btsim_announces_total",
