@@ -301,12 +301,9 @@ func runDumpSpec(o *options, _ *telemetry.Recorder) error {
 	if err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(spec, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(data))
-	return nil
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(spec)
 }
 
 func runScenario(o *options, tel *telemetry.Recorder) error {

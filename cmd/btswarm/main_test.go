@@ -173,6 +173,24 @@ func TestRunRejectsBadSpec(t *testing.T) {
 	if err := run([]string{"-spec", typo}); err == nil {
 		t.Fatal("spec with a misspelled field accepted")
 	}
+	// A swarm option the engine does not implement is a validation error
+	// naming its field, not a panic mid-run.
+	flash, err := btsim.NamedSpec("flashcrowd1m", 1, 0.005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flash.Swarm.OptimisticSlots = -1
+	data, err := json.Marshal(flash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := filepath.Join(t.TempDir(), "hostile.json")
+	if err := os.WriteFile(hostile, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-spec", hostile}); err == nil || !strings.Contains(err.Error(), "swarm.optimistic_slots") {
+		t.Fatalf("spec with optimistic_slots -1 returned %v, want the swarm.optimistic_slots error", err)
+	}
 }
 
 // selectorArgs selects each mode with a value parseArgs accepts; parseArgs

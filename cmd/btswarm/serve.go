@@ -35,11 +35,7 @@ func newHTTPServer(h http.Handler) *http.Server {
 // next round boundary and snapshots a resume-from-here checkpoint, and a
 // resume hint is printed per suspended run before a clean exit (status 0).
 func runServe(o *options, tel *telemetry.Recorder) error {
-	ln, err := net.Listen("tcp", o.serve)
-	if err != nil {
-		return fmt.Errorf("-serve %s: %w", o.serve, err)
-	}
-	srv := trackerd.NewServer(trackerd.Config{
+	srv, err := trackerd.NewServer(trackerd.Config{
 		Seed:            o.seed,
 		Policy:          btsim.HandoutPolicy{NeighborCount: o.neighbors},
 		MaxRuns:         o.serveRuns,
@@ -50,6 +46,13 @@ func runServe(o *options, tel *telemetry.Recorder) error {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	})
+	if err != nil {
+		return fmt.Errorf("-neighbors %d: %w", o.neighbors, err)
+	}
+	ln, err := net.Listen("tcp", o.serve)
+	if err != nil {
+		return fmt.Errorf("-serve %s: %w", o.serve, err)
+	}
 	hs := newHTTPServer(srv.Handler())
 	go func() { _ = hs.Serve(ln) }()
 	// The bound address line is the daemon's readiness signal: with -serve

@@ -44,6 +44,23 @@ func TestServeFlagValidation(t *testing.T) {
 	}
 }
 
+// TestServeRejectsInvalidPolicy: the daemon validates its handout policy
+// with the swarm options' rules, so -neighbors below 1 fails before the
+// listener starts instead of serving empty handouts. The run is bounded,
+// since a daemon that starts would serve until signalled.
+func TestServeRejectsInvalidPolicy(t *testing.T) {
+	done := make(chan error, 1)
+	go func() { done <- run([]string{"-serve", "127.0.0.1:0", "-neighbors", "-5"}) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "neighbor_count: must be >= 1, got -5") {
+			t.Fatalf("-serve -neighbors -5 returned %v, want the neighbor_count error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("-serve -neighbors -5 started a daemon")
+	}
+}
+
 // TestHTTPServerClosesPartialHeader: a client that sends only part of a
 // request header is disconnected once the header timeout passes, instead of
 // pinning a server goroutine forever.

@@ -702,7 +702,7 @@ func (sc Scenario) loadCheckpoint(payload []byte) (*scenarioRun, error) {
 	}
 	opt, _, _ := sc.startOptions()
 	if err := opt.validate(); err != nil {
-		return fail("%v", err)
+		return fail("swarm.%v", err)
 	}
 	run := &scenarioRun{
 		sc:       &sc,

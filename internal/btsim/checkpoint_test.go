@@ -628,7 +628,7 @@ func TestLoadCheckpointRejectsHostileOptions(t *testing.T) {
 	invalid.MaxNeighbors = -1
 	bad := sc
 	bad.Opt = invalid
-	if _, err := bad.loadCheckpoint(rewrite(invalid)); err == nil || !strings.Contains(err.Error(), "max neighbors -1") {
+	if _, err := bad.loadCheckpoint(rewrite(invalid)); err == nil || !strings.Contains(err.Error(), "swarm.max_neighbors: must be >= neighbor_count (10), got -1") {
 		t.Errorf("options no swarm can be built from returned %v, want the validation error", err)
 	}
 }

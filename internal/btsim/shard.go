@@ -141,7 +141,7 @@ func (s *Swarm) shardBounds(k int) (lo, hi int) {
 func (s *Swarm) initShards() {
 	sh := &s.sh
 	sh.slotsPerShard = defaultShardSlots
-	sh.activeStride = s.opt.TFTSlots + s.opt.OptimisticSlots
+	sh.activeStride = s.opt.TFTSlots + 1 // TFT unchokes plus the optimistic one
 	sh.workers = 1
 	sh.scratch = make([]chokeScratch, 1)
 	s.initChokeScratch(&sh.scratch[0])

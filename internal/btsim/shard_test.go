@@ -3,6 +3,7 @@ package btsim
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"stratmatch/internal/checkpoint"
@@ -302,4 +303,46 @@ func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestActiveCacheAuditBoundsStride: a clean slot whose choke state names
+// more active edges than activeStride (its TFT slots plus the one
+// optimistic unchoke) fails the audit with an error. The slot's cache is
+// set up as an overflowing rebuildActive would leave it, with its count
+// and entries running into the next slot's, so an audit that follows the
+// count finds a matching cache, and at the last slot indexes past the end.
+func TestActiveCacheAuditBoundsStride(t *testing.T) {
+	s := boundarySwarm(t, 1)
+	s.Run(20)
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	stride := s.sh.activeStride
+	for sl := 0; sl < s.slotCap; sl++ {
+		if s.slotPeer[sl] < 0 || s.peers[s.slotPeer[sl]].departed {
+			continue
+		}
+		var active []int32
+		base := int32(sl) * s.edgeCap
+		for e := base; e < base+s.deg[sl]; e++ {
+			if !s.peers[s.nbr[e]].isSeed {
+				active = append(active, e)
+			}
+		}
+		if len(active) <= stride {
+			continue
+		}
+		for _, e := range active {
+			s.unchoked[e] = true
+		}
+		copy(s.sh.activeEdges[sl*stride:], active)
+		s.sh.activeCnt[sl] = int32(len(active))
+		bmClear(s.sh.xferDirty, sl)
+		want := fmt.Sprintf("slot %d has more than %d active edges", sl, stride)
+		if err := s.checkActiveCache(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("audit returned %v, want %q", err, want)
+		}
+		return
+	}
+	t.Fatal("no slot has more leecher neighbors than the active stride")
 }

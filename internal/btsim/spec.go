@@ -137,11 +137,10 @@ func (sp *ScenarioSpec) specErr(path, format string, args ...any) error {
 	return fmt.Errorf("btsim: spec %q: %s: %s", sp.Name, path, fmt.Sprintf(format, args...))
 }
 
-// Validate checks every field the spec layer is responsible for and
-// reports the first violation with its exact field path. Every float must
-// be finite. Swarm options are checked lightly here (counts and vector
-// lengths); the remaining swarm rules are enforced by New when the
-// compiled scenario runs.
+// Validate checks every field of the spec and reports the first violation
+// with its exact field path. Every float must be finite. The swarm options
+// are checked, with their defaults applied, by the same function New uses,
+// so a spec validates exactly when its swarm can be built.
 func (sp ScenarioSpec) Validate() error {
 	if path, v, bad := nonFinite(reflect.ValueOf(sp)); bad {
 		return sp.specErr(path[1:], "must be finite, got %v", v)
@@ -152,20 +151,9 @@ func (sp ScenarioSpec) Validate() error {
 	if sp.Rounds < 1 {
 		return sp.specErr("rounds", "must be >= 1, got %d", sp.Rounds)
 	}
-	if sp.Swarm.Leechers < 1 {
-		return sp.specErr("swarm.leechers", "must be >= 1, got %d", sp.Swarm.Leechers)
-	}
-	if sp.Swarm.Seeds < 0 {
-		return sp.specErr("swarm.seeds", "must be >= 0, got %d", sp.Swarm.Seeds)
-	}
-	if sp.Swarm.Pieces < 1 {
-		return sp.specErr("swarm.pieces", "must be >= 1, got %d", sp.Swarm.Pieces)
-	}
-	if sp.Swarm.MaxPeers < 0 {
-		return sp.specErr("swarm.max_peers", "must be >= 0, got %d", sp.Swarm.MaxPeers)
-	}
-	if n := sp.Swarm.Leechers + sp.Swarm.Seeds; sp.Swarm.UploadKbps != nil && len(sp.Swarm.UploadKbps) != n {
-		return sp.specErr("swarm.upload_kbps", "%d capacities for %d peers", len(sp.Swarm.UploadKbps), n)
+	opt := sp.Swarm.withDefaults()
+	if err := opt.validate(); err != nil {
+		return fmt.Errorf("btsim: spec %q: swarm.%w", sp.Name, err)
 	}
 	for i, a := range sp.Arrivals {
 		if err := a.validate(&sp, fmt.Sprintf("arrivals[%d]", i)); err != nil {
@@ -447,10 +435,7 @@ func (a ArrivalSpec) expectedTotal(rounds int) float64 {
 	case "poisson":
 		return a.Rate * float64(rounds)
 	case "burst":
-		d := a.Rounds
-		if d < 1 {
-			d = 1
-		}
+		d := max(a.Rounds, 1)
 		overlap := min(a.Start+d, rounds) - a.Start
 		if overlap <= 0 {
 			return 0

@@ -100,6 +100,24 @@ func TestCompileValidationErrorPaths(t *testing.T) {
 		{"no pieces", func(sp *ScenarioSpec) { sp.Swarm.Pieces = 0 }, "swarm.pieces"},
 		{"negative max peers", func(sp *ScenarioSpec) { sp.Swarm.MaxPeers = -5 }, "swarm.max_peers"},
 		{"capacity vector length", func(sp *ScenarioSpec) { sp.Swarm.UploadKbps = []float64{1, 2} }, "swarm.upload_kbps"},
+		// The swarm options are checked with their defaults applied, by
+		// the validator New uses; each rule names its JSON field.
+		{"negative optimistic slots", func(sp *ScenarioSpec) { sp.Swarm.OptimisticSlots = -1 }, "swarm.optimistic_slots: must be 0 or 1"},
+		{"two optimistic slots", func(sp *ScenarioSpec) { sp.Swarm.OptimisticSlots = 2 }, "swarm.optimistic_slots: must be 0 or 1"},
+		{"negative tft slots", func(sp *ScenarioSpec) { sp.Swarm.TFTSlots = -2 }, "swarm.tft_slots: must be in [1, max_neighbors (18)], got -2"},
+		{"tft slots above max neighbors", func(sp *ScenarioSpec) {
+			sp.Swarm.MaxNeighbors = 6
+			sp.Swarm.TFTSlots = 7
+		}, "swarm.tft_slots: must be in [1, max_neighbors (6)], got 7"},
+		{"negative choke interval", func(sp *ScenarioSpec) { sp.Swarm.ChokeIntervalRounds = -5 }, "swarm.choke_interval_rounds: must be >= 1"},
+		{"negative optimistic interval", func(sp *ScenarioSpec) { sp.Swarm.OptimisticIntervalRounds = -1 }, "swarm.optimistic_interval_rounds: must be >= 1"},
+		{"negative warmup", func(sp *ScenarioSpec) { sp.Swarm.MetricsWarmupRounds = -4 }, "swarm.metrics_warmup_rounds: must be >= 0"},
+		{"negative piece size", func(sp *ScenarioSpec) { sp.Swarm.PieceKbit = -1 }, "swarm.piece_kbit: must be finite and > 0"},
+		{"negative capacity entry", func(sp *ScenarioSpec) {
+			sp.Swarm.UploadKbps = make([]float64, 9)
+			sp.Swarm.UploadKbps[3] = -1
+		}, "swarm.upload_kbps[3]: must be finite and >= 0, got -1"},
+		{"max neighbors below neighbor count", func(sp *ScenarioSpec) { sp.Swarm.MaxNeighbors = 4 }, "swarm.max_neighbors: must be >= neighbor_count (5), got 4"},
 		{"missing arrival kind", func(sp *ScenarioSpec) { sp.Arrivals[0].Kind = "" }, "arrivals[0].kind: required"},
 		{"unknown arrival kind", func(sp *ScenarioSpec) { sp.Arrivals[1].Kind = "flash" }, `arrivals[1].kind: unknown kind "flash"`},
 		{"negative rate", func(sp *ScenarioSpec) { sp.Arrivals[0].Rate = -0.5 }, "arrivals[0].rate: must be >= 0"},

@@ -278,10 +278,7 @@ func (s *Swarm) rechokeLeecher(p *peer, sl int, rr *rng.RNG, sc *chokeScratch) {
 		nc++
 	}
 	// Partial selection sort of the top TFTSlots by (rate desc, id asc).
-	slots := s.opt.TFTSlots
-	if slots > nc {
-		slots = nc
-	}
+	slots := min(s.opt.TFTSlots, nc)
 	for pos := 0; pos < slots; pos++ {
 		best := pos
 		for i := pos + 1; i < nc; i++ {
@@ -326,7 +323,7 @@ func (s *Swarm) rechokeSeed(p *peer, sl int, rr *rng.RNG, sc *chokeScratch) {
 			nc++
 		}
 	}
-	slots := s.opt.TFTSlots + s.opt.OptimisticSlots
+	slots := s.opt.TFTSlots + 1
 	for i := 0; i < slots && nc > 0; i++ {
 		pick := rr.Intn(nc)
 		s.unchoked[sc.candE[pick]] = true
@@ -339,9 +336,6 @@ func (s *Swarm) rechokeSeed(p *peer, sl int, rr *rng.RNG, sc *chokeScratch) {
 // interested, currently choked neighbors, from the owning shard's
 // sub-stream.
 func (s *Swarm) rotateOptimisticPeer(p *peer, rr *rng.RNG, sc *chokeScratch) {
-	if s.opt.OptimisticSlots < 1 {
-		return
-	}
 	s.tel.Inc(telemetry.CtrOptimistics)
 	p.optimistic = -1
 	nc := 0

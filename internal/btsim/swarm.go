@@ -43,6 +43,7 @@ package btsim
 
 import (
 	"fmt"
+	"math"
 
 	"stratmatch/internal/rng"
 	"stratmatch/internal/telemetry"
@@ -51,33 +52,39 @@ import (
 // Options configures a swarm. The struct is plain data and round-trips
 // through JSON (the tags below are the ScenarioSpec wire names), so a
 // swarm configuration can live in a serialized scenario description.
+// Each field comment states its valid range; validate holds every rule,
+// and New, ScenarioSpec.Validate, checkpoint loads and the tracker
+// daemon's handout policy all check options through it.
 type Options struct {
-	// Leechers is the number of downloading peers.
+	// Leechers is the number of downloading peers: at least 1.
 	Leechers int `json:"leechers"`
-	// Seeds is the number of initial seeds.
+	// Seeds is the number of initial seeds: at least 0.
 	Seeds int `json:"seeds,omitempty"`
-	// Pieces is the number of pieces in the shared file.
+	// Pieces is the number of pieces in the shared file: at least 1.
 	Pieces int `json:"pieces"`
-	// PieceKbit is the size of one piece in kbit.
+	// PieceKbit is the size of one piece in kbit: finite and above 0 (0
+	// means 2048, a 256 KiB piece).
 	PieceKbit float64 `json:"piece_kbit,omitempty"`
 	// UploadKbps maps each peer (leechers first, then seeds) to its upload
-	// capacity. If nil, every peer gets 400 kbps.
+	// capacity: one finite entry of at least 0 per peer. If nil, every
+	// peer gets 400 kbps.
 	UploadKbps []float64 `json:"upload_kbps,omitempty"`
-	// TFTSlots is the number of Tit-for-Tat unchoke slots (BitTorrent
-	// default: 3).
+	// TFTSlots is the number of Tit-for-Tat unchoke slots: from 1 to
+	// MaxNeighbors (0 means the BitTorrent default of 3).
 	TFTSlots int `json:"tft_slots,omitempty"`
-	// OptimisticSlots is the number of optimistic unchoke slots
-	// (BitTorrent default: 1).
+	// OptimisticSlots is the number of optimistic unchoke slots. A peer
+	// holds exactly one, as in BitTorrent, so it must be 0 or 1, and 0
+	// means 1.
 	OptimisticSlots int `json:"optimistic_slots,omitempty"`
-	// ChokeIntervalRounds is how often the TFT slots are re-evaluated
-	// (BitTorrent: every 10 s).
+	// ChokeIntervalRounds is how often the TFT slots are re-evaluated: at
+	// least 1 (0 means BitTorrent's 10 s).
 	ChokeIntervalRounds int `json:"choke_interval_rounds,omitempty"`
-	// OptimisticIntervalRounds is how often the optimistic slot rotates
-	// (BitTorrent: every 30 s).
+	// OptimisticIntervalRounds is how often the optimistic slot rotates:
+	// at least 1 (0 means BitTorrent's 30 s).
 	OptimisticIntervalRounds int `json:"optimistic_interval_rounds,omitempty"`
 	// NeighborCount is the number of neighbors the tracker targets per peer
 	// (the paper's d): Announce hands out peers until the announcer holds
-	// this many connections.
+	// this many connections. At least 1; 0 means 20.
 	NeighborCount int `json:"neighbor_count,omitempty"`
 	// MaxNeighbors caps a peer's degree (its CSR slot's edge capacity):
 	// incoming introductions stop once a peer is this well-connected. 0
@@ -85,10 +92,10 @@ type Options struct {
 	// wiring produces. Must be at least NeighborCount.
 	MaxNeighbors int `json:"max_neighbors,omitempty"`
 	// MaxPeers preallocates CSR slots for this many concurrent peers so
-	// churn scenarios reach steady state without growth reallocation. 0
-	// means the initial population; the swarm grows by doubling beyond
-	// either value. ScenarioSpec.Compile replaces a zero with an estimate
-	// of the arrival processes' expected peak.
+	// churn scenarios reach steady state without growth reallocation. At
+	// least 0; 0 means the initial population; the swarm grows by
+	// doubling beyond either value. ScenarioSpec.Compile replaces a zero
+	// with an estimate of the arrival processes' expected peak.
 	MaxPeers int `json:"max_peers,omitempty"`
 	// PostFlashCrowd starts every leecher with each piece independently
 	// with probability 1/2, making content availability a non-issue — the
@@ -97,7 +104,7 @@ type Options struct {
 	PostFlashCrowd bool `json:"post_flash_crowd,omitempty"`
 	// MetricsWarmupRounds excludes TFT partner decisions before this round
 	// from the stratification metrics (the early intervals measure mixing
-	// noise, not Tit-for-Tat preference).
+	// noise, not Tit-for-Tat preference). At least 0.
 	MetricsWarmupRounds int `json:"metrics_warmup_rounds,omitempty"`
 	// ContentUnlimited switches the swarm to the paper's Section 6 regime:
 	// content availability is never a bottleneck, every leecher is always
@@ -135,27 +142,50 @@ func (o *Options) withDefaults() Options {
 	return opt
 }
 
-// validate rejects defaulted options no swarm can be built from.
-func (opt *Options) validate() error {
-	n := opt.Leechers + opt.Seeds
-	switch {
-	case opt.Leechers < 1:
-		return fmt.Errorf("btsim: %d leechers", opt.Leechers)
-	case opt.Pieces < 1:
-		return fmt.Errorf("btsim: %d pieces", opt.Pieces)
-	case opt.PieceKbit <= 0:
-		return fmt.Errorf("btsim: piece size %v", opt.PieceKbit)
-	case opt.UploadKbps != nil && len(opt.UploadKbps) != n:
-		return fmt.Errorf("btsim: %d capacities for %d peers", len(opt.UploadKbps), n)
-	case opt.NeighborCount < 1:
-		return fmt.Errorf("btsim: neighbor count %d", opt.NeighborCount)
-	case opt.MaxNeighbors < opt.NeighborCount:
-		return fmt.Errorf("btsim: max neighbors %d below neighbor count %d",
-			opt.MaxNeighbors, opt.NeighborCount)
-	case opt.TFTSlots < 1:
-		return fmt.Errorf("btsim: %d TFT slots", opt.TFTSlots)
+// validate checks defaulted options against every rule a swarm needs and
+// reports the first violation as "<json field>: must be ..., got <value>".
+// Callers prefix the error with their own context (New with "btsim:",
+// ScenarioSpec.Validate with the spec name and "swarm.").
+func (o *Options) validate() error {
+	var err error
+	rule := func(field, want string, bad bool, got any) {
+		if bad && err == nil {
+			err = fmt.Errorf("%s: must be %s, got %v", field, want, got)
+		}
 	}
-	return nil
+	n := o.Leechers + o.Seeds
+	rule("leechers", ">= 1", o.Leechers < 1, o.Leechers)
+	rule("seeds", ">= 0", o.Seeds < 0, o.Seeds)
+	rule("pieces", ">= 1", o.Pieces < 1, o.Pieces)
+	rule("piece_kbit", "finite and > 0", !(o.PieceKbit > 0) || math.IsInf(o.PieceKbit, 1), o.PieceKbit)
+	rule("max_peers", ">= 0", o.MaxPeers < 0, o.MaxPeers)
+	rule("upload_kbps", fmt.Sprintf("one entry per peer (%d)", n), o.UploadKbps != nil && len(o.UploadKbps) != n, len(o.UploadKbps))
+	rule("neighbor_count", ">= 1", o.NeighborCount < 1, o.NeighborCount)
+	rule("max_neighbors", fmt.Sprintf(">= neighbor_count (%d)", o.NeighborCount), o.MaxNeighbors < o.NeighborCount, o.MaxNeighbors)
+	rule("tft_slots", fmt.Sprintf("in [1, max_neighbors (%d)]", o.MaxNeighbors), o.TFTSlots < 1 || o.TFTSlots > o.MaxNeighbors, o.TFTSlots)
+	rule("optimistic_slots", "0 or 1 (one optimistic unchoke)", o.OptimisticSlots != 1, o.OptimisticSlots)
+	rule("choke_interval_rounds", ">= 1", o.ChokeIntervalRounds < 1, o.ChokeIntervalRounds)
+	rule("optimistic_interval_rounds", ">= 1", o.OptimisticIntervalRounds < 1, o.OptimisticIntervalRounds)
+	rule("metrics_warmup_rounds", ">= 0", o.MetricsWarmupRounds < 0, o.MetricsWarmupRounds)
+	for i := 0; i < len(o.UploadKbps) && err == nil; i++ {
+		if c := o.UploadKbps[i]; !(c >= 0) || math.IsInf(c, 1) {
+			err = fmt.Errorf("upload_kbps[%d]: must be finite and >= 0, got %v", i, c)
+		}
+	}
+	return err
+}
+
+// WithDefaults returns the handout policy a swarm with these two options
+// would use: zero fields take the swarm defaults (NeighborCount 20,
+// MaxNeighbors 2·NeighborCount+8), and the result is checked by the swarm
+// options' validator, so the tracker daemon accepts exactly the policies a
+// simulated swarm does.
+func (hp HandoutPolicy) WithDefaults() (HandoutPolicy, error) {
+	o := (&Options{Leechers: 1, Pieces: 1, TFTSlots: 1, NeighborCount: hp.NeighborCount, MaxNeighbors: hp.MaxNeighbors}).withDefaults()
+	if err := o.validate(); err != nil {
+		return HandoutPolicy{}, fmt.Errorf("btsim: handout policy: %w", err)
+	}
+	return HandoutPolicy{NeighborCount: o.NeighborCount, MaxNeighbors: o.MaxNeighbors}, nil
 }
 
 // peer holds the per-peer scalar state. The roster is append-only: a peer
@@ -311,7 +341,7 @@ type counters struct {
 func New(o Options) (*Swarm, error) {
 	opt := o.withDefaults()
 	if err := opt.validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("btsim: %w", err)
 	}
 	n := opt.Leechers + opt.Seeds
 	s := &Swarm{opt: opt, r: rng.New(opt.Seed), peers: make([]peer, n)}

@@ -205,8 +205,10 @@ func (s *Swarm) recount(fill bool) error {
 // checkActiveCache cross-checks the content-unlimited transfer state
 // against an eager recomputation: a clean active-list cache must equal the
 // eager scan, while a set xferDirty bit is merely conservative and not
-// audited. It runs as part of CheckInvariants, between rounds, when the
-// cross-round transfer scratch must also be quiescent.
+// audited. A clean slot with more active edges than activeStride (its TFT
+// unchokes plus the optimistic one) is an error, not an index past its
+// cache entries. It runs as part of CheckInvariants, between rounds, when
+// the cross-round transfer scratch must also be quiescent.
 func (s *Swarm) checkActiveCache() error {
 	sh := &s.sh
 	// The send/recv handoff scratch must be fully drained between rounds.
@@ -238,6 +240,9 @@ func (s *Swarm) checkActiveCache() error {
 			v := &s.peers[s.nbr[e]]
 			if v.departed || v.isSeed {
 				continue
+			}
+			if na == sh.activeStride {
+				return fmt.Errorf("btsim: invariant: slot %d has more than %d active edges", sl, na)
 			}
 			if na >= int(sh.activeCnt[sl]) || sh.activeEdges[abase+na] != e {
 				return fmt.Errorf("btsim: invariant: slot %d active cache diverges from eager scan at entry %d", sl, na)

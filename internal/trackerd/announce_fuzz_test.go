@@ -33,7 +33,10 @@ func FuzzAnnounceQuery(f *testing.F) {
 	} {
 		f.Add(q)
 	}
-	s := NewServer(Config{Seed: 1, CheckpointDir: f.TempDir()})
+	s, err := NewServer(Config{Seed: 1, CheckpointDir: f.TempDir()})
+	if err != nil {
+		f.Fatal(err)
+	}
 	h := s.Handler()
 	f.Fuzz(func(t *testing.T, query string) {
 		req := httptest.NewRequest(http.MethodGet, "/announce", nil)

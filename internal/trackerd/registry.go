@@ -33,8 +33,8 @@ type RegistryConfig struct {
 	// swarm name (see swarmSeed), so distinct swarms draw independent
 	// streams and a swarm's handouts replay for a fixed announce sequence.
 	Seed uint64
-	// Policy is the neighbor handout policy. Zero fields default to the
-	// simulator's defaults (NeighborCount 20, MaxNeighbors 2d+8).
+	// Policy is the neighbor handout policy. Zero fields take the
+	// simulator's defaults (see btsim.HandoutPolicy.WithDefaults).
 	Policy btsim.HandoutPolicy
 	// Telemetry is the optional runtime recorder (nil: no-op).
 	Telemetry *telemetry.Recorder
@@ -76,19 +76,18 @@ type regSwarm struct {
 	edges     int64  // live symmetric connections
 }
 
-// NewRegistry builds an empty registry.
-func NewRegistry(cfg RegistryConfig) *Registry {
-	if cfg.Policy.NeighborCount == 0 {
-		cfg.Policy.NeighborCount = 20
-	}
-	if cfg.Policy.MaxNeighbors == 0 {
-		cfg.Policy.MaxNeighbors = 2*cfg.Policy.NeighborCount + 8
+// NewRegistry builds an empty registry. It fails when the handout policy
+// is one no simulated swarm accepts (see btsim.HandoutPolicy.WithDefaults).
+func NewRegistry(cfg RegistryConfig) (*Registry, error) {
+	var err error
+	if cfg.Policy, err = cfg.Policy.WithDefaults(); err != nil {
+		return nil, err
 	}
 	g := &Registry{cfg: cfg}
 	for i := range g.shards {
 		g.shards[i].swarms = make(map[string]*regSwarm)
 	}
-	return g
+	return g, nil
 }
 
 // Policy returns the handout policy the registry serves (defaults applied).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestRegistryMatchesSwarm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g := NewRegistry(RegistryConfig{
+	g := mustRegistry(t, RegistryConfig{
 		Seed:   baseSeed,
 		Policy: btsim.HandoutPolicy{NeighborCount: neighbors},
 	})
@@ -131,7 +132,7 @@ func TestRegistryMatchesSwarm(t *testing.T) {
 }
 
 func TestRegistryRecycledKeyAndDoubleDepart(t *testing.T) {
-	g := NewRegistry(RegistryConfig{Seed: 7})
+	g := mustRegistry(t, RegistryConfig{Seed: 7})
 	a := g.Announce("sw", "a")
 	b := g.Announce("sw", "b")
 	if a.ID != 0 || b.ID != 1 {
@@ -185,7 +186,7 @@ func TestRegistryRecycledKeyAndDoubleDepart(t *testing.T) {
 // makes daemon handouts reproducible for a given announce order.
 func TestRegistryDeterministicReplay(t *testing.T) {
 	replay := func() *Registry {
-		g := NewRegistry(RegistryConfig{Seed: 99, Policy: btsim.HandoutPolicy{NeighborCount: 4}})
+		g := mustRegistry(t, RegistryConfig{Seed: 99, Policy: btsim.HandoutPolicy{NeighborCount: 4}})
 		for i := 0; i < 40; i++ {
 			g.Announce("sw", key(i))
 		}
@@ -215,7 +216,7 @@ func TestRegistryDeterministicReplay(t *testing.T) {
 // across a handful of swarms; run under -race it pins the locking scheme,
 // and the closing invariants catch lost updates.
 func TestRegistryConcurrency(t *testing.T) {
-	g := NewRegistry(RegistryConfig{Seed: 1, Policy: btsim.HandoutPolicy{NeighborCount: 6}})
+	g := mustRegistry(t, RegistryConfig{Seed: 1, Policy: btsim.HandoutPolicy{NeighborCount: 6}})
 	swarms := []string{"alpha", "beta", "gamma", "delta"}
 	const workers = 8
 	const opsPerWorker = 400
@@ -276,5 +277,35 @@ func TestRegistryConcurrency(t *testing.T) {
 			}
 		}
 		rs.mu.Unlock()
+	}
+}
+
+func mustRegistry(t *testing.T, cfg RegistryConfig) *Registry {
+	t.Helper()
+	g, err := NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestRegistryPolicyValidated: the registry takes its default handout
+// policy from btsim, and rejects a policy a simulated swarm would reject
+// with the swarm validator's error, which names the option.
+func TestRegistryPolicyValidated(t *testing.T) {
+	if got := mustRegistry(t, RegistryConfig{}).Policy(); got != (btsim.HandoutPolicy{NeighborCount: 20, MaxNeighbors: 48}) {
+		t.Errorf("default policy %+v, want d=20 and cap 48", got)
+	}
+	for _, tc := range []struct {
+		policy btsim.HandoutPolicy
+		want   string
+	}{
+		{btsim.HandoutPolicy{NeighborCount: -5}, "neighbor_count: must be >= 1, got -5"},
+		{btsim.HandoutPolicy{NeighborCount: 10, MaxNeighbors: 4}, "max_neighbors: must be >= neighbor_count (10), got 4"},
+		{btsim.HandoutPolicy{MaxNeighbors: -1}, "max_neighbors"},
+	} {
+		if _, err := NewRegistry(RegistryConfig{Policy: tc.policy}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("policy %+v: error %v, want %q", tc.policy, err, tc.want)
+		}
 	}
 }

@@ -23,7 +23,8 @@ type Config struct {
 	// Seed is the registry's base seed (see RegistryConfig.Seed).
 	Seed uint64
 	// Policy is the announce handout policy; zero fields take the
-	// simulator defaults.
+	// simulator defaults, and NewServer rejects a policy no simulated
+	// swarm accepts.
 	Policy btsim.HandoutPolicy
 	// MaxRuns bounds concurrently executing scenario runs (the POST /runs
 	// worker pool). 0 means 2; submissions beyond the bound queue.
@@ -53,19 +54,20 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// NewServer builds the daemon.
-func NewServer(cfg Config) *Server {
+// NewServer builds the daemon. It fails when the handout policy is invalid
+// (see NewRegistry).
+func NewServer(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	if cfg.CheckpointDir == "" {
 		cfg.CheckpointDir = "trackerd-checkpoints"
 	}
-	s := &Server{
-		cfg: cfg,
-		reg: NewRegistry(RegistryConfig{Seed: cfg.Seed, Policy: cfg.Policy, Telemetry: cfg.Telemetry}),
-		rm:  newRunManager(cfg.MaxRuns, cfg.CheckpointDir, cfg.Telemetry),
+	reg, err := NewRegistry(RegistryConfig{Seed: cfg.Seed, Policy: cfg.Policy, Telemetry: cfg.Telemetry})
+	if err != nil {
+		return nil, err
 	}
+	s := &Server{cfg: cfg, reg: reg, rm: newRunManager(cfg.MaxRuns, cfg.CheckpointDir, cfg.Telemetry)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/announce", s.handleAnnounce)
 	mux.HandleFunc("/scrape", s.handleScrape)
@@ -78,7 +80,7 @@ func NewServer(cfg Config) *Server {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.mux = mux
-	return s
+	return s, nil
 }
 
 // Registry exposes the underlying tracker registry (tests, benchmarks).

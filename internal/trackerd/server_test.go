@@ -42,7 +42,10 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
 	}
-	s := NewServer(cfg)
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -357,34 +360,40 @@ func TestServerAnnounceScrapeHTTP(t *testing.T) {
 
 // TestServerRejectsInvalidSpec: a spec that parses but fails validation is
 // answered 422 with its field-path error before any run is registered, so
-// GET /runs stays empty.
+// GET /runs stays empty. The scaled flash crowd with a negative optimistic
+// slot count is the spec that once reached a panic in the transfer cache;
+// the swarm options validator now rejects it.
 func TestServerRejectsInvalidSpec(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	const bad = `{"name":"bad","swarm":{"leechers":10,"seeds":1,"pieces":4,"seed":1},"rounds":-3,"departures":{}}`
-	resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(bad))
+	flash, err := btsim.NamedSpec("flashcrowd1m", 1, 0.005)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	flash.Swarm.OptimisticSlots = -1
+	flashJSON, err := json.Marshal(flash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), `spec "bad": rounds: must be >= 1, got -3`) {
-		t.Fatalf("invalid spec: status %d, body %q; want 422 with the field path", resp.StatusCode, msg)
+	for _, tc := range []struct{ spec, want string }{
+		{`{"name":"bad","swarm":{"leechers":10,"seeds":1,"pieces":4,"seed":1},"rounds":-3,"departures":{}}`,
+			`spec "bad": rounds: must be >= 1, got -3`},
+		{string(flashJSON), `spec "flashcrowd1m": swarm.optimistic_slots: must be 0 or 1`},
+	} {
+		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(tc.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), tc.want) {
+			t.Fatalf("invalid spec: status %d, body %q; want 422 with %q", resp.StatusCode, msg, tc.want)
+		}
 	}
-
-	resp, err = http.Get(ts.URL + "/runs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var list struct{ Runs []RunStatus }
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Runs) != 0 {
-		t.Fatalf("a rejected spec registered runs: %+v", list.Runs)
+	if runs := listRuns(t, ts.URL); len(runs) != 0 {
+		t.Fatalf("a rejected spec registered runs: %+v", runs)
 	}
 }
 

@@ -2,6 +2,7 @@ package stratmatch
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -232,6 +233,48 @@ func TestSwarmFacade(t *testing.T) {
 	}
 	sw.Depart(0) // post-completion departure is harmless
 	sw.Run(5)
+}
+
+// TestNewSwarmRejectsInvalidOptions: the root API has no spec, so NewSwarm
+// must reject every option value the engine does not implement, naming the
+// option's JSON field, instead of running or panicking. NaN and +Inf
+// capacities are included: no spec-level finiteness walk guards this path.
+func TestNewSwarmRejectsInvalidOptions(t *testing.T) {
+	base := SwarmOptions{Leechers: 8, Seeds: 1, Pieces: 16, NeighborCount: 5, Seed: 3}
+	if _, err := NewSwarm(base); err != nil {
+		t.Fatalf("baseline options rejected: %v", err)
+	}
+	capsWith := func(i int, v float64) []float64 {
+		caps := make([]float64, 9)
+		caps[i] = v
+		return caps
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*SwarmOptions)
+		want   string
+	}{
+		{"negative optimistic slots", func(o *SwarmOptions) { o.OptimisticSlots = -1 }, "optimistic_slots"},
+		{"two optimistic slots", func(o *SwarmOptions) { o.OptimisticSlots = 2 }, "optimistic_slots"},
+		{"negative tft slots", func(o *SwarmOptions) { o.TFTSlots = -2 }, "tft_slots"},
+		{"tft slots above max neighbors", func(o *SwarmOptions) { o.MaxNeighbors, o.TFTSlots = 6, 7 }, "tft_slots"},
+		{"negative choke interval", func(o *SwarmOptions) { o.ChokeIntervalRounds = -5 }, "choke_interval_rounds"},
+		{"negative optimistic interval", func(o *SwarmOptions) { o.OptimisticIntervalRounds = -1 }, "optimistic_interval_rounds"},
+		{"negative warmup", func(o *SwarmOptions) { o.MetricsWarmupRounds = -4 }, "metrics_warmup_rounds"},
+		{"negative piece size", func(o *SwarmOptions) { o.PieceKbit = -1 }, "piece_kbit"},
+		{"negative capacity entry", func(o *SwarmOptions) { o.UploadKbps = capsWith(3, -1) }, "upload_kbps[3]"},
+		{"NaN capacity entry", func(o *SwarmOptions) { o.UploadKbps = capsWith(3, math.NaN()) }, "upload_kbps[3]"},
+		{"+Inf capacity entry", func(o *SwarmOptions) { o.UploadKbps = capsWith(3, math.Inf(1)) }, "upload_kbps[3]"},
+		{"max neighbors below neighbor count", func(o *SwarmOptions) { o.MaxNeighbors = 4 }, "max_neighbors"},
+		{"negative seeds", func(o *SwarmOptions) { o.Seeds = -1 }, "seeds"},
+		{"negative max peers", func(o *SwarmOptions) { o.MaxPeers = -1 }, "max_peers"},
+	} {
+		o := base
+		tc.mutate(&o)
+		if _, err := NewSwarm(o); err == nil || !strings.Contains(err.Error(), tc.want+":") {
+			t.Errorf("%s: NewSwarm returned %v, want an error naming %s", tc.name, err, tc.want)
+		}
+	}
 }
 
 func TestSwarmDynamicMembershipFacade(t *testing.T) {
