@@ -341,16 +341,37 @@ func runResume(o *options, tel *telemetry.Recorder) error {
 }
 
 func runSwarm(o *options, tel *telemetry.Recorder) error {
+	w := o.warmup
+	if w == 0 {
+		w = o.rounds / 3
+	}
+	base := btsim.Options{
+		Leechers:            o.leechers,
+		Seeds:               o.seeds,
+		Pieces:              o.pieces,
+		PieceKbit:           o.pieceKbit,
+		TFTSlots:            o.tftSlots,
+		NeighborCount:       o.neighbors,
+		PostFlashCrowd:      o.postFlash,
+		ContentUnlimited:    o.unlimited,
+		MetricsWarmupRounds: w,
+	}
+	// Validate before sizing anything by the population: the capacity
+	// draw below trusts the peer counts.
+	if err := base.Validate(); err != nil {
+		return fmt.Errorf("btsim: %w", err)
+	}
 	// The ranked capacity vector is replica-independent; only the
-	// id↔rank permutation differs per replica.
+	// id↔rank permutation differs per replica. Any -uniform-kbps other
+	// than 0 is used as given, so New rejects a negative or NaN one.
 	var ranked []float64
-	if o.uniform <= 0 {
+	if o.uniform == 0 {
 		ranked = bandwidth.RankBandwidths(bandwidth.Saroiu(), o.leechers)
 	}
 	runOne := func(replicaSeed uint64) (btsim.Metrics, error) {
 		n := o.leechers + o.seeds
 		caps := make([]float64, n)
-		if o.uniform > 0 {
+		if o.uniform != 0 {
 			for i := range caps {
 				caps[i] = o.uniform
 			}
@@ -367,23 +388,10 @@ func runSwarm(o *options, tel *telemetry.Recorder) error {
 				caps[i] = 5000 // well-provisioned seeds
 			}
 		}
-		w := o.warmup
-		if w == 0 {
-			w = o.rounds / 3
-		}
-		s, err := btsim.New(btsim.Options{
-			Leechers:            o.leechers,
-			Seeds:               o.seeds,
-			Pieces:              o.pieces,
-			PieceKbit:           o.pieceKbit,
-			UploadKbps:          caps,
-			TFTSlots:            o.tftSlots,
-			NeighborCount:       o.neighbors,
-			PostFlashCrowd:      o.postFlash,
-			ContentUnlimited:    o.unlimited,
-			MetricsWarmupRounds: w,
-			Seed:                replicaSeed,
-		})
+		opt := base
+		opt.UploadKbps = caps
+		opt.Seed = replicaSeed
+		s, err := btsim.New(opt)
 		if err != nil {
 			return btsim.Metrics{}, err
 		}

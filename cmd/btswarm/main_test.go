@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -330,6 +332,38 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Fatalf("run(%v) succeeded, want error", args)
+		}
+	}
+}
+
+// TestFixedSwarmRejectsBadOptions runs the CLI in a child process: a
+// negative leecher or seed count, or a NaN uniform capacity, must exit 1
+// with an error naming its field, not panic (exit 2) in the capacity draw.
+func TestFixedSwarmRejectsBadOptions(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string
+		args  []string
+	}{
+		{"leechers", []string{"-leechers", "-5", "-rounds", "5"}},
+		{"seeds", []string{"-leechers", "5", "-seeds", "-7", "-rounds", "5"}},
+		{"upload_kbps[0]", []string{"-leechers", "5", "-uniform-kbps", "NaN", "-rounds", "5"}},
+		{"upload_kbps[0]", []string{"-leechers", "5", "-uniform-kbps", "-300", "-rounds", "5"}},
+	} {
+		cmd := exec.Command(exe, append([]string{"-test.run=TestHelperBtswarmRun", "--"}, tc.args...)...)
+		cmd.Env = append(os.Environ(), "GO_BTSWARM_HELPER=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("btswarm %v: %v, want exit status 1\nstderr:\n%s", tc.args, err, stderr.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, tc.field+": must be") || strings.Contains(msg, "panic") {
+			t.Fatalf("btswarm %v: stderr %q, want the %s error and no panic", tc.args, msg, tc.field)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -401,5 +402,19 @@ func BenchmarkBMatching(b *testing.B) {
 		if _, err := BMatching(BMatchingOptions{N: 2000, P: 0.01, B0: 3}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBMatchingFig9 times Figure 9's call (n = 5000, p = 0.01,
+// b0 = 2), serial and tiled.
+func BenchmarkBMatchingFig9(b *testing.B) {
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := BMatching(BMatchingOptions{N: 5000, P: 0.01, B0: 2, Workers: w}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -65,7 +65,8 @@ type BMatchingOptions struct {
 //
 // Since X_i does not depend on cj, each pair costs O(b0):
 // Dci(i,j) = p·X_i(ci)·ΣX_j and Dcj(j,i) = p·X_j(cj)·ΣX_i.
-// Total cost is O(n²·b0) time and O(n·b0) memory.
+// Total cost is O(n²·b0) time and O(n·b0) memory. At b0 = 2 a specialized
+// span holds row i's cumulatives in locals (see bmatchingKernel).
 //
 // The pair (i, j) depends only on the pairs (i, j−1) (through row i's
 // cumulative) and (i−1, j) (through column j's cumulative) — a classic
@@ -134,8 +135,11 @@ func BMatching(opt BMatchingOptions) (*BMatchingResult, error) {
 }
 
 // bmatchingKernel evaluates the recurrence's pairs. Both the serial scan
-// and the tiles call it, so they perform the same floating-point operations
-// in the same per-cell order.
+// and the tiles call its span, so they perform the same floating-point
+// operations in the same per-cell order. span picks its body on b0 alone:
+// span2 at b0 = 2 (Figure 9), the generic loop otherwise. The two bodies
+// perform the same operations per cell, so the choice never changes a
+// byte; it only keeps the b0 = 2 cumulatives in registers.
 //
 // SlotMatchProb[c][i] is not accumulated pair by pair. Its additions would
 // be column i's (pairs (k, i), k < i) and then row i's, in that order, which
@@ -166,6 +170,10 @@ func newBMatchingKernel(res *BMatchingResult, tracked [][][]float64, opt BMatchi
 // i < j0. ri[c] is Σ_{k<j} D_{c+1}(i, k) and colCum[j*b0+c] is
 // Σ_{k<i} D_{c+1}(j, k); both advance past each pair in place.
 func (k *bmatchingKernel) span(i, j0, j1 int, ri, colCum []float64) {
+	if len(k.xi) == 2 {
+		k.span2(i, j0, j1, ri, colCum)
+		return
+	}
 	p, xi, xj := k.p, k.xi, k.xj
 	b0 := len(xi)
 	rowOut := k.tracked[i]
@@ -205,6 +213,59 @@ func (k *bmatchingKernel) span(i, j0, j1 int, ri, colCum []float64) {
 			k.expected[i] += pairProb * k.value[j]
 			k.expected[j] += pairProb * k.value[i]
 		}
+	}
+}
+
+// span2 is span at b0 = 2, Figure 9's case. It performs the generic loop's
+// floating-point operations in the same order per cell, but holds row i's
+// two cumulatives (and its ExpectedValue sum) in locals for the whole span
+// and computes the X factors in registers. In the generic loop each pair's
+// update of ri is stored to memory and reloaded by the next pair, which
+// serializes the span on store-to-load forwarding; here the only memory a
+// pair touches is column j's two colCum cells, its tracked rows and the
+// partner values.
+func (k *bmatchingKernel) span2(i, j0, j1 int, ri, colCum []float64) {
+	p := k.p
+	r0, r1 := ri[0], ri[1]
+	var row0, row1 []float64
+	if rowOut := k.tracked[i]; rowOut != nil {
+		row0, row1 = rowOut[0], rowOut[1]
+	}
+	var ei, vi float64
+	if k.expected != nil {
+		ei, vi = k.expected[i], k.value[i]
+	}
+	cols := colCum[2*j0 : 2*j1]
+	for t, colOut := range k.tracked[j0:j1] {
+		cj := cols[2*t : 2*t+2 : 2*t+2]
+		c0, c1 := cj[0], cj[1]
+		xi0, xi1 := 1.0-r0, r0-r1
+		xj0, xj1 := 1.0-c0, c0-c1
+		sumXi, sumXj := xi0+xi1, xj0+xj1
+		dci0, dci1 := p*xi0*sumXj, p*xi1*sumXj // Dc(i, j)
+		dcj0, dcj1 := p*xj0*sumXi, p*xj1*sumXi // Dc(j, i)
+		r0 += dci0
+		r1 += dci1
+		cj[0] = c0 + dcj0
+		cj[1] = c1 + dcj1
+		j := j0 + t
+		if row0 != nil {
+			row0[j] = dci0
+			row1[j] = dci1
+		}
+		if colOut != nil {
+			colOut[0][i] = dcj0
+			colOut[1][i] = dcj1
+		}
+		if k.expected != nil {
+			pairProb := p * sumXi * sumXj // P(i and j matched at all)
+			ei += pairProb * k.value[j]
+			k.expected[j] += pairProb * vi
+		}
+	}
+	ri[0], ri[1] = r0, r1
+	if k.expected != nil {
+		k.expected[i] = ei
 	}
 }
 

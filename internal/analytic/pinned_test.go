@@ -15,16 +15,26 @@ func TestBMatchingPinnedBytes(t *testing.T) {
 		n, b0 int
 		p     float64
 		value bool
+		rows  []int // TrackRows; nil tracks {0, n/2, n−1}
 		sum   string
 	}{
-		{411, 3, 0.03, true, "e287042873faa01096fef10dcf9e937dfa05318a06845ea4a58eeb3044dab91a"},
-		{5000, 2, 0.01, false, "bd17fb82c8398fb9db12c28c6fb2fad0cb1e464e6c9354e395a051f60dbe5e3f"},
-		{300, 4, 0.2, true, "0d06f18a959031d592339c31f383e694ec6ac51cbc3b7146e421c1bf5ea5c6f8"},
-		{1, 2, 0.5, true, "956a8b91814f5f2aa967c7a95ef5ec3421b092bdbceb5eeb5fd5f65caf3d51e9"},
-		{2000, 1, 0.005, false, "281ab56a5e41c5ff9475a4478a9f17c4de2d07f053efc32ce06d22c9c858e46c"},
+		{411, 3, 0.03, true, nil, "e287042873faa01096fef10dcf9e937dfa05318a06845ea4a58eeb3044dab91a"},
+		{5000, 2, 0.01, false, nil, "bd17fb82c8398fb9db12c28c6fb2fad0cb1e464e6c9354e395a051f60dbe5e3f"},
+		{300, 4, 0.2, true, nil, "0d06f18a959031d592339c31f383e694ec6ac51cbc3b7146e421c1bf5ea5c6f8"},
+		{1, 2, 0.5, true, nil, "956a8b91814f5f2aa967c7a95ef5ec3421b092bdbceb5eeb5fd5f65caf3d51e9"},
+		{2000, 1, 0.005, false, nil, "281ab56a5e41c5ff9475a4478a9f17c4de2d07f053efc32ce06d22c9c858e46c"},
+		// b0 = 2 with partner values past the one-peer case.
+		{700, 2, 0.02, true, nil, "d4e41d0ae0dcec3c2cf939cc780d2e613d42052969d7b6818f5a57678d822651"},
+		// b0 = 2 with adjacent tracked rows, so a tracked row and a
+		// tracked column meet inside one span.
+		{600, 2, 0.03, true, []int{300, 301}, "3e46d278a0941ee27d960524fa22d27f1b5c967c6fd9d98dac6b0d0a64a8fef7"},
 	} {
 		for _, w := range []int{1, 2} {
-			opt := BMatchingOptions{N: c.n, P: c.p, B0: c.b0, TrackRows: []int{0, c.n / 2, c.n - 1}, Workers: w}
+			rows := c.rows
+			if rows == nil {
+				rows = []int{0, c.n / 2, c.n - 1}
+			}
+			opt := BMatchingOptions{N: c.n, P: c.p, B0: c.b0, TrackRows: rows, Workers: w}
 			if c.value {
 				opt.PartnerValue = make([]float64, c.n)
 				for i := range opt.PartnerValue {

@@ -701,7 +701,7 @@ func (sc Scenario) loadCheckpoint(payload []byte) (*scenarioRun, error) {
 		return nil, fmt.Errorf("scenario %s: resume: %s", sc.spec.Name, fmt.Sprintf(format, args...))
 	}
 	opt, _, _ := sc.startOptions()
-	if err := opt.validate(); err != nil {
+	if err := opt.Validate(); err != nil {
 		return fail("swarm.%v", err)
 	}
 	run := &scenarioRun{

@@ -151,8 +151,7 @@ func (sp ScenarioSpec) Validate() error {
 	if sp.Rounds < 1 {
 		return sp.specErr("rounds", "must be >= 1, got %d", sp.Rounds)
 	}
-	opt := sp.Swarm.withDefaults()
-	if err := opt.validate(); err != nil {
+	if err := sp.Swarm.Validate(); err != nil {
 		return fmt.Errorf("btsim: spec %q: swarm.%w", sp.Name, err)
 	}
 	for i, a := range sp.Arrivals {

@@ -52,9 +52,10 @@ import (
 // Options configures a swarm. The struct is plain data and round-trips
 // through JSON (the tags below are the ScenarioSpec wire names), so a
 // swarm configuration can live in a serialized scenario description.
-// Each field comment states its valid range; validate holds every rule,
-// and New, ScenarioSpec.Validate, checkpoint loads and the tracker
-// daemon's handout policy all check options through it.
+// Each field comment states its valid range; Validate holds every rule,
+// and New, ScenarioSpec.Validate, checkpoint loads, the tracker daemon's
+// handout policy and btswarm's fixed-swarm mode all check options through
+// it.
 type Options struct {
 	// Leechers is the number of downloading peers: at least 1.
 	Leechers int `json:"leechers"`
@@ -142,11 +143,13 @@ func (o *Options) withDefaults() Options {
 	return opt
 }
 
-// validate checks defaulted options against every rule a swarm needs and
-// reports the first violation as "<json field>: must be ..., got <value>".
-// Callers prefix the error with their own context (New with "btsim:",
-// ScenarioSpec.Validate with the spec name and "swarm.").
-func (o *Options) validate() error {
+// Validate checks the options, with zero fields taking their defaults as
+// in New, against every rule a swarm needs and reports the first violation
+// as "<json field>: must be ..., got <value>". A nil UploadKbps passes its
+// length rule. Callers prefix the error with their own context (New with
+// "btsim:", ScenarioSpec.Validate with the spec name and "swarm.").
+func (o Options) Validate() error {
+	o = o.withDefaults()
 	var err error
 	rule := func(field, want string, bad bool, got any) {
 		if bad && err == nil {
@@ -182,7 +185,7 @@ func (o *Options) validate() error {
 // simulated swarm does.
 func (hp HandoutPolicy) WithDefaults() (HandoutPolicy, error) {
 	o := (&Options{Leechers: 1, Pieces: 1, TFTSlots: 1, NeighborCount: hp.NeighborCount, MaxNeighbors: hp.MaxNeighbors}).withDefaults()
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return HandoutPolicy{}, fmt.Errorf("btsim: handout policy: %w", err)
 	}
 	return HandoutPolicy{NeighborCount: o.NeighborCount, MaxNeighbors: o.MaxNeighbors}, nil
@@ -339,10 +342,10 @@ type counters struct {
 // New builds a swarm. Peer ids 0..Leechers-1 are leechers,
 // Leechers..Leechers+Seeds-1 are seeds.
 func New(o Options) (*Swarm, error) {
-	opt := o.withDefaults()
-	if err := opt.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, fmt.Errorf("btsim: %w", err)
 	}
+	opt := o.withDefaults()
 	n := opt.Leechers + opt.Seeds
 	s := &Swarm{opt: opt, r: rng.New(opt.Seed), peers: make([]peer, n)}
 	for i := 0; i < n; i++ {

@@ -4,7 +4,8 @@ import "stratmatch/internal/graph"
 
 // Arena owns the reusable storage behind repeated stable-matching draws: a
 // recycled Config (budget copy, mate-list headers, mate slab) plus the
-// solver scratch of Algorithm 1 and its complete-graph specialization. Sweep
+// skip pointers of the complete-graph solver and the budget vector of
+// uniform draws. Sweep
 // and Monte-Carlo loops that used to construct a fresh Config per draw hold
 // one Arena per worker instead, making a draw cost zero steady-state
 // allocations while producing byte-identical configurations.
@@ -16,10 +17,8 @@ import "stratmatch/internal/graph"
 // worker, like cluster.Analyzer).
 type Arena struct {
 	cfg Config
-	// avail / nxt are the free-slot counters and path-compressed skip
-	// pointers of the stable solvers.
-	avail []int
-	nxt   []int
+	// nxt holds the path-compressed skip pointers of StableComplete.
+	nxt []int
 	// uniform holds the materialized budget vector of uniform-budget draws.
 	uniform []int
 }
@@ -44,10 +43,10 @@ func (a *Arena) Reset(budgets []int) *Config {
 }
 
 // releaseScratch drops the solver scratch. One-shot wrappers call it before
-// returning &a.cfg so the escaping Config does not pin avail/nxt/uniform
-// (~3n ints) for its whole lifetime.
+// returning &a.cfg so the escaping Config does not pin nxt/uniform (~2n
+// ints) for its whole lifetime.
 func (a *Arena) releaseScratch() {
-	a.avail, a.nxt, a.uniform = nil, nil, nil
+	a.nxt, a.uniform = nil, nil
 }
 
 // intScratch returns dst resized to n, reallocating only on growth.
@@ -72,11 +71,14 @@ func (a *Arena) uniformBudgets(n, b0 int) []int {
 // StableComplete is core.StableComplete drawing into the arena: the stable
 // configuration of the complete acceptance graph with the given budgets,
 // with zero steady-state allocations across repeated calls.
+//
+// Turns run in rank order and each takes its partners in increasing rank,
+// so every match is a Config.link: an append to both mate lists, with O(1)
+// checks in place of Match's search and sorted inserts. Free slots are read
+// off the mate lists; the solvers keep no counters of their own.
 func (a *Arena) StableComplete(budgets []int) *Config {
 	n := len(budgets)
 	c := a.Reset(budgets)
-	avail := intScratch(&a.avail, n)
-	copy(avail, budgets)
 
 	// nxt[j] points towards the smallest peer k ≥ j that may still have a
 	// free slot; n is the sentinel "no such peer".
@@ -85,7 +87,7 @@ func (a *Arena) StableComplete(budgets []int) *Config {
 		nxt[j] = j
 	}
 	for j := 0; j < n; j++ {
-		if avail[j] == 0 {
+		if budgets[j] == 0 {
 			nxt[j] = j + 1
 		}
 	}
@@ -101,17 +103,13 @@ func (a *Arena) StableComplete(budgets []int) *Config {
 	}
 
 	for i := 0; i < n; i++ {
-		if avail[i] == 0 {
+		if !c.Free(i) {
 			continue
 		}
 		j := find(i + 1)
-		for avail[i] > 0 && j < n {
-			if err := c.Match(i, j); err != nil {
-				panic(err) // invariant: both sides have free slots
-			}
-			avail[i]--
-			avail[j]--
-			if avail[j] == 0 {
+		for c.Free(i) && j < n {
+			c.link(i, j)
+			if !c.Free(j) {
 				nxt[j] = j + 1
 			}
 			j = find(j + 1)
@@ -129,13 +127,12 @@ func (a *Arena) StableCompleteUniform(n, b0 int) *Config {
 }
 
 // Stable is core.Stable drawing into the arena: Algorithm 1 on acceptance
-// graph g with the given budgets.
+// graph g with the given budgets. Like StableComplete, it visits pairs in
+// rank order (Neighbors are sorted), so each match is a Config.link append.
 func (a *Arena) Stable(g graph.Graph, b []int) *Config {
 	c := a.Reset(b)
-	avail := intScratch(&a.avail, len(b))
-	copy(avail, b)
 	for i := 0; i < g.N(); i++ {
-		if avail[i] == 0 {
+		if !c.Free(i) {
 			continue
 		}
 		for _, j := range g.Neighbors(i) {
@@ -144,15 +141,11 @@ func (a *Arena) Stable(g graph.Graph, b []int) *Config {
 			if j < i {
 				continue
 			}
-			if avail[j] == 0 {
+			if !c.Free(j) {
 				continue
 			}
-			if err := c.Match(i, j); err != nil {
-				panic(err) // invariant: both sides have free slots
-			}
-			avail[i]--
-			avail[j]--
-			if avail[i] == 0 {
+			c.link(i, j)
+			if !c.Free(i) {
 				break
 			}
 		}

@@ -127,3 +127,47 @@ func TestArenaStableCompleteZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("arena StableCompleteUniform allocates %.2f objects per draw at steady state, want 0", allocs)
 	}
 }
+
+// matchOracle is Algorithm 1 built pair by pair through the checked
+// Config.Match: each peer in rank order takes every worse neighbor that
+// still has a free slot while it has one itself.
+func matchOracle(t *testing.T, g graph.Graph, budgets []int) *Config {
+	t.Helper()
+	c := NewConfig(budgets)
+	for i := 0; i < g.N(); i++ {
+		for _, j := range g.Neighbors(i) {
+			if j > i && c.Free(i) && c.Free(j) {
+				if err := c.Match(i, j); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return c
+}
+
+// TestArenaSolversMatchCheckedOracle pins the append-only solvers to the
+// checked Match path: on random G(n, p) and complete graphs, with budgets
+// that include 0 and values of n or more, Arena.Stable and
+// Arena.StableComplete must build the oracle's configuration and pass
+// Validate.
+func TestArenaSolversMatchCheckedOracle(t *testing.T) {
+	r := rng.New(10)
+	var a Arena
+	var ga graph.Arena
+	for draw := 0; draw < 60; draw++ {
+		n := 1 + r.Intn(120)
+		budgets := randomBudgets(n, 4, r)
+		for k := r.Intn(3); k > 0; k-- {
+			budgets[r.Intn(n)] = n + r.Intn(3)
+		}
+		budgets[r.Intn(n)] = 0
+		complete := graph.NewComplete(n)
+		want := matchOracle(t, complete, budgets)
+		requireSameConfig(t, a.StableComplete(budgets), want)
+		requireSameConfig(t, a.Stable(complete, budgets), want)
+
+		g := ga.ErdosRenyi(n, r.Float64(), rng.New(uint64(2000+draw)))
+		requireSameConfig(t, a.Stable(g, budgets), matchOracle(t, g, budgets))
+	}
+}

@@ -191,6 +191,32 @@ func (c *Config) Match(i, j int) error {
 	return nil
 }
 
+// link records the collaboration {i, j} for the stable solvers, which visit
+// pairs in rank order: peer i's turn takes partners j > i in increasing
+// rank, after every turn of a peer better than i. Each of j's mates then
+// comes from an earlier turn, so it ranks better than i, and each of i's
+// mates ranks better than j; appending keeps both lists sorted. link keeps
+// Match's invariants with O(1) checks (no self-pair, a free slot on both
+// sides, both appends in rank order) and panics on a violation, which only
+// a solver bug can produce.
+func (c *Config) link(i, j int) {
+	mi, mj := c.mates[i], c.mates[j]
+	switch {
+	case i == j:
+		panic(fmt.Sprintf("core: link %d with itself", i))
+	case len(mi) >= c.budget[i]:
+		panic(fmt.Sprintf("core: link %d-%d: peer %d has no free slot", i, j, i))
+	case len(mj) >= c.budget[j]:
+		panic(fmt.Sprintf("core: link %d-%d: peer %d has no free slot", i, j, j))
+	case len(mi) > 0 && mi[len(mi)-1] >= j:
+		panic(fmt.Sprintf("core: link %d-%d out of rank order: %d already has mate %d", i, j, i, mi[len(mi)-1]))
+	case len(mj) > 0 && mj[len(mj)-1] >= i:
+		panic(fmt.Sprintf("core: link %d-%d out of rank order: %d already has mate %d", i, j, j, mj[len(mj)-1]))
+	}
+	c.mates[i] = append(mi, j)
+	c.mates[j] = append(mj, i)
+}
+
 // Unmatch removes the collaboration {i, j} if present and reports whether it
 // existed.
 func (c *Config) Unmatch(i, j int) bool {

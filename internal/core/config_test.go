@@ -231,3 +231,40 @@ func mustStable(t *testing.T, c *Config, g graph.Graph) {
 		t.Fatalf("blocking pair (%d, %d)", i, j)
 	}
 }
+
+// TestLinkPanicsOffRankOrder covers link's O(1) checks: a self-pair, an
+// append out of rank order on either side and a pair with a full side must
+// panic rather than corrupt the mate lists.
+func TestLinkPanicsOffRankOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		budgets []int
+		prior   [][2]int // links made before the failing one
+		i, j    int
+	}{
+		{"self pair", []int{2, 2}, nil, 1, 1},
+		{"i full", []int{1, 2, 2}, [][2]int{{0, 1}}, 0, 2},
+		{"j full", []int{2, 1, 2}, [][2]int{{0, 1}}, 2, 1},
+		{"zero budget", []int{1, 0}, nil, 0, 1},
+		{"i out of order", []int{2, 2, 2}, [][2]int{{0, 2}}, 0, 1},
+		{"j out of order", []int{2, 2, 2}, [][2]int{{1, 2}}, 0, 2},
+		{"repeated pair", []int{2, 2}, [][2]int{{0, 1}}, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewConfig(tc.budgets)
+			for _, pr := range tc.prior {
+				c.link(pr[0], pr[1])
+			}
+			before := c.Clone()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("link(%d, %d) did not panic", tc.i, tc.j)
+				}
+				if !c.Equal(before) {
+					t.Fatal("a rejected link changed the configuration")
+				}
+			}()
+			c.link(tc.i, tc.j)
+		})
+	}
+}
