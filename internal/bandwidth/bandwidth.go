@@ -9,7 +9,7 @@
 // high-capacity tail up to 10⁵ kbps. Every consumer of the curve (Figure 11,
 // the swarm simulator) only reads it through CDF/Quantile, so any
 // distribution with the same plateaus and peaks reproduces the paper's
-// qualitative structure. See DESIGN.md §5 for the substitution note.
+// qualitative structure.
 package bandwidth
 
 import (

@@ -2,6 +2,7 @@ package btsim
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"stratmatch/internal/bandwidth"
@@ -306,6 +307,31 @@ func TestRanksAreAPermutation(t *testing.T) {
 	// Equal capacities tie-break by id.
 	if !(s.rank[2] < s.rank[3]) {
 		t.Fatalf("tie-break broken: %v", s.rank)
+	}
+
+	// Thousands of peers on a handful of capacity levels, so most ranks are
+	// decided by the id tie-break: New's ranks must equal a stable sort by
+	// (capacity desc, id asc).
+	const n = 3000
+	levels := []float64{50, 400, 400.5, 1200, 9000}
+	r := rng.New(5)
+	caps = make([]float64, n)
+	for i := range caps {
+		caps[i] = levels[r.Intn(len(levels))]
+	}
+	s, err = New(Options{Leechers: n, Pieces: 8, UploadKbps: caps, NeighborCount: 4, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return caps[order[a]] > caps[order[b]] })
+	for pos, id := range order {
+		if s.rank[id] != pos {
+			t.Fatalf("peer %d (capacity %g) has rank %d, reference %d", id, caps[id], s.rank[id], pos)
+		}
 	}
 }
 

@@ -6,13 +6,14 @@ import "sort"
 // rank immediately with two O(present) passes, which made a flash-crowd
 // round with k arrivals cost O(k·present) — the dominant term at a million
 // peers. Nothing reads ranks between consecutive Joins (the tracker
-// handout looks at degrees and capacities, never ranks), so Join now only
+// handout looks at degrees and capacities, never ranks), so newPeer only
 // parks the newcomer on a pending list with rank −1 and flushJoinRanks
 // merges the whole batch in O(present + k·log k) before the next rank
-// read. Every rank consumer flushes first: Step (the TFT accounting),
-// Depart/Crash (the shift loops), applyDepartures (the rank-biased
-// abandonment draw), sampling, Snapshot, CheckInvariants and checkpoint
-// encoding — so a pending rank of −1 is never observable.
+// read. New ranks its initial population the same way, with one flush of
+// n pending peers before it returns. Every rank consumer flushes first:
+// Step (the TFT accounting), leave (the shift loop), applyDepartures (the
+// rank-biased abandonment draw), sampling, Snapshot, CheckInvariants and
+// checkpoint encoding — so a pending rank of −1 is never observable.
 //
 // The merge is exactly equivalent to sequential insertion: present ranks
 // always form the position permutation of the present set ordered by
@@ -78,7 +79,7 @@ func (s *Swarm) flushJoinRanks() {
 }
 
 // shiftRanksAbove moves every present peer ranked below a leaver's rank pr
-// up one (Depart/Crash).
+// up one (leave).
 func (s *Swarm) shiftRanksAbove(pr int) {
 	for _, j := range s.trk.present {
 		if s.rank[j] > pr {

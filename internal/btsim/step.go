@@ -66,60 +66,17 @@ func (s *Swarm) AllDone() bool {
 func (s *Swarm) Round() int { return s.round }
 
 // Depart removes a peer from the swarm: every one of its connections is
-// unwired (both CSR halves, with incremental want/avail maintenance), its
-// slot is recycled onto the free list, and its piece bitfield joins the
-// reuse pool. The roster entry survives with the peer's totals, completion
-// state and final rank, so departed peers still appear in the metrics.
+// unwired and its slot and bitfield are recycled (releaseSlot), then it
+// leaves the membership (leave). The roster entry survives with the peer's
+// totals, completion state and final rank, so departed peers still appear
+// in the metrics.
 func (s *Swarm) Depart(id int) {
 	if id < 0 || id >= len(s.peers) || s.peers[id].departed {
 		return
 	}
-	s.flushJoinRanks() // the shift below needs settled ranks
 	p := &s.peers[id]
-	sl := s.slotOf[id]
-	base := sl * s.edgeCap
-	for s.deg[sl] > 0 {
-		e := base + s.deg[sl] - 1 // unwire p's edges from the back
-		q := &s.peers[s.nbr[e]]
-		er := s.rev[e] // q's edge back to p
-		if q.departed && s.flt != nil {
-			// p held a stale edge to a crashed, not-yet-swept neighbor;
-			// p's leaving retires it before the timeout sweep would.
-			s.flt.staleEdges--
-		}
-		s.availSub(er/s.edgeCap, p.have)
-		s.removeEdgeHalf(q, er)
-		s.deg[sl]--
-		s.liveDegSum--
-	}
-	// Discard partial piece progress and zero the slot's own availability
-	// row so the next occupant starts clean — a direct clear, cheaper than
-	// decrementing per departing edge.
-	pbase := int(sl) * s.opt.Pieces
-	for i := pbase; i < pbase+s.opt.Pieces; i++ {
-		s.pieceProgress[i] = 0
-		s.avail[i] = 0
-	}
-
-	p.optimistic = -1
-	p.departed = true
-	p.departRound = s.round
-	s.slotOf[id] = -1
-	if p.done {
-		s.presentDone--
-	}
-	s.present--
-	s.totalDeparted++
-	s.trk.Remove(int32(id))
-
-	// Present peers ranked below the leaver shift up one; p keeps the rank
-	// it held at departure.
-	s.shiftRanksAbove(s.rank[id])
-
-	s.slotPeer[sl] = -1
-	s.freeSlots = append(s.freeSlots, sl)
-	s.havePool = append(s.havePool, p.have)
-	p.have = bitset{}
+	s.releaseSlot(p)
+	s.leave(p)
 	s.tel.Inc(telemetry.CtrDeparts)
 }
 
@@ -134,7 +91,6 @@ func (s *Swarm) Crash(id int) {
 	if s.flt == nil || id < 0 || id >= len(s.peers) || s.peers[id].departed {
 		return
 	}
-	s.flushJoinRanks() // the shift below needs settled ranks
 	f := s.flt
 	p := &s.peers[id]
 	sl := s.slotOf[id]
@@ -153,6 +109,17 @@ func (s *Swarm) Crash(id int) {
 		}
 	}
 	s.liveDegSum -= int64(s.deg[sl]) // p's own halves leave the present sum
+	s.leave(p)
+	f.totalCrashed++
+	f.crashq = append(f.crashq, int32(id))
+	s.tel.Inc(telemetry.CtrCrashes)
+}
+
+// leave ends p's membership, the step Depart and Crash share: p leaves the
+// tracker and the present counters, and the present peers ranked below it
+// shift up one while p keeps the rank it held.
+func (s *Swarm) leave(p *peer) {
+	s.flushJoinRanks() // the shift below needs settled ranks
 	p.optimistic = -1
 	p.departed = true
 	p.departRound = s.round
@@ -161,54 +128,63 @@ func (s *Swarm) Crash(id int) {
 	}
 	s.present--
 	s.totalDeparted++
-	s.trk.Remove(int32(id))
-	// Present peers ranked below the crasher shift up one, exactly as in a
-	// graceful departure; p keeps the rank it held.
-	s.shiftRanksAbove(s.rank[id])
-	f.totalCrashed++
-	f.crashq = append(f.crashq, int32(id))
-	s.tel.Inc(telemetry.CtrCrashes)
+	s.trk.Remove(int32(p.id))
+	s.shiftRanksAbove(s.rank[p.id])
+}
+
+// releaseSlot unwires every edge of p (both CSR halves, with incremental
+// want/avail maintenance), clears its slot's progress and availability rows
+// so the next occupant starts clean, and recycles the slot and bitfield.
+// Depart calls it on a present peer and sweepCrashed on a crashed one. An
+// edge between a present and a crashed peer had one stale half, the
+// present end's, and unwiring it retires that half; p's own halves leave
+// liveDegSum only while p is present (a crasher's left it at the crash).
+func (s *Swarm) releaseSlot(p *peer) {
+	sl := s.slotOf[p.id]
+	base := sl * s.edgeCap
+	for s.deg[sl] > 0 {
+		e := base + s.deg[sl] - 1 // unwire p's edges from the back
+		q := &s.peers[s.nbr[e]]
+		er := s.rev[e] // q's edge back to p
+		if q.departed != p.departed {
+			s.flt.staleEdges-- // only the fault layer crashes peers
+		}
+		s.availSub(er/s.edgeCap, p.have)
+		s.removeEdgeHalf(q, er)
+		s.deg[sl]--
+		if !p.departed {
+			s.liveDegSum--
+		}
+	}
+	// A direct clear of the slot's own rows, cheaper than decrementing per
+	// departing edge.
+	pbase := int(sl) * s.opt.Pieces
+	for i := pbase; i < pbase+s.opt.Pieces; i++ {
+		s.pieceProgress[i] = 0
+		s.avail[i] = 0
+	}
+	s.slotOf[p.id] = -1
+	s.slotPeer[sl] = -1
+	s.freeSlots = append(s.freeSlots, sl)
+	s.havePool = append(s.havePool, p.have)
+	p.have = bitset{}
 }
 
 // sweepCrashed is the failure-detection pass: once a crashed peer has been
 // silent for the neighbor timeout, every surviving neighbor notices the
 // dead connection at once (all their timers started at the crash) and
-// drops it. This is the deferred half of Depart: the stale edges are
-// unwired, the slot's availability and progress rows are cleared, and the
-// slot and bitfield are recycled. The crash queue is in crash order, so the
-// scan stops at the first entry still within the timeout.
+// drops it. This is the deferred half of Depart (releaseSlot). The crash
+// queue is in crash order, so the scan stops at the first entry still
+// within the timeout.
 func (s *Swarm) sweepCrashed() {
 	f := s.flt
 	for f.crashHead < len(f.crashq) {
-		id := f.crashq[f.crashHead]
-		p := &s.peers[id]
+		p := &s.peers[f.crashq[f.crashHead]]
 		if s.round-p.departRound < f.timeout {
 			break
 		}
 		f.crashHead++
-		sl := s.slotOf[id]
-		base := sl * s.edgeCap
-		for s.deg[sl] > 0 {
-			e := base + s.deg[sl] - 1
-			q := &s.peers[s.nbr[e]]
-			er := s.rev[e]
-			s.availSub(er/s.edgeCap, p.have)
-			s.removeEdgeHalf(q, er)
-			s.deg[sl]--
-			if !q.departed {
-				f.staleEdges--
-			}
-		}
-		pbase := int(sl) * s.opt.Pieces
-		for i := pbase; i < pbase+s.opt.Pieces; i++ {
-			s.pieceProgress[i] = 0
-			s.avail[i] = 0
-		}
-		s.slotOf[id] = -1
-		s.slotPeer[sl] = -1
-		s.freeSlots = append(s.freeSlots, sl)
-		s.havePool = append(s.havePool, p.have)
-		p.have = bitset{}
+		s.releaseSlot(p)
 	}
 	switch {
 	case f.crashHead == len(f.crashq):

@@ -7,7 +7,7 @@
 // abstraction; the simulator lets us observe the same phenomena emerge from
 // actual TFT protocol mechanics. The paper itself relies on external
 // measurements (Bharambe et al.; Legout et al.) for this step — the
-// simulator replaces those deployments (see DESIGN.md §5).
+// simulator replaces those deployments.
 //
 // Simulation time advances in rounds of one second. Capacities are in
 // kbit/s and pieces have a size in kbit, so a peer with capacity c uploads
@@ -347,46 +347,29 @@ func New(o Options) (*Swarm, error) {
 	}
 	opt := o.withDefaults()
 	n := opt.Leechers + opt.Seeds
-	s := &Swarm{opt: opt, r: rng.New(opt.Seed), peers: make([]peer, n)}
+	s := &Swarm{opt: opt, r: rng.New(opt.Seed), peers: make([]peer, 0, n), rank: make([]int, 0, n)}
 	for i := 0; i < n; i++ {
 		capKbps := 400.0
 		if opt.UploadKbps != nil {
 			capKbps = opt.UploadKbps[i]
 		}
-		p := &s.peers[i]
-		p.id = i
-		p.capacity = capKbps
-		p.isSeed = i >= opt.Leechers
-		p.have = newBitset(opt.Pieces)
-		p.optimistic = -1
-		p.doneRound = -1
-		p.departRound = -1
-		if p.isSeed {
-			p.have.setAll()
-			p.haveCount = opt.Pieces
+		p := s.newPeer(capKbps, i >= opt.Leechers, newBitset(opt.Pieces))
+		if p.isSeed || !opt.PostFlashCrowd {
+			continue
+		}
+		for piece := 0; piece < opt.Pieces; piece++ {
+			if s.r.Bool(0.5) {
+				p.have.set(piece)
+				p.haveCount++
+			}
+		}
+		if p.haveCount == opt.Pieces {
 			p.done = true
 			p.doneRound = 0
-		} else if opt.PostFlashCrowd {
-			for piece := 0; piece < opt.Pieces; piece++ {
-				if s.r.Bool(0.5) {
-					p.have.set(piece)
-					p.haveCount++
-				}
-			}
-			if p.haveCount == opt.Pieces {
-				p.done = true
-				p.doneRound = 0
-			}
-		}
-		if p.done {
 			s.presentDone++
-			if !p.isSeed {
-				s.completedLeechers++ // post-flash-crowd instant finisher
-			}
+			s.completedLeechers++ // post-flash-crowd instant finisher
 		}
 	}
-	s.present = n
-	s.rank = bandwidthRanks(s.peers)
 
 	// Slot arrays: the initial population occupies slots 0..n-1 (slot ==
 	// id), the rest of the preallocation goes on the free stack.
@@ -422,6 +405,7 @@ func New(o Options) (*Swarm, error) {
 	for i := 0; i < n; i++ {
 		s.Announce(i)
 	}
+	s.flushJoinRanks()
 	return s, nil
 }
 
@@ -445,32 +429,6 @@ func (s *Swarm) allocSlots() {
 	s.rankOrder = make([]int32, s.slotCap)
 	s.joinSort.s = s
 	s.initShards()
-}
-
-// bandwidthRanks returns rank[i] = position of peer i when sorted by
-// decreasing capacity (ties broken by id, keeping ranks strict).
-func bandwidthRanks(peers []peer) []int {
-	order := make([]int, len(peers))
-	for i := range order {
-		order[i] = i
-	}
-	// Insertion sort by (capacity desc, id asc): population sizes are
-	// simulation-scale and this avoids importing sort for a closure alloc
-	// in the hot path. n log n vs n² is irrelevant at construction time.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &peers[order[j-1]], &peers[order[j]]
-			if a.capacity > b.capacity || (a.capacity == b.capacity && a.id < b.id) {
-				break
-			}
-			order[j-1], order[j] = order[j], order[j-1]
-		}
-	}
-	rank := make([]int, len(peers))
-	for pos, id := range order {
-		rank[id] = pos
-	}
-	return rank
 }
 
 // edges returns the live edge range [base, end) of a present peer.
@@ -517,7 +475,6 @@ func (s *Swarm) Degree(id int) int {
 // empty (newcomers have nothing — the post-flash-crowd head start only
 // applies to the initial population). The new peer's id is returned.
 func (s *Swarm) Join(capacityKbps float64, asSeed bool) int {
-	id := len(s.peers)
 	sl := s.allocSlot()
 	var bs bitset
 	if k := len(s.havePool); k > 0 {
@@ -527,10 +484,31 @@ func (s *Swarm) Join(capacityKbps float64, asSeed bool) int {
 	} else {
 		bs = newBitset(s.opt.Pieces)
 	}
+	id := s.newPeer(capacityKbps, asSeed, bs).id
+	s.slotOf = append(s.slotOf, sl)
+	s.slotPeer[sl] = int32(id)
+	if s.flt != nil {
+		s.flt.slotJoined(sl)
+	}
+	s.markActiveStale(sl) // the cache still lists the previous occupant's edges
+	s.tel.Inc(telemetry.CtrJoins)
+	s.trk.Add(int32(id))
+	s.Announce(id)
+	return id
+}
+
+// newPeer appends a peer holding the empty bitfield have to the roster,
+// with every piece if it is a seed, and counts it present. Its rank is
+// deferred: it parks on the pending list with rank −1 and the batch merges
+// in before the next rank read (see rank.go), so New ranks its initial
+// population and a flash-crowd round its k arrivals in one
+// O(present + k·log k) flush.
+func (s *Swarm) newPeer(capKbps float64, asSeed bool, have bitset) *peer {
+	id := len(s.peers)
 	s.peers = append(s.peers, peer{
 		id:          id,
-		capacity:    capacityKbps,
-		have:        bs,
+		capacity:    capKbps,
+		have:        have,
 		isSeed:      asSeed,
 		optimistic:  -1,
 		doneRound:   -1,
@@ -545,25 +523,10 @@ func (s *Swarm) Join(capacityKbps float64, asSeed bool) int {
 		p.doneRound = s.round
 		s.presentDone++
 	}
-	s.slotOf = append(s.slotOf, sl)
-	s.slotPeer[sl] = int32(id)
 	s.present++
-	if s.flt != nil {
-		s.flt.slotJoined(sl)
-	}
-	s.markActiveStale(sl) // the cache still lists the previous occupant's edges
-
-	// Rank assignment is deferred: the newcomer parks on the pending list
-	// with rank −1 and the batch merges in before the next rank read (see
-	// rank.go) — O(present + k·log k) per flash-crowd round instead of
-	// O(k·present).
 	s.rank = append(s.rank, -1)
 	s.pendingJoin = append(s.pendingJoin, int32(id))
-
-	s.tel.Inc(telemetry.CtrJoins)
-	s.trk.Add(int32(id))
-	s.Announce(id)
-	return id
+	return p
 }
 
 // allocSlot pops a free CSR slot, doubling the slot arrays when the

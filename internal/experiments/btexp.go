@@ -11,8 +11,8 @@ import (
 )
 
 // Figure10 reproduces Figure 10: the cumulative distribution of upstream
-// capacities (our reconstruction of the Saroiu et al. measurement — see
-// DESIGN.md §5 for the substitution note).
+// capacities (our reconstruction of the Saroiu et al. measurement; the
+// package comment of internal/bandwidth explains the substitution).
 func Figure10(cfg Config) (*Result, error) {
 	dist := bandwidth.Saroiu()
 	s := textplot.Series{Name: "percentage of hosts"}

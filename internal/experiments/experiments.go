@@ -4,9 +4,8 @@
 // paper artifact, plus notes recording the qualitative checks the paper's
 // text makes about it.
 //
-// The cmd/stratsim CLI renders Results as ASCII charts and CSV files;
-// bench_test.go at the repository root times one bench per experiment;
-// EXPERIMENTS.md records paper-vs-measured values produced by this package.
+// The cmd/stratsim CLI renders Results as ASCII charts and CSV files, and
+// the bench module's paper workload times every experiment (see README).
 package experiments
 
 import (
@@ -132,7 +131,7 @@ var registry = map[string]registration{
 	"mmo":   {"Closed-form MMO(b0) and its 3b0/4 limit", MMOTable},
 	"fluid": {"Fluid limit: n*D(0, beta*n) converges to d*exp(-beta*d)", FluidLimit},
 	"swarm": {"BitTorrent TFT swarm: emergent stratification vs the model", Swarm},
-	// Ablations and extensions beyond the paper's figures (DESIGN.md §3).
+	// Ablations and extensions beyond the paper's figures.
 	"strategies": {"Ablation: initiative strategies (best-mate vs decremental vs random)", Strategies},
 	"slots":      {"Ablation: why 4 slots — connectivity vs rational slot reduction", Slots},
 	"ties":       {"Extension: quantized scores — convergence and stratification under ties", Ties},
