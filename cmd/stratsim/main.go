@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -72,6 +73,13 @@ func run(args []string) error {
 		return fmt.Errorf("missing -exp (or -list)")
 	}
 	cfg := experiments.Config{Seed: *seed, Scale: *scale, MCSamples: *samples, Workers: *workers}
+	if err := cfg.Validate(); err != nil {
+		var ce *experiments.ConfigError
+		if errors.As(err, &ce) {
+			return fmt.Errorf("-%s: %w", configFlags[ce.Field], err)
+		}
+		return err
+	}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiments.IDs()
@@ -103,6 +111,9 @@ func run(args []string) error {
 	}
 	return nil
 }
+
+// configFlags maps each experiments.Config field to the flag that sets it.
+var configFlags = map[string]string{"Scale": "scale", "MCSamples": "samples", "Workers": "workers"}
 
 func printResult(res *experiments.Result, elapsed time.Duration) {
 	fmt.Printf("=== %s: %s (%.2fs)\n\n", res.ID, res.Title, elapsed.Seconds())

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -66,5 +69,56 @@ func TestRunOutDirCreation(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); err != nil {
 		t.Fatal("output dir not created")
+	}
+}
+
+// TestHelperStratsimRun is not a test: it is the child process body for
+// TestBadNumericFlagsExit. Re-executing the test binary with this name
+// (and the guard env var) runs the real entry point, exit status included.
+func TestHelperStratsimRun(t *testing.T) {
+	if os.Getenv("GO_STRATSIM_HELPER") != "1" {
+		t.Skip("helper process body; only runs re-executed")
+	}
+	for i, a := range os.Args {
+		if a == "--" {
+			os.Args = append([]string{"stratsim"}, os.Args[i+1:]...)
+			break
+		}
+	}
+	main()
+	os.Exit(0)
+}
+
+// TestBadNumericFlagsExit runs the CLI in a child process: a non-finite or
+// negative -scale and a negative -samples or -workers must exit 1 naming
+// the flag, before any experiment runs. They used to be replaced by a
+// default, or by n = 2, without a word.
+func TestBadNumericFlagsExit(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
+		{"-scale", "-2"},
+		{"-samples", "-5"},
+		{"-workers", "-1"},
+	} {
+		cmd := exec.Command(exe, append([]string{"-test.run=^TestHelperStratsimRun$", "--", "-exp", "fig9"}, args...)...)
+		cmd.Env = append(os.Environ(), "GO_STRATSIM_HELPER=1")
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("stratsim %v: %v, want exit status 1\nstderr:\n%s", args, err, stderr.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "stratsim: "+args[0]+": ") {
+			t.Errorf("stratsim %v: stderr %q does not name the flag", args, msg)
+		}
+		if strings.Contains(stdout.String(), "===") {
+			t.Errorf("stratsim %v ran an experiment:\n%s", args, stdout.String())
+		}
 	}
 }

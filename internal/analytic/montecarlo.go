@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"fmt"
+	"slices"
 
 	"stratmatch/internal/graph"
 	"stratmatch/internal/par"
@@ -37,16 +38,21 @@ func MonteCarloChoices(n int, p float64, b0, peer, samples int, seed uint64) (*M
 // target peer's 1st..b0-th choices. Sampling fans out over `workers`
 // goroutines (0 = GOMAXPROCS).
 //
-// No graph is built. Each sample runs Algorithm 1 while the Erdős–Rényi
-// edge walk (graph.ERWalk) draws the edges, and stops once the peer's slots
-// are full. This is exact. Let S_v be the stable configuration of peers
-// 0..v. Under a global ranking every peer tries its neighbours in rank
-// order, so S_v is Algorithm 1 on the subgraph induced by 0..v: it is
-// S_{v−1} plus peer v linking to each earlier neighbour w, in increasing w,
-// while both still have a free slot. The walk yields the edges in exactly
-// that (v, then w ascending) order, so matching (v, w) whenever both have a
-// free slot, in walk order, is Algorithm 1. Once the peer is full no later
-// edge can change its mates, and the walk stops drawing.
+// No graph is built, and a coin is drawn only for a pair that could still
+// link. Under a global ranking, the stable configuration of peers 0..v is
+// Algorithm 1 on the subgraph they induce: the configuration of 0..v−1 plus
+// peer v linking to each earlier neighbour w, in increasing w, while both
+// still have a free slot. A coin on a pair with one side full never changes
+// that outcome, so each sample decides edges lazily (deferred decisions):
+// it keeps the peers below row v that still have a free slot in a sorted
+// free list, and in row v jumps through that list by Geometric(p) gaps
+// (graph.Gaps), each landing a link. A peer that fills leaves the list, v
+// joins it after its row if it still has a slot, and the row ends when v is
+// full or a gap runs past the list's end. Every pair is considered at most
+// once and the coins read are independent Bernoulli(p), so the mates have
+// exactly the law of Algorithm 1 on a full G(n, p) draw, from at most
+// b0 + 1 draws per row instead of one per edge. Once the peer's slots are
+// full no later row can change its mates, and the sample stops.
 //
 // Every sample draws from its own sub-stream derived from (seed, sample
 // index), so stopping one early shifts no other, and the merged histograms
@@ -73,7 +79,7 @@ func MonteCarloChoicesWorkers(n int, p float64, b0, peer, samples int, seed uint
 	type partial struct {
 		counts  [][]int
 		matched []int
-		avail   []int32 // free slots per peer in the current sample
+		sampler mateSampler
 		mates   []int
 	}
 	partials := make([]partial, workers)
@@ -84,12 +90,12 @@ func MonteCarloChoicesWorkers(n int, p float64, b0, peer, samples int, seed uint
 			pt.counts[c] = make([]int, n)
 		}
 		pt.matched = make([]int, b0)
-		pt.avail = make([]int32, n)
+		pt.sampler = newMateSampler(n, p, b0, peer)
 	}
 	par.ForEachWorker(samples, workers, func(w, s int) {
 		pt := &partials[w]
-		walk := graph.NewERWalk(n, p, rng.New(seed+uint64(s)*0x9e3779b97f4a7c15))
-		pt.mates = stableMates(&walk, pt.avail, b0, peer, pt.mates[:0])
+		r := rng.New(seed + uint64(s)*0x9e3779b97f4a7c15)
+		pt.mates = pt.sampler.sample(r, pt.mates[:0])
 		for c, mate := range pt.mates {
 			pt.counts[c][mate]++
 			pt.matched[c]++
@@ -120,29 +126,52 @@ func MonteCarloChoicesWorkers(n int, p float64, b0, peer, samples int, seed uint
 	return res, nil
 }
 
-// stableMates runs Algorithm 1 with uniform budget b0 on the edges of walk
-// and appends peer's mates to dst in increasing rank, which is choice
-// order. It stops drawing as soon as peer's slots are full (see
-// MonteCarloChoicesWorkers for why this is exact). avail is scratch of
-// length n.
-func stableMates(walk *graph.ERWalk, avail []int32, b0, peer int, dst []int) []int {
-	budget := int32(min(b0, len(avail))) // no peer has more than n−1 mates
-	for i := range avail {
-		avail[i] = budget
-	}
-	for v, w, ok := walk.Next(); ok; v, w, ok = walk.Next() {
-		if avail[v] == 0 || avail[w] == 0 {
-			continue
-		}
-		avail[v]--
-		avail[w]--
-		if v == peer || w == peer {
-			// Earlier mates arrive in row peer, later ones in later
-			// rows, so mates come out in increasing rank.
-			if dst = append(dst, v+w-peer); len(dst) == b0 {
+// mateSampler is one worker's state for the deferred-decision sampler
+// (see MonteCarloChoicesWorkers).
+type mateSampler struct {
+	n, b0, peer int
+	gaps        graph.Gaps
+	free        []freeSlot // scratch: the free list, ascending by peer
+}
+
+// freeSlot is a peer below the current row with left > 0 free slots.
+type freeSlot struct {
+	peer, left int32
+}
+
+func newMateSampler(n int, p float64, b0, peer int) mateSampler {
+	return mateSampler{n: n, b0: b0, peer: peer, gaps: graph.NewGaps(p)}
+}
+
+// sample runs Algorithm 1 with uniform budget min(b0, n) on one lazily
+// drawn G(n, p) and appends the peer's mates to dst in increasing rank,
+// which is choice order: earlier mates arrive in the peer's own row, in
+// list order, and later ones in later rows. It stops once the peer is full.
+func (s *mateSampler) sample(r *rng.RNG, dst []int) []int {
+	budget := int32(min(s.b0, s.n)) // no peer has more than n−1 mates
+	free := s.free[:0]
+rows:
+	for v := 0; v < s.n; v++ {
+		left := budget
+		for i := s.gaps.Next(r); i < len(free); i += 1 + s.gaps.Next(r) {
+			w := int(free[i].peer)
+			if v == s.peer || w == s.peer {
+				if dst = append(dst, v+w-s.peer); len(dst) == s.b0 {
+					break rows
+				}
+			}
+			if free[i].left--; free[i].left == 0 {
+				free = slices.Delete(free, i, i+1)
+				i-- // the next candidate moved into slot i
+			}
+			if left--; left == 0 {
 				break
 			}
 		}
+		if left > 0 {
+			free = append(free, freeSlot{int32(v), left})
+		}
 	}
+	s.free = free
 	return dst
 }

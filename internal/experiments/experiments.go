@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"stratmatch/internal/telemetry"
@@ -21,7 +22,7 @@ type Config struct {
 	// Seed drives all randomness; the default 0 is a valid seed.
 	Seed uint64
 	// Scale multiplies population sizes (1.0 = paper scale). Tests run at
-	// reduced scale; values <= 0 are treated as 1.
+	// reduced scale; 0 means 1.
 	Scale float64
 	// MCSamples is the number of Monte-Carlo graph draws for experiments
 	// that validate the analytic model (Figure 9). 0 means the default
@@ -39,6 +40,32 @@ type Config struct {
 	// are byte-identical with or without it: recording only reads the wall
 	// clock.
 	Telemetry *telemetry.Recorder
+}
+
+// ConfigError names the Config field that Validate rejected.
+type ConfigError struct {
+	Field string // "Scale", "MCSamples" or "Workers"
+	Value any
+	Want  string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("experiments: %s = %v, want %s", e.Field, e.Value, e.Want)
+}
+
+// Validate rejects a Scale that is NaN, infinite or negative, and a
+// negative MCSamples or Workers; 0 keeps meaning the default in each. Run
+// calls it before any experiment.
+func (c Config) Validate() error {
+	switch {
+	case !(c.Scale >= 0) || math.IsInf(c.Scale, 1):
+		return &ConfigError{"Scale", c.Scale, "a finite value >= 0"}
+	case c.MCSamples < 0:
+		return &ConfigError{"MCSamples", c.MCSamples, ">= 0"}
+	case c.Workers < 0:
+		return &ConfigError{"Workers", c.Workers, ">= 0"}
+	}
+	return nil
 }
 
 func (c Config) scale() float64 {
@@ -162,6 +189,9 @@ func Run(id string, cfg Config) (*Result, error) {
 	reg, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	sp := cfg.Telemetry.StartPhase(telemetry.PhaseExperiment)
 	res, err := reg.run(cfg)

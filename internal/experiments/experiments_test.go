@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -28,6 +30,32 @@ func TestIDsStable(t *testing.T) {
 func TestRunUnknown(t *testing.T) {
 	if _, err := Run("nope", smallCfg); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// TestRunRejectsBadConfig: Run refuses a non-finite or negative Scale and
+// a negative MCSamples or Workers before running anything, naming the
+// field; zero in each still means the default.
+func TestRunRejectsBadConfig(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Scale", Config{Scale: math.NaN()}},
+		{"Scale", Config{Scale: math.Inf(1)}},
+		{"Scale", Config{Scale: math.Inf(-1)}},
+		{"Scale", Config{Scale: -2}},
+		{"MCSamples", Config{MCSamples: -5}},
+		{"Workers", Config{Workers: -1}},
+	} {
+		_, err := Run("mmo", c.cfg)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != c.field {
+			t.Errorf("Run(%+v): %v, want a %s error", c.cfg, err, c.field)
+		}
+	}
+	if _, err := Run("mmo", Config{}); err != nil {
+		t.Errorf("zero Config rejected: %v", err)
 	}
 }
 

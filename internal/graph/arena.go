@@ -43,12 +43,12 @@ func (a *Arena) intSlab(n int) []int {
 }
 
 // ErdosRenyi is graph.ErdosRenyi sampling into the arena: it collects an
-// ERWalk over G(n, p), so the stream consumption from r and the output are
+// erWalk over G(n, p), so the stream consumption from r and the output are
 // identical — but the edge buffer, degree counts, adjacency slab and headers
 // are recycled across draws.
 func (a *Arena) ErdosRenyi(n int, p float64, r *rng.RNG) *Adjacency {
 	g := a.reset(n)
-	walk := NewERWalk(n, p, r)
+	walk := newERWalk(n, p, r)
 	if a.edges == nil && n >= 2 && p > 0 {
 		a.edges = make([]uint64, 0, int(min(p, 1)*float64(n)*float64(n-1)/2)+16)
 	}

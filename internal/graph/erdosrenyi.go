@@ -9,7 +9,7 @@ import (
 // mutable Adjacency so churn experiments can detach and re-attach peers.
 //
 // For sparse graphs (p well below 1) the sampler uses geometric edge
-// skipping (Batagelj–Brandes, see ERWalk), which runs in O(n + m) instead
+// skipping (Batagelj–Brandes, see erWalk), which runs in O(n + m) instead
 // of O(n²); the geometric gaps come from a guide-table inversion sampler
 // (see geoSkip) instead of the textbook log formula, removing the per-edge
 // math.Log1p call that used to dominate Monte-Carlo profiles. Sampling is
@@ -30,9 +30,9 @@ func ErdosRenyi(n int, p float64, r *rng.RNG) *Adjacency {
 	return g
 }
 
-// ERWalk enumerates the edges of one G(n, p) draw without storing them:
+// erWalk enumerates the edges of one G(n, p) draw without storing them:
 // the Batagelj–Brandes walk over the strictly-lower-triangular adjacency
-// matrix, skipping ahead by Geometric(p) gaps (see geoSkip). Edges come out
+// matrix, skipping ahead by Geometric(p) gaps (see Gaps). Edges come out
 // row by row — (v, w) with w < v, v ascending, then w ascending within a
 // row — and each call to Next draws at most what the walk needs to reach
 // the next edge, so a caller that stops early leaves the rest of r unread.
@@ -40,33 +40,27 @@ func ErdosRenyi(n int, p float64, r *rng.RNG) *Adjacency {
 //
 // p <= 0 (or NaN), n < 2 and p >= 1 draw nothing from r: the first two give
 // no edges, the last gives every pair in the same row order.
-type ERWalk struct {
+type erWalk struct {
 	n, v, w int
-	gs      *geoSkip // nil walks the complete graph
+	gaps    Gaps
 	r       *rng.RNG
 }
 
-// NewERWalk starts a walk over G(n, p) drawing from r.
-func NewERWalk(n int, p float64, r *rng.RNG) ERWalk {
-	switch {
-	case !(p > 0) || n < 2:
-		return ERWalk{n: n, v: n}
-	case p >= 1:
-		return ERWalk{n: n, v: 1, w: -1}
+// newERWalk starts a walk over G(n, p) drawing from r.
+func newERWalk(n int, p float64, r *rng.RNG) erWalk {
+	if !(p > 0) || n < 2 {
+		return erWalk{n: n, v: n}
 	}
-	return ERWalk{n: n, v: 1, w: -1, gs: geoSkipFor(p), r: r}
+	return erWalk{n: n, v: 1, w: -1, gaps: NewGaps(p), r: r}
 }
 
 // Next returns the next edge (v, w), w < v, or ok = false once the walk has
 // passed the last row. After that it draws nothing more.
-func (e *ERWalk) Next() (v, w int, ok bool) {
+func (e *erWalk) Next() (v, w int, ok bool) {
 	if e.v >= e.n {
 		return 0, 0, false
 	}
-	e.w++
-	if e.gs != nil {
-		e.w += e.gs.next(e.r)
-	}
+	e.w += 1 + e.gaps.Next(e.r)
 	if e.w >= e.v {
 		e.nextRow()
 	}
@@ -75,7 +69,7 @@ func (e *ERWalk) Next() (v, w int, ok bool) {
 
 // nextRow carries a column index past the end of its row into the rows
 // below (a geometric gap may span several short rows).
-func (e *ERWalk) nextRow() {
+func (e *erWalk) nextRow() {
 	for e.w >= e.v && e.v < e.n {
 		e.w -= e.v
 		e.v++

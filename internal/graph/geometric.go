@@ -82,6 +82,34 @@ func newGeoSkip(p float64) *geoSkip {
 	return g
 }
 
+// Gaps draws Geometric(p) gap lengths, P(G = k) = p·(1−p)^k, from the
+// shared guide-table sampler, for callers that skip over coin flips
+// themselves. p <= 0 (or NaN) gives an infinite gap, math.MaxInt, and
+// p >= 1 gives 0; neither draws from the stream.
+type Gaps struct {
+	gs  *geoSkip // nil for the two degenerate laws
+	gap int      // the gap returned when gs is nil
+}
+
+// NewGaps returns the gap sampler for edge probability p.
+func NewGaps(p float64) Gaps {
+	switch {
+	case !(p > 0):
+		return Gaps{gap: math.MaxInt}
+	case p >= 1:
+		return Gaps{}
+	}
+	return Gaps{gs: geoSkipFor(p)}
+}
+
+// Next draws one gap.
+func (g Gaps) Next(r *rng.RNG) int {
+	if g.gs == nil {
+		return g.gap
+	}
+	return g.gs.next(r)
+}
+
 // guideMax caps the guide table at 32 KiB of uint16 entries.
 const guideMax = 1 << 14
 

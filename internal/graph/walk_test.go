@@ -33,7 +33,7 @@ func TestERWalkPinnedStream(t *testing.T) {
 	} {
 		// The walk itself.
 		r := rng.New(c.seed)
-		walk := NewERWalk(c.n, c.p, r)
+		walk := newERWalk(c.n, c.p, r)
 		h := sha256.New()
 		m := 0
 		for v, w, ok := walk.Next(); ok; v, w, ok = walk.Next() {
@@ -81,7 +81,7 @@ func TestERWalkNoDrawBranches(t *testing.T) {
 		edges int
 	}{{0, 0.5, 0}, {1, 0.5, 0}, {10, 0, 0}, {10, -1, 0}, {10, math.NaN(), 0}, {10, 1, 45}, {10, 7, 45}, {2, 1, 1}} {
 		r := rng.New(3)
-		walk := NewERWalk(c.n, c.p, r)
+		walk := newERWalk(c.n, c.p, r)
 		m := 0
 		for _, _, ok := walk.Next(); ok; _, _, ok = walk.Next() {
 			m++
