@@ -500,6 +500,11 @@ func runSpec(spec btsim.ScenarioSpec, o *options, tel *telemetry.Recorder) error
 	if err != nil {
 		return err
 	}
+	// Refuse, before anything is allocated, a swarm too large to hold: the
+	// same budget the daemon applies to a submitted spec.
+	if err := sc.CheckStateBudget(); err != nil {
+		return err
+	}
 	// Telemetry is runtime-only, attached after Compile: it is not part of
 	// the scenario definition and never changes simulation output.
 	sc.Telemetry = tel

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"stratmatch/internal/btsim"
+	"stratmatch/internal/checkpoint"
 )
 
 func TestRunSmallSwarm(t *testing.T) {
@@ -364,6 +365,61 @@ func TestFixedSwarmRejectsBadOptions(t *testing.T) {
 		}
 		if msg := stderr.String(); !strings.Contains(msg, tc.field+": must be") || strings.Contains(msg, "panic") {
 			t.Fatalf("btswarm %v: stderr %q, want the %s error and no panic", tc.args, msg, tc.field)
+		}
+	}
+}
+
+// TestScenarioRejectsOverBudget runs the CLI in a child process: a spec
+// whose swarm state exceeds the budget must exit 1 with the budget error
+// before anything is allocated, from -scenario, -spec and -resume alike.
+// The -spec file sets an explicit max_peers under an arrival rate the
+// roster could never hold; the -resume file holds only a binding section
+// that embeds it, since the budget check comes before the state is read.
+func TestScenarioRejectsOverBudget(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := btsim.NamedSpec("poisson", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Swarm.MaxPeers = 100
+	spec.Arrivals = []btsim.ArrivalSpec{{Kind: "poisson", Rate: 1e18}}
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "hostile.json")
+	if err := os.WriteFile(specPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var w checkpoint.Writer
+	w.String(spec.Name)
+	w.U64(spec.Swarm.Seed)
+	w.Int(spec.Rounds)
+	w.Blob(data)
+	ckptPath := filepath.Join(dir, checkpoint.FileName(1))
+	if _, err := checkpoint.WriteFile(ckptPath, w.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-scenario", "poisson", "-scenario-scale", "100000"},
+		{"-spec", specPath},
+		{"-resume", ckptPath},
+	} {
+		cmd := exec.Command(exe, append([]string{"-test.run=TestHelperBtswarmRun", "--"}, args...)...)
+		cmd.Env = append(os.Environ(), "GO_BTSWARM_HELPER=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("btswarm %v: %v, want exit status 1\nstderr:\n%s", args, err, stderr.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "exceeds the budget") || strings.Contains(msg, "panic") {
+			t.Fatalf("btswarm %v: stderr %q, want the budget error and no panic", args, msg)
 		}
 	}
 }

@@ -89,10 +89,10 @@ func TestHelperStratsimRun(t *testing.T) {
 	os.Exit(0)
 }
 
-// TestBadNumericFlagsExit runs the CLI in a child process: a non-finite or
-// negative -scale and a negative -samples or -workers must exit 1 naming
-// the flag, before any experiment runs. They used to be replaced by a
-// default, or by n = 2, without a word.
+// TestBadNumericFlagsExit runs the CLI in a child process: a non-finite,
+// negative or int32-overflowing -scale and a negative -samples or -workers
+// must exit 1 naming the flag, before any experiment runs. They used to be
+// replaced by a default, or by n = 2, without a word.
 func TestBadNumericFlagsExit(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -102,6 +102,7 @@ func TestBadNumericFlagsExit(t *testing.T) {
 		{"-scale", "NaN"},
 		{"-scale", "+Inf"},
 		{"-scale", "-2"},
+		{"-scale", "1e300"},
 		{"-samples", "-5"},
 		{"-workers", "-1"},
 	} {

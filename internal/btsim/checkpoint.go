@@ -1,14 +1,14 @@
 package btsim
 
 // Durable checkpoint/restore for scenario runs. A checkpoint is the run
-// state nothing else determines — the swarm's roster, CSR wiring, free
-// lists, bitfields and transfer sums; the tracker registry (in handout
-// order); the fault controller's windows, backoff timers and crash queue;
-// every RNG stream position; and the runner's own capacity-class bounds,
-// round cursor and drained-edge flag — serialized with the
-// internal/checkpoint codec. The bar is byte-identity: a run resumed from a
-// checkpoint produces exactly the sample/event stream and final result the
-// uninterrupted run would have produced from that round on.
+// state nothing else determines — the swarm's roster (with each peer's
+// transfer totals), CSR wiring, free lists and bitfields; the tracker
+// registry (in handout order); the fault controller's windows, backoff
+// timers and crash queue; every RNG stream position; and the runner's
+// round cursor — serialized with the internal/checkpoint codec. The bar
+// is byte-identity: a run resumed from a checkpoint produces exactly the
+// sample/event stream and final result the uninterrupted run would have
+// produced from that round on.
 //
 // The layout is written down once. Each section of the state — binding,
 // runner, swarm header, roster, slot arrays, CSR edges, tracker, faults,
@@ -30,27 +30,30 @@ package btsim
 // liveDegSum), each edge's rev and want, each occupied slot's avail row,
 // and the fault layer's staleEdges. A load recounts them with recount, the
 // definition CheckInvariants checks the maintained values against, so they
-// resume exactly as they were. The float transfer sums stay saved: a
-// re-sum can differ in the last bits.
+// resume exactly as they were. Nor is the runner's derived state: the
+// capacity-class bounds are a function of the initial peers, which stay in
+// the roster, and the drained-edge detector reads the present count at the
+// top of each round. The per-peer float sums (totalUp, totalDown,
+// tftPartnerRankSum) are primary state and stay saved.
 //
 // The binding section names the workload: the scenario's name, seed and
 // horizon and the JSON bytes of the spec it was compiled from. Every
 // Scenario comes from ScenarioSpec.Compile, so every checkpoint embeds its
 // spec; ResumeSpec recovers it, and a load requires it to equal the
-// scenario's byte for byte. That also fixes the fault layer: whether it is
-// on, and its spec, come from the scenario's spec.
+// scenario's byte for byte. The spec is the whole binding: it fixes the
+// swarm options (RunObserver refuses a scenario whose Opt was edited after
+// Compile) and the fault layer, whether it is on and its spec.
 //
 // Loading trusts nothing. The container layer rejects truncation, bit
-// flips and version skew. The swarm options a file saves must equal the
-// ones the scenario derives (Scenario.Opt is writable after Compile, so
-// the spec bytes alone do not fix them), so no saved value chooses the
-// edge stride or the piece count. In read mode the codec checks every
-// count, index and length before the allocation or index it guards, and
-// the first failed check ends the walk. The recount then rebuilds the
-// unsaved values, failing on any edge it cannot count, and the restored
-// swarm must pass the full CheckInvariants audit before a single round
-// runs. A corrupt file yields a descriptive error, never a panic and never
-// silently-wrong state.
+// flips and version skew. The edge stride and the piece count that size
+// the arrays come from the scenario's options, never from the file: the
+// saved edge stride must equal the derived one. In read mode the codec
+// checks every count, index and length before the allocation or index it
+// guards, and the first failed check ends the walk. The recount then
+// rebuilds the unsaved values, failing on any edge it cannot count, and
+// the restored swarm must pass the full CheckInvariants audit before a
+// single round runs. A corrupt file yields a descriptive error, never a
+// panic and never silently-wrong state.
 //
 // Only the encode runs on the stepping path. A writer goroutine persists
 // the file (startCheckpoint, persist) while the run steps on, and the
@@ -60,7 +63,6 @@ package btsim
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -87,16 +89,14 @@ const maxStateElems = 1 << 26
 // CheckStateBudget rejects a scenario whose swarm would preallocate more
 // than maxStateElems cells in one state array — the bound a checkpoint
 // load enforces — before anything is allocated. The largest array has
-// max(MaxPeers, initial peers) slots of max(edge stride, pieces) cells.
-// The peer count is estimated in float64, so an arrival volume too large
-// for an int fails here instead of wrapping. The tracker daemon runs the
-// check on every submitted spec.
+// max(MaxPeers, initial peers + expected arrivals) slots of max(edge
+// stride, pieces) cells: the roster keeps every arrival however MaxPeers
+// is set. The peer count is estimated in float64, so an arrival volume too
+// large for an int fails here instead of wrapping. The tracker daemon and
+// the btswarm scenario modes run the check on every spec.
 func (sc *Scenario) CheckStateBudget() error {
 	opt := sc.Opt.withDefaults()
-	peers := max(float64(opt.MaxPeers), float64(opt.Leechers)+float64(opt.Seeds))
-	if sc.spec.Swarm.MaxPeers == 0 {
-		peers = max(peers, sc.spec.peerEstimate())
-	}
+	peers := max(float64(opt.MaxPeers), sc.spec.peerEstimate())
 	stride := max(opt.MaxNeighbors, opt.Pieces)
 	if cells := peers * float64(stride); cells > maxStateElems {
 		return fmt.Errorf("btsim: spec %q: swarm state of %.4g cells (%.4g peers × %d) exceeds the budget of %d",
@@ -222,22 +222,9 @@ func (run *scenarioRun) encode(nextRound int) ([]byte, error) {
 	// rank reader would have flushed anyway, so it cannot perturb the
 	// trajectory.
 	run.s.flushJoinRanks()
-	if err := run.marshalStart(); err != nil {
-		return nil, err
-	}
 	run.ckpt.Reset()
 	run.walk(&codec{w: &run.ckpt}, &nextRound)
 	return run.ckpt.Bytes(), nil
-}
-
-// marshalStart marshals, once per run, the swarm options the run started
-// from. Every checkpoint saves these bytes, and a resume requires the saved
-// bytes to equal the ones its scenario derives.
-func (run *scenarioRun) marshalStart() (err error) {
-	if run.optJSON == nil {
-		run.optJSON, err = json.Marshal(run.s.opt)
-	}
-	return err
 }
 
 // binding is what workload a checkpoint belongs to.
@@ -257,9 +244,8 @@ func (c *codec) binding(b *binding) {
 
 // walk names the saved run state in checkpoint order; next is the round the
 // checkpoint resumes into. In read mode run starts out holding only what
-// the scenario derives — its options, marshalled options and fault flag —
-// and a swarm with nothing but its options and edge stride set, and the
-// walk checks the file against them.
+// the scenario derives — its fault flag — and a swarm with nothing but its
+// options and edge stride set, and the walk checks the file against them.
 func (run *scenarioRun) walk(c *codec, next *int) {
 	sc := run.sc
 	b := binding{sc.spec.Name, sc.Opt.Seed, sc.spec.Rounds, sc.specJSON}
@@ -275,13 +261,10 @@ func (run *scenarioRun) walk(c *codec, next *int) {
 	}
 
 	c.int(next)
-	c.bool(&run.alive)
-	c.f64(&run.classes.lo)
-	c.f64(&run.classes.hi)
 	c.rng(&run.churnR, "churn")
 
 	s := run.s
-	c.swarmHeader(s, run.optJSON)
+	c.swarmHeader(s)
 	if c.reading() {
 		c.check(*next >= 0 && *next <= sc.spec.Rounds, "resume round %d outside [0, %d]", *next, sc.spec.Rounds)
 		c.check(s.round == *next, "swarm is at round %d, resume point is %d", s.round, *next)
@@ -296,27 +279,24 @@ func (run *scenarioRun) walk(c *codec, next *int) {
 	c.shards(s)
 }
 
-// swarmHeader walks the swarm's options, clock, RNG, geometry and transfer
-// sums. The saved options only have to match the derived ones; the
-// edge stride and piece count that size every array come from the
-// scenario, never from the file.
-func (c *codec) swarmHeader(s *Swarm, optJSON []byte) {
-	c.match(optJSON, "swarm options")
+// swarmHeader walks the swarm's clock, RNG and geometry. The edge stride
+// and piece count that size every array come from the scenario, never
+// from the file.
+func (c *codec) swarmHeader(s *Swarm) {
 	c.int(&s.round)
 	c.rng(&s.r, "swarm")
 	c.same(int(s.edgeCap), "edge capacity")
 	// Each slot costs at least 16 payload bytes (its occupant and degree).
 	c.size(&s.slotCap, 1, 16, max(int(s.edgeCap), s.opt.Pieces), "slot capacity")
-	c.f64(&s.sumUp)
-	c.f64(&s.sumDown)
 }
 
 // roster walks every peer ever seen (departed ones keep their totals),
-// then the rank vector.
+// then the rank vector. The initial peers never leave it, so a roster is
+// never smaller than the initial population.
 func (c *codec) roster(s *Swarm) {
 	n := len(s.peers)
 	// A peer costs at least ~92 payload bytes.
-	c.size(&n, 0, 64, 1, "roster size")
+	c.size(&n, s.opt.Leechers+s.opt.Seeds, 64, 1, "roster size")
 	if c.reading() {
 		s.peers = make([]peer, n)
 		s.slotOf = make([]int32, n)
@@ -571,15 +551,6 @@ func (c *codec) same(v int, what string) {
 	}
 }
 
-// match walks bytes the reader already knows; the saved copy must match.
-func (c *codec) match(b []byte, what string) {
-	saved := b
-	c.blob(&saved)
-	if !bytes.Equal(saved, b) {
-		c.fail("checkpoint %s differ from the scenario's", what)
-	}
-}
-
 // field walks one value: write mode appends it with put, read mode reads
 // it back with get.
 func field[T any](c *codec, v *T, put func(*checkpoint.Writer, T), get func(*checkpoint.Reader) T) {
@@ -709,9 +680,6 @@ func (sc Scenario) loadCheckpoint(payload []byte) (*scenarioRun, error) {
 		s:        &Swarm{opt: opt, edgeCap: int32(opt.MaxNeighbors)},
 		faultsOn: !sc.spec.Faults.IsZero(),
 	}
-	if err := run.marshalStart(); err != nil {
-		return fail("%v", err)
-	}
 	err := readWalk(payload, func(c *codec) {
 		run.walk(c, &run.start)
 		c.check(c.r.Remaining() == 0, "%d trailing bytes after the state", c.r.Remaining())
@@ -728,6 +696,7 @@ func (sc Scenario) loadCheckpoint(payload []byte) (*scenarioRun, error) {
 	if err := run.s.CheckInvariants(); err != nil {
 		return fail("restored state failed the invariant audit: %v", err)
 	}
+	run.classes = newClassBounds(run.s)
 	run.resolveIntervals()
 	return run, nil
 }

@@ -2,7 +2,6 @@ package btsim
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -167,10 +166,12 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 // load recounts, so at every checkpoint of every catalog scenario the
 // loaded swarm's rebuilt counters, per-edge rev and want, avail rows and
 // stale-edge count must equal the maintained values of the live swarm that
-// wrote the file. The faulted scenarios cover staleEdges: crashcrowd
-// checkpoints while crashed peers still await the sweep. The test steps
-// the rounds itself and writes each checkpoint in place, because the
-// loop's "checkpoint" event arrives only after the run has stepped on.
+// wrote the file, and the loaded run's recomputed capacity-class bounds
+// must equal the live run's. The faulted scenarios cover staleEdges:
+// crashcrowd checkpoints while crashed peers still await the sweep. The
+// test steps the rounds itself and writes each checkpoint in place,
+// because the loop's "checkpoint" event arrives only after the run has
+// stepped on.
 func TestLoadRebuildsDerivedState(t *testing.T) {
 	maxStale := 0
 	for _, name := range ScenarioNames() {
@@ -207,6 +208,9 @@ func TestLoadRebuildsDerivedState(t *testing.T) {
 			}
 			if err := sameDerived(loaded.s, run.s); err != nil {
 				t.Fatalf("%s: %s: %v", name, file, err)
+			}
+			if loaded.classes != run.classes {
+				t.Fatalf("%s: %s: class bounds %+v, live %+v", name, file, loaded.classes, run.classes)
 			}
 		}
 		if loads == 0 {
@@ -556,13 +560,12 @@ func TestCheckpointEmptySpecRejected(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointRejectsHostileOptions: the swarm options a checkpoint
-// saves must equal the ones its scenario derives. A fuzz-corpus payload
-// whose max_neighbors and edge-capacity word are rewritten to
-// 2^26/slotCap — the largest edge stride the slot-capacity bound admits —
-// is rejected with an error naming the options before any CSR array is
-// sized from them. Options that match the file but that no swarm can be
-// built from are rejected too, instead of sizing arrays from them.
+// TestLoadCheckpointRejectsHostileOptions: no saved value chooses the
+// edge stride. A fuzz-corpus payload whose edge-capacity word is rewritten
+// to 2^26/slotCap — the largest edge stride the slot-capacity bound admits
+// — is rejected with an error naming the edge capacity before any CSR
+// array is sized from it. Options that no swarm can be built from are
+// rejected too, instead of sizing arrays from them.
 func TestLoadCheckpointRejectsHostileOptions(t *testing.T) {
 	sc, sealed := corpusCheckpoint(t, "poisson")
 	payload, err := checkpoint.Open(sealed)
@@ -570,65 +573,37 @@ func TestLoadCheckpointRejectsHostileOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := checkpoint.NewReader(payload)
-	offset := func() int { return len(payload) - r.Remaining() }
-	words := func(n int) {
-		for ; n > 0; n-- {
-			r.U64()
-		}
-	}
 	_, _, _, _ = r.String(), r.U64(), r.Int(), r.Blob() // binding
 	r.Int()                                             // resume round
-	r.Bool()                                            // drained-edge flag
-	words(2 + 4)                                        // class bounds, churn RNG
-	optAt := offset()
-	optJSON := r.Blob()
-	roundAt := offset()
-	words(5) // swarm round and RNG
-	edgeCapAt := offset()
+	for range 4 + 1 + 4 {                               // churn RNG, swarm round and RNG
+		r.U64()
+	}
+	edgeCapAt := len(payload) - r.Remaining()
 	r.Int()
 	slotCap := r.Int()
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	var opt Options
-	if err := json.Unmarshal(optJSON, &opt); err != nil {
-		t.Fatal(err)
-	}
-	// rewrite saves o as the options and o.MaxNeighbors as the edge
-	// capacity.
-	rewrite := func(o Options) []byte {
-		b, err := json.Marshal(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var w checkpoint.Writer
-		w.Blob(b)
-		out := append(append([]byte(nil), payload[:optAt]...), w.Bytes()...)
-		out = append(out, payload[roundAt:edgeCapAt]...)
-		w.Reset()
-		w.Int(o.MaxNeighbors)
-		return append(append(out, w.Bytes()...), payload[edgeCapAt+8:]...)
-	}
 
-	huge := opt
-	huge.MaxNeighbors = (1 << 26) / slotCap
+	huge := (1 << 26) / slotCap
+	var w checkpoint.Writer
+	w.Int(huge)
+	hostile := append(append(append([]byte(nil), payload[:edgeCapAt]...), w.Bytes()...), payload[edgeCapAt+8:]...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = sc.loadCheckpoint(rewrite(huge))
+	_, err = sc.loadCheckpoint(hostile)
 	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "options") {
-		t.Errorf("hostile options (max_neighbors %d, %d slots) returned %v, want an error naming the options",
-			huge.MaxNeighbors, slotCap, err)
+	if err == nil || !strings.Contains(err.Error(), "edge capacity") {
+		t.Errorf("hostile edge capacity (%d, %d slots) returned %v, want an error naming the edge capacity",
+			huge, slotCap, err)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
-		t.Errorf("loading hostile options allocated %d MB, want < 16 MB", alloc>>20)
+		t.Errorf("loading a hostile edge capacity allocated %d MB, want < 16 MB", alloc>>20)
 	}
 
-	invalid := opt
-	invalid.MaxNeighbors = -1
 	bad := sc
-	bad.Opt = invalid
-	if _, err := bad.loadCheckpoint(rewrite(invalid)); err == nil || !strings.Contains(err.Error(), "swarm.max_neighbors: must be >= neighbor_count (10), got -1") {
+	bad.Opt.MaxNeighbors = -1
+	if _, err := bad.loadCheckpoint(payload); err == nil || !strings.Contains(err.Error(), "swarm.max_neighbors: must be >= neighbor_count (10), got -1") {
 		t.Errorf("options no swarm can be built from returned %v, want the validation error", err)
 	}
 }
@@ -666,43 +641,45 @@ func TestResumeSpec(t *testing.T) {
 // checkpoint file and of its last one, at seed 1, scale 0.3. The first
 // checkpoint of a run is encoded into a fresh buffer; every later one
 // reuses the run's buffer, so the second hash pins that a reused buffer
-// carries nothing over from the checkpoint before it.
+// carries nothing over from the checkpoint before it. Format v6 re-pinned
+// all 18: each v6 file is its v5 file without the drained flag, the class
+// bounds, the options blob and the two swarm-wide transfer totals.
 var checkpointPins = map[string][2]string{
 	"flashcrowd": {
-		"eb23965120ab44db61065a00bd96a6ec515ad544e456796ad7e6e7315d7555ed",
-		"8baa9ba5e1dd2af2024691c6f5b7259867dbcea8818f65ddc4b23dba2173e6d5", // ckpt-000000600.ckpt
+		"435d885aa342c30cfbdc9b494b09f17b268361959f66cda808eeed1259b02c67",
+		"6c31711e8a22a7024204f421761d291a3d48fe72e799ea0fc4aa98bf35e7b45f", // ckpt-000000600.ckpt
 	},
 	"poisson": {
-		"a680a66e943b1ad245f40acde3abb7fde5393e8b96e2b5af699560b8f87219cf",
-		"67ae0e3976a9137af2fb0b4babeb08a96009e4295dce45777b3bae45c5c58a47", // ckpt-000000800.ckpt
+		"2d6b1cbd55040b4216909d675f190543d7626b96702fe2e96d42ebf77c5cd139",
+		"e5bae7f4ec37230630f0c51102c04d4a337037daaf9d1b662577143f172d314b", // ckpt-000000800.ckpt
 	},
 	"massdepart": {
-		"85300f61c73bdaf5053376d851140a46c54e28e8985361b7dbb23e70ab292114",
-		"6c70689d182b5829cefeb8faae25e4b1a8de1cccc0aee03ef3ccfc63f3ecb8e3", // ckpt-000000700.ckpt
+		"65799c21325ed6fd2c5900085bda5399725f74032da3f9cee688c1523f768e25",
+		"7cfbe54a2914e9293cabee60a14a1fca71e7e55d89ec28c9805c6f7950265f01", // ckpt-000000700.ckpt
 	},
 	"tracereplay": {
-		"42cd506f762f3cad2bbb0aa8b3288fc22e13958ab5b6af4b6e090a0ca9fa0188",
-		"485b2157c0c0e0fcd9faaa88e57f414e75dc1e94d6fb683d01e44dbaea96e09e", // ckpt-000000500.ckpt
+		"c8512d87838e311cba8c10041206b6747bd41c3bdf68a75cc019e6eb63eba77f",
+		"c13c23fd0861dcf1b169c1807aa84f79d324d857e786f315645a7e75792568d6", // ckpt-000000500.ckpt
 	},
 	"seedstarve": {
-		"23cb1a9744fe53af6778c64000e33281f5ca47727d10e0f142d93781d969d6f4",
-		"4e1e6e7fce5b9c3a2aa67ca5548a86fc4a14eb3f0821f39eab79b413a287e6a7", // ckpt-000000500.ckpt
+		"b23b7fb425a39c87e22926f8f1f2b00ed1096b204cbe8fd420a76533878860df",
+		"e4026feb46d2b7c0715c027498f2fb72a5bb7d9c00ec4d6fb8bdb580a9349c90", // ckpt-000000500.ckpt
 	},
 	"slowquit": {
-		"073d549932a9199958ebe97bb512b0b37ec9c5040833ad0ca2523f1c1250e09c",
-		"86faf8af37c23aabdf03a121bf7f1edc666848fd140d9f0a38a88d02e84d969e", // ckpt-000000500.ckpt
+		"c15fa1ae3080b0446105404c4ba47933a277e99a1c931950fcfd9de11bd3b773",
+		"a1f997834f46f70864c91ba986e796f2a81cff1c7eb875da3350f26e7f3d3888", // ckpt-000000500.ckpt
 	},
 	"trackerdown": {
-		"aa8502beb83306198ba26efefa978c3dc41038d93852ced9edd45e93ed2c44da",
-		"71b4971ec3306a2d27cc7feeff437dee95f664479dc779ea77605e26e149f981", // ckpt-000000800.ckpt
+		"1ef783efb055a8a0f017aadfa7fc4b935d6bf1137a459a3a08bed47288af6bd8",
+		"c223f99ee15043a4f49e692f7ff9820dca2270edba6e2e20238b6b23433921dc", // ckpt-000000800.ckpt
 	},
 	"splitbrain": {
-		"a59af070a5833623d15dc6e1195eb70ad46248053b20cb47c3b21ca81452b0a7",
-		"5909500557289f9a1b732b425e47234c4e6ae654b2ebf21db4067ead5a47bc76", // ckpt-000000600.ckpt
+		"f4ab3ebda2d39b7b55487ed85bb2b8d0b05baf3ee32112f6a0f98d1eb6dc9073",
+		"a4ddb9f01c7c3daf0f67c1033c84bfe7df0dfff22873f4499c22c3d7c440228c", // ckpt-000000600.ckpt
 	},
 	"crashcrowd": {
-		"947208ab03f1fcf8870b503c5666009d0087d4beea04b85dac9519a85c9dd0bd",
-		"acabd78d00eb048501fba54df24725c2d585e521ac19e34f141fc18fdd34996b", // ckpt-000000600.ckpt
+		"1e057eac3353e8dd16571987bad549e44fedbb0bd1db3b27565ecf892dcc086c",
+		"3a74a1878a60324e22ddd9ce5efca565b95c3a339129c58685456184e3a9f7b3", // ckpt-000000600.ckpt
 	},
 }
 

@@ -124,7 +124,7 @@ func checkInvariants(t *testing.T, s *Swarm, stage string) {
 
 func checkConservation(t *testing.T, s *Swarm, stage string) {
 	t.Helper()
-	up, down := s.TotalUploaded(), s.TotalDownloaded()
+	up, down := s.recountTotals()
 	if math.Abs(up-down) > 1e-6*math.Max(1, up) {
 		t.Fatalf("%s: conservation violated: uploaded %v, downloaded %v", stage, up, down)
 	}

@@ -176,24 +176,3 @@ func (s *Swarm) stratify(classes classBounds) (corr, offset float64, shareRatio 
 	}
 	return corr, offset, shareRatio
 }
-
-// TotalUploaded returns the total kbit uploaded by all peers so far. O(1):
-// the swarm maintains a running sum at the transfer sites instead of
-// scanning the roster.
-func (s *Swarm) TotalUploaded() float64 { return s.sumUp }
-
-// TotalDownloaded returns the total kbit downloaded by all peers so far.
-// Conservation requires TotalUploaded() == TotalDownloaded() at all times.
-// O(1) via a running sum, like TotalUploaded.
-func (s *Swarm) TotalDownloaded() float64 { return s.sumDown }
-
-// recountTotals recomputes the transfer totals by the original roster scan.
-// It exists for the conservation invariant test, which checks the running
-// sums against it.
-func (s *Swarm) recountTotals() (up, down float64) {
-	for _, p := range s.peers {
-		up += p.totalUp
-		down += p.totalDown
-	}
-	return up, down
-}

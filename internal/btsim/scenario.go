@@ -3,6 +3,7 @@ package btsim
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 
 	"stratmatch/internal/checkpoint"
@@ -21,7 +22,8 @@ import (
 type Scenario struct {
 	// Opt is the compiled swarm configuration: the spec's Swarm options
 	// with MaxPeers sized to the expected concurrent peak (see
-	// ScenarioSpec.Compile).
+	// ScenarioSpec.Compile). It is read-only: RunObserver refuses a
+	// scenario whose Opt differs from what its spec compiles to.
 	Opt Options
 	// Telemetry is an optional runtime-telemetry recorder (see
 	// internal/telemetry): when set, the runner and engine record phase
@@ -186,6 +188,11 @@ func (sc Scenario) RunObserver(obs Observer) error {
 	if sc.specJSON == nil {
 		return errors.New("btsim: scenario not compiled; build it with ScenarioSpec.Compile")
 	}
+	// The spec bytes a checkpoint embeds are the whole workload binding, so
+	// a run must use exactly the options its spec compiles to.
+	if !reflect.DeepEqual(sc.Opt, sc.spec.options()) {
+		return fmt.Errorf("scenario %s: Opt differs from the options compiled from its spec; edit the spec and compile it again", sc.spec.Name)
+	}
 	if sc.CheckpointDir == "" && sc.CheckpointEvery > 0 {
 		return fmt.Errorf("scenario %s: checkpointing requested without a checkpoint directory", sc.spec.Name)
 	}
@@ -214,18 +221,15 @@ type scenarioRun struct {
 	churnR  *rng.RNG // the churn driver's sub-stream
 	classes classBounds
 	scratch []int32
-	// alive tracks the population-drained edge detector; start is the first
-	// round the loop executes (0 fresh, checkpoint's resume round otherwise).
-	alive       bool
+	// start is the first round the loop executes (0 fresh, the checkpoint's
+	// resume round otherwise).
 	start       int
 	sampleEvery int
 	reannounce  int
 	faultsOn    bool
 	// ckpt is the checkpoint encode buffer, reused by every checkpoint of
-	// the run; optJSON is the marshalled swarm options every checkpoint
-	// saves (see marshalStart).
-	ckpt    checkpoint.Writer
-	optJSON []byte
+	// the run.
+	ckpt checkpoint.Writer
 	// out delivers observer calls, holding them while a checkpoint write
 	// is in flight; written carries the write's outcome back from the
 	// writer goroutine.
@@ -285,7 +289,6 @@ func (sc Scenario) freshRun() (*scenarioRun, error) {
 		s:        s,
 		churnR:   churnR,
 		classes:  newClassBounds(s),
-		alive:    s.present > 0,
 		faultsOn: faultsOn,
 	}
 	run.resolveIntervals()
@@ -373,6 +376,8 @@ func (run *scenarioRun) runRound(round int) error {
 	sp := &sc.spec
 	s := run.s
 	tel := sc.Telemetry
+	// The drained event fires on the round the population reaches zero.
+	alive := s.present > 0
 	if run.faultsOn {
 		fsp := tel.StartPhase(telemetry.PhaseFaults)
 		s.faultBeginRound(round, &run.out)
@@ -409,13 +414,9 @@ func (run *scenarioRun) runRound(round int) error {
 			return fmt.Errorf("scenario %s: round %d: %w", sp.Name, round, err)
 		}
 	}
-	switch {
-	case s.present == 0 && run.alive:
+	if alive && s.present == 0 {
 		tel.Inc(telemetry.CtrEvents)
 		run.out.OnEvent(RunEvent{Round: round, Kind: "drained"})
-		run.alive = false
-	case s.present > 0:
-		run.alive = true
 	}
 	if round%run.sampleEvery == 0 || round == sp.Rounds-1 {
 		ssp := tel.StartPhase(telemetry.PhaseSample)
@@ -442,11 +443,16 @@ type classBounds struct {
 	lo, hi float64
 }
 
+// newClassBounds computes the bounds from the initial peers, ids 0 to
+// Leechers+Seeds-1. They stay in the roster with the capacities they
+// joined with, so a fresh run and a checkpoint load compute the same
+// bounds.
 func newClassBounds(s *Swarm) classBounds {
-	caps := make([]float64, 0, len(s.peers))
-	for i := range s.peers {
-		if !s.peers[i].isSeed {
-			caps = append(caps, s.peers[i].capacity)
+	initial := s.peers[:s.opt.Leechers+s.opt.Seeds]
+	caps := make([]float64, 0, len(initial))
+	for i := range initial {
+		if !initial[i].isSeed {
+			caps = append(caps, initial[i].capacity)
 		}
 	}
 	if len(caps) == 0 {

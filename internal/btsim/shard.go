@@ -17,14 +17,12 @@ package btsim
 // which runs the same passes inline with no pool (as does a swarm of one
 // shard at any worker count).
 //
-// Cross-shard writes are confined to two order-free channels:
-//
-//   - the send pass writes xfer[ev] with a plain store — exclusive, since
-//     exactly one uploader owns the reverse half of any edge — and the
-//     receive pass, after the barrier, walks its own shard's occupied
-//     slots and drains their nonzero entries;
-//   - swarm-wide float totals accumulate into per-shard partials that the
-//     serial epilogue folds in shard order.
+// Cross-shard writes are confined to one order-free channel, xfer: the
+// send pass writes xfer[ev] with a plain store — exclusive, since exactly
+// one uploader owns the reverse half of any edge — and the receive pass,
+// after the barrier, walks its own shard's occupied slots and drains their
+// nonzero entries. Each float total is per peer and accumulated by the
+// pass that owns the peer's slot, so no swarm-wide sum crosses shards.
 //
 // The shard cursor is the only atomic: no pass needs a flag or lock.
 //
@@ -106,11 +104,6 @@ type shardState struct {
 	activeCnt    []int32
 	activeEdges  []int32
 	activeStride int
-
-	// Per-shard partial sums for sumUp/sumDown, strided by 8 words to keep
-	// writers off each other's cache lines; folded serially in shard order.
-	sumUp   []float64
-	sumDown []float64
 }
 
 // Slot-bitmap helpers. All Step-phase writers touch only words of their
@@ -165,8 +158,6 @@ func (s *Swarm) resizeShards() {
 	}
 	w := bmWords(s.slotCap)
 	sh.xferDirty = grown(sh.xferDirty, w)
-	sh.sumUp = grown(sh.sumUp, n*8)
-	sh.sumDown = grown(sh.sumDown, n*8)
 	if s.opt.ContentUnlimited {
 		sh.xfer = grown(sh.xfer, s.slotCap*int(s.edgeCap))
 		sh.activeCnt = grown(sh.activeCnt, s.slotCap)
@@ -331,14 +322,12 @@ func (s *Swarm) rebuildActive(sl int, u *peer) {
 // sendShard is the content-unlimited uploader pass over one shard: each
 // present uploader splits its capacity over its cached active list,
 // writing the per-edge amount into xfer (exclusive: one uploader per
-// reverse edge, so a plain store suffices). Only uploader-local
-// state (totalUp, the shard partial) is accumulated here; recipient-side
-// accumulation happens in recvShard so each float total has exactly one
-// deterministic accumulation order.
+// reverse edge, so a plain store suffices). Only the uploader's totalUp is
+// accumulated here; recipient-side accumulation happens in recvShard so
+// each float total has exactly one deterministic accumulation order.
 func (s *Swarm) sendShard(k int) {
 	lo, hi := s.shardBounds(k)
 	sh := &s.sh
-	var sumUp float64
 	for sl := lo; sl < hi; sl++ {
 		id := s.slotPeer[sl]
 		if id < 0 {
@@ -362,10 +351,8 @@ func (s *Swarm) sendShard(k int) {
 			ev := s.rev[sh.activeEdges[abase+a]] // recipient's edge back to u
 			sh.xfer[ev] = share
 			u.totalUp += share
-			sumUp += share
 		}
 	}
-	sh.sumUp[k*8] = sumUp
 }
 
 // recvShard is the content-unlimited downloader pass over one shard: every
@@ -375,7 +362,6 @@ func (s *Swarm) sendShard(k int) {
 func (s *Swarm) recvShard(k int) {
 	lo, hi := s.shardBounds(k)
 	sh := &s.sh
-	var sumDown float64
 	for sl := lo; sl < hi; sl++ {
 		id := s.slotPeer[sl]
 		if id < 0 {
@@ -392,21 +378,7 @@ func (s *Swarm) recvShard(k int) {
 			sh.xfer[e] = 0
 			s.recvWindow[e] += a
 			v.totalDown += a
-			sumDown += a
 		}
-	}
-	sh.sumDown[k*8] = sumDown
-}
-
-// foldShardSums folds the transfer passes' per-shard partials into the
-// swarm totals, in shard order (deterministic at any worker count).
-func (s *Swarm) foldShardSums() {
-	n := s.numShards()
-	for k := 0; k < n; k++ {
-		s.sumUp += s.sh.sumUp[k*8]
-		s.sumDown += s.sh.sumDown[k*8]
-		s.sh.sumUp[k*8] = 0
-		s.sh.sumDown[k*8] = 0
 	}
 }
 

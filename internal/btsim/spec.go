@@ -337,17 +337,25 @@ func (sp ScenarioSpec) Compile() (Scenario, error) {
 		return Scenario{}, fmt.Errorf("btsim: spec %q: %w", sp.Name, err)
 	}
 	sc := Scenario{spec: sp.clone(), specJSON: data}
-	sc.Opt = sc.spec.Swarm
-	sc.Opt.UploadKbps = slices.Clone(sp.Swarm.UploadKbps)
+	sc.Opt = sc.spec.options()
 	if sp.Capacity != nil {
 		sc.capacity = sp.Capacity.compile()
 	}
-	if sc.Opt.MaxPeers == 0 {
-		if est := sp.MaxPeersEstimate(); est > sp.Swarm.Leechers+sp.Swarm.Seeds {
-			sc.Opt.MaxPeers = est
+	return sc, nil
+}
+
+// options derives a compiled scenario's Opt: the spec's swarm options, with
+// MaxPeers sized to MaxPeersEstimate when left 0. Compile and the run-start
+// check in RunObserver both derive them here.
+func (sp *ScenarioSpec) options() Options {
+	opt := sp.Swarm
+	opt.UploadKbps = slices.Clone(sp.Swarm.UploadKbps)
+	if opt.MaxPeers == 0 {
+		if est := sp.MaxPeersEstimate(); est > opt.Leechers+opt.Seeds {
+			opt.MaxPeers = est
 		}
 	}
-	return sc, nil
+	return opt
 }
 
 // clone deep-copies every slice and pointer in the spec. A zero-valued

@@ -234,6 +234,36 @@ func TestCompileCopiesSpec(t *testing.T) {
 	}
 }
 
+// TestRunObserverRejectsEditedOpt: a checkpoint binds its workload by the
+// spec bytes alone, so a scenario whose Opt was edited after Compile would
+// write checkpoints it cannot resume. RunObserver refuses it before round
+// 0, with an error that says to edit the spec instead.
+func TestRunObserverRejectsEditedOpt(t *testing.T) {
+	edits := map[string]func(*Options){
+		"max_peers":         func(o *Options) { o.MaxPeers++ },
+		"tft_slots":         func(o *Options) { o.TFTSlots = 2 },
+		"upload_kbps":       func(o *Options) { o.UploadKbps = make([]float64, o.Leechers+o.Seeds) },
+		"content_unlimited": func(o *Options) { o.ContentUnlimited = true },
+	}
+	for name, edit := range edits {
+		sc := mustCompile(t, validSpec())
+		edit(&sc.Opt)
+		var obs callOrderObserver
+		err := sc.RunObserver(&obs)
+		if err == nil || !strings.Contains(err.Error(), "edit the spec and compile it again") {
+			t.Errorf("%s: RunObserver = %v, want the edited-options error", name, err)
+		}
+		if len(obs.calls) > 0 {
+			t.Errorf("%s: rejected run still reached the observer: %v", name, obs.calls)
+		}
+	}
+	// An unedited copy still runs.
+	sc := mustCompile(t, validSpec())
+	if err := sc.RunObserver(&callOrderObserver{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCompileAutoSizesMaxPeers pins the auto-sizing satellite: a spec that
 // leaves Swarm.MaxPeers 0 compiles with the arrival processes' expected
 // peak, and an explicit value is never overridden.
@@ -477,16 +507,24 @@ func TestCheckStateBudget(t *testing.T) {
 		{"poisson rate 1e300", func(sp *ScenarioSpec) { sp.Arrivals[0].Rate = 1e300 }},
 		{"burst total 1e12", func(sp *ScenarioSpec) { sp.Arrivals[1].Total = 1_000_000_000_000 }},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sp := validSpec()
-			sp.Swarm.MaxPeers = 0
-			tc.edit(&sp)
-			sc := mustCompile(t, sp)
-			if err := sc.CheckStateBudget(); err == nil || !strings.Contains(err.Error(), "exceeds the budget") {
-				t.Fatalf("CheckStateBudget = %v, want an over-budget error", err)
+	// The roster keeps every arrival however max_peers is set, so an
+	// explicit max_peers does not shrink the bound.
+	for _, maxPeers := range []int{0, 100} {
+		for _, tc := range cases {
+			name := tc.name
+			if maxPeers > 0 {
+				name += fmt.Sprintf(" max_peers %d", maxPeers)
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				sp := validSpec()
+				sp.Swarm.MaxPeers = maxPeers
+				tc.edit(&sp)
+				sc := mustCompile(t, sp)
+				if err := sc.CheckStateBudget(); err == nil || !strings.Contains(err.Error(), "exceeds the budget") {
+					t.Fatalf("CheckStateBudget = %v, want an over-budget error", err)
+				}
+			})
+		}
 	}
 	for _, sp := range []ScenarioSpec{validSpec(), namedSpec(t, "flashcrowd1m", 1, 1)} {
 		sc := mustCompile(t, sp)

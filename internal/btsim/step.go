@@ -29,7 +29,6 @@ func (s *Swarm) Step() {
 	if s.opt.ContentUnlimited {
 		s.runShards(phSend)
 		s.runShards(phRecv)
-		s.foldShardSums()
 	} else {
 		s.transfer()
 	}
@@ -394,8 +393,6 @@ func (s *Swarm) transfer() {
 				s.recvWindow[ev] += amt
 				u.totalUp += amt
 				v.totalDown += amt
-				s.sumUp += amt
-				s.sumDown += amt
 				remaining -= amt
 				if s.pieceProgress[idx] >= s.opt.PieceKbit {
 					v.have.set(piece)

@@ -294,12 +294,6 @@ type Swarm struct {
 	// enabling it cannot change any simulation output.
 	tel *telemetry.Recorder
 
-	// sumUp / sumDown are swarm-wide running transfer totals, maintained at
-	// the two transfer sites so TotalUploaded/TotalDownloaded are O(1)
-	// instead of roster scans.
-	sumUp   float64
-	sumDown float64
-
 	// Scratch buffers (sized to the per-slot edge capacity / piece count)
 	// reused by every call on the stepping hot path — Step never allocates.
 	// (The choke candidate buffers live per worker in sh.scratch.)
@@ -449,9 +443,6 @@ func (s *Swarm) Present() int { return s.present }
 // PresentSeeds returns the present peers holding the complete file:
 // initial seeds plus leechers promoted on completion.
 func (s *Swarm) PresentSeeds() int { return s.presentDone }
-
-// PresentLeechers returns the present peers still downloading.
-func (s *Swarm) PresentLeechers() int { return s.present - s.presentDone }
 
 // TotalJoined returns the number of peers that ever joined (the roster
 // size); peer ids run 0..TotalJoined()-1.

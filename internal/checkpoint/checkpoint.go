@@ -54,8 +54,11 @@ import (
 // membership and degree counters, per-edge reverse indexes and interest
 // counts, availability rows, the stale-edge count) and the fault flag and
 // fault spec, which the embedded scenario spec already fixes; v5 drops the
-// three choke-skip dirty sets, since every scheduled peer now rechokes.
-const Version = 5
+// three choke-skip dirty sets, since every scheduled peer now rechokes; v6
+// drops the swarm-wide transfer totals (nothing reads them), the saved
+// swarm options (the embedded spec derives them), the drained flag and
+// the capacity-class bounds (a load recomputes both).
+const Version = 6
 
 // magic identifies a checkpoint container; 8 bytes, never versioned (the
 // version word after it is).

@@ -76,7 +76,7 @@ func Figure5(cfg Config) (*Result, error) {
 // state its population size; we use n = 60000 (≥ 5× the largest reported
 // cluster) at scale 1.
 func Table1(cfg Config) (*Result, error) {
-	n := cfg.scaled(60000)
+	n := cfg.scaled(maxBase)
 	bs := []int{2, 3, 4, 5, 6, 7}
 	rows := cluster.Table1(n, bs, 0.2, 3, cfg.Seed, cfg.Workers)
 	res := &Result{

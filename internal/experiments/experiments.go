@@ -53,13 +53,21 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("experiments: %s = %v, want %s", e.Field, e.Value, e.Want)
 }
 
-// Validate rejects a Scale that is NaN, infinite or negative, and a
+// maxBase is the largest base population an experiment scales (tab1's
+// n = 60000).
+const maxBase = 60000
+
+// maxScale is the largest Scale at which every scaled population still
+// fits an int32.
+const maxScale = math.MaxInt32 / maxBase
+
+// Validate rejects a Scale that is NaN, negative or above maxScale, and a
 // negative MCSamples or Workers; 0 keeps meaning the default in each. Run
 // calls it before any experiment.
 func (c Config) Validate() error {
 	switch {
-	case !(c.Scale >= 0) || math.IsInf(c.Scale, 1):
-		return &ConfigError{"Scale", c.Scale, "a finite value >= 0"}
+	case !(c.Scale >= 0 && c.Scale <= maxScale):
+		return &ConfigError{"Scale", c.Scale, fmt.Sprintf("a value in [0, %d]", maxScale)}
 	case c.MCSamples < 0:
 		return &ConfigError{"MCSamples", c.MCSamples, ">= 0"}
 	case c.Workers < 0:

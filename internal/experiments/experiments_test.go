@@ -33,8 +33,8 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadConfig: Run refuses a non-finite or negative Scale and
-// a negative MCSamples or Workers before running anything, naming the
+// TestRunRejectsBadConfig: Run refuses a non-finite, negative or
+// int32-overflowing Scale and a negative MCSamples or Workers before running anything, naming the
 // field; zero in each still means the default.
 func TestRunRejectsBadConfig(t *testing.T) {
 	for _, c := range []struct {
@@ -45,6 +45,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"Scale", Config{Scale: math.Inf(1)}},
 		{"Scale", Config{Scale: math.Inf(-1)}},
 		{"Scale", Config{Scale: -2}},
+		{"Scale", Config{Scale: 1e300}},
+		{"Scale", Config{Scale: maxScale + 1}},
 		{"MCSamples", Config{MCSamples: -5}},
 		{"Workers", Config{Workers: -1}},
 	} {
