@@ -1,6 +1,7 @@
 package btsim
 
 import (
+	"runtime"
 	"testing"
 
 	"stratmatch/internal/bandwidth"
@@ -42,6 +43,49 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 				t.Fatalf("Swarm.Step allocates %.1f objects per round, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestJoinSteadyStateAllocs pins a steady-state Join into a warmed swarm.
+// Its slot, bitfield and tracker entry come from recycled storage, so the
+// only allocations left are the amortised appends of the id-indexed roster
+// slices — the roster itself, the ranks, the slot map, the wants-data flags
+// and the tracker's position index — at the joins where one outgrows its
+// capacity. Each join follows a depart, which keeps the population, and
+// with it the slot and bitfield pools, level.
+func TestJoinSteadyStateAllocs(t *testing.T) {
+	s, err := New(Options{Leechers: 200, Seeds: 2, Pieces: 16, NeighborCount: 8, Seed: 35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(36)
+	churn := func() {
+		s.Depart(int(s.trk.present[r.Intn(len(s.trk.present))]))
+		s.Join(100+900*r.Float64(), false)
+	}
+	for i := 0; i < 200; i++ {
+		churn() // fill the slot and bitfield pools
+	}
+	rosterCaps := func() [5]int {
+		return [5]int{cap(s.peers), cap(s.rank), cap(s.slotOf), cap(s.wantsData), cap(s.trk.pos)}
+	}
+	var before, after runtime.MemStats
+	grows, mallocs := 0, uint64(0)
+	for i := 0; i < 500; i++ {
+		c0 := rosterCaps()
+		runtime.ReadMemStats(&before)
+		churn()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		c1 := rosterCaps()
+		for k := range c0 {
+			if c1[k] != c0[k] {
+				grows++
+			}
+		}
+	}
+	if mallocs > uint64(grows) {
+		t.Fatalf("500 depart+join pairs allocated %d objects, but the roster slices grew only %d times", mallocs, grows)
 	}
 }
 

@@ -22,6 +22,9 @@ import (
 //     so corrupt state cannot be accepted silently.
 //
 // CI runs this as a short -fuzztime smoke; longer local runs dig deeper.
+// Bound minimization too (-fuzzminimizetime 200x): the seeds are kilobytes
+// long, and the default 60 s minimization of the first new-coverage input
+// otherwise takes a whole short run, leaving it at "0/sec".
 func FuzzLoadCheckpoint(f *testing.F) {
 	scenarios := map[string]Scenario{}
 	for _, name := range []string{"poisson", "crashcrowd"} {

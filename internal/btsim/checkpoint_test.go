@@ -164,8 +164,8 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 
 // TestLoadRebuildsDerivedState: a checkpoint saves none of the values a
 // load recounts, so at every checkpoint of every catalog scenario the
-// loaded swarm's rebuilt counters, per-edge rev and want, avail rows and
-// stale-edge count must equal the maintained values of the live swarm that
+// loaded swarm's rebuilt counters, wants-data flags, tracker saturation
+// bits, per-edge rev and want, avail rows and stale-edge count must equal the maintained values of the live swarm that
 // wrote the file, and the loaded run's recomputed capacity-class bounds
 // must equal the live run's. The faulted scenarios cover staleEdges:
 // crashcrowd checkpoints while crashed peers still await the sweep. The
@@ -223,10 +223,19 @@ func TestLoadRebuildsDerivedState(t *testing.T) {
 }
 
 // sameDerived compares the values a checkpoint load rebuilds with those of
-// the swarm the checkpoint was taken from.
+// the swarm the checkpoint was taken from. The tracker order itself is
+// saved, so the saturation bits compare position by position.
 func sameDerived(got, want *Swarm) error {
 	if got.counters != want.counters {
 		return fmt.Errorf("counters %+v, live %+v", got.counters, want.counters)
+	}
+	if !slices.Equal(got.wantsData, want.wantsData) {
+		return fmt.Errorf("wants-data flags differ from the live run's")
+	}
+	for i := range want.trk.present {
+		if got.trk.SaturatedAt(i) != want.trk.SaturatedAt(i) {
+			return fmt.Errorf("tracker entry %d: saturation bit %t, live %t", i, got.trk.SaturatedAt(i), want.trk.SaturatedAt(i))
+		}
 	}
 	for sl := 0; sl < want.slotCap; sl++ {
 		if want.slotPeer[sl] < 0 {

@@ -3,18 +3,19 @@ package btsim
 import "stratmatch/internal/rng"
 
 // HandoutState is the tracker-side view the neighbor handout policy samples
-// from: a dense present-set supporting uniform indexing, plus the degree,
-// reachability and wiring operations on peer ids. Swarm implements it over
-// its CSR slot arrays (see swarmHandout); the service registry in
-// internal/trackerd implements it over per-swarm adjacency lists. Both feed
-// the same HandoutPolicy, so a served announce draws the exact RNG sequence
-// an in-sim announce would.
+// from: a present set supporting uniform indexing, with each position's
+// saturation bit, plus the degree, reachability and wiring operations on
+// peer ids. Swarm implements it over its CSR slot arrays (see
+// swarmHandout); the service registry in internal/trackerd implements it
+// over per-swarm adjacency lists. Both keep their present peers and
+// saturation bits in one PresentSet and feed the same HandoutPolicy, so a
+// served announce draws the exact RNG sequence an in-sim announce would.
 type HandoutState interface {
-	// PresentCount is the number of currently registered peers.
-	PresentCount() int
-	// PresentAt returns the id at index i of the present set (any fixed
-	// order; the policy samples indices uniformly).
-	PresentAt(i int) int32
+	// PresentPeers is the set of currently registered peers (any fixed
+	// order; the policy samples indices uniformly). Its saturation bits
+	// must mark exactly the present peers whose degree is at the policy's
+	// MaxNeighbors.
+	PresentPeers() *PresentSet
 	// DegreeOf returns a present peer's current connection count.
 	DegreeOf(id int32) int
 	// SameSide reports whether the tracker may introduce a to b (false
@@ -22,7 +23,8 @@ type HandoutState interface {
 	SameSide(a, b int32) bool
 	// Connected reports whether a and b are already neighbors.
 	Connected(a, b int32) bool
-	// Connect wires a symmetric connection between a and b. The policy
+	// Connect wires a symmetric connection between a and b, setting either
+	// side's saturation bit when its degree reaches the cap. The policy
 	// guarantees a != b, headroom on both sides and no existing edge.
 	Connect(a, b int32)
 }
@@ -47,14 +49,21 @@ type HandoutPolicy struct {
 // (partitioned-off) peers, existing neighbors and peers at the degree cap.
 // The attempt budget bounds rejection sampling in saturated swarms; the
 // number of connections added is returned.
+//
+// Every rejection is a plain continue, so the order of the checks does not
+// change the draw sequence. The saturation bit comes first: in a crowded
+// swarm most draws land on a peer at the cap, and the bit rejects them
+// without loading the candidate's id, slot or degree.
 func (hp HandoutPolicy) Handout(st HandoutState, r *rng.RNG, id int32) int {
-	deg := st.DegreeOf(id)
+	ps := st.PresentPeers()
+	present := ps.PresentCount() // Handout adds and removes no peer
+	deg := st.DegreeOf(id)       // only Connect below changes it
 	need := hp.NeighborCount - deg
 	// Every neighbor is present, so the announcer can add at most the
 	// present peers it is not yet connected to — without this cap a peer
 	// in a drained swarm would burn its whole attempt budget every
 	// re-announce chasing an unreachable target.
-	if achievable := st.PresentCount() - 1 - deg; need > achievable {
+	if achievable := present - 1 - deg; need > achievable {
 		need = achievable
 	}
 	if need <= 0 {
@@ -64,21 +73,23 @@ func (hp HandoutPolicy) Handout(st HandoutState, r *rng.RNG, id int32) int {
 	// Rejection sampling with a bounded attempt budget: when most of the
 	// swarm is already saturated the announcer settles for fewer neighbors
 	// and retries at its next re-announce instead of spinning.
-	for attempts := 16*need + 16; need > 0 && attempts > 0; attempts-- {
-		if st.DegreeOf(id) >= hp.MaxNeighbors {
-			break
+	for attempts := 16*need + 16; need > 0 && attempts > 0 && deg < hp.MaxNeighbors; attempts-- {
+		i := r.Intn(present)
+		if ps.SaturatedAt(i) {
+			continue
 		}
-		cand := st.PresentAt(r.Intn(st.PresentCount()))
+		cand := ps.PresentAt(i)
 		if cand == id {
 			continue
 		}
 		if !st.SameSide(id, cand) {
 			continue // the tracker cannot reach across an active partition
 		}
-		if st.DegreeOf(cand) >= hp.MaxNeighbors || st.Connected(id, cand) {
+		if st.Connected(id, cand) {
 			continue
 		}
 		st.Connect(id, cand)
+		deg++
 		added++
 		need--
 	}
@@ -90,9 +101,8 @@ func (hp HandoutPolicy) Handout(st HandoutState, r *rng.RNG, id int32) int {
 // announce loop through the shared policy adds no allocation.
 type swarmHandout Swarm
 
-func (h *swarmHandout) PresentCount() int     { return h.trk.PresentCount() }
-func (h *swarmHandout) PresentAt(i int) int32 { return h.trk.PresentAt(i) }
-func (h *swarmHandout) DegreeOf(id int32) int { return int(h.deg[h.slotOf[id]]) }
+func (h *swarmHandout) PresentPeers() *PresentSet { return &h.trk }
+func (h *swarmHandout) DegreeOf(id int32) int     { return int(h.deg[h.slotOf[id]]) }
 
 func (h *swarmHandout) SameSide(a, b int32) bool {
 	if f := h.flt; f != nil && f.partitionOn {

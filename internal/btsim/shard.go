@@ -20,9 +20,10 @@ package btsim
 // Cross-shard writes are confined to one order-free channel, xfer: the
 // send pass writes xfer[ev] with a plain store — exclusive, since exactly
 // one uploader owns the reverse half of any edge — and the receive pass,
-// after the barrier, walks its own shard's occupied slots and drains their
-// nonzero entries. Each float total is per peer and accumulated by the
-// pass that owns the peer's slot, so no swarm-wide sum crosses shards.
+// after the barrier, walks its own shard's occupied slots and drains every
+// entry, zero or not (see recvShard). Each float total is per peer and
+// accumulated by the pass that owns the peer's slot, so no swarm-wide sum
+// crosses shards.
 //
 // The shard cursor is the only atomic: no pass needs a flag or lock.
 //
@@ -296,7 +297,9 @@ func (s *Swarm) chokeShard(k, w int) {
 
 // rebuildActive recomputes slot sl's cached active-transfer list: the
 // edges that are unchoked (or the optimistic pick) towards a present
-// leecher. The cache is a pure function of choke state and neighbor
+// leecher, read from the dense wantsData flags rather than the roster
+// (in content-unlimited mode the flag is exactly "present and not a
+// seed"). The cache is a pure function of choke state and neighbor
 // liveness, both frozen during the transfer phase, and every mutation of
 // either marks xferDirty — so a clean cache equals the eager scan
 // (cross-checked by CheckInvariants).
@@ -310,8 +313,7 @@ func (s *Swarm) rebuildActive(sl int, u *peer) {
 		if !s.unchoked[e] && e != u.optimistic {
 			continue
 		}
-		v := &s.peers[s.nbr[e]]
-		if !v.departed && !v.isSeed {
+		if s.wantsData[s.nbr[e]] {
 			s.sh.activeEdges[abase+na] = e
 			na++
 		}
@@ -356,29 +358,37 @@ func (s *Swarm) sendShard(k int) {
 }
 
 // recvShard is the content-unlimited downloader pass over one shard: every
-// occupied slot, in slot order, drains its nonzero xfer entries into its
-// receive windows and download totals (in edge order — deterministic and
+// occupied slot, in slot order, drains all its xfer entries into its
+// receive windows and download total (in edge order — deterministic and
 // worker-independent), leaving xfer all-zero for the next round.
+//
+// The drain has no branch on the amount: an edge nobody sent along holds
+// +0, and adding it changes nothing. Every amount is a positive finite
+// share (sendShard writes capacity/na for capacity > 0) or +0, and the
+// window and total it lands in start at +0 and only ever sum such amounts,
+// so each is ≥ +0; for any x ≥ +0, x + (+0) == x bit for bit (the one
+// float it would change is −0, which no engine path produces). The result
+// is therefore the same bits as skipping the zero entries, without a
+// data-dependent branch per edge. The total is summed in a local in the
+// same edge order and stored once.
 func (s *Swarm) recvShard(k int) {
 	lo, hi := s.shardBounds(k)
-	sh := &s.sh
+	xfer := s.sh.xfer
 	for sl := lo; sl < hi; sl++ {
 		id := s.slotPeer[sl]
 		if id < 0 {
 			continue
 		}
-		v := &s.peers[id]
 		base := int32(sl) * s.edgeCap
 		end := base + s.deg[sl]
+		down := s.peers[id].totalDown
 		for e := base; e < end; e++ {
-			a := sh.xfer[e]
-			if a == 0 {
-				continue
-			}
-			sh.xfer[e] = 0
+			a := xfer[e]
+			xfer[e] = 0
 			s.recvWindow[e] += a
-			v.totalDown += a
+			down += a
 		}
+		s.peers[id].totalDown = down
 	}
 }
 

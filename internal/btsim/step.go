@@ -122,6 +122,7 @@ func (s *Swarm) leave(p *peer) {
 	p.optimistic = -1
 	p.departed = true
 	p.departRound = s.round
+	s.wantsData[p.id] = false
 	if p.done {
 		s.presentDone--
 	}
@@ -141,6 +142,9 @@ func (s *Swarm) leave(p *peer) {
 func (s *Swarm) releaseSlot(p *peer) {
 	sl := s.slotOf[p.id]
 	base := sl * s.edgeCap
+	if s.deg[sl] == s.edgeCap {
+		s.trk.SetSaturated(int32(p.id), false)
+	}
 	for s.deg[sl] > 0 {
 		e := base + s.deg[sl] - 1 // unwire p's edges from the back
 		q := &s.peers[s.nbr[e]]
@@ -198,22 +202,29 @@ func (s *Swarm) sweepCrashed() {
 	}
 }
 
-// wantsAlong reports whether peer v wants data from peer u, where e is v's
-// edge to u: v is still leeching and u has a piece v lacks (in
-// content-unlimited mode every leecher always wants data from everybody).
-// The missing-piece count is maintained incrementally in want[e], so this is
-// O(1) instead of a bitfield scan.
-func (s *Swarm) wantsAlong(v, u *peer, e int32) bool {
-	if v.departed || u.departed || v == u {
+// wantsAlong reports whether peer v wants data along edge e, v's edge to a
+// present uploader: v is present and still downloads (wantsData) and, in
+// piece mode, the uploader has a piece v lacks (in content-unlimited mode
+// every leecher always wants data from everybody). The missing-piece count
+// is maintained incrementally in want[e], so this is O(1) instead of a
+// bitfield scan, and it reads no roster entry.
+func (s *Swarm) wantsAlong(v, e int32) bool {
+	return s.wantsData[v] && (s.opt.ContentUnlimited || s.want[e] > 0)
+}
+
+// wantsDataOf is the predicate wantsData caches: p is present and still
+// downloads. A seed never does. Otherwise piece mode asks whether p lacks a
+// piece, while in content-unlimited mode every leecher wants data — even a
+// post-flash-crowd leecher that started with every piece, which is done
+// but not a seed.
+func (s *Swarm) wantsDataOf(p *peer) bool {
+	if p.departed {
 		return false
 	}
 	if s.opt.ContentUnlimited {
-		return !v.isSeed
+		return !p.isSeed
 	}
-	if v.done {
-		return false
-	}
-	return s.want[e] > 0
+	return !p.done
 }
 
 // rechokePeer recomputes p's rates from its elapsed window and reassigns its
@@ -244,8 +255,7 @@ func (s *Swarm) rechokeLeecher(p *peer, sl int, rr *rng.RNG, sc *chokeScratch) {
 	end := base + s.deg[sl]
 	for e := base; e < end; e++ {
 		s.unchoked[e] = false
-		q := &s.peers[s.nbr[e]]
-		if !s.wantsAlong(q, p, s.rev[e]) {
+		if !s.wantsAlong(s.nbr[e], s.rev[e]) {
 			continue
 		}
 		sc.candE[nc] = e
@@ -292,8 +302,7 @@ func (s *Swarm) rechokeSeed(p *peer, sl int, rr *rng.RNG, sc *chokeScratch) {
 	end := base + s.deg[sl]
 	for e := base; e < end; e++ {
 		s.unchoked[e] = false
-		q := &s.peers[s.nbr[e]]
-		if s.wantsAlong(q, p, s.rev[e]) {
+		if s.wantsAlong(s.nbr[e], s.rev[e]) {
 			sc.candE[nc] = e
 			nc++
 		}
@@ -316,8 +325,7 @@ func (s *Swarm) rotateOptimisticPeer(p *peer, rr *rng.RNG, sc *chokeScratch) {
 	nc := 0
 	base, end := s.edges(p.id)
 	for e := base; e < end; e++ {
-		q := &s.peers[s.nbr[e]]
-		if !s.unchoked[e] && s.wantsAlong(q, p, s.rev[e]) {
+		if !s.unchoked[e] && s.wantsAlong(s.nbr[e], s.rev[e]) {
 			sc.candE[nc] = e
 			nc++
 		}
@@ -358,8 +366,7 @@ func (s *Swarm) transfer() {
 			if !s.unchoked[e] && e != u.optimistic {
 				continue
 			}
-			v := &s.peers[s.nbr[e]]
-			if s.wantsAlong(v, u, s.rev[e]) {
+			if s.wantsAlong(s.nbr[e], s.rev[e]) {
 				s.active[na] = e
 				na++
 			}
@@ -469,6 +476,7 @@ func (s *Swarm) completePiece(v *peer, piece int) {
 	if v.haveCount == s.opt.Pieces {
 		v.done = true
 		v.doneRound = s.round + 1
+		s.wantsData[v.id] = s.wantsDataOf(v)
 		s.presentDone++
 		if !v.isSeed {
 			s.completedLeechers++

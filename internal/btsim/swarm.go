@@ -27,11 +27,13 @@
 // occupies slot sl and its edges are e ∈ [sl·edgeCap, sl·edgeCap+deg[sl]),
 // giving every peer edge-capacity headroom so joins and departures are
 // O(degree) swap-updates instead of rebuilds. The id → slot map is its own
-// array, slotOf, not a roster field: the tracker handout reads a
-// candidate's degree through it for every draw, and a 4-byte array entry
-// is much cheaper to fetch than a whole roster entry. Code holding an edge
-// index derives the slot from it instead (e / edgeCap). Departed peers'
-// slots go on a free list and are recycled (grown by doubling only when
+// array, slotOf, not a roster field: a 4-byte array entry is much cheaper
+// to fetch than a whole roster entry. Code holding an edge index derives
+// the slot from it instead (e / edgeCap). The per-draw and per-edge reads
+// avoid the roster the same way: the tracker handout first tests a
+// candidate's saturation bit in the present set (PresentSet), and the
+// choke and send passes read a neighbor's dense wants-data flag. Departed
+// peers' slots go on a free list and are recycled (grown by doubling only when
 // the concurrent population exceeds all past peaks). rev[e] is the index of the opposite
 // edge, maintained across joins, departures and swap-deletes so no step
 // ever searches a neighbor list. Interest (want) and piece rarity (avail,
@@ -280,6 +282,16 @@ type Swarm struct {
 
 	counters
 
+	// wantsData[id] caches wantsDataOf for every peer ever seen, one byte
+	// per id. The choke pass and the active-list rebuild read it for each
+	// neighbor, so they touch a dense array instead of a whole roster entry
+	// per edge. newPeer, leave, completePiece and New's post-flash-crowd
+	// branch keep it; a checkpoint load rebuilds it (recount).
+	wantsData []bool
+
+	// trk is the tracker's present set, with a saturation bit per present
+	// peer that addEdge, removeEdgeHalf and releaseSlot keep equal to
+	// deg == edgeCap (see PresentSet).
 	trk PresentSet
 
 	// flt is the fault-injection state (see faults.go); nil on a fault-free
@@ -341,7 +353,7 @@ func New(o Options) (*Swarm, error) {
 	}
 	opt := o.withDefaults()
 	n := opt.Leechers + opt.Seeds
-	s := &Swarm{opt: opt, r: rng.New(opt.Seed), peers: make([]peer, 0, n), rank: make([]int, 0, n)}
+	s := &Swarm{opt: opt, r: rng.New(opt.Seed), peers: make([]peer, 0, n), rank: make([]int, 0, n), wantsData: make([]bool, 0, n)}
 	for i := 0; i < n; i++ {
 		capKbps := 400.0
 		if opt.UploadKbps != nil {
@@ -362,6 +374,7 @@ func New(o Options) (*Swarm, error) {
 			p.doneRound = 0
 			s.presentDone++
 			s.completedLeechers++ // post-flash-crowd instant finisher
+			s.wantsData[p.id] = s.wantsDataOf(p)
 		}
 	}
 
@@ -393,6 +406,7 @@ func New(o Options) (*Swarm, error) {
 	// neighborhood up to NeighborCount (incoming introductions count).
 	s.trk.pos = make([]int32, 0, n)
 	s.trk.present = make([]int32, 0, n)
+	s.trk.sat = make([]uint64, 0, bmWords(n))
 	for i := 0; i < n; i++ {
 		s.trk.Add(int32(i))
 	}
@@ -515,6 +529,7 @@ func (s *Swarm) newPeer(capKbps float64, asSeed bool, have bitset) *peer {
 		s.presentDone++
 	}
 	s.present++
+	s.wantsData = append(s.wantsData, !asSeed)
 	s.rank = append(s.rank, -1)
 	s.pendingJoin = append(s.pendingJoin, int32(id))
 	return p
@@ -590,6 +605,12 @@ func (s *Swarm) addEdge(a, b *peer) {
 	s.availAdd(bsl, a.have)
 	s.deg[asl]++
 	s.deg[bsl]++
+	if s.deg[asl] == s.edgeCap {
+		s.trk.SetSaturated(int32(a.id), true)
+	}
+	if s.deg[bsl] == s.edgeCap {
+		s.trk.SetSaturated(int32(b.id), true)
+	}
 	s.liveDegSum += 2
 	s.markActiveStale(asl)
 	s.markActiveStale(bsl)
@@ -616,6 +637,9 @@ func (s *Swarm) removeEdgeHalf(q *peer, er int32) {
 		if q.optimistic == last {
 			q.optimistic = er
 		}
+	}
+	if s.deg[qsl] == s.edgeCap {
+		s.trk.SetSaturated(int32(q.id), false)
 	}
 	s.deg[qsl]--
 	// liveDegSum tracks present peers only; a crashed peer's halves left

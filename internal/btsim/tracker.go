@@ -7,36 +7,72 @@ import "stratmatch/internal/telemetry"
 // The swarm's tracker and the trackerd service registry both keep their
 // present peers in one, so the same add/remove sequence yields the same
 // present order — and with it the same handout draws.
+//
+// Beside each present position it keeps a saturation bit: the peer at that
+// position has reached the degree cap. The handout tests it right after a
+// draw, before it loads anything else, so a rejected draw — most of them in
+// a saturated swarm — reads one word of a dense bitmap instead of following
+// the id to its slot and degree. The owner keeps the bit (SetSaturated)
+// whenever a degree reaches or leaves the cap; Add and Remove keep it with
+// its position. The bit is derived state: a checkpoint does not save it, and
+// a load rebuilds it from the degrees.
 type PresentSet struct {
-	present []int32 // present ids, swap-delete order
-	pos     []int32 // id → index in present, −1 when absent
+	present []int32  // present ids, swap-delete order
+	pos     []int32  // id → index in present, −1 when absent
+	sat     []uint64 // bit i: present[i] is at the degree cap
 }
 
-// Add appends id to the present set. id must be absent.
+// Add appends id to the present set with its saturation bit clear. id must
+// be absent.
 func (ps *PresentSet) Add(id int32) {
 	for len(ps.pos) <= int(id) {
 		ps.pos = append(ps.pos, -1)
 	}
-	ps.pos[id] = int32(len(ps.present))
+	i := len(ps.present)
+	ps.pos[id] = int32(i)
 	ps.present = append(ps.present, id)
+	if i>>6 == len(ps.sat) {
+		ps.sat = append(ps.sat, 0)
+	}
+	bmClear(ps.sat, i)
 }
 
 // Remove swap-deletes id from the present set: the last present id takes
-// its index. id must be present.
+// its index and carries its saturation bit along. id must be present.
 func (ps *PresentSet) Remove(id int32) {
-	i := ps.pos[id]
-	last := int32(len(ps.present) - 1)
+	i := int(ps.pos[id])
+	last := len(ps.present) - 1
 	moved := ps.present[last]
 	ps.present[i] = moved
-	ps.pos[moved] = i
+	ps.pos[moved] = int32(i)
+	ps.setSatAt(i, bmGet(ps.sat, last))
+	bmClear(ps.sat, last)
 	ps.present = ps.present[:last]
 	ps.pos[id] = -1
 }
 
-// PresentCount and PresentAt give the handout policy its index access
-// (see HandoutState).
-func (ps *PresentSet) PresentCount() int     { return len(ps.present) }
-func (ps *PresentSet) PresentAt(i int) int32 { return ps.present[i] }
+// SetSaturated records whether present peer id has reached the degree cap;
+// it is a no-op for an absent id (a crashed peer keeps its edges, and its
+// degree, after it leaves the present set).
+func (ps *PresentSet) SetSaturated(id int32, on bool) {
+	if int(id) < len(ps.pos) && ps.pos[id] >= 0 {
+		ps.setSatAt(int(ps.pos[id]), on)
+	}
+}
+
+func (ps *PresentSet) setSatAt(i int, on bool) {
+	if on {
+		bmSet(ps.sat, i)
+	} else {
+		bmClear(ps.sat, i)
+	}
+}
+
+// PresentCount and PresentAt give index access to the present ids, and
+// SaturatedAt to their saturation bits (see HandoutPolicy.Handout).
+func (ps *PresentSet) PresentCount() int      { return len(ps.present) }
+func (ps *PresentSet) PresentAt(i int) int32  { return ps.present[i] }
+func (ps *PresentSet) SaturatedAt(i int) bool { return bmGet(ps.sat, i) }
 
 // Announce asks the tracker for neighbors: it hands peer id uniformly
 // random present peers until the announcer holds NeighborCount connections

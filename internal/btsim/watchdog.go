@@ -9,7 +9,8 @@ import (
 // roster/slot/tracker agreement, free-list integrity, the present-rank
 // permutation, CSR edge structure (no self or duplicate edges, every edge
 // reversed), and every incrementally maintained value a checkpoint does
-// not save — the membership and degree counters, each edge's rev and want,
+// not save — the membership and degree counters, each peer's wants-data
+// flag, each tracker position's saturation bit, each edge's rev and want,
 // each slot's avail row and the stale-edge count — against recount, the
 // definition a checkpoint load rebuilds them with. It understands the
 // fault layer: a crashed peer may keep its slot and edge block until the
@@ -101,7 +102,9 @@ func (s *Swarm) CheckInvariants() error {
 
 // recount recomputes the values the engine maintains incrementally that
 // are functions of the roster, the bitfields and the wiring: the
-// membership and degree counters; for each live edge its rev (the owner's
+// membership and degree counters; each peer's wants-data flag
+// (wantsDataOf); each tracker position's saturation bit (the peer's degree
+// is at the cap); for each live edge its rev (the owner's
 // edge within the target's block, unique because duplicate edges are
 // rejected) and want (the pieces the target holds that the owner lacks);
 // each occupied slot's avail row; and the stale-edge count (present
@@ -114,8 +117,18 @@ func (s *Swarm) CheckInvariants() error {
 // index it follows: an edge it cannot count is an error, never a panic.
 func (s *Swarm) recount(fill bool) error {
 	var c counters
+	if fill {
+		s.wantsData = make([]bool, len(s.peers))
+	} else if len(s.wantsData) != len(s.peers) {
+		return fmt.Errorf("%d wants-data flags for %d peers", len(s.wantsData), len(s.peers))
+	}
 	for i := range s.peers {
 		p := &s.peers[i]
+		if w := s.wantsDataOf(p); fill {
+			s.wantsData[i] = w
+		} else if s.wantsData[i] != w {
+			return fmt.Errorf("peer %d wants-data flag %t, recount %t", i, s.wantsData[i], w)
+		}
 		if !p.isSeed && p.done {
 			c.completedLeechers++
 		}
@@ -135,6 +148,23 @@ func (s *Swarm) recount(fill bool) error {
 		s.counters = c
 	} else if c != s.counters {
 		return fmt.Errorf("counters %+v, recount %+v", s.counters, c)
+	}
+
+	if fill {
+		s.trk.sat = make([]uint64, bmWords(len(s.trk.present)))
+	}
+	for i, id := range s.trk.present {
+		sl := s.slotOf[id]
+		if sl < 0 {
+			return fmt.Errorf("tracker entry %d: peer %d has no slot", i, id)
+		}
+		sat := s.deg[sl] == s.edgeCap
+		if fill {
+			s.trk.setSatAt(i, sat)
+		} else if s.trk.SaturatedAt(i) != sat {
+			return fmt.Errorf("tracker entry %d (peer %d): saturation bit %t, degree %d of cap %d",
+				i, id, s.trk.SaturatedAt(i), s.deg[sl], s.edgeCap)
+		}
 	}
 
 	stale := 0

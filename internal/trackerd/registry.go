@@ -59,13 +59,15 @@ type registryShard struct {
 // btsim.PresentSet, so the uniform index draws of the shared handout policy
 // land on the same ids. Wiring is symmetric adjacency lists; removal
 // swap-deletes, matching the sim's CSR edge-half removal (list order never
-// feeds the RNG).
+// feeds the RNG). Connect and depart keep each present peer's saturation
+// bit equal to "its list holds maxNbrs entries", as the handout requires.
 type regSwarm struct {
-	mu   sync.Mutex
-	name string
-	r    *rng.RNG
+	mu      sync.Mutex
+	name    string
+	r       *rng.RNG
+	maxNbrs int // the policy's degree cap
 
-	btsim.PresentSet // present ids; supplies PresentCount/PresentAt
+	btsim.PresentSet // present ids and their saturation bits
 
 	byKey    map[string]int32 // live peer key → id
 	keys     []string         // id → key (append-only roster)
@@ -116,9 +118,10 @@ func (g *Registry) swarm(name string) *regSwarm {
 	defer sh.mu.Unlock()
 	if rs = sh.swarms[name]; rs == nil {
 		rs = &regSwarm{
-			name:  name,
-			r:     rng.New(swarmSeed(g.cfg.Seed, name)),
-			byKey: make(map[string]int32),
+			name:    name,
+			r:       rng.New(swarmSeed(g.cfg.Seed, name)),
+			maxNbrs: g.cfg.Policy.MaxNeighbors,
+			byKey:   make(map[string]int32),
 		}
 		sh.swarms[name] = rs
 	}
@@ -127,12 +130,19 @@ func (g *Registry) swarm(name string) *regSwarm {
 
 // regSwarm implements btsim.HandoutState. All methods run under rs.mu.
 
-func (rs *regSwarm) DegreeOf(id int32) int    { return len(rs.nbrs[id]) }
-func (rs *regSwarm) SameSide(a, b int32) bool { return true }
+func (rs *regSwarm) PresentPeers() *btsim.PresentSet { return &rs.PresentSet }
+func (rs *regSwarm) DegreeOf(id int32) int           { return len(rs.nbrs[id]) }
+func (rs *regSwarm) SameSide(a, b int32) bool        { return true }
 func (rs *regSwarm) Connect(a, b int32) {
 	rs.nbrs[a] = append(rs.nbrs[a], b)
 	rs.nbrs[b] = append(rs.nbrs[b], a)
 	rs.edges++
+	if len(rs.nbrs[a]) == rs.maxNbrs {
+		rs.SetSaturated(a, true)
+	}
+	if len(rs.nbrs[b]) == rs.maxNbrs {
+		rs.SetSaturated(b, true)
+	}
 }
 
 func (rs *regSwarm) Connected(a, b int32) bool {
@@ -177,6 +187,9 @@ func (rs *regSwarm) depart(id int32) bool {
 		l := rs.nbrs[nb]
 		for i, n := range l {
 			if n == id {
+				if len(l) == rs.maxNbrs {
+					rs.SetSaturated(nb, false)
+				}
 				l[i] = l[len(l)-1]
 				rs.nbrs[nb] = l[:len(l)-1]
 				break

@@ -18,11 +18,33 @@ func key(id int) string { return fmt.Sprintf("peer-%d", id) }
 // registry hands out exactly the neighbor sets the in-sim tracker builds —
 // the two run the shared btsim.HandoutPolicy over identically-ordered
 // present sets, so every uniform index draw lands on the same id.
+//
+// The sparse case uses the default cap (24 for d = 8), which candidates
+// almost never reach. The saturated cases set the cap at or just above d,
+// so most present peers sit at it, most draws are rejected by the
+// saturation bit, and each departure takes its neighbors back below the
+// cap: both bitmap transitions are compared draw for draw.
 func TestRegistryMatchesSwarm(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		leechers, maxNbrs   int
+		rounds, departEvery int
+		minSaturated        float64 // share of present peers at the cap at the end
+	}{
+		{name: "sparse", leechers: 60, rounds: 25, departEvery: 3},
+		{name: "cap=d", leechers: 200, maxNbrs: 8, rounds: 40, departEvery: 1, minSaturated: 0.5},
+		{name: "cap=d+1", leechers: 200, maxNbrs: 9, rounds: 40, departEvery: 1, minSaturated: 0.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			registryMatchesSwarm(t, tc.leechers, tc.maxNbrs, tc.rounds, tc.departEvery, tc.minSaturated)
+		})
+	}
+}
+
+func registryMatchesSwarm(t *testing.T, leechers, maxNbrs, rounds, departEvery int, minSaturated float64) {
 	const (
 		name      = "prop"
 		baseSeed  = uint64(42)
-		leechers  = 60
 		seeds     = 4
 		neighbors = 8
 	)
@@ -37,6 +59,7 @@ func TestRegistryMatchesSwarm(t *testing.T) {
 		Pieces:         16,
 		PostFlashCrowd: false,
 		NeighborCount:  neighbors,
+		MaxNeighbors:   maxNbrs,
 		Seed:           swarmSeed(baseSeed, name),
 	})
 	if err != nil {
@@ -45,7 +68,7 @@ func TestRegistryMatchesSwarm(t *testing.T) {
 
 	g := mustRegistry(t, RegistryConfig{
 		Seed:   baseSeed,
-		Policy: btsim.HandoutPolicy{NeighborCount: neighbors},
+		Policy: btsim.HandoutPolicy{NeighborCount: neighbors, MaxNeighbors: maxNbrs},
 	})
 	// Mirror btsim.New's bootstrap: register the whole initial population,
 	// then announce each id in order. (Registry.Announce registers and
@@ -78,6 +101,9 @@ func TestRegistryMatchesSwarm(t *testing.T) {
 				t.Fatalf("%s: peer %d neighbor sets diverge:\n  sim %v\n  reg %v", stage, id, sim, reg)
 			}
 		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
 	}
 	compare("bootstrap")
 
@@ -85,8 +111,8 @@ func TestRegistryMatchesSwarm(t *testing.T) {
 	// unknown key: register + handout), and re-announces, in lockstep. Both
 	// sides assign ids in arrival order, so id k is the same peer in each.
 	next := n
-	for round := 0; round < 25; round++ {
-		if round%3 == 0 {
+	for round := 0; round < rounds; round++ {
+		if round%departEvery == 0 {
 			// Depart the lowest live id: exercises present-set swap-delete
 			// and edge unwiring on both sides.
 			low := -1
@@ -128,6 +154,18 @@ func TestRegistryMatchesSwarm(t *testing.T) {
 			}
 		}
 		compare(fmt.Sprintf("round %d", round))
+	}
+
+	if minSaturated > 0 {
+		capped := 0
+		for id := range live {
+			if s.Degree(id) == maxNbrs {
+				capped++
+			}
+		}
+		if share := float64(capped) / float64(len(live)); share < minSaturated {
+			t.Fatalf("%.2f of present peers at the cap, want at least %.2f", share, minSaturated)
+		}
 	}
 }
 
