@@ -330,7 +330,7 @@ func TestMonteCarloMatchesModel(t *testing.T) {
 		peer    = 60
 		samples = 4000
 	)
-	mc, err := MonteCarloChoices(n, p, b0, peer, samples, 42)
+	mc, err := MonteCarloChoicesWorkers(n, p, b0, peer, samples, 42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,26 +359,26 @@ func TestMonteCarloMatchesModel(t *testing.T) {
 }
 
 func TestMonteCarloErrors(t *testing.T) {
-	if _, err := MonteCarloChoices(0, 0.5, 1, 0, 10, 1); err == nil {
+	if _, err := MonteCarloChoicesWorkers(0, 0.5, 1, 0, 10, 1, 0); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := MonteCarloChoices(10, 0.5, 1, 10, 10, 1); err == nil {
+	if _, err := MonteCarloChoicesWorkers(10, 0.5, 1, 10, 10, 1, 0); err == nil {
 		t.Error("peer out of range accepted")
 	}
-	if _, err := MonteCarloChoices(10, 0.5, 0, 0, 10, 1); err == nil {
+	if _, err := MonteCarloChoicesWorkers(10, 0.5, 0, 0, 10, 1, 0); err == nil {
 		t.Error("b0=0 accepted")
 	}
-	if _, err := MonteCarloChoices(10, 0.5, 1, 0, 0, 1); err == nil {
+	if _, err := MonteCarloChoicesWorkers(10, 0.5, 1, 0, 0, 1, 0); err == nil {
 		t.Error("samples=0 accepted")
 	}
 }
 
 func TestMonteCarloDeterministic(t *testing.T) {
-	a, err := MonteCarloChoices(50, 0.1, 1, 25, 200, 7)
+	a, err := MonteCarloChoicesWorkers(50, 0.1, 1, 25, 200, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MonteCarloChoices(50, 0.1, 1, 25, 200, 7)
+	b, err := MonteCarloChoicesWorkers(50, 0.1, 1, 25, 200, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,12 +27,6 @@ type MonteCarloResult struct {
 	MatchedCount []int
 }
 
-// MonteCarloChoices is MonteCarloChoicesWorkers with the default worker
-// count (GOMAXPROCS).
-func MonteCarloChoices(n int, p float64, b0, peer, samples int, seed uint64) (*MonteCarloResult, error) {
-	return MonteCarloChoicesWorkers(n, p, b0, peer, samples, seed, 0)
-}
-
 // MonteCarloChoicesWorkers samples `samples` G(n, p) graphs, solves the
 // stable b0-matching on each (Algorithm 1), and histograms the ranks of the
 // target peer's 1st..b0-th choices. Sampling fans out over `workers`

@@ -54,17 +54,6 @@ func (b bitset) countMissingIn(other bitset) int {
 	return total
 }
 
-// anyMissingIn reports whether other holds at least one piece b lacks —
-// i.e. whether b's owner is interested in other's owner.
-func (b bitset) anyMissingIn(other bitset) bool {
-	for i, w := range b.words {
-		if other.words[i]&^w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // addTo adds d to row[i] for every piece i the bitfield holds, iterating
 // only the set bits: one neighbor's contribution to an availability row.
 func (b bitset) addTo(row []int32, d int32) {

@@ -563,7 +563,6 @@ func field[T any](c *codec, v *T, put func(*checkpoint.Writer, T), get func(*che
 
 func (c *codec) u64(v *uint64)   { field(c, v, (*checkpoint.Writer).U64, (*checkpoint.Reader).U64) }
 func (c *codec) int(v *int)      { field(c, v, (*checkpoint.Writer).Int, (*checkpoint.Reader).Int) }
-func (c *codec) i64(v *int64)    { field(c, v, (*checkpoint.Writer).I64, (*checkpoint.Reader).I64) }
 func (c *codec) i32(v *int32)    { field(c, v, (*checkpoint.Writer).I32, (*checkpoint.Reader).I32) }
 func (c *codec) f64(v *float64)  { field(c, v, (*checkpoint.Writer).F64, (*checkpoint.Reader).F64) }
 func (c *codec) bool(v *bool)    { field(c, v, (*checkpoint.Writer).Bool, (*checkpoint.Reader).Bool) }

@@ -226,7 +226,7 @@ func TestEventDrivenSkipsHappen(t *testing.T) {
 	tel := telemetry.New()
 	s.SetTelemetry(tel)
 	s.Run(80)
-	rebuilds := tel.Counter(telemetry.CtrActiveRebuilds)
+	rebuilds := counterOf(tel.Snapshot(), "btsim_active_rebuilds_total")
 	if rebuilds == 0 {
 		t.Fatal("no active-cache rebuilds recorded")
 	}

@@ -137,7 +137,7 @@ type rowStats struct {
 	shareRatio                          [3]float64
 }
 
-// rowOracle recomputes, in id order and with stats.Pearson, what the
+// rowOracle recomputes, in id order and from the rows alone, what the
 // stratify pass and Snapshot report: present non-seed peers with TFT
 // history feed the correlation and the rank offsets, present non-seed
 // uploaders the class share ratios.
@@ -160,7 +160,8 @@ func rowOracle(rows []PeerMetrics, classes classBounds) rowStats {
 		}
 		return stats.Summarize(xs).Mean
 	}
-	var own, partner, offsets, doneRounds []float64
+	var corr stats.PearsonAcc
+	var offsets, doneRounds []float64
 	var ratioSum, ratioN [3]float64
 	for _, pm := range rows {
 		if pm.IsSeed {
@@ -176,8 +177,7 @@ func rowOracle(rows []PeerMetrics, classes classBounds) rowStats {
 			continue
 		}
 		if !math.IsNaN(pm.MeanTFTPartnerRank) {
-			own = append(own, float64(pm.Rank))
-			partner = append(partner, pm.MeanTFTPartnerRank)
+			corr.Add(float64(pm.Rank), pm.MeanTFTPartnerRank)
 			offsets = append(offsets, math.Abs(float64(pm.Rank)-pm.MeanTFTPartnerRank)/float64(o.present))
 		}
 		if pm.TotalUp > 0 {
@@ -186,7 +186,7 @@ func rowOracle(rows []PeerMetrics, classes classBounds) rowStats {
 			ratioN[cl]++
 		}
 	}
-	o.corr = stats.Pearson(own, partner)
+	o.corr = corr.Corr()
 	o.offset = mean(offsets)
 	o.completionRound = mean(doneRounds)
 	for cl := range o.shareRatio {

@@ -39,10 +39,11 @@ func TestScenarioTelemetryByteIdentical(t *testing.T) {
 				t.Fatal("telemetry-on run diverged from telemetry-off run")
 			}
 			// And the recorder actually saw the run.
-			if got := instrumented.Telemetry.Counter(telemetry.CtrRounds); got != uint64(instrumented.spec.Rounds) {
+			snap := instrumented.Telemetry.Snapshot()
+			if got := counterOf(snap, "btsim_rounds_total"); got != uint64(instrumented.spec.Rounds) {
 				t.Fatalf("rounds counter = %d, want %d", got, instrumented.spec.Rounds)
 			}
-			if instrumented.Telemetry.Counter(telemetry.CtrSamples) == 0 {
+			if counterOf(snap, "btsim_samples_total") == 0 {
 				t.Fatal("samples counter stayed zero on an instrumented run")
 			}
 		})
@@ -308,4 +309,15 @@ func TestStepZeroAllocTelemetryOn(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, s.Step); allocs != 0 {
 		t.Fatalf("instrumented Swarm.Step allocates %.1f objects per round, want 0", allocs)
 	}
+}
+
+// counterOf reads a counter from a telemetry snapshot by its exposition
+// name (0 when absent).
+func counterOf(s telemetry.Snapshot, name string) uint64 {
+	for _, c := range s.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
 }

@@ -6,8 +6,8 @@
 // The package deliberately knows nothing about what is being snapshotted.
 // It owns three concerns:
 //
-//   - Framing: Seal wraps a payload in a magic/version/length/CRC32 header;
-//     Open verifies all four and returns the payload. Truncated, bit-flipped
+//   - Framing: WriteFile frames a payload with a magic/version/length/CRC32
+//     header; Open verifies all four and returns the payload. Truncated, bit-flipped
 //     or version-skewed containers are rejected with descriptive errors —
 //     never a panic, never silently-corrupt state (FuzzLoadCheckpoint in the
 //     consumers leans on this).
@@ -85,14 +85,6 @@ func header(payload []byte) [headerSize]byte {
 	binary.LittleEndian.PutUint64(h[12:], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(h[20:], crc32.ChecksumIEEE(payload))
 	return h
-}
-
-// Seal wraps a payload in the container framing: the header, then the
-// payload. WriteFile writes the same bytes without building them in one
-// buffer.
-func Seal(payload []byte) []byte {
-	h := header(payload)
-	return append(h[:], payload...)
 }
 
 // Open verifies a sealed container and returns its payload. Every failure

@@ -10,6 +10,13 @@ import (
 	"testing"
 )
 
+// seal wraps a payload in the container framing, the bytes WriteFile
+// writes: the header, then the payload.
+func seal(payload []byte) []byte {
+	h := header(payload)
+	return append(h[:], payload...)
+}
+
 // buildPayload exercises every Writer primitive once and returns the
 // payload plus a verifier that decodes it with a Reader and checks each
 // value round-tripped exactly.
@@ -89,7 +96,7 @@ func buildPayload(t *testing.T) ([]byte, func(*Reader)) {
 
 func TestSealOpenRoundTrip(t *testing.T) {
 	payload, verify := buildPayload(t)
-	got, err := Open(Seal(payload))
+	got, err := Open(seal(payload))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -101,7 +108,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 // (ErrCorrupt or ErrVersion), never a success and never a panic.
 func TestOpenCorruptionMatrix(t *testing.T) {
 	payload, _ := buildPayload(t)
-	sealed := Seal(payload)
+	sealed := seal(payload)
 
 	for n := 0; n < len(sealed); n++ {
 		if _, err := Open(sealed[:n]); err == nil {
@@ -122,7 +129,7 @@ func TestOpenCorruptionMatrix(t *testing.T) {
 }
 
 func TestOpenVersionSkew(t *testing.T) {
-	sealed := Seal([]byte("x"))
+	sealed := seal([]byte("x"))
 	sealed[8] = Version + 1
 	_, err := Open(sealed)
 	if !errors.Is(err, ErrVersion) {
@@ -189,7 +196,7 @@ func TestWriteFileReadFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	if want := len(Seal(payload)); n != want {
+	if want := len(seal(payload)); n != want {
 		t.Errorf("WriteFile reported %d bytes, file is %d", n, want)
 	}
 	got, err := ReadFile(path)

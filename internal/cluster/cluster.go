@@ -178,16 +178,8 @@ func MMOClosedForm(b0 int) float64 {
 // MMOLimit is the asymptote of MMOClosedForm: 3·b0/4.
 func MMOLimit(b0 int) float64 { return 0.75 * float64(b0) }
 
-// NormalBudgets samples n slot budgets from the rounded positive normal
-// N(mean, sigma²) — the paper's variable b-matching model.
-func NormalBudgets(n int, mean, sigma float64, r *rng.RNG) []int {
-	budgets := make([]int, n)
-	fillNormalBudgets(budgets, mean, sigma, r)
-	return budgets
-}
-
-// fillNormalBudgets is the shared sampling loop behind NormalBudgets and
-// the Analyzer's scratch-reusing path.
+// fillNormalBudgets samples slot budgets into dst from the rounded positive
+// normal N(mean, sigma²) — the paper's variable b-matching model.
 func fillNormalBudgets(dst []int, mean, sigma float64, r *rng.RNG) {
 	for i := range dst {
 		dst[i] = r.RoundedPositiveNormal(mean, sigma)

@@ -97,7 +97,9 @@ func TestPhaseTransition(t *testing.T) {
 
 func TestNormalBudgetsPositive(t *testing.T) {
 	r := rng.New(2)
-	for _, b := range NormalBudgets(5000, 2, 1.5, r) {
+	budgets := make([]int, 5000)
+	fillNormalBudgets(budgets, 2, 1.5, r)
+	for _, b := range budgets {
 		if b < 1 {
 			t.Fatalf("budget %d < 1", b)
 		}

@@ -83,7 +83,7 @@ func TestConfigResetClears(t *testing.T) {
 				c.Propose(i, j)
 			}
 			if k%17 == 0 {
-				c.SetBudget(r.Intn(c.N()), r.Intn(8))
+				setBudget(c, r.Intn(c.N()), r.Intn(8))
 			}
 		}
 		if err := c.Validate(); err != nil {
@@ -95,8 +95,8 @@ func TestConfigResetClears(t *testing.T) {
 		c.Reset(budgets)
 		fresh := NewConfig(budgets)
 		requireSameConfig(t, c, fresh)
-		if c.TotalEdges() != 0 {
-			t.Fatalf("round %d: %d edges survived Reset", round, c.TotalEdges())
+		if totalEdges(c) != 0 {
+			t.Fatalf("round %d: %d edges survived Reset", round, totalEdges(c))
 		}
 		// The reset config must also behave like a fresh one: replaying an
 		// identical mutation sequence on both must keep them equal.
@@ -169,5 +169,14 @@ func TestArenaSolversMatchCheckedOracle(t *testing.T) {
 
 		g := ga.ErdosRenyi(n, r.Float64(), rng.New(uint64(2000+draw)))
 		requireSameConfig(t, a.Stable(g, budgets), matchOracle(t, g, budgets))
+	}
+}
+
+// setBudget changes b(p), dropping p's worst mates while it is over budget.
+// A raise past p's slab segment makes the next match reallocate privately.
+func setBudget(c *Config, p, b int) {
+	c.budget[p] = b
+	for c.Degree(p) > b {
+		c.Unmatch(p, c.WorstMate(p))
 	}
 }

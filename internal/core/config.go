@@ -110,21 +110,6 @@ func (c *Config) N() int { return len(c.budget) }
 // Budget returns b(p), peer p's slot budget.
 func (c *Config) Budget(p int) int { return c.budget[p] }
 
-// SetBudget changes b(p). Shrinking below the current degree drops p's worst
-// mates until the budget is respected; the dropped mates are returned.
-func (c *Config) SetBudget(p, b int) (dropped []int) {
-	if b < 0 {
-		panic(fmt.Sprintf("core: negative budget %d for peer %d", b, p))
-	}
-	c.budget[p] = b
-	for len(c.mates[p]) > b {
-		w := c.mates[p][len(c.mates[p])-1]
-		c.Unmatch(p, w)
-		dropped = append(dropped, w)
-	}
-	return dropped
-}
-
 // Degree returns the number of current mates of p.
 func (c *Config) Degree(p int) int { return len(c.mates[p]) }
 
@@ -138,20 +123,6 @@ func (c *Config) Mates(p int) []int { return c.mates[p] }
 // Matched reports whether i and j currently collaborate.
 func (c *Config) Matched(i, j int) bool { return ints.Contains(c.mates[i], j) }
 
-// Mate returns the single mate of p in a 1-matching, or −1 when p is
-// unmatched. It panics if p holds more than one mate, because the paper's
-// distance metric σ(C, i) is only defined for 1-matchings.
-func (c *Config) Mate(p int) int {
-	switch len(c.mates[p]) {
-	case 0:
-		return -1
-	case 1:
-		return c.mates[p][0]
-	default:
-		panic(fmt.Sprintf("core: Mate(%d) on peer with %d mates", p, len(c.mates[p])))
-	}
-}
-
 // WorstMate returns p's worst (highest-rank) current mate, or −1 when p has
 // none.
 func (c *Config) WorstMate(p int) int {
@@ -159,15 +130,6 @@ func (c *Config) WorstMate(p int) int {
 		return -1
 	}
 	return c.mates[p][len(c.mates[p])-1]
-}
-
-// BestMate returns p's best (lowest-rank) current mate, or −1 when p has
-// none.
-func (c *Config) BestMate(p int) int {
-	if len(c.mates[p]) == 0 {
-		return -1
-	}
-	return c.mates[p][0]
 }
 
 // Match records the collaboration {i, j}. It returns an error if the pair is
@@ -316,15 +278,6 @@ func (c *Config) Equal(o *Config) bool {
 		}
 	}
 	return true
-}
-
-// TotalEdges returns the number of collaborations in the configuration.
-func (c *Config) TotalEdges() int {
-	total := 0
-	for _, m := range c.mates {
-		total += len(m)
-	}
-	return total / 2
 }
 
 // TotalSlots returns B = Σ b(p), the maximal number of connection endpoints

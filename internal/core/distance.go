@@ -55,7 +55,3 @@ func Distance(c1, c2 *Config) float64 {
 	}
 	return float64(total) * 2 / (float64(slots) * float64(n+1))
 }
-
-// Disorder is the distance from c to the stable configuration target — the
-// quantity plotted on the y-axis of the paper's Figures 1–3.
-func Disorder(c, stable *Config) float64 { return Distance(c, stable) }

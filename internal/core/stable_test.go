@@ -85,7 +85,7 @@ func TestStableZeroBudget(t *testing.T) {
 func TestStableEmptyGraph(t *testing.T) {
 	g := graph.NewAdjacency(5)
 	c := StableUniform(g, 2)
-	if c.TotalEdges() != 0 {
+	if totalEdges(c) != 0 {
 		t.Fatal("edgeless acceptance produced matches")
 	}
 	mustStable(t, c, g)

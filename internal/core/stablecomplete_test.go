@@ -91,8 +91,8 @@ func TestStableCompleteLarge(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.TotalEdges() != 10_000*21 {
-		t.Fatalf("TotalEdges = %d, want %d", c.TotalEdges(), 10_000*21)
+	if totalEdges(c) != 10_000*21 {
+		t.Fatalf("totalEdges = %d, want %d", totalEdges(c), 10_000*21)
 	}
 }
 

@@ -41,9 +41,6 @@ func (t *TieRanking) Score(p int) float64 { return t.scores[p] }
 // Prefers reports whether q is strictly better than r.
 func (t *TieRanking) Prefers(q, r int) bool { return t.scores[q] > t.scores[r] }
 
-// Tied reports whether q and r have equal scores.
-func (t *TieRanking) Tied(q, r int) bool { return t.scores[q] == t.scores[r] }
-
 // WantsTie reports whether p strictly improves by adding q under the tie
 // ranking: a free slot, or q strictly better than p's worst mate.
 func WantsTie(c *Config, t *TieRanking, p, q int) bool {
@@ -102,16 +99,6 @@ func BestBlockingMateTie(c *Config, g graph.Graph, t *TieRanking, p int) int {
 		}
 	}
 	return -1
-}
-
-// StableTie computes a tie-stable configuration by solving the strict model
-// on the rank refinement of the tie ranking: a blocking pair under ties
-// strictly improves both sides, hence also blocks under any strict
-// refinement, so every refinement-stable configuration is tie-stable. Unlike
-// the strict model the result is not unique — other tie-stable
-// configurations exist whenever real ties do.
-func StableTie(g graph.Graph, budgets []int, t *TieRanking) *Config {
-	return Stable(g, budgets)
 }
 
 // TieInitiative lets p take one best-mate initiative under tie semantics and

@@ -39,8 +39,8 @@ func TestTiePreferences(t *testing.T) {
 	if tr.Prefers(0, 1) || tr.Prefers(1, 0) {
 		t.Fatal("tied peers must not be strictly preferred")
 	}
-	if !tr.Tied(0, 1) || tr.Tied(0, 2) {
-		t.Fatal("Tied wrong")
+	if tr.Score(0) != tr.Score(1) || tr.Score(0) == tr.Score(2) {
+		t.Fatal("tie classes wrong")
 	}
 	if !tr.Prefers(1, 2) {
 		t.Fatal("5 should beat 3")
@@ -85,8 +85,13 @@ func TestTieStableNotUnique(t *testing.T) {
 }
 
 func TestStableTieIsTieStable(t *testing.T) {
-	// The strict refinement's stable configuration is tie-stable for any
-	// score profile with ties (quantized scores force heavy tying).
+	// The strict model's stable configuration is tie-stable for any score
+	// profile with ties (quantized scores force heavy tying). Rank order
+	// refines the tie ranking, and a blocking pair under ties strictly
+	// improves both sides, hence also blocks under the refinement; so the
+	// refinement-stable configuration Stable computes is tie-stable. Unlike
+	// the strict model it is not unique: other tie-stable configurations
+	// exist whenever real ties do.
 	check := func(seed uint64, nRaw uint8) bool {
 		r := rng.New(seed)
 		n := 2 + int(nRaw%50)
@@ -107,7 +112,7 @@ func TestStableTieIsTieStable(t *testing.T) {
 		for i := range budgets {
 			budgets[i] = 1 + r.Intn(3)
 		}
-		c := StableTie(g, budgets, tr)
+		c := Stable(g, budgets)
 		return IsStableTie(c, g, tr)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
@@ -163,7 +168,7 @@ func TestTieInitiativeInactiveOnStable(t *testing.T) {
 		scores[i] = float64(60 - i/4) // classes of 4
 	}
 	tr := tieScores(t, scores)
-	c := StableTie(g, uniformBudgets(60, 2), tr)
+	c := Stable(g, uniformBudgets(60, 2))
 	for p := 0; p < 60; p++ {
 		if active, _ := TieInitiative(c, g, tr, p); active {
 			t.Fatalf("active tie initiative on tie-stable config (peer %d)", p)

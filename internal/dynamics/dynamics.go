@@ -51,9 +51,6 @@ type Simulator struct {
 	// Figure 3 allocation profile.
 	stableArena   core.Arena
 	stableBudgets []int
-
-	initiatives int64
-	active      int64
 }
 
 // New returns a simulator over acceptance graph g with the given slot
@@ -94,21 +91,11 @@ func NewUniform(g *graph.Adjacency, b0 int, strategy core.Strategy, r *rng.RNG) 
 // Config exposes the current configuration (read-only by convention).
 func (s *Simulator) Config() *core.Config { return s.cfg }
 
-// Graph exposes the current acceptance graph (read-only by convention).
-func (s *Simulator) Graph() *graph.Adjacency { return s.g }
-
 // N returns the total peer population (present and absent).
 func (s *Simulator) N() int { return len(s.present) }
 
 // PresentCount returns the number of peers currently in the system.
 func (s *Simulator) PresentCount() int { return len(s.presentList) }
-
-// Initiatives returns the number of initiatives taken so far (active or not).
-func (s *Simulator) Initiatives() int64 { return s.initiatives }
-
-// ActiveInitiatives returns the number of initiatives that changed the
-// configuration.
-func (s *Simulator) ActiveInitiatives() int64 { return s.active }
 
 // Step lets one uniformly random present peer take an initiative and reports
 // whether it was active. With no peers present it is a no-op.
@@ -117,11 +104,7 @@ func (s *Simulator) Step() bool {
 		return false
 	}
 	p := s.presentList[s.r.Intn(len(s.presentList))]
-	s.initiatives++
 	active, _ := core.Initiative(s.cfg, s.g, p, s.strategy)
-	if active {
-		s.active++
-	}
 	return active
 }
 
@@ -278,20 +261,4 @@ func (s *Simulator) addRandomAbsent(attachProb float64) {
 	if pick >= 0 {
 		s.AddPeer(pick, attachProb)
 	}
-}
-
-// ConvergedWithin reports whether the simulator reaches the instant stable
-// configuration within the given number of base units, stepping without
-// sampling overhead. The simulation stops early on success.
-func (s *Simulator) ConvergedWithin(units float64) bool {
-	n := s.N()
-	totalSteps := int(units * float64(n))
-	target := s.InstantStable()
-	for step := 0; step < totalSteps; step++ {
-		if s.cfg.Equal(target) {
-			return true
-		}
-		s.Step()
-	}
-	return s.cfg.Equal(target)
 }

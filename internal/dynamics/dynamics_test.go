@@ -38,7 +38,7 @@ func TestConvergenceFromEmpty(t *testing.T) {
 	if last.Disorder != 0 {
 		t.Fatalf("disorder %v after 10 base units, want 0", last.Disorder)
 	}
-	if !core.IsStable(s.Config(), s.Graph()) {
+	if !core.IsStable(s.Config(), s.g) {
 		t.Fatal("final configuration unstable")
 	}
 }
@@ -61,11 +61,9 @@ func TestDisorderMonotoneTrend(t *testing.T) {
 
 func TestConvergedWithin(t *testing.T) {
 	s := newSim(t, 100, 8, 1, 3)
-	if !s.ConvergedWithin(30) {
+	s.Run(30, 1)
+	if s.Disorder() != 0 || !s.Config().Equal(s.InstantStable()) {
 		t.Fatal("did not converge within 30 base units")
-	}
-	if s.Disorder() != 0 {
-		t.Fatal("converged simulator has nonzero disorder")
 	}
 }
 
@@ -124,7 +122,7 @@ func TestRemovePeerBookkeeping(t *testing.T) {
 	if got := s.RemovePeer(7); got != nil {
 		t.Fatal("double removal returned mates")
 	}
-	if s.Graph().Degree(7) != 0 {
+	if s.g.Degree(7) != 0 {
 		t.Fatal("removed peer kept acceptance edges")
 	}
 	// The removed peer must never take initiatives: run and check it stays
@@ -142,7 +140,7 @@ func TestAddPeerRejoins(t *testing.T) {
 	if s.PresentCount() != 100 {
 		t.Fatalf("PresentCount = %d", s.PresentCount())
 	}
-	if s.Graph().Degree(3) == 0 {
+	if s.g.Degree(3) == 0 {
 		t.Fatal("rejoined peer got no edges (p=0.2, n=100 makes that ~1e-10)")
 	}
 	s.AddPeer(3, 0.2) // idempotent
@@ -193,14 +191,11 @@ func TestChurnPopulationStable(t *testing.T) {
 
 func TestRunCountsInitiatives(t *testing.T) {
 	s := newSim(t, 100, 5, 1, 9)
-	s.Run(3, 1)
-	if s.Initiatives() != 300 {
-		t.Fatalf("Initiatives = %d, want 300", s.Initiatives())
+	traj := s.Run(3, 1)
+	if last := traj[len(traj)-1].Time; last != 3 { // 300 initiatives over 100 peers
+		t.Fatalf("trajectory ends at %v initiatives per peer, want 3", last)
 	}
-	if s.ActiveInitiatives() > s.Initiatives() {
-		t.Fatal("active exceeds total")
-	}
-	if s.ActiveInitiatives() == 0 {
+	if s.Disorder() >= traj[0].Disorder {
 		t.Fatal("no active initiatives in 3 units from empty config")
 	}
 }

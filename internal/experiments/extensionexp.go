@@ -33,20 +33,9 @@ func Combo(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	measure := func(cg graph.Graph) (reach int, ecc int) {
-		for _, dist := range graph.BFSDistances(cg, 0) {
-			if dist >= 0 {
-				reach++
-				if dist > ecc {
-					ecc = dist
-				}
-			}
-		}
-		return reach, ecc
-	}
-	bandReach, bandEcc := measure(band.CollabGraph())
-	latReach, latEcc := measure(lat.CollabGraph())
-	comboReach, comboEcc := measure(combined)
+	bandReach, bandEcc := graph.Eccentricity(band.CollabGraph(), 0)
+	latReach, latEcc := graph.Eccentricity(lat.CollabGraph(), 0)
+	comboReach, comboEcc := graph.Eccentricity(combined, 0)
 
 	res := &Result{
 		TableHeader: []string{"overlay", "reachable_from_best", "eccentricity"},

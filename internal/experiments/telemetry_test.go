@@ -40,13 +40,21 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	}
 
 	snap := tel.Snapshot()
-	if c := tel.Counter(telemetry.CtrExperiments); c != 1 {
-		t.Fatalf("CtrExperiments = %d, want 1", c)
+	counter := func(name string) uint64 {
+		for _, c := range snap.Counters {
+			if c.Name == name {
+				return c.Value
+			}
+		}
+		return 0
 	}
-	if tel.Counter(telemetry.CtrParTasks) == 0 {
+	if c := counter("experiment_runs_total"); c != 1 {
+		t.Fatalf("experiment_runs_total = %d, want 1", c)
+	}
+	if counter("par_tasks_total") == 0 {
 		t.Fatal("par fan-out recorded no tasks")
 	}
-	if tel.Counter(telemetry.CtrRounds) == 0 {
+	if counter("btsim_rounds_total") == 0 {
 		t.Fatal("scenario runs recorded no rounds")
 	}
 	if len(snap.Phases) == 0 {

@@ -184,11 +184,6 @@ func (nw *Network) EstimatedRank(i int) float64 {
 	return float64(nd.better) / float64(nd.seen) * float64(nw.N()-1)
 }
 
-// EstimatedRanks returns all current estimates.
-func (nw *Network) EstimatedRanks() []float64 {
-	return nw.EstimatedRanksInto(make([]float64, nw.N()))
-}
-
 // EstimatedRanksInto writes all current estimates into dst (which must have
 // length N) and returns it — the allocation-free form for callers that
 // measure repeatedly.
@@ -197,11 +192,6 @@ func (nw *Network) EstimatedRanksInto(dst []float64) []float64 {
 		dst[i] = nw.EstimatedRank(i)
 	}
 	return dst
-}
-
-// View returns a copy of node i's current view (for tests and debugging).
-func (nw *Network) View(i int) []Sample {
-	return append([]Sample(nil), nw.nodes[i].view...)
 }
 
 // MeanAbsRankError compares the estimates against the true ranks implied by

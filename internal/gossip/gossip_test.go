@@ -33,7 +33,7 @@ func TestInitialViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		v := nw.View(i)
+		v := nw.nodes[i].view
 		if len(v) != 8 {
 			t.Fatalf("node %d view size %d", i, len(v))
 		}
@@ -57,7 +57,7 @@ func TestViewsStayBoundedAndSelfFree(t *testing.T) {
 		nw.Round()
 	}
 	for i := 0; i < 80; i++ {
-		v := nw.View(i)
+		v := nw.nodes[i].view
 		if len(v) > 6 {
 			t.Fatalf("node %d view grew to %d", i, len(v))
 		}
@@ -124,7 +124,7 @@ func TestDeterminism(t *testing.T) {
 		for round := 0; round < 10; round++ {
 			nw.Round()
 		}
-		return nw.EstimatedRanks()
+		return nw.EstimatedRanksInto(make([]float64, nw.N()))
 	}
 	a, b := run(), run()
 	for i := range a {

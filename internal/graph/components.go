@@ -53,17 +53,6 @@ func Components(g Graph) (labels []int, count int) {
 	return labels, next
 }
 
-// ComponentSizes returns the size of each component, indexed by the labels
-// produced by Components.
-func ComponentSizes(g Graph) []int {
-	labels, count := Components(g)
-	sizes := make([]int, count)
-	for _, lbl := range labels {
-		sizes[lbl]++
-	}
-	return sizes
-}
-
 // IsConnected reports whether g has a single connected component spanning
 // every peer. The empty graph and the 1-peer graph are connected.
 func IsConnected(g Graph) bool {
@@ -101,14 +90,16 @@ func BFSDistances(g Graph, src int) []int {
 	return dist
 }
 
-// Eccentricity returns the largest finite BFS distance from src, or 0 when
-// src has no reachable peers.
-func Eccentricity(g Graph, src int) int {
-	ecc := 0
+// Eccentricity returns how many peers a BFS from src reaches (src
+// included) and the largest hop distance among them.
+func Eccentricity(g Graph, src int) (reached, ecc int) {
 	for _, d := range BFSDistances(g, src) {
-		if d > ecc {
-			ecc = d
+		if d >= 0 {
+			reached++
+			if d > ecc {
+				ecc = d
+			}
 		}
 	}
-	return ecc
+	return reached, ecc
 }

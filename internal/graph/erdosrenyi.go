@@ -84,14 +84,3 @@ func ErdosRenyiMeanDegree(n int, d float64, r *rng.RNG) *Adjacency {
 	}
 	return ErdosRenyi(n, d/float64(n-1), r)
 }
-
-// AttachUniform connects peer i to every other currently-attached peer with
-// probability p. It is used by churn to re-introduce a detached peer with a
-// fresh Erdős–Rényi neighborhood.
-func AttachUniform(g *Adjacency, i int, p float64, r *rng.RNG) {
-	for j := 0; j < g.N(); j++ {
-		if j != i && r.Bool(p) {
-			g.AddEdge(i, j)
-		}
-	}
-}

@@ -131,15 +131,6 @@ func (g *Adjacency) AddEdge(i, j int) {
 	g.adj[j] = ints.Insert(g.adj[j], i)
 }
 
-// RemoveEdge deletes the undirected edge {i, j} if present.
-func (g *Adjacency) RemoveEdge(i, j int) {
-	if i == j || i < 0 || j < 0 || i >= len(g.adj) || j >= len(g.adj) {
-		return
-	}
-	g.adj[i] = ints.Remove(g.adj[i], j)
-	g.adj[j] = ints.Remove(g.adj[j], i)
-}
-
 // DetachPeer removes every edge incident to i, returning the former
 // neighbors. The peer keeps its slot in the graph (rank identity is stable)
 // and its list keeps its storage, so churn re-attachment (AddEdge) refills
@@ -155,15 +146,6 @@ func (g *Adjacency) DetachPeer(i int) []int {
 	}
 	g.adj[i] = old[:0]
 	return old
-}
-
-// EdgeCount returns the number of undirected edges.
-func (g *Adjacency) EdgeCount() int {
-	total := 0
-	for _, nb := range g.adj {
-		total += len(nb)
-	}
-	return total / 2
 }
 
 // Clone returns a deep copy, so simulations can fork a graph without

@@ -52,17 +52,28 @@ func TestAdjacencyAddRemove(t *testing.T) {
 	if !g.Acceptable(0, 1) || !g.Acceptable(1, 0) {
 		t.Fatal("edge 0-1 missing")
 	}
-	if g.EdgeCount() != 2 {
-		t.Fatalf("EdgeCount = %d, want 2", g.EdgeCount())
+	if edgeCount(g) != 2 {
+		t.Fatalf("edgeCount = %d, want 2", edgeCount(g))
 	}
-	g.RemoveEdge(0, 1)
+	if old := g.DetachPeer(0); len(old) != 1 || old[0] != 1 {
+		t.Fatalf("DetachPeer(0) = %v, want [1]", old)
+	}
 	if g.Acceptable(0, 1) {
 		t.Fatal("edge 0-1 survived removal")
 	}
-	g.RemoveEdge(0, 1) // idempotent
-	if g.EdgeCount() != 1 {
-		t.Fatalf("EdgeCount = %d, want 1", g.EdgeCount())
+	g.DetachPeer(0) // idempotent
+	if edgeCount(g) != 1 {
+		t.Fatalf("edgeCount = %d, want 1", edgeCount(g))
 	}
+}
+
+// edgeCount returns the number of undirected edges of g.
+func edgeCount(g *Adjacency) int {
+	total := 0
+	for i := 0; i < g.N(); i++ {
+		total += g.Degree(i)
+	}
+	return total / 2
 }
 
 func TestAdjacencySortedNeighbors(t *testing.T) {
@@ -143,13 +154,13 @@ func TestErdosRenyiSymmetricLoopless(t *testing.T) {
 
 func TestErdosRenyiEdgeCases(t *testing.T) {
 	r := rng.New(3)
-	if g := ErdosRenyi(100, 0, r); g.EdgeCount() != 0 {
+	if g := ErdosRenyi(100, 0, r); edgeCount(g) != 0 {
 		t.Fatal("p=0 produced edges")
 	}
-	if g := ErdosRenyi(10, 1, r); g.EdgeCount() != 45 {
-		t.Fatalf("p=1 produced %d edges, want 45", g.EdgeCount())
+	if g := ErdosRenyi(10, 1, r); edgeCount(g) != 45 {
+		t.Fatalf("p=1 produced %d edges, want 45", edgeCount(g))
 	}
-	if g := ErdosRenyi(1, 0.5, r); g.EdgeCount() != 0 {
+	if g := ErdosRenyi(1, 0.5, r); edgeCount(g) != 0 {
 		t.Fatal("n=1 produced edges")
 	}
 	if g := ErdosRenyi(0, 0.5, r); g.N() != 0 {
@@ -171,21 +182,6 @@ func TestErdosRenyiEdgeProbability(t *testing.T) {
 	rate := float64(hits) / samples
 	if math.Abs(rate-p) > 0.04 {
 		t.Fatalf("edge rate %f want %f", rate, p)
-	}
-}
-
-func TestAttachUniform(t *testing.T) {
-	r := rng.New(5)
-	g := NewAdjacency(500)
-	AttachUniform(g, 7, 0.1, r)
-	deg := g.Degree(7)
-	if deg < 20 || deg > 90 {
-		t.Fatalf("attached degree %d implausible for p=0.1, n=500", deg)
-	}
-	for _, j := range g.Neighbors(7) {
-		if !g.Acceptable(j, 7) {
-			t.Fatalf("asymmetric attach edge %d", j)
-		}
 	}
 }
 
@@ -215,7 +211,11 @@ func TestComponentSizes(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 3)
 	g.AddEdge(3, 4)
-	sizes := ComponentSizes(g)
+	labels, count := Components(g)
+	sizes := make([]int, count)
+	for _, lbl := range labels {
+		sizes[lbl]++
+	}
 	sort.Ints(sizes)
 	want := []int{1, 2, 3}
 	if len(sizes) != 3 {
@@ -255,8 +255,8 @@ func TestBFSDistances(t *testing.T) {
 			t.Fatalf("dist = %v, want %v", d, want)
 		}
 	}
-	if ecc := Eccentricity(g, 0); ecc != 3 {
-		t.Fatalf("eccentricity = %d, want 3", ecc)
+	if reached, ecc := Eccentricity(g, 0); reached != 5 || ecc != 3 {
+		t.Fatalf("Eccentricity = (%d, %d), want (5, 3)", reached, ecc)
 	}
 }
 

@@ -19,7 +19,6 @@ package metricmatch
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"stratmatch/internal/core"
@@ -61,31 +60,6 @@ func (m RingMetric) Distance(i, j int) float64 {
 		d = m.n - d
 	}
 	return float64(d)
-}
-
-// CoordMetric derives distances from explicit coordinates in the plane
-// (e.g. network coordinates from a latency-embedding service).
-type CoordMetric struct {
-	X, Y []float64
-}
-
-var _ Metric = (*CoordMetric)(nil)
-
-// NewCoordMetric wraps coordinate slices (not copied; treat as immutable).
-func NewCoordMetric(x, y []float64) (*CoordMetric, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("metricmatch: %d x-coordinates, %d y-coordinates", len(x), len(y))
-	}
-	return &CoordMetric{X: x, Y: y}, nil
-}
-
-// N implements Metric.
-func (m *CoordMetric) N() int { return len(m.X) }
-
-// Distance implements Metric (Euclidean).
-func (m *CoordMetric) Distance(i, j int) float64 {
-	dx, dy := m.X[i]-m.X[j], m.Y[i]-m.Y[j]
-	return math.Sqrt(dx*dx + dy*dy)
 }
 
 // Stable computes a stable b-matching on acceptance graph g under metric m:

@@ -158,20 +158,6 @@ func (r *RNG) RoundedPositiveNormal(mean, stddev float64) int {
 	return v
 }
 
-// Exp returns a sample from the exponential distribution with the given rate
-// (mean 1/rate). It panics if rate <= 0.
-func (r *RNG) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exp with non-positive rate")
-	}
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u) / rate
-		}
-	}
-}
-
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

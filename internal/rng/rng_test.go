@@ -166,27 +166,6 @@ func TestRoundedPositiveNormal(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(23)
-	const rate, n = 2.0, 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exp(rate)
-	}
-	if mean := sum / n; math.Abs(mean-1/rate) > 0.01 {
-		t.Fatalf("Exp mean %f want %f", mean, 1/rate)
-	}
-}
-
-func TestExpPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Exp(0) did not panic")
-		}
-	}()
-	New(1).Exp(0)
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%64) + 1

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSummarize(t *testing.T) {
@@ -43,101 +42,30 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+// pearson feeds aligned samples to a PearsonAcc.
+func pearson(xs, ys []float64) float64 {
+	var a PearsonAcc
+	for i := range xs {
+		a.Add(xs[i], ys[i])
+	}
+	return a.Corr()
+}
+
 func TestPearson(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ysPos := []float64{2, 4, 6, 8, 10}
 	ysNeg := []float64{10, 8, 6, 4, 2}
-	if got := Pearson(xs, ysPos); math.Abs(got-1) > 1e-12 {
+	if got := pearson(xs, ysPos); math.Abs(got-1) > 1e-12 {
 		t.Errorf("perfect positive correlation: %v", got)
 	}
-	if got := Pearson(xs, ysNeg); math.Abs(got+1) > 1e-12 {
+	if got := pearson(xs, ysNeg); math.Abs(got+1) > 1e-12 {
 		t.Errorf("perfect negative correlation: %v", got)
 	}
-	if !math.IsNaN(Pearson(xs, []float64{1, 1, 1, 1, 1})) {
+	if !math.IsNaN(pearson(xs, []float64{1, 1, 1, 1, 1})) {
 		t.Error("constant series should give NaN")
 	}
-	if !math.IsNaN(Pearson([]float64{1}, []float64{2})) {
+	if !math.IsNaN(pearson([]float64{1}, []float64{2})) {
 		t.Error("length-1 should give NaN")
-	}
-	if !math.IsNaN(Pearson(xs, xs[:3])) {
-		t.Error("mismatched lengths should give NaN")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 || h.Total != 7 {
-		t.Fatalf("histogram %+v", h)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Fatalf("counts %v", h.Counts)
-	}
-	if c := h.BinCenter(0); c != 1 {
-		t.Fatalf("bin center %v", c)
-	}
-	// Density integrates to the in-range fraction.
-	var integral float64
-	for i := range h.Counts {
-		integral += h.Density(i) * 2 // bin width 2
-	}
-	if math.Abs(integral-4.0/7) > 1e-12 {
-		t.Fatalf("density integral %v", integral)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("0 bins accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-}
-
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {3, 1}, {99, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if q := e.Quantile(0.5); q != 2 {
-		t.Errorf("Quantile(0.5) = %v", q)
-	}
-	if q := e.Quantile(0); q != 1 {
-		t.Errorf("Quantile(0) = %v", q)
-	}
-	if q := e.Quantile(1); q != 3 {
-		t.Errorf("Quantile(1) = %v", q)
-	}
-}
-
-func TestECDFQuantileInverse(t *testing.T) {
-	// At(Quantile(q)) >= q for all q — the Galois connection property.
-	check := func(raw []float64, qRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-		}
-		q := float64(qRaw%100)/100 + 0.01
-		e := NewECDF(raw)
-		return e.At(e.Quantile(q)) >= q-1e-12
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -307,28 +307,12 @@ func (r *Recorder) Add(id CounterID, n int) {
 	atomic.AddUint64(&r.counters[id], uint64(n))
 }
 
-// Counter returns a counter's current value (0 on a nil Recorder).
-func (r *Recorder) Counter(id CounterID) uint64 {
-	if r == nil {
-		return 0
-	}
-	return atomic.LoadUint64(&r.counters[id])
-}
-
 // SetGauge records a gauge's latest value; a no-op on a nil Recorder.
 func (r *Recorder) SetGauge(id GaugeID, v int64) {
 	if r == nil {
 		return
 	}
 	atomic.StoreInt64(&r.gauges[id], v)
-}
-
-// Gauge returns a gauge's latest value (0 on a nil Recorder).
-func (r *Recorder) Gauge(id GaugeID) int64 {
-	if r == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&r.gauges[id])
 }
 
 // Span is an in-progress phase measurement, returned by StartPhase and
@@ -362,22 +346,12 @@ func (r *Recorder) EndPhase(id PhaseID, sp Span) {
 	if sp.region != nil {
 		sp.region.End()
 	}
-	d := now() - sp.start
-	if d < 0 {
-		d = 0
-	}
-	h := &r.phases[id]
-	atomic.AddUint64(&h.buckets[bucketFor(d)], 1)
-	atomic.AddUint64(&h.count, 1)
-	atomic.AddUint64(&h.sumNs, uint64(d))
+	r.observe(id, now()-sp.start)
 }
 
-// ObserveNs records an externally measured duration into a phase histogram
-// — for callers that already hold both timestamps.
-func (r *Recorder) ObserveNs(id PhaseID, ns int64) {
-	if r == nil {
-		return
-	}
+// observe records a duration into a phase histogram. It stays small enough
+// to inline into EndPhase.
+func (r *Recorder) observe(id PhaseID, ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
@@ -449,9 +423,3 @@ func (r *Recorder) Snapshot() Snapshot {
 	}
 	return s
 }
-
-// CounterName / GaugeName / PhaseName expose the registry's exposition
-// names (for consumers that join on them).
-func CounterName(id CounterID) string { return counterNames[id] }
-func GaugeName(id GaugeID) string     { return gaugeNames[id] }
-func PhaseName(id PhaseID) string     { return phaseNames[id] }

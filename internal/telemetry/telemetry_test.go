@@ -46,7 +46,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 		r.SetGauge(GaugePresent, 42)
 		sp := r.StartPhase(PhaseChoke)
 		r.EndPhase(PhaseChoke, sp)
-		r.ObserveNs(PhaseTransfer, 123)
 	}); allocs != 0 {
 		t.Fatalf("nil recorder operations allocate %.1f objects, want 0", allocs)
 	}
@@ -55,9 +54,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
-	}
-	if r.Counter(CtrRounds) != 0 || r.Gauge(GaugeRound) != 0 {
-		t.Fatal("nil recorder reads non-zero")
 	}
 }
 
@@ -72,7 +68,7 @@ func TestEnabledRecordingZeroAlloc(t *testing.T) {
 		r.SetGauge(GaugePresent, 17)
 		sp := r.StartPhase(PhaseChoke)
 		r.EndPhase(PhaseChoke, sp)
-		r.ObserveNs(PhaseTransfer, 5000)
+		r.observe(PhaseTransfer, 5000)
 	}); allocs != 0 {
 		t.Fatalf("enabled recording allocates %.1f objects per round, want 0", allocs)
 	}
@@ -83,16 +79,16 @@ func TestSnapshotContents(t *testing.T) {
 	r.Inc(CtrJoins)
 	r.Add(CtrJoins, 4)
 	r.SetGauge(GaugeSeeds, 9)
-	r.ObserveNs(PhaseTransfer, 1500)
-	r.ObserveNs(PhaseTransfer, 2500)
+	r.observe(PhaseTransfer, 1500)
+	r.observe(PhaseTransfer, 2500)
 	s := r.Snapshot()
-	if len(s.Counters) != 1 || s.Counters[0].Name != CounterName(CtrJoins) || s.Counters[0].Value != 5 {
+	if len(s.Counters) != 1 || s.Counters[0].Name != counterNames[CtrJoins] || s.Counters[0].Value != 5 {
 		t.Fatalf("counters: %+v", s.Counters)
 	}
-	if len(s.Gauges) != 1 || s.Gauges[0].Name != GaugeName(GaugeSeeds) || s.Gauges[0].Value != 9 {
+	if len(s.Gauges) != 1 || s.Gauges[0].Name != gaugeNames[GaugeSeeds] || s.Gauges[0].Value != 9 {
 		t.Fatalf("gauges: %+v", s.Gauges)
 	}
-	if len(s.Phases) != 1 || s.Phases[0].Name != PhaseName(PhaseTransfer) ||
+	if len(s.Phases) != 1 || s.Phases[0].Name != phaseNames[PhaseTransfer] ||
 		s.Phases[0].Count != 2 || s.Phases[0].SumNs != 4000 {
 		t.Fatalf("phases: %+v", s.Phases)
 	}
@@ -102,9 +98,9 @@ func TestPrometheusExposition(t *testing.T) {
 	r := New()
 	r.Add(CtrAnnounces, 12)
 	r.SetGauge(GaugePresent, 30)
-	r.ObserveNs(PhaseChoke, 1500)  // bucket le 2µs
-	r.ObserveNs(PhaseChoke, 900)   // bucket le 1µs
-	r.ObserveNs(PhaseChoke, 1<<40) // +Inf overflow
+	r.observe(PhaseChoke, 1500)  // bucket le 2µs
+	r.observe(PhaseChoke, 900)   // bucket le 1µs
+	r.observe(PhaseChoke, 1<<40) // +Inf overflow
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -150,7 +146,7 @@ func TestConcurrentScrape(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
+		for round := int64(1); ; round++ {
 			select {
 			case <-stop:
 				return
@@ -159,7 +155,7 @@ func TestConcurrentScrape(t *testing.T) {
 			r.Inc(CtrRounds)
 			sp := r.StartPhase(PhaseTransfer)
 			r.EndPhase(PhaseTransfer, sp)
-			r.SetGauge(GaugeRound, int64(r.Counter(CtrRounds)))
+			r.SetGauge(GaugeRound, round)
 		}
 	}()
 	for i := 0; i < 50; i++ {

@@ -83,9 +83,6 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Registry exposes the underlying tracker registry (tests, benchmarks).
-func (s *Server) Registry() *Registry { return s.reg }
-
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 

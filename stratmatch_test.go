@@ -1,7 +1,11 @@
 package stratmatch
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -310,11 +314,15 @@ func TestScenarioFacade(t *testing.T) {
 	if len(names) < 3 {
 		t.Fatalf("scenario catalog too small: %v", names)
 	}
+	if parts := append(ChurnScenarioNames(), FaultScenarioNames()...); !slices.Equal(names, parts) {
+		t.Fatalf("catalog %v is not the churn entries then the fault entries %v", names, parts)
+	}
 	sc, err := NewScenario("poisson", 5, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Run()
+	var res *ScenarioResult
+	res, err = sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,5 +332,144 @@ func TestScenarioFacade(t *testing.T) {
 	}
 	if _, err := NewScenario("nope", 0, 1); err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+}
+
+func TestNetworkBudgetAndDegree(t *testing.T) {
+	nw, err := NewCompleteNetwork(9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.SetBudget(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if nw.Budget(0) != 3 || nw.Budget(1) != 2 {
+		t.Fatalf("budgets %d, %d; want 3, 2", nw.Budget(0), nw.Budget(1))
+	}
+	m := nw.Stable()
+	for p := 0; p < nw.N(); p++ {
+		if d := m.Degree(p); d != len(m.Mates(p)) || d > nw.Budget(p) {
+			t.Fatalf("peer %d: degree %d, mates %v, budget %d", p, d, m.Mates(p), nw.Budget(p))
+		}
+	}
+}
+
+func TestSimulationRunChurn(t *testing.T) {
+	nw, err := NewRandomNetwork(200, 10, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := nw.Simulate(BestMate, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traj := sim.RunChurn(5, 2, 0.02, 10.0/199)
+	if len(traj) != 11 || traj[len(traj)-1].Time != 5 {
+		t.Fatalf("trajectory has %d points ending at %v, want 11 ending at 5", len(traj), traj[len(traj)-1].Time)
+	}
+	for _, pt := range traj {
+		if pt.Disorder < 0 || pt.Disorder > 1 {
+			t.Fatalf("disorder %v at t=%v outside [0, 1]", pt.Disorder, pt.Time)
+		}
+	}
+}
+
+// TestScenarioSpecBuiltInCode: a spec written with the root package's spec
+// types equals the same spec parsed from JSON.
+func TestScenarioSpecBuiltInCode(t *testing.T) {
+	data, err := os.ReadFile("testdata/churn_spec.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseScenarioSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := ScenarioSpec{
+		Name:   "example-mixed",
+		Swarm:  SwarmOptions{Leechers: 20, Seeds: 2, Pieces: 32, PieceKbit: 512, NeighborCount: 10, Seed: 42},
+		Rounds: 900,
+		Arrivals: []ArrivalSpec{
+			{Kind: "poisson", Rate: 0.15},
+			{Kind: "burst", Start: 300, Rounds: 40, Total: 60},
+		},
+		Capacity: &CapacitySpec{Kind: "saroiu"},
+		Departures: Departures{
+			AbandonPerRound: 0.001, AbandonRankBias: 4, SeedLingerRounds: 120, InitialSeedsStay: true,
+		},
+		Events: []Event{{Round: 600, DepartFraction: 0.4}},
+		Faults: &FaultsSpec{
+			Injections: []FaultSpec{
+				{Kind: "tracker_outage", Start: 150, Rounds: 80},
+				{Kind: "crash", Start: 400, Rounds: 150, Rate: 0.002},
+			},
+			NeighborTimeoutRounds: 30,
+		},
+		SampleEvery: 1,
+	}
+	if !reflect.DeepEqual(built, parsed) {
+		t.Fatalf("built spec differs from the parsed one:\nbuilt  %+v\nparsed %+v", built, parsed)
+	}
+}
+
+// TestSwarmRuntimeKnobs: telemetry and step workers record and parallelize
+// without changing the trajectory.
+func TestSwarmRuntimeKnobs(t *testing.T) {
+	opts := SwarmOptions{Leechers: 30, Seeds: 1, Pieces: 16, NeighborCount: 6, Seed: 9}
+	plain, err := NewSwarm(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain.Run(40)
+	sw, err := NewSwarm(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	tel := NewTelemetry()
+	sw.SetTelemetry(tel)
+	sw.SetStepWorkers(2)
+	if sw.StepWorkers() != 2 {
+		t.Fatalf("StepWorkers = %d, want 2", sw.StepWorkers())
+	}
+	sw.Run(40)
+	rows := func(sw *Swarm) []PeerMetrics { return sw.Metrics().Peers }
+	if got, want := fmt.Sprintf("%+v", rows(sw)), fmt.Sprintf("%+v", rows(plain)); got != want {
+		t.Fatal("telemetry and step workers changed the trajectory")
+	}
+	if snap := tel.Snapshot(); len(snap.Phases) == 0 {
+		t.Fatal("telemetry recorded no phases")
+	}
+}
+
+// flushCounter counts the samples and telemetry flushes a scenario run
+// delivers.
+type flushCounter struct {
+	samples, flushes int
+	last             TelemetrySnapshot
+}
+
+var _ TelemetryObserver = (*flushCounter)(nil)
+
+func (c *flushCounter) OnSample(ScenarioPoint) { c.samples++ }
+func (c *flushCounter) OnEvent(ScenarioEvent)  {}
+func (c *flushCounter) OnDone(SwarmMetrics)    {}
+func (c *flushCounter) OnTelemetry(_ int, snap TelemetrySnapshot) {
+	c.flushes++
+	c.last = snap
+}
+
+func TestScenarioTelemetryObserver(t *testing.T) {
+	sc, err := NewScenario("poisson", 5, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Telemetry = NewTelemetry()
+	var obs flushCounter
+	if err := sc.RunObserver(&obs); err != nil {
+		t.Fatal(err)
+	}
+	if obs.samples == 0 || obs.flushes != obs.samples || len(obs.last.Counters) == 0 {
+		t.Fatalf("%d samples, %d telemetry flushes, last %+v", obs.samples, obs.flushes, obs.last)
 	}
 }
