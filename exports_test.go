@@ -114,8 +114,11 @@ func exportsOf(files []goFile, keep func(goFile) bool) []export {
 
 // refs collects the names each file set refers to: "pkg.Name" for a
 // package-level name (qualified through an import, or bare inside its
-// own package) and ".Name" for any selector, which is how a method or
-// field is reached. Matching is by name, so it can only over-count.
+// own package) and ".Name" for the selector of any other X.Sel and for a
+// struct literal's field key, which is how a method or field is reached.
+// Identifiers that declare something (top-level names, struct fields,
+// interface methods, parameters) are not references. Methods match by
+// name, so they can only over-count.
 func refs(files []goFile, keep func(goFile) bool) map[string]bool {
 	seen := map[string]bool{}
 	for _, f := range files {
@@ -151,6 +154,15 @@ func refs(files []goFile, keep func(goFile) bool) map[string]bool {
 			}
 		}
 		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if fl, ok := n.(*ast.Field); ok {
+				for _, id := range fl.Names {
+					decl[id] = true
+				}
+			}
+			return true
+		})
+		var visit func(ast.Node) bool
+		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				if x, ok := n.X.(*ast.Ident); ok {
@@ -160,13 +172,37 @@ func refs(files []goFile, keep func(goFile) bool) map[string]bool {
 					}
 				}
 				seen["."+n.Sel.Name] = true
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.CompositeLit:
+				switch n.Type.(type) {
+				case *ast.MapType, *ast.ArrayType:
+					return true // keys are expressions
+				}
+				// A struct literal, or one whose type is elided or named:
+				// a bare key is taken as a field name.
+				if n.Type != nil {
+					ast.Inspect(n.Type, visit)
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if k, ok := kv.Key.(*ast.Ident); ok {
+							seen["."+k.Name] = true
+							ast.Inspect(kv.Value, visit)
+							continue
+						}
+					}
+					ast.Inspect(e, visit)
+				}
+				return false
 			case *ast.Ident:
 				if !decl[n] {
 					seen[f.pkg+"."+n.Name] = true
 				}
 			}
 			return true
-		})
+		}
+		ast.Inspect(f.ast, visit)
 	}
 	return seen
 }

@@ -207,12 +207,6 @@ func (a *Analyzer) AnalyzeConstant(n, b0 int) Report {
 	return a.Analyze(a.arena.StableCompleteUniform(n, b0))
 }
 
-// AnalyzeNormal is the one-shot form of Analyzer.AnalyzeNormal.
-func AnalyzeNormal(n int, mean, sigma float64, r *rng.RNG) Report {
-	var a Analyzer
-	return a.AnalyzeNormal(n, mean, sigma, r)
-}
-
 // AnalyzeConstant is the one-shot form of Analyzer.AnalyzeConstant.
 func AnalyzeConstant(n, b0 int) Report {
 	var a Analyzer

@@ -85,7 +85,7 @@ func TestPhaseTransition(t *testing.T) {
 	const n, mean = 8000, 6.0
 	r := rng.New(1)
 	at0 := Analyze(core.StableCompleteUniform(n, 6))
-	at03 := AnalyzeNormal(n, mean, 0.3, r)
+	at03 := new(Analyzer).AnalyzeNormal(n, mean, 0.3, r)
 	if at03.MeanClusterSize < 10*at0.MeanClusterSize {
 		t.Fatalf("no cluster explosion: σ=0 gives %v, σ=0.3 gives %v",
 			at0.MeanClusterSize, at03.MeanClusterSize)
@@ -164,7 +164,7 @@ func TestAnalyzerReuseMatchesOneShot(t *testing.T) {
 	for _, n := range []int{120, 60, 121, 120} {
 		r1, r2 := rng.New(uint64(n)), rng.New(uint64(n))
 		got := a.AnalyzeNormal(n, 6, 0.2, r1)
-		want := AnalyzeNormal(n, 6, 0.2, r2)
+		want := new(Analyzer).AnalyzeNormal(n, 6, 0.2, r2)
 		if got != want {
 			t.Fatalf("n=%d: reused analyzer %+v, fresh %+v", n, got, want)
 		}
