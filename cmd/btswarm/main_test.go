@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -395,13 +396,15 @@ func TestScenarioRejectsOverBudget(t *testing.T) {
 	if err := os.WriteFile(specPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var w checkpoint.Writer
-	w.String(spec.Name)
-	w.U64(spec.Swarm.Seed)
-	w.Int(spec.Rounds)
-	w.Blob(data)
+	// The binding: name, seed and horizon, then the spec, each string a
+	// length word and its bytes, each word 8 bytes little-endian.
+	le := binary.LittleEndian
+	payload := append(le.AppendUint64(nil, uint64(len(spec.Name))), spec.Name...)
+	payload = le.AppendUint64(payload, spec.Swarm.Seed)
+	payload = le.AppendUint64(payload, uint64(spec.Rounds))
+	payload = append(le.AppendUint64(payload, uint64(len(data))), data...)
 	ckptPath := filepath.Join(dir, checkpoint.FileName(1))
-	if _, err := checkpoint.WriteFile(ckptPath, w.Bytes()); err != nil {
+	if _, err := checkpoint.WriteFile(ckptPath, payload); err != nil {
 		t.Fatal(err)
 	}
 	for _, args := range [][]string{

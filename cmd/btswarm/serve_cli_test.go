@@ -96,15 +96,18 @@ func TestHTTPServerClosesPartialHeader(t *testing.T) {
 var daemonAddrLine = regexp.MustCompile(`tracker daemon on http://([^ ]+) `)
 
 // startDaemon spawns a real btswarm daemon child on an ephemeral port and
-// returns its base URL plus a getter for the accumulated stderr.
-func startDaemon(t *testing.T, extraArgs ...string) (*exec.Cmd, string, func() string) {
+// returns its base URL, a getter for the accumulated stderr, and wait,
+// which waits for the child to exit. wait reads stderr to its end before
+// it calls cmd.Wait, which closes the pipe: the daemon's last lines (the
+// resume hint among them) are read before the pipe goes away.
+func startDaemon(t *testing.T, extraArgs ...string) (cmd *exec.Cmd, base string, stderrTail func() string, wait func() error) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
 	args := append([]string{"-test.run=TestHelperBtswarmRun", "--", "-serve", "127.0.0.1:0"}, extraArgs...)
-	cmd := exec.Command(exe, args...)
+	cmd = exec.Command(exe, args...)
 	cmd.Env = append(os.Environ(), "GO_BTSWARM_HELPER=1")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -121,8 +124,10 @@ func startDaemon(t *testing.T, extraArgs ...string) (*exec.Cmd, string, func() s
 		mu     sync.Mutex
 		tail   strings.Builder
 		addrCh = make(chan string, 1)
+		eof    = make(chan struct{})
 	)
 	go func() {
+		defer close(eof)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -143,11 +148,16 @@ func startDaemon(t *testing.T, extraArgs ...string) (*exec.Cmd, string, func() s
 		if !ok {
 			t.Fatal("daemon exited before printing its address")
 		}
-		return cmd, "http://" + addr, func() string {
+		stderrTail = func() string {
 			mu.Lock()
 			defer mu.Unlock()
 			return tail.String()
 		}
+		wait = func() error {
+			<-eof
+			return cmd.Wait()
+		}
+		return cmd, "http://" + addr, stderrTail, wait
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not print its address within 30s")
 	}
@@ -165,7 +175,7 @@ func TestServeDaemonEndToEnd(t *testing.T) {
 	}
 	dir := t.TempDir()
 	ckRoot := filepath.Join(dir, "ck")
-	cmd, base, stderrTail := startDaemon(t, "-checkpoint-dir", ckRoot, "-serve-runs", "2")
+	cmd, base, stderrTail, wait := startDaemon(t, "-checkpoint-dir", ckRoot, "-serve-runs", "2")
 
 	// 1. A submitted catalog run streams exactly the offline CLI's bytes.
 	spec, err := btsim.NamedSpec("poisson", 46, 0.15)
@@ -271,7 +281,7 @@ func TestServeDaemonEndToEnd(t *testing.T) {
 	if err := json.Unmarshal([]byte(lastLine), &trailer); err != nil || trailer.Type != "suspended" {
 		t.Fatalf("stream did not end with suspended trailer: %q", lastLine)
 	}
-	if err := cmd.Wait(); err != nil {
+	if err := wait(); err != nil {
 		t.Fatalf("daemon did not exit cleanly after SIGTERM: %v\nstderr:\n%s", err, stderrTail())
 	}
 	hint := fmt.Sprintf("resume with -resume %s", trailer.Resume)

@@ -2,13 +2,14 @@ package stratmatch
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,21 +26,32 @@ var stdlibMethods = map[string]bool{
 	"Read": true, "Write": true, "Close": true, "ServeHTTP": true,
 }
 
-// goFile is one parsed source file of the module (bench/ included) with
-// the import path of its package.
-type goFile struct {
-	name string // slash path relative to the module root
-	pkg  string // import path, e.g. "stratmatch/internal/core"
-	test bool
-	ast  *ast.File
+// module is the module type-checked: every package's non-test files,
+// cmd/ and bench/ included, and the root package with its tests (the
+// in-package ones and package stratmatch_test). One Info holds every
+// package's uses, so an object is the same whoever refers to it.
+type module struct {
+	fset *token.FileSet
+	pkgs map[string]*types.Package // by import path; "stratmatch" includes its tests
+	info *types.Info
 }
 
-// parseModule parses every .go file under the module root, skipping
-// testdata and hidden directories.
-func parseModule(t *testing.T) []goFile {
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// loadModule parses every .go file under the module root, skipping
+// testdata and hidden directories and the test files of every package
+// but the root, and type-checks the packages; the standard library comes
+// from the compiler's export data.
+func loadModule(t *testing.T) *module {
 	t.Helper()
-	fset := token.NewFileSet()
-	var files []goFile
+	m := &module{
+		fset: token.NewFileSet(),
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}},
+	}
+	files := map[string][]*ast.File{}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -50,184 +62,179 @@ func parseModule(t *testing.T) []goFile {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") {
+		dir := path.Dir(filepath.ToSlash(p))
+		if !strings.HasSuffix(p, ".go") || dir != "." && strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(m.fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		name := filepath.ToSlash(p)
 		pkg := "stratmatch"
-		if dir := path.Dir(name); dir != "." {
+		if dir != "." {
 			pkg += "/" + dir
+		} else if strings.HasSuffix(f.Name.Name, "_test") {
+			pkg = f.Name.Name
 		}
-		files = append(files, goFile{name, pkg, strings.HasSuffix(p, "_test.go"), f})
+		files[pkg] = append(files[pkg], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return files
+	std := importer.ForCompiler(m.fset, "gc", nil)
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if p, ok := m.pkgs[path]; ok {
+			return p, nil
+		}
+		if _, ok := files[path]; !ok {
+			return std.Import(path)
+		}
+		conf := types.Config{Importer: imp}
+		p, err := conf.Check(path, m.fset, files[path], m.info)
+		m.pkgs[path] = p
+		return p, err
+	}
+	for path := range files {
+		if _, err := imp(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
 }
 
-// export is one exported package-level name or method declared in a
-// non-test file.
+func (m *module) testFile(pos token.Pos) bool {
+	return strings.HasSuffix(m.fset.Position(pos).Filename, "_test.go")
+}
+
+// uses returns the objects referred to from the files keep accepts,
+// methods and fields resolved through their receiver's type. A generic
+// type's method or field counts through its instantiations.
+func (m *module) uses(keep func(token.Pos) bool) map[types.Object]bool {
+	used := map[types.Object]bool{}
+	add := func(obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		used[obj] = true
+	}
+	for id, obj := range m.info.Uses {
+		if keep(id.Pos()) {
+			add(obj)
+		}
+	}
+	for sel, s := range m.info.Selections {
+		if keep(sel.Pos()) {
+			add(s.Obj())
+		}
+	}
+	return used
+}
+
+// export is an exported package-level name, or an exported method of a
+// package-level type, declared in a non-test file.
 type export struct {
-	pkg, name string
-	method    bool
-	typ       bool
-	pos       string
+	obj  types.Object
+	recv *types.Named // nil unless obj is a method
 }
 
-func exportsOf(files []goFile, keep func(goFile) bool) []export {
+func (m *module) exportsOf(pkg *types.Package) []export {
 	var out []export
-	for _, f := range files {
-		if f.test || !keep(f) {
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		if m.testFile(obj.Pos()) {
 			continue
 		}
-		add := func(id *ast.Ident, method, typ bool) {
-			if id.IsExported() {
-				out = append(out, export{f.pkg, id.Name, method, typ, f.name})
-			}
+		if obj.Exported() {
+			out = append(out, export{obj: obj})
 		}
-		for _, d := range f.ast.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				add(d.Name, d.Recv != nil, false)
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						add(s.Name, false, true)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							add(id, false, false)
-						}
-					}
-				}
+		named, ok := obj.Type().(*types.Named)
+		if _, isType := obj.(*types.TypeName); !isType || !ok {
+			continue
+		}
+		for i := range named.NumMethods() {
+			if f := named.Method(i); f.Exported() && !m.testFile(f.Pos()) {
+				out = append(out, export{f, named})
 			}
 		}
 	}
 	return out
 }
 
-// refs collects the names each file set refers to: "pkg.Name" for a
-// package-level name (qualified through an import, or bare inside its
-// own package) and ".Name" for the selector of any other X.Sel and for a
-// struct literal's field key, which is how a method or field is reached.
-// Identifiers that declare something (top-level names, struct fields,
-// interface methods, parameters) are not references. Methods match by
-// name, so they can only over-count.
-func refs(files []goFile, keep func(goFile) bool) map[string]bool {
-	seen := map[string]bool{}
-	for _, f := range files {
-		if !keep(f) {
-			continue
-		}
-		imports := map[string]string{}
-		for _, im := range f.ast.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			name := path.Base(p)
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = p
-		}
-		// The package's own names, minus the identifiers that declare them.
-		decl := map[*ast.Ident]bool{}
-		for _, d := range f.ast.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				decl[d.Name] = true
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						decl[s.Name] = true
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							decl[id] = true
-						}
-					}
+// unreferenced lists the exports no object in used is, by position then
+// name. A method also counts as used when the standard library may call
+// it through an interface, or when a used interface method of the same
+// name is one its receiver implements.
+func (m *module) unreferenced(exps []export, used map[types.Object]bool) []string {
+	ifaces := map[string][]*types.Interface{}
+	for obj := range used {
+		if f, ok := obj.(*types.Func); ok {
+			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+				if it, ok := recv.Type().Underlying().(*types.Interface); ok {
+					ifaces[f.Name()] = append(ifaces[f.Name()], it)
 				}
 			}
 		}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.Field); ok {
-				for _, id := range fl.Names {
-					decl[id] = true
-				}
-			}
-			return true
-		})
-		var visit func(ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if p, ok := imports[x.Name]; ok {
-						seen[p+"."+n.Sel.Name] = true
-						return false
-					}
-				}
-				seen["."+n.Sel.Name] = true
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.CompositeLit:
-				switch n.Type.(type) {
-				case *ast.MapType, *ast.ArrayType:
-					return true // keys are expressions
-				}
-				// A struct literal, or one whose type is elided or named:
-				// a bare key is taken as a field name.
-				if n.Type != nil {
-					ast.Inspect(n.Type, visit)
-				}
-				for _, e := range n.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if k, ok := kv.Key.(*ast.Ident); ok {
-							seen["."+k.Name] = true
-							ast.Inspect(kv.Value, visit)
-							continue
-						}
-					}
-					ast.Inspect(e, visit)
-				}
-				return false
-			case *ast.Ident:
-				if !decl[n] {
-					seen[f.pkg+"."+n.Name] = true
-				}
-			}
-			return true
-		}
-		ast.Inspect(f.ast, visit)
 	}
-	return seen
-}
-
-func unreferenced(exps []export, seen map[string]bool) []string {
+	implements := func(e export) bool {
+		for _, it := range ifaces[e.obj.Name()] {
+			if types.Implements(e.recv, it) || types.Implements(types.NewPointer(e.recv), it) {
+				return true
+			}
+		}
+		return false
+	}
 	var bad []string
 	for _, e := range exps {
-		if e.method && (stdlibMethods[e.name] || seen["."+e.name]) || !e.method && seen[e.pkg+"."+e.name] {
+		if used[e.obj] || e.recv != nil && (stdlibMethods[e.obj.Name()] || implements(e)) {
 			continue
 		}
-		bad = append(bad, e.pos+": "+e.name)
+		name := e.obj.Name()
+		if e.recv != nil {
+			name = e.recv.Obj().Name() + "." + name
+		}
+		bad = append(bad, filepath.ToSlash(m.fset.Position(e.obj.Pos()).Filename)+": "+name)
 	}
 	sort.Strings(bad)
 	return bad
+}
+
+// testOracles are internal exports whose only callers are another
+// package's tests, so they cannot move into their own package's _test.go
+// file; each names the tests that call it.
+var testOracles = map[string]string{
+	"internal/btsim/handout.go: Swarm.Neighbors": "trackerd's TestRegistryMatchesSwarm compares the registry's neighbor sets with the swarm's",
+	"internal/core/config.go: Config.Validate":   "metricmatch's and dynamics' tests audit the configurations they build",
 }
 
 // TestEveryInternalExportHasCaller fails on an exported name in internal/
 // that no non-test file of the module, bench/ and cmd/ included, refers
 // to. A name only a test uses belongs in that package's _test.go file.
 func TestEveryInternalExportHasCaller(t *testing.T) {
-	files := parseModule(t)
-	internal := func(f goFile) bool { return strings.HasPrefix(f.name, "internal/") }
-	nonTest := func(f goFile) bool { return !f.test }
-	for _, b := range unreferenced(exportsOf(files, internal), refs(files, nonTest)) {
+	m := loadModule(t)
+	used := m.uses(func(pos token.Pos) bool { return !m.testFile(pos) })
+	var exps []export
+	for path, pkg := range m.pkgs {
+		if strings.HasPrefix(path, "stratmatch/internal/") {
+			exps = append(exps, m.exportsOf(pkg)...)
+		}
+	}
+	oracles := 0
+	for _, b := range m.unreferenced(exps, used) {
+		if _, ok := testOracles[b]; ok {
+			oracles++
+			continue
+		}
 		t.Errorf("%s has no non-test caller", b)
+	}
+	if oracles != len(testOracles) {
+		t.Errorf("testOracles lists %d exports, %d of them still without a non-test caller: drop the others",
+			len(testOracles), oracles)
 	}
 }
 
@@ -236,17 +243,20 @@ func TestEveryInternalExportHasCaller(t *testing.T) {
 // Example refers to. A type passes when a test names it or another root
 // declaration does: callers reach it through the values those return.
 func TestEveryRootExportIsTested(t *testing.T) {
-	files := parseModule(t)
-	root := func(f goFile) bool { return f.pkg == "stratmatch" }
-	seen := refs(files, func(f goFile) bool { return root(f) && f.test })
-	named := refs(files, func(f goFile) bool { return root(f) && !f.test })
-	exps := exportsOf(files, root)
+	m := loadModule(t)
+	root := m.pkgs["stratmatch"]
+	inRoot := func(pos token.Pos) bool {
+		return path.Dir(filepath.ToSlash(m.fset.Position(pos).Filename)) == "."
+	}
+	seen := m.uses(func(pos token.Pos) bool { return inRoot(pos) && m.testFile(pos) })
+	named := m.uses(func(pos token.Pos) bool { return inRoot(pos) && !m.testFile(pos) })
+	exps := m.exportsOf(root)
 	for _, e := range exps {
-		if key := e.pkg + "." + e.name; e.typ && named[key] {
-			seen[key] = true
+		if _, typ := e.obj.(*types.TypeName); typ && named[e.obj] {
+			seen[e.obj] = true
 		}
 	}
-	for _, b := range unreferenced(exps, seen) {
+	for _, b := range m.unreferenced(exps, seen) {
 		t.Errorf("%s is not referenced by a root test or Example", b)
 	}
 }

@@ -5,10 +5,10 @@ package btsim
 // transfer totals), CSR wiring, free lists and bitfields; the tracker
 // registry (in handout order); the fault controller's windows, backoff
 // timers and crash queue; every RNG stream position; and the runner's
-// round cursor — serialized with the internal/checkpoint codec. The bar
-// is byte-identity: a run resumed from a checkpoint produces exactly the
-// sample/event stream and final result the uninterrupted run would have
-// produced from that round on.
+// round cursor — encoded by this file's codec and sealed in an
+// internal/checkpoint container. The bar is byte-identity: a run resumed
+// from a checkpoint produces exactly the sample/event stream and final
+// result the uninterrupted run would have produced from that round on.
 //
 // The layout is written down once. Each section of the state — binding,
 // runner, swarm header, roster, slot arrays, CSR edges, tracker, faults,
@@ -63,8 +63,10 @@ package btsim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -126,11 +128,8 @@ func (run *scenarioRun) startCheckpoint(nextRound int) error {
 	}
 	tel := run.sc.Telemetry
 	span := tel.StartPhase(telemetry.PhaseCheckpointWrite)
-	payload, err := run.encode(nextRound)
+	payload := run.encode(nextRound)
 	tel.EndPhase(telemetry.PhaseCheckpointWrite, span)
-	if err != nil {
-		return fmt.Errorf("scenario %s: checkpoint: %w", run.sc.spec.Name, err)
-	}
 	if run.written == nil {
 		run.written = make(chan error, 1)
 	}
@@ -216,15 +215,16 @@ func (sc *Scenario) persist(payload []byte, nextRound int) error {
 // encode serializes the complete run state as a checkpoint payload whose
 // resume point is nextRound. The payload lives in the run's writer buffer
 // and is valid until the next encode.
-func (run *scenarioRun) encode(nextRound int) ([]byte, error) {
+func (run *scenarioRun) encode(nextRound int) []byte {
 	// Ranks are read (and saved) below; pending joins would otherwise leak
 	// their −1 sentinel into the snapshot. Flushing here is where the next
 	// rank reader would have flushed anyway, so it cannot perturb the
 	// trajectory.
 	run.s.flushJoinRanks()
-	run.ckpt.Reset()
-	run.walk(&codec{w: &run.ckpt}, &nextRound)
-	return run.ckpt.Bytes(), nil
+	c := codec{buf: run.ckpt[:0]}
+	run.walk(&c, &nextRound)
+	run.ckpt = c.buf
+	return c.buf
 }
 
 // binding is what workload a checkpoint belongs to.
@@ -252,7 +252,7 @@ func (run *scenarioRun) walk(c *codec, next *int) {
 	c.binding(&b)
 	// Checks whose messages carry values sit in read-mode blocks, so the
 	// write path neither boxes those values nor calls the checks.
-	if c.reading() {
+	if c.reading {
 		c.check(b.name == sc.spec.Name, "checkpoint is for scenario %q", b.name)
 		c.check(b.seed == sc.Opt.Seed, "checkpoint seed %d, scenario seed %d", b.seed, sc.Opt.Seed)
 		c.check(b.rounds == sc.spec.Rounds, "checkpoint horizon %d rounds, scenario %d", b.rounds, sc.spec.Rounds)
@@ -265,7 +265,7 @@ func (run *scenarioRun) walk(c *codec, next *int) {
 
 	s := run.s
 	c.swarmHeader(s)
-	if c.reading() {
+	if c.reading {
 		c.check(*next >= 0 && *next <= sc.spec.Rounds, "resume round %d outside [0, %d]", *next, sc.spec.Rounds)
 		c.check(s.round == *next, "swarm is at round %d, resume point is %d", s.round, *next)
 	}
@@ -297,7 +297,7 @@ func (c *codec) roster(s *Swarm) {
 	n := len(s.peers)
 	// A peer costs at least ~92 payload bytes.
 	c.size(&n, s.opt.Leechers+s.opt.Seeds, 64, 1, "roster size")
-	if c.reading() {
+	if c.reading {
 		s.peers = make([]peer, n)
 		s.slotOf = make([]int32, n)
 		s.rank = make([]int, n)
@@ -324,7 +324,7 @@ func (c *codec) roster(s *Swarm) {
 		// crashed-pending peers still own one.
 		has := p.have.words != nil
 		c.bool(&has)
-		if c.reading() {
+		if c.reading {
 			c.inRange(int(s.slotOf[i]), -1, s.slotCap, "peer %d: slot", i)
 			c.inRange(p.haveCount, 0, s.opt.Pieces+1, "peer %d: piece count", i)
 			c.inRange(int(p.optimistic), -1, edges, "peer %d: optimistic edge", i)
@@ -335,7 +335,7 @@ func (c *codec) roster(s *Swarm) {
 		}
 		if has {
 			c.u64sInto(p.have.words, "bitfield")
-			if c.reading() {
+			if c.reading {
 				c.check(!p.have.padded(), "peer %d: bitfield sets a bit past piece %d", i, s.opt.Pieces)
 			}
 		}
@@ -347,7 +347,7 @@ func (c *codec) roster(s *Swarm) {
 // LIFO, and allocation order shapes every later join) and the degrees;
 // read mode then allocates the slot storage they describe.
 func (c *codec) slots(s *Swarm) {
-	if c.reading() {
+	if c.reading {
 		s.slotPeer = make([]int32, s.slotCap)
 		s.deg = make([]int32, s.slotCap)
 	}
@@ -357,7 +357,7 @@ func (c *codec) slots(s *Swarm) {
 	c.idxs(s.freeSlots, 0, s.slotCap, "free list entry %d: slot")
 	c.i32sInto(s.deg, "degrees")
 	c.idxs(s.deg, 0, int(s.edgeCap)+1, "slot %d: degree")
-	if c.reading() {
+	if c.reading {
 		c.check(len(s.freeSlots) <= s.slotCap, "free list has %d entries for capacity %d", len(s.freeSlots), s.slotCap)
 		s.allocSlots()
 	}
@@ -380,7 +380,7 @@ func (c *codec) edges(s *Swarm) {
 			c.f64(&s.recvRate[e])
 			c.bool(&s.unchoked[e])
 			c.i32(&s.inflight[e])
-			if c.reading() {
+			if c.reading {
 				c.inRange(int(s.nbr[e]), 0, peers, "edge %d: target", int(e))
 				c.inRange(int(s.inflight[e]), -1, pieces, "edge %d: in-flight piece", int(e))
 			}
@@ -395,7 +395,7 @@ func (c *codec) edges(s *Swarm) {
 func (c *codec) tracker(s *Swarm) {
 	c.i32s(&s.trk.present)
 	c.idxs(s.trk.present, 0, len(s.peers), "tracker entry %d: peer")
-	if c.reading() {
+	if c.reading {
 		s.trk.pos = make([]int32, len(s.peers))
 		for i := range s.trk.pos {
 			s.trk.pos[i] = -1
@@ -412,7 +412,7 @@ func (c *codec) tracker(s *Swarm) {
 // and cumulative counters then overwrite the fresh state. staleEdges is
 // recounted on load.
 func (c *codec) faults(s *Swarm, spec FaultsSpec) {
-	if c.reading() {
+	if c.reading {
 		s.EnableFaults(spec, nil)
 	}
 	f := s.flt
@@ -431,7 +431,7 @@ func (c *codec) faults(s *Swarm, spec FaultsSpec) {
 	q := f.crashq[f.crashHead:]
 	c.i32s(&q)
 	c.idxs(q, 0, len(s.peers), "crash queue entry %d: peer")
-	if c.reading() {
+	if c.reading {
 		f.crashq = q
 	}
 	c.int(&f.totalCrashed)
@@ -451,7 +451,7 @@ func (c *codec) faults(s *Swarm, spec FaultsSpec) {
 func (c *codec) shards(s *Swarm) {
 	width := s.sh.slotsPerShard
 	c.int(&width)
-	if c.reading() {
+	if c.reading {
 		c.check(width >= 64 && width%64 == 0 && width <= maxStateElems, "implausible shard width %d", width)
 		s.setShardSlots(width)
 	}
@@ -459,20 +459,27 @@ func (c *codec) shards(s *Swarm) {
 	for k := range s.sh.streams {
 		c.rng(&s.sh.streams[k], "shard")
 	}
-	if c.reading() {
+	if c.reading {
 		for i := range s.sh.xferDirty {
 			s.sh.xferDirty[i] = ^uint64(0)
 		}
 	}
 }
 
-// codec walks checkpoint fields in one of two modes: with w set it appends
-// each field a walk names, with r set it reads the field back into the
-// same variable. Only read mode checks what it reads; its first failed
-// check panics with a walkError, which readWalk turns back into an error.
+// codec walks checkpoint fields in one of two modes. In write mode it
+// appends each field a walk names to buf; in read mode it reads the field
+// at off back into the same variable. Every value is an 8-byte
+// little-endian word (an int as int64, a float64 as its IEEE-754 bits, so
+// NaN payloads round-trip) except a bool, which is one byte; a slice or
+// string is its length word followed by its elements. Only read mode
+// checks what it reads: a short payload, a count the remaining bytes
+// cannot hold, a bool byte above 1, an int32 overflow or a failed check
+// ends the walk with a walkError panic, which readWalk turns back into an
+// error.
 type codec struct {
-	w *checkpoint.Writer
-	r *checkpoint.Reader
+	buf     []byte
+	off     int
+	reading bool
 }
 
 type walkError struct{ err error }
@@ -489,30 +496,24 @@ func readWalk(payload []byte, walk func(c *codec)) (err error) {
 			err = we.err
 		}
 	}()
-	c := &codec{r: checkpoint.NewReader(payload)}
-	walk(c)
-	return c.r.Err()
+	walk(&codec{buf: payload, reading: true})
+	return nil
 }
 
-func (c *codec) reading() bool { return c.r != nil }
-
-// fail ends a read-mode walk. A decoding failure takes precedence: the
-// reader is sticky and returns zeros after it, so a check those zeros fail
-// reports the truncation or bad byte, not the zero. Plain field reads do
-// not stop the walk themselves: the zeros are checked like any value
-// before they size or index anything, and readWalk reports the failure
-// when the walk ends.
+// fail ends a read-mode walk.
 func (c *codec) fail(format string, args ...any) {
-	err := c.r.Err()
-	if err == nil {
-		err = fmt.Errorf(format, args...)
-	}
-	panic(walkError{err})
+	panic(walkError{fmt.Errorf(format, args...)})
+}
+
+// corrupt ends a read-mode walk on bytes that do not decode, naming the
+// offset reached.
+func (c *codec) corrupt(format string, args ...any) {
+	c.fail("%w: offset %d: %s", checkpoint.ErrCorrupt, c.off, fmt.Sprintf(format, args...))
 }
 
 // check fails a read-mode walk unless ok.
 func (c *codec) check(ok bool, format string, args ...any) {
-	if c.r != nil && !ok {
+	if c.reading && !ok {
 		c.fail(format, args...)
 	}
 }
@@ -520,14 +521,14 @@ func (c *codec) check(ok bool, format string, args ...any) {
 // inRange fails a read-mode walk unless lo <= v < hi; what names the
 // value, with a %d for at.
 func (c *codec) inRange(v, lo, hi int, what string, at int) {
-	if c.r != nil && (v < lo || v >= hi) {
+	if c.reading && (v < lo || v >= hi) {
 		c.fail(what+" %d out of range [%d, %d)", at, v, lo, hi)
 	}
 }
 
 // idxs fails a read-mode walk unless every entry of vals lies in [lo, hi).
 func (c *codec) idxs(vals []int32, lo, hi int, what string) {
-	for i := 0; c.r != nil && i < len(vals); i++ {
+	for i := 0; c.reading && i < len(vals); i++ {
 		c.inRange(int(vals[i]), lo, hi, what, i)
 	}
 }
@@ -537,7 +538,7 @@ func (c *codec) idxs(vals []int32, lo, hi int, what string) {
 // element within maxStateElems.
 func (c *codec) size(n *int, lo, minBytes, cells int, what string) {
 	c.int(n)
-	if c.r != nil && (*n < lo || *n > c.r.Remaining()/minBytes || int64(*n)*int64(cells) > maxStateElems) {
+	if c.reading && (*n < lo || *n > c.remaining()/minBytes || int64(*n)*int64(cells) > maxStateElems) {
 		c.fail("implausible %s %d", what, *n)
 	}
 }
@@ -551,77 +552,200 @@ func (c *codec) same(v int, what string) {
 	}
 }
 
-// field walks one value: write mode appends it with put, read mode reads
-// it back with get.
-func field[T any](c *codec, v *T, put func(*checkpoint.Writer, T), get func(*checkpoint.Reader) T) {
-	if c.w != nil {
-		put(c.w, *v)
-	} else {
-		*v = get(c.r)
+func (c *codec) remaining() int { return len(c.buf) - c.off }
+
+// take consumes the next n bytes of a read-mode payload.
+func (c *codec) take(n int) []byte {
+	if n > c.remaining() {
+		c.corrupt("need %d bytes, %d remain", n, c.remaining())
 	}
+	b := c.buf[c.off : c.off+n]
+	c.off += n
+	return b
 }
 
-func (c *codec) u64(v *uint64)   { field(c, v, (*checkpoint.Writer).U64, (*checkpoint.Reader).U64) }
-func (c *codec) int(v *int)      { field(c, v, (*checkpoint.Writer).Int, (*checkpoint.Reader).Int) }
-func (c *codec) i32(v *int32)    { field(c, v, (*checkpoint.Writer).I32, (*checkpoint.Reader).I32) }
-func (c *codec) f64(v *float64)  { field(c, v, (*checkpoint.Writer).F64, (*checkpoint.Reader).F64) }
-func (c *codec) bool(v *bool)    { field(c, v, (*checkpoint.Writer).Bool, (*checkpoint.Reader).Bool) }
-func (c *codec) blob(v *[]byte)  { field(c, v, (*checkpoint.Writer).Blob, (*checkpoint.Reader).Blob) }
-func (c *codec) str(v *string)   { field(c, v, (*checkpoint.Writer).String, (*checkpoint.Reader).String) }
-func (c *codec) i32s(v *[]int32) { field(c, v, (*checkpoint.Writer).I32s, (*checkpoint.Reader).I32s) }
-
-// into walks a length-prefixed slice into dst, whose length read mode
-// already knows and has allocated: put appends the slice, get reads one
-// element.
-func into[T any](c *codec, dst []T, what string, put func(*checkpoint.Writer, []T), get func(*checkpoint.Reader) T) {
-	if c.w != nil {
-		put(c.w, dst)
+// read reads the next value into v, a pointer to a bool or to one of the
+// word kinds. It stays out of line, which keeps the primitives small
+// enough to inline on the write path.
+func (c *codec) read(v any) {
+	if p, ok := v.(*bool); ok {
+		b := c.take(1)[0]
+		if b > 1 {
+			c.corrupt("bool byte %#x", b)
+		}
+		*p = b == 1
 		return
 	}
-	if n := c.r.Int(); n != len(dst) {
-		c.fail("%s has %d entries, want %d", what, n, len(dst))
-	}
-	for i := range dst {
-		dst[i] = get(c.r)
+	w := binary.LittleEndian.Uint64(c.take(8))
+	switch p := v.(type) {
+	case *uint64:
+		*p = w
+	case *int:
+		*p = int(int64(w))
+	case *int32:
+		if int64(w) != int64(int32(w)) {
+			c.corrupt("value %d overflows int32", int64(w))
+		}
+		*p = int32(w)
+	case *float64:
+		*p = math.Float64frombits(w)
 	}
 }
 
+// count reads a slice's length word, which must fit in the bytes left at
+// elemSize bytes per element, so a hostile count is rejected before the
+// allocation it would size.
+func (c *codec) count(elemSize int) int {
+	var n uint64
+	c.read(&n)
+	if n > uint64(c.remaining()/elemSize) {
+		c.corrupt("slice declares %d elements, only %d bytes remain", n, c.remaining())
+	}
+	return int(n)
+}
+
+// length walks the length word of a slice whose length read mode already
+// knows.
+func (c *codec) length(n int, what string) {
+	got := n
+	c.int(&got)
+	if got != n {
+		c.fail("%s has %d entries, want %d", what, got, n)
+	}
+}
+
+func (c *codec) u64(v *uint64) {
+	if c.reading {
+		c.read(v)
+	} else {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+	}
+}
+
+func (c *codec) int(v *int) {
+	if c.reading {
+		c.read(v)
+	} else {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(int64(*v)))
+	}
+}
+
+func (c *codec) i32(v *int32) {
+	if c.reading {
+		c.read(v)
+	} else {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(int64(*v)))
+	}
+}
+
+func (c *codec) f64(v *float64) {
+	if c.reading {
+		c.read(v)
+	} else {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*v))
+	}
+}
+
+func (c *codec) bool(v *bool) {
+	if c.reading {
+		c.read(v)
+	} else {
+		c.buf = append(c.buf, boolByte(*v))
+	}
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// blob walks a length-prefixed byte slice; read mode returns a fresh
+// copy, nil when empty.
+func (c *codec) blob(v *[]byte) {
+	if c.reading {
+		*v = append([]byte(nil), c.take(c.count(1))...)
+		return
+	}
+	c.buf = append(binary.LittleEndian.AppendUint64(c.buf, uint64(len(*v))), *v...)
+}
+
+func (c *codec) str(v *string) {
+	if c.reading {
+		*v = string(c.take(c.count(1)))
+		return
+	}
+	c.buf = append(binary.LittleEndian.AppendUint64(c.buf, uint64(len(*v))), *v...)
+}
+
+// i32s walks a length-prefixed []int32; read mode allocates it, nil when
+// empty.
+func (c *codec) i32s(v *[]int32) {
+	n := len(*v)
+	if !c.reading {
+		c.int(&n)
+	} else if n = c.count(8); n > 0 {
+		*v = make([]int32, n)
+	} else {
+		*v = nil
+	}
+	for i := range *v {
+		c.i32(&(*v)[i])
+	}
+}
+
+// The …Into forms walk a length-prefixed slice into dst, whose length read
+// mode already knows and has allocated.
+
 func (c *codec) i32sInto(dst []int32, what string) {
-	into(c, dst, what, (*checkpoint.Writer).I32s, (*checkpoint.Reader).I32)
+	c.length(len(dst), what)
+	for i := range dst {
+		c.i32(&dst[i])
+	}
 }
 
 func (c *codec) intsInto(dst []int, what string) {
-	into(c, dst, what, (*checkpoint.Writer).Ints, (*checkpoint.Reader).Int)
+	c.length(len(dst), what)
+	for i := range dst {
+		c.int(&dst[i])
+	}
 }
 
 func (c *codec) u64sInto(dst []uint64, what string) {
-	into(c, dst, what, (*checkpoint.Writer).U64s, (*checkpoint.Reader).U64)
+	c.length(len(dst), what)
+	for i := range dst {
+		c.u64(&dst[i])
+	}
 }
 
 func (c *codec) f64sInto(dst []float64, what string) {
-	into(c, dst, what, (*checkpoint.Writer).F64s, (*checkpoint.Reader).F64)
+	c.length(len(dst), what)
+	for i := range dst {
+		c.f64(&dst[i])
+	}
 }
 
 func (c *codec) bytesInto(dst []byte, what string) {
-	b := dst
-	c.blob(&b)
-	if len(b) != len(dst) {
-		c.fail("%s has %d entries, want %d", what, len(b), len(dst))
+	c.length(len(dst), what)
+	if c.reading {
+		copy(dst, c.take(len(dst)))
+	} else {
+		c.buf = append(c.buf, dst...)
 	}
-	copy(dst, b)
 }
 
 // rng walks a generator state; read mode rejects the all-zero state
 // (xoshiro's invalid fixed point).
 func (c *codec) rng(r **rng.RNG, what string) {
 	var st rng.State
-	if c.w != nil {
+	if !c.reading {
 		st = (*r).Save()
 	}
 	for i := range st {
 		c.u64(&st[i])
 	}
-	if c.r != nil {
+	if c.reading {
 		*r = rng.FromState(st)
 		c.check(*r != nil, "invalid %s RNG state", what)
 	}
@@ -681,7 +805,7 @@ func (sc Scenario) loadCheckpoint(payload []byte) (*scenarioRun, error) {
 	}
 	err := readWalk(payload, func(c *codec) {
 		run.walk(c, &run.start)
-		c.check(c.r.Remaining() == 0, "%d trailing bytes after the state", c.r.Remaining())
+		c.check(c.remaining() == 0, "%d trailing bytes after the state", c.remaining())
 	})
 	if err != nil {
 		return fail("%v", err)

@@ -546,15 +546,18 @@ func TestCheckpointEmptySpecRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := checkpoint.NewReader(payload)
-	_, _, _ = r.String(), r.U64(), r.Int() // binding: name, seed, horizon
-	specAt := len(payload) - r.Remaining()
-	if len(r.Blob()) == 0 {
+	var b binding
+	rest := 0
+	if err := readWalk(payload, func(c *codec) { c.binding(&b); rest = c.off }); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.spec) == 0 {
 		t.Fatal("corpus checkpoint embeds no spec")
 	}
-	var w checkpoint.Writer
-	w.Blob(nil)
-	emptied := append(append(append([]byte(nil), payload[:specAt]...), w.Bytes()...), payload[len(payload)-r.Remaining():]...)
+	b.spec = nil
+	w := codec{}
+	w.binding(&b)
+	emptied := append(w.buf, payload[rest:]...)
 
 	_, loadErr := sc.loadCheckpoint(emptied)
 	path := filepath.Join(t.TempDir(), checkpoint.FileName(1))
@@ -581,23 +584,26 @@ func TestLoadCheckpointRejectsHostileOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := checkpoint.NewReader(payload)
-	_, _, _, _ = r.String(), r.U64(), r.Int(), r.Blob() // binding
-	r.Int()                                             // resume round
-	for range 4 + 1 + 4 {                               // churn RNG, swarm round and RNG
-		r.U64()
-	}
-	edgeCapAt := len(payload) - r.Remaining()
-	r.Int()
-	slotCap := r.Int()
-	if err := r.Err(); err != nil {
+	var edgeCapAt, slotCap int
+	err = readWalk(payload, func(c *codec) {
+		var b binding
+		var skip uint64
+		c.binding(&b)
+		for range 1 + 4 + 1 + 4 { // resume round, churn RNG, swarm round and RNG
+			c.u64(&skip)
+		}
+		edgeCapAt = c.off
+		c.u64(&skip)
+		c.int(&slotCap)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	huge := (1 << 26) / slotCap
-	var w checkpoint.Writer
-	w.Int(huge)
-	hostile := append(append(append([]byte(nil), payload[:edgeCapAt]...), w.Bytes()...), payload[edgeCapAt+8:]...)
+	w := codec{}
+	w.int(&huge)
+	hostile := append(append(append([]byte(nil), payload[:edgeCapAt]...), w.buf...), payload[edgeCapAt+8:]...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err = sc.loadCheckpoint(hostile)
@@ -764,7 +770,7 @@ func TestCheckpointWriteReusesBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		alloc, payload := after.TotalAlloc-before.TotalAlloc, uint64(run.ckpt.Len())
+		alloc, payload := after.TotalAlloc-before.TotalAlloc, uint64(len(run.ckpt))
 		if alloc*8 >= payload {
 			t.Errorf("checkpoint at round %d allocated %d bytes for a %d-byte payload, want < 1/8",
 				round, alloc, payload)

@@ -164,7 +164,7 @@ func TestInterleavedJoinDepartInvariants(t *testing.T) {
 		checkInvariants(t, s, "interleaved batch")
 		checkConservation(t, s, "interleaved batch")
 	}
-	if s.TotalJoined() <= 14 {
+	if len(s.peers) <= 14 {
 		t.Fatal("no joins executed")
 	}
 	if s.slotCap <= 16 {
@@ -184,7 +184,7 @@ func TestJoinersDownload(t *testing.T) {
 	}
 	s.Run(40)
 	id := s.Join(800, false)
-	if got := s.Degree(id); got == 0 {
+	if s.deg[s.slotOf[id]] == 0 {
 		t.Fatal("tracker handed the joiner no neighbors")
 	}
 	if !s.RunUntilDone(20000) {

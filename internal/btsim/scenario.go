@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 
-	"stratmatch/internal/checkpoint"
 	"stratmatch/internal/rng"
 	"stratmatch/internal/telemetry"
 )
@@ -229,7 +228,7 @@ type scenarioRun struct {
 	faultsOn    bool
 	// ckpt is the checkpoint encode buffer, reused by every checkpoint of
 	// the run.
-	ckpt checkpoint.Writer
+	ckpt []byte
 	// out delivers observer calls, holding them while a checkpoint write
 	// is in flight; written carries the write's outcome back from the
 	// writer goroutine.

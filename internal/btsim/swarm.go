@@ -458,22 +458,6 @@ func (s *Swarm) Present() int { return s.present }
 // initial seeds plus leechers promoted on completion.
 func (s *Swarm) PresentSeeds() int { return s.presentDone }
 
-// TotalJoined returns the number of peers that ever joined (the roster
-// size); peer ids run 0..TotalJoined()-1.
-func (s *Swarm) TotalJoined() int { return len(s.peers) }
-
-// TotalDeparted returns the number of peers that have left.
-func (s *Swarm) TotalDeparted() int { return s.totalDeparted }
-
-// Degree returns the current connection count of a peer (0 if departed or
-// out of range).
-func (s *Swarm) Degree(id int) int {
-	if id < 0 || id >= len(s.peers) || s.peers[id].departed {
-		return 0
-	}
-	return int(s.deg[s.slotOf[id]])
-}
-
 // Join adds a new peer mid-simulation: it takes a recycled (or new) CSR
 // slot, registers with the tracker, and announces to receive an initial
 // neighbor handout. A seed joins with the full piece set; a leecher joins

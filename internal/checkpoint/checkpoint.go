@@ -1,34 +1,22 @@
-// Package checkpoint is the repository's durable-snapshot codec: a small,
-// versioned, checksummed binary container plus fixed-width little-endian
-// primitive encoders, used by the simulation layers to persist run state
-// and resume it byte-identically.
+// Package checkpoint is the repository's durable-snapshot container: a
+// small, versioned, checksummed frame around an opaque payload, written
+// atomically and kept in a directory of numbered files. The simulation
+// layer (btsim's codec) encodes and decodes the payload; this package
+// never looks inside it.
 //
-// The package deliberately knows nothing about what is being snapshotted.
-// It owns three concerns:
+// It owns two concerns:
 //
 //   - Framing: WriteFile frames a payload with a magic/version/length/CRC32
-//     header; Open verifies all four and returns the payload. Truncated, bit-flipped
-//     or version-skewed containers are rejected with descriptive errors —
-//     never a panic, never silently-corrupt state (FuzzLoadCheckpoint in the
-//     consumers leans on this).
-//   - Primitives: Writer appends fixed-width values and length-prefixed
-//     slices; Reader is its sticky-error inverse for scalars, blobs and
-//     []int32, and a caller that already knows a slice's length reads its
-//     prefix and elements one at a time. Every slice read guards its
-//     length prefix against the bytes actually remaining, so a hostile
-//     length cannot drive a huge allocation. A Writer is reusable: Reset
-//     empties it and keeps its buffer, so a run that checkpoints
-//     repeatedly encodes every snapshot into the same memory.
+//     header; Open verifies all four and returns the payload. Truncated,
+//     bit-flipped or version-skewed containers are rejected with
+//     descriptive errors — never a panic, never silently-corrupt state
+//     (FuzzLoadCheckpoint in the consumers leans on this).
 //   - Durability: WriteFile writes atomically (tmp file in the target
 //     directory, fsync, rename), so a crash mid-write can never leave a
 //     half-written checkpoint under the final name. It writes the header
 //     and then the caller's payload buffer, so sealing copies nothing.
-//     Latest and Rotate manage a directory of numbered snapshots (keep
-//     the newest K).
-//
-// Integers are encoded as 8-byte little-endian words and floats as their
-// IEEE-754 bits: the format favors simplicity and exactness (float64 values
-// round-trip bit for bit, NaN payloads included) over compactness.
+//     FileName, Seq, Latest and Rotate name and manage a directory of
+//     numbered snapshots (keep the newest K).
 package checkpoint
 
 import (
@@ -36,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -68,8 +55,9 @@ const magic = "STRMCKP\x00"
 const headerSize = len(magic) + 4 + 8 + 4
 
 // ErrCorrupt tags every integrity failure Open reports (truncation, bad
-// magic, length mismatch, checksum mismatch), so callers can distinguish
-// "damaged file" from I/O errors with errors.Is.
+// magic, length mismatch, checksum mismatch), and every payload a decoder
+// cannot read, so callers can distinguish "damaged file" from I/O errors
+// with errors.Is.
 var ErrCorrupt = errors.New("corrupt checkpoint")
 
 // ErrVersion tags a container whose format version this build does not
@@ -113,217 +101,6 @@ func Open(data []byte) ([]byte, error) {
 			ErrCorrupt, sum, binary.LittleEndian.Uint32(data[20:]))
 	}
 	return payload, nil
-}
-
-// Writer appends fixed-width primitives to a growing payload buffer. The
-// zero value is ready to use; Reset empties it for the next payload while
-// keeping its capacity, so a writer reused across checkpoints stops
-// growing once it has held the largest one.
-type Writer struct {
-	buf []byte
-}
-
-// Reset discards the accumulated payload and keeps the buffer.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
-
-// Bytes returns the accumulated payload.
-func (w *Writer) Bytes() []byte { return w.buf }
-
-// Len returns the accumulated payload size.
-func (w *Writer) Len() int { return len(w.buf) }
-
-// U64 appends a uint64.
-func (w *Writer) U64(v uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-
-// I64 appends an int64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int appends an int (as int64 — the format is architecture-independent).
-func (w *Writer) Int(v int) { w.U64(uint64(int64(v))) }
-
-// I32 appends an int32.
-func (w *Writer) I32(v int32) { w.U64(uint64(int64(v))) }
-
-// F64 appends a float64 as its IEEE-754 bits (exact, NaN-safe).
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Bool appends a bool.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.buf = append(w.buf, 1)
-	} else {
-		w.buf = append(w.buf, 0)
-	}
-}
-
-// Blob appends a length-prefixed byte slice.
-func (w *Writer) Blob(b []byte) {
-	w.U64(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// String appends a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.U64(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// I32s appends a length-prefixed []int32.
-func (w *Writer) I32s(s []int32) {
-	w.U64(uint64(len(s)))
-	for _, v := range s {
-		w.I32(v)
-	}
-}
-
-// Ints appends a length-prefixed []int.
-func (w *Writer) Ints(s []int) {
-	w.U64(uint64(len(s)))
-	for _, v := range s {
-		w.Int(v)
-	}
-}
-
-// U64s appends a length-prefixed []uint64.
-func (w *Writer) U64s(s []uint64) {
-	w.U64(uint64(len(s)))
-	for _, v := range s {
-		w.U64(v)
-	}
-}
-
-// F64s appends a length-prefixed []float64.
-func (w *Writer) F64s(s []float64) {
-	w.U64(uint64(len(s)))
-	for _, v := range s {
-		w.F64(v)
-	}
-}
-
-// Reader decodes a payload written by Writer. It is sticky-error: the
-// first failure (truncation, oversized length prefix) poisons the reader,
-// every later read returns zero values, and Err reports the failure —
-// callers decode a whole section and check once.
-type Reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewReader wraps a payload for decoding.
-func NewReader(payload []byte) *Reader { return &Reader{buf: payload} }
-
-// Err returns the first decoding failure, or nil.
-func (r *Reader) Err() error { return r.err }
-
-// Remaining returns the undecoded byte count.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
-func (r *Reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: offset %d: %s", ErrCorrupt, r.off, fmt.Sprintf(format, args...))
-	}
-}
-
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.Remaining() < n {
-		r.fail("need %d bytes, %d remain", n, r.Remaining())
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-// U64 reads a uint64.
-func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// I64 reads an int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// I32 reads an int32; values outside the int32 range poison the reader.
-func (r *Reader) I32() int32 {
-	v := r.I64()
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		r.fail("value %d overflows int32", v)
-		return 0
-	}
-	return int32(v)
-}
-
-// F64 reads a float64 from its IEEE-754 bits.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Bool reads a bool; any byte other than 0 or 1 poisons the reader.
-func (r *Reader) Bool() bool {
-	b := r.take(1)
-	if b == nil {
-		return false
-	}
-	switch b[0] {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.fail("bool byte %#x", b[0])
-		return false
-	}
-}
-
-// sliceLen reads and guards a length prefix: the declared element count
-// must fit in the bytes remaining (elemSize bytes per element), so a
-// corrupt length can never drive an oversized allocation.
-func (r *Reader) sliceLen(elemSize int) int {
-	n := r.U64()
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(r.Remaining()/elemSize) {
-		r.fail("slice declares %d elements, only %d bytes remain", n, r.Remaining())
-		return 0
-	}
-	return int(n)
-}
-
-// Blob reads a length-prefixed byte slice (always a fresh copy).
-func (r *Reader) Blob() []byte {
-	n := r.sliceLen(1)
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.Blob()) }
-
-// I32s reads a length-prefixed []int32.
-func (r *Reader) I32s() []int32 {
-	n := r.sliceLen(8)
-	if n == 0 {
-		return nil
-	}
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = r.I32()
-	}
-	return s
 }
 
 // fileSystem is the file-system surface WriteFile writes through: the

@@ -1,8 +1,8 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,98 +17,24 @@ func seal(payload []byte) []byte {
 	return append(h[:], payload...)
 }
 
-// buildPayload exercises every Writer primitive once and returns the
-// payload plus a verifier that decodes it with a Reader and checks each
-// value round-tripped exactly.
-func buildPayload(t *testing.T) ([]byte, func(*Reader)) {
-	t.Helper()
-	var w Writer
-	w.U64(0xdeadbeefcafef00d)
-	w.I64(-42)
-	w.Int(123456789)
-	w.I32(-7)
-	w.F64(math.Pi)
-	w.F64(math.NaN())
-	w.Bool(true)
-	w.Bool(false)
-	w.Blob([]byte{9, 8, 7})
-	w.String("stratmatch")
-	w.I32s([]int32{-1, 0, 1 << 30})
-	w.Ints([]int{5, -5})
-	w.U64s([]uint64{1, 2, 3})
-	w.F64s([]float64{0.5, -0.25})
-	w.Blob(nil)
-	verify := func(r *Reader) {
-		t.Helper()
-		if got := r.U64(); got != 0xdeadbeefcafef00d {
-			t.Errorf("U64 = %#x", got)
-		}
-		if got := r.I64(); got != -42 {
-			t.Errorf("I64 = %d", got)
-		}
-		if got := r.Int(); got != 123456789 {
-			t.Errorf("Int = %d", got)
-		}
-		if got := r.I32(); got != -7 {
-			t.Errorf("I32 = %d", got)
-		}
-		if got := r.F64(); got != math.Pi {
-			t.Errorf("F64 = %v", got)
-		}
-		if got := r.F64(); !math.IsNaN(got) {
-			t.Errorf("F64 NaN = %v", got)
-		}
-		if !r.Bool() || r.Bool() {
-			t.Error("Bool round-trip failed")
-		}
-		if got := r.Blob(); len(got) != 3 || got[0] != 9 || got[1] != 8 || got[2] != 7 {
-			t.Errorf("Blob = %v", got)
-		}
-		if got := r.String(); got != "stratmatch" {
-			t.Errorf("String = %q", got)
-		}
-		if got := r.I32s(); len(got) != 3 || got[0] != -1 || got[1] != 0 || got[2] != 1<<30 {
-			t.Errorf("I32s = %v", got)
-		}
-		// Ints, U64s and F64s are read back the way a caller that knows
-		// the length reads them: the prefix, then each element.
-		if n, a, b := r.Int(), r.Int(), r.Int(); n != 2 || a != 5 || b != -5 {
-			t.Errorf("Ints = %d: %d %d", n, a, b)
-		}
-		if n, a, b, c := r.Int(), r.U64(), r.U64(), r.U64(); n != 3 || a != 1 || b != 2 || c != 3 {
-			t.Errorf("U64s = %d: %d %d %d", n, a, b, c)
-		}
-		if n, a, b := r.Int(), r.F64(), r.F64(); n != 2 || a != 0.5 || b != -0.25 {
-			t.Errorf("F64s = %d: %v %v", n, a, b)
-		}
-		if got := r.Blob(); got != nil {
-			t.Errorf("empty Blob = %v", got)
-		}
-		if err := r.Err(); err != nil {
-			t.Fatalf("reader error: %v", err)
-		}
-		if r.Remaining() != 0 {
-			t.Errorf("%d bytes left over", r.Remaining())
-		}
-	}
-	return w.Bytes(), verify
-}
+// testPayload is an opaque payload: the container never looks inside.
+var testPayload = []byte("stratmatch checkpoint payload \x00\x01\xff")
 
 func TestSealOpenRoundTrip(t *testing.T) {
-	payload, verify := buildPayload(t)
-	got, err := Open(seal(payload))
+	got, err := Open(seal(testPayload))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	verify(NewReader(got))
+	if !bytes.Equal(got, testPayload) {
+		t.Fatalf("Open returned %q, want %q", got, testPayload)
+	}
 }
 
 // TestOpenCorruptionMatrix hammers Open with every truncation length and a
 // bit flip at every byte of a sealed container: each must produce an error
 // (ErrCorrupt or ErrVersion), never a success and never a panic.
 func TestOpenCorruptionMatrix(t *testing.T) {
-	payload, _ := buildPayload(t)
-	sealed := seal(payload)
+	sealed := seal(testPayload)
 
 	for n := 0; n < len(sealed); n++ {
 		if _, err := Open(sealed[:n]); err == nil {
@@ -137,73 +63,23 @@ func TestOpenVersionSkew(t *testing.T) {
 	}
 }
 
-// TestReaderTruncatedPayload checks the sticky-error contract: decoding a
-// truncated payload reports an error from Err, and reads past the failure
-// keep returning zero values instead of panicking.
-func TestReaderTruncatedPayload(t *testing.T) {
-	payload, _ := buildPayload(t)
-	for n := 0; n < len(payload); n++ {
-		r := NewReader(payload[:n])
-		for i := 0; i < 64; i++ {
-			r.U64()
-			r.Blob()
-			r.I32s()
-		}
-		if r.Err() == nil {
-			t.Fatalf("truncation to %d bytes: no reader error", n)
-		}
-	}
-}
-
-// TestReaderHostileLengths feeds slice length prefixes far larger than the
-// buffer: the guard must reject them without attempting the allocation.
-func TestReaderHostileLengths(t *testing.T) {
-	var w Writer
-	w.U64(1 << 60) // absurd element count, no elements follow
-	for _, read := range []func(*Reader){
-		func(r *Reader) { r.Blob() },
-		func(r *Reader) { r.I32s() },
-		func(r *Reader) { _ = r.String() },
-	} {
-		r := NewReader(w.Bytes())
-		read(r)
-		if !errors.Is(r.Err(), ErrCorrupt) {
-			t.Fatalf("hostile length not rejected: %v", r.Err())
-		}
-	}
-}
-
-func TestReaderRejectsBadBoolAndI32Overflow(t *testing.T) {
-	r := NewReader([]byte{7})
-	r.Bool()
-	if !errors.Is(r.Err(), ErrCorrupt) {
-		t.Fatalf("bool byte 7 accepted: %v", r.Err())
-	}
-	var w Writer
-	w.I64(math.MaxInt32 + 1)
-	r = NewReader(w.Bytes())
-	r.I32()
-	if !errors.Is(r.Err(), ErrCorrupt) {
-		t.Fatalf("int32 overflow accepted: %v", r.Err())
-	}
-}
-
 func TestWriteFileReadFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, FileName(17))
-	payload, verify := buildPayload(t)
-	n, err := WriteFile(path, payload)
+	n, err := WriteFile(path, testPayload)
 	if err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	if want := len(seal(payload)); n != want {
+	if want := len(seal(testPayload)); n != want {
 		t.Errorf("WriteFile reported %d bytes, file is %d", n, want)
 	}
 	got, err := ReadFile(path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	verify(NewReader(got))
+	if !bytes.Equal(got, testPayload) {
+		t.Fatalf("ReadFile returned %q, want %q", got, testPayload)
+	}
 
 	// No temp litter after a successful write.
 	entries, err := os.ReadDir(dir)
@@ -277,17 +153,16 @@ func injectWriteFault(t testing.TB, fault, target string) error {
 // temp file is left behind, and Latest still returns the good checkpoint,
 // which still reads back.
 func TestWriteFileFaults(t *testing.T) {
-	payload, verify := buildPayload(t)
 	for _, fault := range writeFaults {
 		t.Run(fault, func(t *testing.T) {
 			dir := t.TempDir()
 			good := filepath.Join(dir, FileName(100))
-			if _, err := WriteFile(good, payload); err != nil {
+			if _, err := WriteFile(good, testPayload); err != nil {
 				t.Fatal(err)
 			}
 			bad := filepath.Join(dir, FileName(200))
 			injected := injectWriteFault(t, fault, FileName(200))
-			_, err := WriteFile(bad, payload)
+			_, err := WriteFile(bad, testPayload)
 			if err == nil {
 				t.Fatal("WriteFile succeeded through an injected fault")
 			}
@@ -308,7 +183,9 @@ func TestWriteFileFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			verify(NewReader(got))
+			if !bytes.Equal(got, testPayload) {
+				t.Fatalf("good checkpoint reads back %q, want %q", got, testPayload)
+			}
 		})
 	}
 }

@@ -32,12 +32,6 @@ func NewTieRanking(scores []float64) (*TieRanking, error) {
 	return &TieRanking{scores: append([]float64(nil), scores...)}, nil
 }
 
-// N is the number of peers.
-func (t *TieRanking) N() int { return len(t.scores) }
-
-// Score returns peer p's intrinsic score.
-func (t *TieRanking) Score(p int) float64 { return t.scores[p] }
-
 // Prefers reports whether q is strictly better than r.
 func (t *TieRanking) Prefers(q, r int) bool { return t.scores[q] > t.scores[r] }
 

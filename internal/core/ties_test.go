@@ -22,14 +22,14 @@ func TestNewTieRankingValidates(t *testing.T) {
 		t.Fatal("increasing scores accepted")
 	}
 	tr := tieScores(t, []float64{5, 5, 3})
-	if tr.N() != 3 || tr.Score(2) != 3 {
+	if len(tr.scores) != 3 || tr.scores[2] != 3 {
 		t.Fatal("scores not stored")
 	}
 	// Copied, not aliased.
 	src := []float64{2, 1}
 	tr2 := tieScores(t, src)
 	src[0] = 99
-	if tr2.Score(0) != 2 {
+	if tr2.scores[0] != 2 {
 		t.Fatal("scores aliased")
 	}
 }
@@ -39,7 +39,7 @@ func TestTiePreferences(t *testing.T) {
 	if tr.Prefers(0, 1) || tr.Prefers(1, 0) {
 		t.Fatal("tied peers must not be strictly preferred")
 	}
-	if tr.Score(0) != tr.Score(1) || tr.Score(0) == tr.Score(2) {
+	if tr.scores[0] != tr.scores[1] || tr.scores[0] == tr.scores[2] {
 		t.Fatal("tie classes wrong")
 	}
 	if !tr.Prefers(1, 2) {

@@ -94,9 +94,6 @@ func (s *Simulator) Config() *core.Config { return s.cfg }
 // N returns the total peer population (present and absent).
 func (s *Simulator) N() int { return len(s.present) }
 
-// PresentCount returns the number of peers currently in the system.
-func (s *Simulator) PresentCount() int { return len(s.presentList) }
-
 // Step lets one uniformly random present peer take an initiative and reports
 // whether it was active. With no peers present it is a no-op.
 func (s *Simulator) Step() bool {

@@ -112,12 +112,12 @@ func TestRemoveGoodPeerCausesMoreDisorder(t *testing.T) {
 
 func TestRemovePeerBookkeeping(t *testing.T) {
 	s := newSim(t, 50, 5, 1, 5)
-	if s.PresentCount() != 50 {
-		t.Fatalf("PresentCount = %d", s.PresentCount())
+	if len(s.presentList) != 50 {
+		t.Fatalf("PresentCount = %d", len(s.presentList))
 	}
 	s.RemovePeer(7)
-	if s.PresentCount() != 49 {
-		t.Fatalf("PresentCount = %d after removal", s.PresentCount())
+	if len(s.presentList) != 49 {
+		t.Fatalf("PresentCount = %d after removal", len(s.presentList))
 	}
 	if got := s.RemovePeer(7); got != nil {
 		t.Fatal("double removal returned mates")
@@ -137,14 +137,14 @@ func TestAddPeerRejoins(t *testing.T) {
 	s := newSim(t, 100, 8, 1, 6)
 	s.RemovePeer(3)
 	s.AddPeer(3, 0.2)
-	if s.PresentCount() != 100 {
-		t.Fatalf("PresentCount = %d", s.PresentCount())
+	if len(s.presentList) != 100 {
+		t.Fatalf("PresentCount = %d", len(s.presentList))
 	}
 	if s.g.Degree(3) == 0 {
 		t.Fatal("rejoined peer got no edges (p=0.2, n=100 makes that ~1e-10)")
 	}
 	s.AddPeer(3, 0.2) // idempotent
-	if s.PresentCount() != 100 {
+	if len(s.presentList) != 100 {
 		t.Fatal("double add corrupted the present set")
 	}
 }
@@ -181,7 +181,7 @@ func TestChurnKeepsDisorderBounded(t *testing.T) {
 func TestChurnPopulationStable(t *testing.T) {
 	s := newSim(t, 200, 8, 1, 8)
 	s.RunChurn(10, 1, 0.05, 8.0/199)
-	if pc := s.PresentCount(); pc < 100 || pc > 200 {
+	if pc := len(s.presentList); pc < 100 || pc > 200 {
 		t.Fatalf("population drifted to %d", pc)
 	}
 	if err := s.Config().Validate(); err != nil {

@@ -67,9 +67,6 @@ func (p *Pool) Run(fn func(w int)) {
 	p.fn = nil
 }
 
-// Workers reports the pool size.
-func (p *Pool) Workers() int { return p.workers }
-
 // Close releases the pool's goroutines. Idempotent; Run must not be
 // in flight or called afterwards.
 func (p *Pool) Close() {

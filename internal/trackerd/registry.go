@@ -92,9 +92,6 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	return g, nil
 }
 
-// Policy returns the handout policy the registry serves (defaults applied).
-func (g *Registry) Policy() btsim.HandoutPolicy { return g.cfg.Policy }
-
 func fnv64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
@@ -310,20 +307,5 @@ func (g *Registry) ScrapeAll() []ScrapeEntry {
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Swarm < out[b].Swarm })
-	return out
-}
-
-// Neighbors returns the sorted neighbor ids of a live peer key (nil when
-// the key is unknown). Test and diagnostic surface.
-func (g *Registry) Neighbors(swarm, peerKey string) []int32 {
-	rs := g.swarm(swarm)
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	id, ok := rs.byKey[peerKey]
-	if !ok {
-		return nil
-	}
-	out := append([]int32(nil), rs.nbrs[id]...)
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }

@@ -79,7 +79,7 @@ func registryMatchesSwarm(t *testing.T, leechers, maxNbrs, rounds, departEvery i
 		rs.register(key(i))
 	}
 	for i := 0; i < n; i++ {
-		rs.announce(g.Policy(), int32(i))
+		rs.announce(g.cfg.Policy, int32(i))
 	}
 
 	live := make(map[int]bool, n)
@@ -159,7 +159,7 @@ func registryMatchesSwarm(t *testing.T, leechers, maxNbrs, rounds, departEvery i
 	if minSaturated > 0 {
 		capped := 0
 		for id := range live {
-			if s.Degree(id) == maxNbrs {
+			if len(s.Neighbors(nil, id)) == maxNbrs {
 				capped++
 			}
 		}
@@ -331,7 +331,7 @@ func mustRegistry(t *testing.T, cfg RegistryConfig) *Registry {
 // policy from btsim, and rejects a policy a simulated swarm would reject
 // with the swarm validator's error, which names the option.
 func TestRegistryPolicyValidated(t *testing.T) {
-	if got := mustRegistry(t, RegistryConfig{}).Policy(); got != (btsim.HandoutPolicy{NeighborCount: 20, MaxNeighbors: 48}) {
+	if got := mustRegistry(t, RegistryConfig{}).cfg.Policy; got != (btsim.HandoutPolicy{NeighborCount: 20, MaxNeighbors: 48}) {
 		t.Errorf("default policy %+v, want d=20 and cap 48", got)
 	}
 	for _, tc := range []struct {
@@ -346,4 +346,19 @@ func TestRegistryPolicyValidated(t *testing.T) {
 			t.Errorf("policy %+v: error %v, want %q", tc.policy, err, tc.want)
 		}
 	}
+}
+
+// Neighbors returns the sorted neighbor ids of a live peer key (nil when
+// the key is unknown).
+func (g *Registry) Neighbors(swarm, peerKey string) []int32 {
+	rs := g.swarm(swarm)
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	id, ok := rs.byKey[peerKey]
+	if !ok {
+		return nil
+	}
+	out := append([]int32(nil), rs.nbrs[id]...)
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	return out
 }
