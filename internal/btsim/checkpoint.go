@@ -19,16 +19,17 @@ package btsim
 // binding section alone.
 //
 // What is deliberately NOT saved is everything reconstructible without
-// observable effect: scratch buffers (candidate/active lists, the
-// pickPiece mark array — a fresh zero stamp is behaviorally identical),
-// the recycled-bitset pool (bitsets are cleared on reuse), free slots'
-// edge rows (rewritten before first read), the tracker's position index
+// observable effect: scratch buffers (candidate lists, the active-transfer
+// caches and their sending bitmap — every slot loads cache-stale), the
+// recycled-bitset pool (bitsets are cleared on reuse), free slots' edge
+// rows (rewritten before first read), the tracker's position index
 // (rebuilt from the registry), and telemetry (runtime instrumentation,
 // never simulation state). Nor are the integers that are functions of the
 // roster, the bitfields and the wiring: the membership and degree
 // counters (present, presentDone, totalDeparted, completedLeechers,
 // liveDegSum), each edge's rev and want, each occupied slot's avail row,
-// and the fault layer's staleEdges. A load recounts them with recount, the
+// each slot's in-flight counts and choke due phases, and the fault
+// layer's staleEdges. A load recounts them with recount, the
 // definition CheckInvariants checks the maintained values against, so they
 // resume exactly as they were. Nor is the runner's derived state: the
 // capacity-class bounds are a function of the initial peers, which stay in
@@ -441,10 +442,12 @@ func (c *codec) faults(s *Swarm, spec FaultsSpec) {
 
 // shards walks the shard layer: the shard width (part of the trajectory —
 // shard streams are keyed by shard index) and every per-shard RNG
-// sub-stream position. xferDirty and the active-list caches are
-// deliberately absent: read mode marks every slot cache-stale, and a
-// rebuild is a pure function of the saved choke state, so the first
-// resumed transfer recomputes exactly the caches the original run held.
+// sub-stream position. xferDirty, sending and the active-list caches are
+// deliberately absent: read mode marks every slot below slotCap
+// cache-stale (no bit past it, so a walk over the set bits stays inside
+// the slot arrays), and a rebuild is a pure function of the saved choke
+// state, so the first resumed transfer recomputes exactly the caches the
+// original run held.
 // The series sampler keeps no state: it sums the live roster at each
 // sample. The step worker count is a runtime knob, not state — a run may
 // checkpoint under one count and resume under another.
@@ -460,8 +463,8 @@ func (c *codec) shards(s *Swarm) {
 		c.rng(&s.sh.streams[k], "shard")
 	}
 	if c.reading {
-		for i := range s.sh.xferDirty {
-			s.sh.xferDirty[i] = ^uint64(0)
+		for sl := range s.slotCap {
+			bmSet(s.sh.xferDirty, sl)
 		}
 	}
 }

@@ -165,8 +165,9 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 // TestLoadRebuildsDerivedState: a checkpoint saves none of the values a
 // load recounts, so at every checkpoint of every catalog scenario the
 // loaded swarm's rebuilt counters, wants-data flags, tracker saturation
-// bits, per-edge rev and want, avail rows and stale-edge count must equal the maintained values of the live swarm that
-// wrote the file, and the loaded run's recomputed capacity-class bounds
+// bits, per-edge rev and want, avail rows, in-flight counts, due phases
+// and stale-edge count must equal the maintained values of the live swarm
+// that wrote the file, and the loaded run's recomputed capacity-class bounds
 // must equal the live run's. The faulted scenarios cover staleEdges:
 // crashcrowd checkpoints while crashed peers still await the sweep. The
 // test steps the rounds itself and writes each checkpoint in place,
@@ -258,7 +259,73 @@ func sameDerived(got, want *Swarm) error {
 	if want.flt != nil && got.flt.staleEdges != want.flt.staleEdges {
 		return fmt.Errorf("staleEdges %d, live %d", got.flt.staleEdges, want.flt.staleEdges)
 	}
+	if !slices.Equal(got.inflightCnt, want.inflightCnt) {
+		return fmt.Errorf("in-flight counts differ from the live run's")
+	}
+	if !slices.Equal(got.due, want.due) {
+		return fmt.Errorf("due phases differ from the live run's")
+	}
 	return nil
+}
+
+// TestResumeUnalignedSlotsStepsClean: poisson at scale 1 has 160 slots,
+// not a multiple of 64, so the last word of each transfer bitmap has bits
+// past the slot arrays. A load marks only the slots below slotCap stale,
+// so the resumed swarm's first transfer, which walks every stale bit,
+// stays inside the slot arrays. The resumed run must then step alongside
+// the live one into the same derived state and pass the audit, and the
+// audit must reject a bitmap bit at or past slotCap.
+func TestResumeUnalignedSlotsStepsClean(t *testing.T) {
+	sc := mustCompile(t, namedSpec(t, "poisson", 1, 1))
+	sc.CheckpointDir = t.TempDir()
+	run, err := sc.freshRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.s.slotCap%64 == 0 {
+		t.Fatalf("poisson at scale 1 has %d slots, a multiple of 64", run.s.slotCap)
+	}
+	run.out.obs = &discardObserver{}
+	const at = 50
+	for round := 0; round < at; round++ {
+		if err := run.runRound(round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := run.writeCheckpoint(at); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := checkpoint.ReadFile(filepath.Join(sc.CheckpointDir, checkpoint.FileName(at)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := sc.loadCheckpoint(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded.out.obs = &discardObserver{}
+	for round := at; round < at+20; round++ {
+		if err := loaded.runRound(round); err != nil {
+			t.Fatal(err)
+		}
+		if err := run.runRound(round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := loaded.s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sameDerived(loaded.s, run.s); err != nil {
+		t.Fatal(err)
+	}
+	s := loaded.s
+	for _, bm := range []*[]uint64{&s.sh.xferDirty, &s.sh.sending} {
+		bmSet(*bm, s.slotCap)
+		if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "past capacity") {
+			t.Fatalf("audit of a bitmap bit at slot %d returned %v", s.slotCap, err)
+		}
+		bmClear(*bm, s.slotCap)
+	}
 }
 
 // seriesAfterRound keeps the samples a run resumed at round boundary k

@@ -134,7 +134,7 @@ func pickPieceOracle(s *Swarm, v, u *peer) int {
 // TestPickPieceMatchesOracle checks the word-at-a-time rarest-first scan
 // against the per-piece oracle across bitset word boundaries (the catalog
 // runs 32 pieces, one word), on random have sets of every density, heavily
-// tied availability counts and random in-flight marks.
+// tied availability counts and random in-flight state.
 func TestPickPieceMatchesOracle(t *testing.T) {
 	r := rng.New(41)
 	for _, pieces := range []int{1, 63, 64, 65, 130} {
@@ -160,16 +160,22 @@ func TestPickPieceMatchesOracle(t *testing.T) {
 			}
 			randomHave(v.have, densities[r.Intn(len(densities))])
 			randomHave(u.have, densities[r.Intn(len(densities))])
-			abase := int(s.slotOf[v.id]) * pieces
-			for i := 0; i < pieces; i++ {
-				s.avail[abase+i] = int32(r.Intn(3))
-			}
 			base, end := s.edges(v.id)
 			for e := base; e < end; e++ {
 				s.inflight[e] = -1
 				if r.Bool(0.6) {
 					s.inflight[e] = int32(r.Intn(pieces))
 				}
+			}
+			// The in-flight counts pickPiece reads are rebuilt from
+			// inflight by the load's recount; the avail row is then
+			// overwritten with heavily tied random counts.
+			if err := s.recount(true); err != nil {
+				t.Fatal(err)
+			}
+			abase := int(s.slotOf[v.id]) * pieces
+			for i := 0; i < pieces; i++ {
+				s.avail[abase+i] = int32(r.Intn(3))
 			}
 			if got, want := s.pickPiece(v, u), pickPieceOracle(s, v, u); got != want {
 				t.Fatalf("pieces=%d trial %d: pickPiece %d, oracle %d", pieces, trial, got, want)

@@ -31,20 +31,31 @@ package btsim
 // interest and rarity for uploaders later in slot order, an inherently
 // sequential dependency (and the piece workloads are two orders of
 // magnitude smaller than the content-unlimited flashcrowd this layer
-// exists for). Choke decisions shard in both modes.
+// exists for). Choke decisions shard in both modes. The choke pass reads
+// each slot's dense due phases (Swarm.due) and touches the roster only for
+// the slots whose rechoke or optimistic rotation falls due this round.
 //
 // # Event-driven transfer (the active-transfer cache)
 //
 // Every on-schedule peer rechokes at each choke interval, as in the
-// paper's Tit-for-Tat model. What is event-driven is the content-unlimited
-// send pass: each uploader's active-transfer list (the edges it unchokes,
-// or holds as its optimistic pick, towards a present leecher) is cached
-// between choke changes. The xferDirty bitmap marks the slots whose cache
-// may be stale — after a rechoke or optimistic rotation, an edge added,
-// removed or swapped, or a neighbor's crash — and the send pass rebuilds
-// only those. A spurious mark only forces a rebuild that recomputes the
-// same list. Swarm.CheckInvariants cross-checks every clean cache against
-// an eager scan.
+// paper's Tit-for-Tat model. What is event-driven is transfer, in both
+// modes: each uploader's active-transfer list (the edges it unchokes, or
+// holds as its optimistic pick) is cached between choke changes. The
+// xferDirty bitmap marks the slots whose cache may be stale — after a
+// rechoke or optimistic rotation, the removal of a listed edge or a swap
+// that moves one, a neighbor's crash, or the occupant's crash or
+// departure (Crash, releaseSlot) — and transfer rebuilds only those. A
+// new edge starts choked, so adding one changes no list, and a slot's
+// next occupant finds its cache stale or already empty. A spurious mark
+// only forces a rebuild that recomputes the same list.
+// The content-unlimited cache keeps only edges towards a present leecher,
+// which changes only with those events. Piece-mode interest changes
+// mid-round, so the piece-mode cache keeps every unchoked and optimistic
+// edge and transfer filters it at the uploader's turn; the sending bitmap
+// marks the slots whose cache is non-empty, and piece-mode transfer
+// visits only the slots in sending or xferDirty. Swarm.CheckInvariants
+// cross-checks every clean cache, and its sending bit, against an eager
+// scan.
 
 import (
 	"sync/atomic"
@@ -94,17 +105,38 @@ type shardState struct {
 	next     atomic.Int32
 	scratch  []chokeScratch // per-worker; [0] doubles as the serial scratch
 
-	xferDirty []uint64
-
-	// Content-unlimited transfer state (nil in piece mode): xfer[e] is the
-	// kbit written to edge e's owner this round by the e-reverse uploader
-	// (zero between rounds: the receive pass drains it), and
-	// activeEdges[sl*activeStride:…]/activeCnt[sl] cache the slot's active
+	// xferDirty marks the slots whose active-transfer cache may be stale;
+	// sending marks the slots whose cache is non-empty.
+	// activeEdges[sl*activeStride:…]/activeCnt[sl] cache slot sl's active
 	// transfer list between choke changes.
-	xfer         []float64
+	xferDirty    []uint64
+	sending      []uint64
 	activeCnt    []int32
 	activeEdges  []int32
 	activeStride int
+
+	// xfer[e] is the kbit written to edge e's owner this round by the
+	// e-reverse uploader (zero between rounds: the receive pass drains it);
+	// content-unlimited mode only, nil in piece mode.
+	xfer []float64
+}
+
+// duePhase is one slot's choke schedule: a peer rechokes in the rounds r
+// with (r + id) mod ChokeIntervalRounds == 0 and rotates its optimistic
+// unchoke when (r + id) mod OptimisticIntervalRounds == 0, so each phase
+// is its occupant's id modulo that interval. A free slot holds freeDue,
+// which no round's residue equals.
+type duePhase struct{ choke, opt int32 }
+
+var freeDue = duePhase{-1, -1}
+
+// duePhaseOf is the schedule of a slot occupied by peer id (freeDue for
+// id < 0).
+func (s *Swarm) duePhaseOf(id int32) duePhase {
+	if id < 0 {
+		return freeDue
+	}
+	return duePhase{int32(int(id) % s.opt.ChokeIntervalRounds), int32(int(id) % s.opt.OptimisticIntervalRounds)}
 }
 
 // Slot-bitmap helpers. All Step-phase writers touch only words of their
@@ -159,10 +191,11 @@ func (s *Swarm) resizeShards() {
 	}
 	w := bmWords(s.slotCap)
 	sh.xferDirty = grown(sh.xferDirty, w)
+	sh.sending = grown(sh.sending, w)
+	sh.activeCnt = grown(sh.activeCnt, s.slotCap)
+	sh.activeEdges = grown(sh.activeEdges, s.slotCap*sh.activeStride)
 	if s.opt.ContentUnlimited {
 		sh.xfer = grown(sh.xfer, s.slotCap*int(s.edgeCap))
-		sh.activeCnt = grown(sh.activeCnt, s.slotCap)
-		sh.activeEdges = grown(sh.activeEdges, s.slotCap*sh.activeStride)
 	}
 	s.tel.SetGauge(telemetry.GaugeShards, int64(n))
 }
@@ -267,59 +300,77 @@ func (s *Swarm) runShard(k, ph, w int) {
 	s.tel.EndPhase(shardPhaseTel[ph], sp)
 }
 
-// chokeShard runs the choke schedule over one shard's slots, drawing any
-// randomness (seed rotation, optimistic picks) from the shard's own
-// sub-stream.
+// chokeShard runs the choke schedule over one shard's slots, in slot
+// order, drawing any randomness (seed rotation, optimistic picks) from the
+// shard's own sub-stream. A slot is due when its phase equals the round's
+// residue, (−round) mod interval; the roster is read only for due slots.
 func (s *Swarm) chokeShard(k, w int) {
 	lo, hi := s.shardBounds(k)
 	rr := s.sh.streams[k]
 	sc := &s.sh.scratch[w]
 	ci := s.opt.ChokeIntervalRounds
 	oi := s.opt.OptimisticIntervalRounds
-	for sl := lo; sl < hi; sl++ {
-		id := s.slotPeer[sl]
-		if id < 0 {
+	rc := (ci - s.round%ci) % ci
+	ro := (oi - s.round%oi) % oi
+	for i, d := range s.due[lo:hi] {
+		choke, opt := int(d.choke) == rc, int(d.opt) == ro
+		if !choke && !opt {
 			continue
 		}
-		p := &s.peers[id]
+		sl := lo + i
+		p := &s.peers[s.slotPeer[sl]]
 		if p.departed {
 			continue // crash-stop: a dead peer takes no protocol actions
 		}
-		if (s.round+p.id)%ci == 0 {
+		if choke {
 			s.rechokePeer(p, sl, rr, sc)
 		}
-		if !p.done && (s.round+p.id)%oi == 0 {
+		if opt && !p.done {
 			s.rotateOptimisticPeer(p, rr, sc)
 			bmSet(s.sh.xferDirty, sl)
 		}
 	}
 }
 
-// rebuildActive recomputes slot sl's cached active-transfer list: the
-// edges that are unchoked (or the optimistic pick) towards a present
-// leecher, read from the dense wantsData flags rather than the roster
-// (in content-unlimited mode the flag is exactly "present and not a
-// seed"). The cache is a pure function of choke state and neighbor
-// liveness, both frozen during the transfer phase, and every mutation of
-// either marks xferDirty — so a clean cache equals the eager scan
-// (cross-checked by CheckInvariants).
-func (s *Swarm) rebuildActive(sl int, u *peer) {
+// rebuildActive recomputes slot sl's cached active-transfer list and its
+// sending bit. The list holds the edges the occupant unchokes or holds as
+// its optimistic pick, in edge order, and is empty unless the occupant
+// can send (canSend). In content-unlimited mode it keeps only the edges
+// towards a present leecher, read from the dense wantsData flags rather
+// than the roster (there the flag is exactly "present and not a seed").
+// The cache is a pure function of choke state, occupancy and, in
+// content-unlimited mode, neighbor liveness, all frozen during the
+// transfer phase, and every mutation of them marks xferDirty — so a clean
+// cache equals the eager scan (cross-checked by CheckInvariants).
+func (s *Swarm) rebuildActive(sl int) {
 	s.tel.Inc(telemetry.CtrActiveRebuilds)
-	base := int32(sl) * s.edgeCap
-	end := base + s.deg[sl]
-	abase := sl * s.sh.activeStride
 	na := 0
-	for e := base; e < end; e++ {
-		if !s.unchoked[e] && e != u.optimistic {
-			continue
-		}
-		if s.wantsData[s.nbr[e]] {
-			s.sh.activeEdges[abase+na] = e
-			na++
+	if id := s.slotPeer[sl]; id >= 0 && canSend(&s.peers[id]) {
+		u := &s.peers[id]
+		base := int32(sl) * s.edgeCap
+		end := base + s.deg[sl]
+		abase := sl * s.sh.activeStride
+		for e := base; e < end; e++ {
+			if !s.unchoked[e] && e != u.optimistic {
+				continue
+			}
+			if !s.opt.ContentUnlimited || s.wantsData[s.nbr[e]] {
+				s.sh.activeEdges[abase+na] = e
+				na++
+			}
 		}
 	}
 	s.sh.activeCnt[sl] = int32(na)
+	if na > 0 {
+		bmSet(s.sh.sending, sl)
+	} else {
+		bmClear(s.sh.sending, sl)
+	}
 }
+
+// canSend reports whether slot occupant u uploads: crashed occupants hold
+// their slot but move no data, and neither does a peer without capacity.
+func canSend(u *peer) bool { return !u.departed && u.capacity > 0 }
 
 // sendShard is the content-unlimited uploader pass over one shard: each
 // present uploader splits its capacity over its cached active list,
@@ -336,11 +387,11 @@ func (s *Swarm) sendShard(k int) {
 			continue
 		}
 		u := &s.peers[id]
-		if u.departed || u.capacity <= 0 {
+		if !canSend(u) {
 			continue
 		}
 		if bmGet(sh.xferDirty, sl) {
-			s.rebuildActive(sl, u)
+			s.rebuildActive(sl)
 			bmClear(sh.xferDirty, sl)
 		}
 		na := int(sh.activeCnt[sl])
@@ -392,9 +443,9 @@ func (s *Swarm) recvShard(k int) {
 	}
 }
 
-// markActiveStale flags a slot whose cached active list may be stale: its
-// edge block changed shape (an edge added, removed or swapped into a new
-// index), a neighbor crashed, or the slot has a new occupant.
+// markActiveStale flags a slot whose cached active list may be stale: a
+// listed edge was removed or swapped into a new index, a neighbor crashed,
+// or the slot's occupant crashed or left.
 func (s *Swarm) markActiveStale(sl int32) {
 	bmSet(s.sh.xferDirty, int(sl))
 }

@@ -238,6 +238,46 @@ func TestEventDrivenSkipsHappen(t *testing.T) {
 	}
 }
 
+// TestPieceModeEventDrivenSkipsHappen is TestEventDrivenSkipsHappen for
+// piece-mode transfer: over a poisson run, every present uploader is one
+// sender visit per round, as in the eager scan the cache replaced. The
+// cache must be rebuilt at all, stay clean on at least three visits in
+// four, and pass the audit at the end.
+func TestPieceModeEventDrivenSkipsHappen(t *testing.T) {
+	sc := mustCompile(t, namedSpec(t, "poisson", 1, 1))
+	run, err := sc.freshRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.s.opt.ContentUnlimited {
+		t.Fatal("poisson runs in content-unlimited mode")
+	}
+	tel := telemetry.New()
+	run.s.SetTelemetry(tel)
+	run.out.obs = &discardObserver{}
+	visits := uint64(0)
+	for round := 0; round < sc.spec.Rounds; round++ {
+		for _, id := range run.s.slotPeer {
+			if id >= 0 && canSend(&run.s.peers[id]) {
+				visits++
+			}
+		}
+		if err := run.runRound(round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rebuilds := counterOf(tel.Snapshot(), "btsim_active_rebuilds_total")
+	if rebuilds == 0 {
+		t.Fatal("no active-cache rebuilds recorded")
+	}
+	if rebuilds >= visits/4 {
+		t.Fatalf("%d active-cache rebuilds in %d sender visits; the cache is stale on a quarter or more", rebuilds, visits)
+	}
+	if err := run.s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCheckpointResumeAcrossWorkerCounts pins that the worker count is a
 // pure runtime knob end to end: a multi-shard run checkpointed under 4
 // workers resumes byte-identically under 1 worker and under 4, matching the

@@ -18,8 +18,10 @@ import (
 // content-unlimited mode the transfer splits into a send pass and a receive
 // pass with the cross-shard flow buffered in between. Piece-mode transfer
 // stays serial — mid-round piece completions are an inherently sequential
-// dependency. The result is byte-identical at any SetStepWorkers setting,
-// and steady-state stepping is allocation-free at any worker count.
+// dependency — and visits only the slots with a non-empty or stale
+// active-transfer cache. The result is byte-identical at any
+// SetStepWorkers setting, and steady-state stepping is allocation-free at
+// any worker count.
 func (s *Swarm) Step() {
 	s.flushJoinRanks()
 	sp := s.tel.StartPhase(telemetry.PhaseChoke)
@@ -96,7 +98,9 @@ func (s *Swarm) Crash(id int) {
 	// Stale-edge accounting: every present neighbor's half towards p goes
 	// stale; p's own halves towards already-crashed neighbors stop counting
 	// (their owner is no longer present). Surviving neighbors' active
-	// lists just lost a recipient — mark them for a cache rebuild.
+	// lists just lost a recipient, and p's own list must empty — mark them
+	// all for a cache rebuild.
+	s.markActiveStale(sl)
 	base := sl * s.edgeCap
 	for e := base; e < base+s.deg[sl]; e++ {
 		q := &s.peers[s.nbr[e]]
@@ -133,8 +137,10 @@ func (s *Swarm) leave(p *peer) {
 }
 
 // releaseSlot unwires every edge of p (both CSR halves, with incremental
-// want/avail maintenance), clears its slot's progress and availability rows
-// so the next occupant starts clean, and recycles the slot and bitfield.
+// want/avail maintenance), clears its slot's progress, availability and
+// in-flight rows and its due phases so the next occupant starts clean,
+// marks its active-transfer cache stale, and recycles the slot and
+// bitfield.
 // Depart calls it on a present peer and sweepCrashed on a crashed one. An
 // edge between a present and a crashed peer had one stale half, the
 // present end's, and unwiring it retires that half; p's own halves leave
@@ -165,9 +171,12 @@ func (s *Swarm) releaseSlot(p *peer) {
 	for i := pbase; i < pbase+s.opt.Pieces; i++ {
 		s.pieceProgress[i] = 0
 		s.avail[i] = 0
+		s.inflightCnt[i] = 0
 	}
 	s.slotOf[p.id] = -1
 	s.slotPeer[sl] = -1
+	s.due[sl] = freeDue
+	s.markActiveStale(sl)
 	s.freeSlots = append(s.freeSlots, sl)
 	s.havePool = append(s.havePool, p.have)
 	p.have = bitset{}
@@ -348,63 +357,77 @@ func (s *Swarm) rotateOptimisticPeer(p *peer, rr *rng.RNG, sc *chokeScratch) {
 // interest and rarity for uploaders later in slot order. Content-unlimited
 // transfer — where no such dependency exists — runs as the sharded
 // send/receive passes in shard.go instead.
+//
+// It is event-driven (see shard.go): it visits, in ascending slot order,
+// only the slots whose active-transfer cache is non-empty (sending) or
+// stale (xferDirty), rebuilding a stale one first. The cache lists every
+// unchoked and optimistic edge; whether the recipient still wants data
+// along it is asked at the uploader's turn, because earlier uploaders'
+// completions change interest mid-round. That yields the same list, in
+// the same order, as an eager scan of the uploader's edges.
 func (s *Swarm) transfer() {
+	sh := &s.sh
+	for w, word := range sh.sending {
+		for m := word | sh.xferDirty[w]; m != 0; m &= m - 1 {
+			s.transferFrom(w<<6 | bits.TrailingZeros64(m))
+		}
+	}
+}
+
+// transferFrom is transfer's turn for the uploader in slot sl.
+func (s *Swarm) transferFrom(sl int) {
 	P := s.opt.Pieces
-	for sl := 0; sl < s.slotCap; sl++ {
-		id := s.slotPeer[sl]
-		if id < 0 {
-			continue
+	sh := &s.sh
+	if bmGet(sh.xferDirty, sl) {
+		s.rebuildActive(sl)
+		bmClear(sh.xferDirty, sl)
+	}
+	abase := sl * sh.activeStride
+	na := 0
+	for _, e := range sh.activeEdges[abase : abase+int(sh.activeCnt[sl])] {
+		if s.wantsAlong(s.nbr[e], s.rev[e]) {
+			s.active[na] = e
+			na++
 		}
-		u := &s.peers[id]
-		if u.departed || u.capacity <= 0 {
-			continue // crashed occupants hold their slot but move no data
-		}
-		na := 0
-		base := int32(sl) * s.edgeCap
-		end := base + s.deg[sl]
-		for e := base; e < end; e++ {
-			if !s.unchoked[e] && e != u.optimistic {
-				continue
+	}
+	if na == 0 {
+		return
+	}
+	u := &s.peers[s.slotPeer[sl]] // a non-empty cache has a sending occupant
+	share := u.capacity / float64(na)
+	for a := 0; a < na; a++ {
+		e := s.active[a]
+		v := &s.peers[s.nbr[e]]
+		ev := s.rev[e] // v's edge back to u: no neighbor-list search
+		vsl := int(ev / s.edgeCap)
+		remaining := share
+		for remaining > 1e-9 && !v.done {
+			piece := int(s.inflight[ev])
+			if piece < 0 || v.have.has(piece) || !u.have.has(piece) {
+				if piece >= 0 {
+					s.inflightCnt[vsl*P+piece]--
+				}
+				piece = s.pickPiece(v, u)
+				s.inflight[ev] = int32(piece)
+				if piece < 0 {
+					break // u has nothing v needs
+				}
+				s.inflightCnt[vsl*P+piece]++
 			}
-			if s.wantsAlong(s.nbr[e], s.rev[e]) {
-				s.active[na] = e
-				na++
+			idx := vsl*P + piece
+			need := s.opt.PieceKbit - s.pieceProgress[idx]
+			amt := remaining
+			if need < amt {
+				amt = need
 			}
-		}
-		if na == 0 {
-			continue
-		}
-		share := u.capacity / float64(na)
-		for a := 0; a < na; a++ {
-			e := s.active[a]
-			v := &s.peers[s.nbr[e]]
-			ev := s.rev[e] // v's edge back to u: no neighbor-list search
-			vsl := int(ev / s.edgeCap)
-			remaining := share
-			for remaining > 1e-9 && !v.done {
-				piece := int(s.inflight[ev])
-				if piece < 0 || v.have.has(piece) || !u.have.has(piece) {
-					piece = s.pickPiece(v, u)
-					s.inflight[ev] = int32(piece)
-					if piece < 0 {
-						break // u has nothing v needs
-					}
-				}
-				idx := vsl*P + piece
-				need := s.opt.PieceKbit - s.pieceProgress[idx]
-				amt := remaining
-				if need < amt {
-					amt = need
-				}
-				s.pieceProgress[idx] += amt
-				s.recvWindow[ev] += amt
-				u.totalUp += amt
-				v.totalDown += amt
-				remaining -= amt
-				if s.pieceProgress[idx] >= s.opt.PieceKbit {
-					v.have.set(piece)
-					s.completePiece(v, piece)
-				}
+			s.pieceProgress[idx] += amt
+			s.recvWindow[ev] += amt
+			u.totalUp += amt
+			v.totalDown += amt
+			remaining -= amt
+			if s.pieceProgress[idx] >= s.opt.PieceKbit {
+				v.have.set(piece)
+				s.completePiece(v, piece)
 			}
 		}
 	}
@@ -414,19 +437,13 @@ func (s *Swarm) transfer() {
 // pieces u has and v lacks, preferring pieces no other connection is
 // currently feeding (to spread sources across pieces); when only in-flight
 // pieces remain, it joins the rarest of those — progress is shared, so this
-// accelerates completion instead of duplicating work.
+// accelerates completion instead of duplicating work. Whether a piece is
+// in flight is read from v's slot's in-flight counts (inflightCnt), not
+// from a walk over v's edges.
 func (s *Swarm) pickPiece(v, u *peer) int {
-	// Stamp v's in-flight pieces into the scratch mark array; a fresh stamp
-	// per call avoids both clearing and allocating.
-	s.stamp++
-	base, end := s.edges(v.id)
-	for e := base; e < end; e++ {
-		if piece := s.inflight[e]; piece >= 0 {
-			s.mark[piece] = s.stamp
-		}
-	}
 	abase := int(s.slotOf[v.id]) * s.opt.Pieces
 	avail := s.avail[abase : abase+s.opt.Pieces]
+	inflight := s.inflightCnt[abase : abase+s.opt.Pieces]
 	bestFresh, bestFreshAvail := -1, int32(1<<30)
 	bestAny, bestAnyAvail := -1, int32(1<<30)
 	// Visit the pieces u has and v lacks a bitset word at a time, in
@@ -439,7 +456,7 @@ func (s *Swarm) pickPiece(v, u *peer) int {
 			if a < bestAnyAvail {
 				bestAny, bestAnyAvail = piece, a
 			}
-			if s.mark[piece] != s.stamp && a < bestFreshAvail {
+			if inflight[piece] == 0 && a < bestFreshAvail {
 				bestFresh, bestFreshAvail = piece, a
 			}
 		}
@@ -451,11 +468,12 @@ func (s *Swarm) pickPiece(v, u *peer) int {
 }
 
 // completePiece finalizes v's acquisition of piece: incremental interest and
-// availability bookkeeping, in-flight cleanup, and completion (seed
-// promotion) detection.
+// availability bookkeeping, in-flight cleanup (edges and counts), and
+// completion (seed promotion) detection.
 func (s *Swarm) completePiece(v *peer, piece int) {
 	v.haveCount++
 	P := s.opt.Pieces
+	row := s.inflightCnt[int(s.slotOf[v.id])*P:][:P]
 	base, end := s.edges(v.id)
 	for e := base; e < end; e++ {
 		if s.inflight[e] == int32(piece) {
@@ -472,6 +490,7 @@ func (s *Swarm) completePiece(v *peer, piece int) {
 			s.want[s.rev[e]]++
 		}
 	}
+	row[piece] = 0 // the loop idled every edge that fed it
 	s.tel.Inc(telemetry.CtrPieces)
 	if v.haveCount == s.opt.Pieces {
 		v.done = true
@@ -484,5 +503,6 @@ func (s *Swarm) completePiece(v *peer, piece int) {
 		for e := base; e < end; e++ {
 			s.inflight[e] = -1
 		}
+		clear(row)
 	}
 }

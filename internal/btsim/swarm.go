@@ -248,6 +248,12 @@ type Swarm struct {
 	slotPeer  []int32 // slot → occupant peer id, −1 when free
 	freeSlots []int32 // stack of free slots
 	deg       []int32 // slot → current degree
+	// due[sl] is slot sl's choke schedule, its occupant's id modulo the
+	// choke and optimistic intervals (freeDue for a free slot), so the choke
+	// pass finds the slots due this round without reading the roster.
+	// New and Join set it with slotPeer, releaseSlot clears it, and a
+	// checkpoint load rebuilds it (recount).
+	due []duePhase
 
 	nbr []int32
 	rev []int32
@@ -265,6 +271,11 @@ type Swarm struct {
 	// like BitTorrent's block-level parallel download — all contributing to
 	// the shared pieceProgress, so overlap wastes nothing.
 	inflight []int32
+	// inflightCnt[sl*Pieces+p] counts the live edges of slot sl whose
+	// inflight is p, so pickPiece tests a piece's in-flight state in O(1).
+	// Every write to inflight keeps it; a checkpoint load rebuilds it
+	// (recount).
+	inflightCnt []int32
 	// want[e] counts the pieces the target of e has that the owner lacks;
 	// want[e] > 0 means the owner is interested in the target. Maintained
 	// incrementally by completePiece, addEdge and removeEdgeHalf.
@@ -310,13 +321,11 @@ type Swarm struct {
 	// reused by every call on the stepping hot path — Step never allocates.
 	// (The choke candidate buffers live per worker in sh.scratch.)
 	active []int32
-	mark   []uint64 // pickPiece in-flight stamps, one per piece
-	stamp  uint64
 
 	// sh is the sharded, event-driven stepping state: shard geometry, the
-	// per-shard RNG sub-streams, the per-slot active-transfer caches and
-	// their xferDirty bitmap, and the optional persistent worker pool (see
-	// shard.go).
+	// per-shard RNG sub-streams, the per-slot active-transfer caches with
+	// their xferDirty and sending bitmaps, and the optional persistent
+	// worker pool (see shard.go).
 	sh shardState
 
 	// pendingJoin / rankOrder / joinSort back the batched join-rank flush
@@ -400,6 +409,9 @@ func New(o Options) (*Swarm, error) {
 	}
 	s.deg = make([]int32, s.slotCap)
 	s.allocSlots()
+	for i := 0; i < n; i++ {
+		s.due[i] = s.duePhaseOf(int32(i))
+	}
 
 	// Initial wiring goes through the tracker, exactly like later joins:
 	// every peer registers, then announces in id order, topping its
@@ -431,9 +443,13 @@ func (s *Swarm) allocSlots() {
 	s.want = make([]int32, total)
 	s.avail = make([]int32, s.slotCap*s.opt.Pieces)
 	s.pieceProgress = make([]float64, s.slotCap*s.opt.Pieces)
+	s.inflightCnt = make([]int32, s.slotCap*s.opt.Pieces)
+	s.due = make([]duePhase, s.slotCap)
+	for sl := range s.due {
+		s.due[sl] = freeDue
+	}
 
 	s.active = make([]int32, s.edgeCap)
-	s.mark = make([]uint64, s.opt.Pieces)
 	s.rankOrder = make([]int32, s.slotCap)
 	s.joinSort.s = s
 	s.initShards()
@@ -476,10 +492,10 @@ func (s *Swarm) Join(capacityKbps float64, asSeed bool) int {
 	id := s.newPeer(capacityKbps, asSeed, bs).id
 	s.slotOf = append(s.slotOf, sl)
 	s.slotPeer[sl] = int32(id)
+	s.due[sl] = s.duePhaseOf(int32(id))
 	if s.flt != nil {
 		s.flt.slotJoined(sl)
 	}
-	s.markActiveStale(sl) // the cache still lists the previous occupant's edges
 	s.tel.Inc(telemetry.CtrJoins)
 	s.trk.Add(int32(id))
 	s.Announce(id)
@@ -554,11 +570,14 @@ func (s *Swarm) grow() {
 
 	s.avail = grown(s.avail, s.slotCap*s.opt.Pieces)
 	s.pieceProgress = grown(s.pieceProgress, s.slotCap*s.opt.Pieces)
+	s.inflightCnt = grown(s.inflightCnt, s.slotCap*s.opt.Pieces)
 
 	s.deg = grown(s.deg, s.slotCap)
 	s.slotPeer = grown(s.slotPeer, s.slotCap)
+	s.due = grown(s.due, s.slotCap)
 	for sl := old; sl < s.slotCap; sl++ {
 		s.slotPeer[sl] = -1
+		s.due[sl] = freeDue
 	}
 	for sl := s.slotCap - 1; sl >= old; sl-- {
 		s.freeSlots = append(s.freeSlots, int32(sl))
@@ -573,6 +592,8 @@ func (s *Swarm) grow() {
 // addEdge wires a symmetric connection between two present peers, seeding
 // the per-edge transfer state and the incremental interest and availability
 // counters. Callers guarantee headroom on both sides and no existing edge.
+// A new edge starts choked and is nobody's optimistic pick, so neither
+// end's active-transfer list changes.
 func (s *Swarm) addEdge(a, b *peer) {
 	asl, bsl := s.slotOf[a.id], s.slotOf[b.id]
 	ea := asl*s.edgeCap + s.deg[asl]
@@ -596,18 +617,24 @@ func (s *Swarm) addEdge(a, b *peer) {
 		s.trk.SetSaturated(int32(b.id), true)
 	}
 	s.liveDegSum += 2
-	s.markActiveStale(asl)
-	s.markActiveStale(bsl)
 }
 
 // removeEdgeHalf deletes edge er from q's block by swapping the block's
 // last edge into its place and fixing the moved edge's reverse pointer (and
-// q's optimistic slot, if it referenced either edge).
+// q's optimistic slot, if it referenced either edge). er's in-flight piece
+// leaves q's in-flight counts; the moved edge's stays in the same slot.
+// q's active-transfer list changes only if it held er or the moved edge.
 func (s *Swarm) removeEdgeHalf(q *peer, er int32) {
 	qsl := s.slotOf[q.id]
 	last := qsl*s.edgeCap + s.deg[qsl] - 1
+	if s.unchoked[er] || s.unchoked[last] || q.optimistic == er || q.optimistic == last {
+		s.markActiveStale(qsl)
+	}
 	if q.optimistic == er {
 		q.optimistic = -1
+	}
+	if piece := s.inflight[er]; piece >= 0 {
+		s.inflightCnt[int(qsl)*s.opt.Pieces+int(piece)]--
 	}
 	if er != last {
 		s.nbr[er] = s.nbr[last]
@@ -631,7 +658,6 @@ func (s *Swarm) removeEdgeHalf(q *peer, er int32) {
 	if !q.departed {
 		s.liveDegSum--
 	}
-	s.markActiveStale(qsl)
 }
 
 // edgeTo returns peer a's edge to peer b, or −1 when they are not

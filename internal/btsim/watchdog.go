@@ -11,9 +11,11 @@ import (
 // reversed), and every incrementally maintained value a checkpoint does
 // not save — the membership and degree counters, each peer's wants-data
 // flag, each tracker position's saturation bit, each edge's rev and want,
-// each slot's avail row and the stale-edge count — against recount, the
-// definition a checkpoint load rebuilds them with. It understands the
-// fault layer: a crashed peer may keep its slot and edge block until the
+// each slot's avail row, in-flight counts and choke due phases, and the
+// stale-edge count — against recount, the definition a checkpoint load
+// rebuilds them with — and every clean active-transfer cache against an
+// eager scan (checkActiveCache). It understands the fault layer: a
+// crashed peer may keep its slot and edge block until the
 // failure-detection sweep, and present peers may hold stale edges to it.
 //
 // A violation is returned as a descriptive error; nil means every
@@ -107,8 +109,10 @@ func (s *Swarm) CheckInvariants() error {
 // is at the cap); for each live edge its rev (the owner's
 // edge within the target's block, unique because duplicate edges are
 // rejected) and want (the pieces the target holds that the owner lacks);
-// each occupied slot's avail row; and the stale-edge count (present
-// owners' edges to crashed peers). It is their one definition. With fill
+// each occupied slot's avail row; each slot's in-flight counts (its live
+// edges per inflight piece, all zero for a free slot) and due phases
+// (duePhaseOf its occupant); and the stale-edge count (present owners'
+// edges to crashed peers). It is their one definition. With fill
 // set it stores them, which is how a checkpoint load rebuilds the values
 // it does not save; otherwise it compares them with the maintained values,
 // as CheckInvariants does.
@@ -229,16 +233,47 @@ func (s *Swarm) recount(fill bool) error {
 	case stale != s.flt.staleEdges:
 		return fmt.Errorf("staleEdges %d, recount %d", s.flt.staleEdges, stale)
 	}
+
+	// The per-slot schedule and in-flight rows, free slots included: the
+	// next occupant must find them clear.
+	cnt := make([]int32, s.opt.Pieces)
+	for sl := 0; sl < s.slotCap; sl++ {
+		oid := s.slotPeer[sl]
+		row := s.inflightCnt[sl*s.opt.Pieces:][:s.opt.Pieces]
+		if d := s.duePhaseOf(oid); fill {
+			s.due[sl], cnt = d, row
+		} else if s.due[sl] != d {
+			return fmt.Errorf("slot %d due phases %+v, recount %+v", sl, s.due[sl], d)
+		}
+		clear(cnt)
+		if oid >= 0 {
+			base := int32(sl) * s.edgeCap
+			for _, piece := range s.inflight[base : base+s.deg[sl]] {
+				if piece >= 0 {
+					cnt[piece]++
+				}
+			}
+		}
+		if !fill && !slices.Equal(row, cnt) {
+			return fmt.Errorf("slot %d in-flight counts %v, recount %v", sl, row, cnt)
+		}
+	}
 	return nil
 }
 
-// checkActiveCache cross-checks the content-unlimited transfer state
-// against an eager recomputation: a clean active-list cache must equal the
-// eager scan, while a set xferDirty bit is merely conservative and not
-// audited. A clean slot with more active edges than activeStride (its TFT
-// unchokes plus the optimistic one) is an error, not an index past its
-// cache entries. It runs as part of CheckInvariants, between rounds, when
-// the cross-round transfer scratch must also be quiescent.
+// checkActiveCache cross-checks the transfer state against an eager
+// recomputation. A clean slot's active-transfer cache must equal the eager
+// scan — the edges its occupant unchokes or holds as its optimistic pick,
+// towards a present leecher in content-unlimited mode, and none unless the
+// occupant can send — and its sending bit must say whether the cache is
+// non-empty. A set xferDirty bit is merely conservative, and a stale
+// slot's cache is not compared. Every slot whose occupant can send, stale
+// or clean, must list at most activeStride edges (its TFT unchokes plus
+// the optimistic one): that bound is what lets its next rebuild fit its
+// cache entries, a check a checkpoint load relies on. Neither bitmap may
+// set a bit at or past slotCap. It runs as part of CheckInvariants,
+// between rounds, when the cross-round transfer scratch must also be
+// quiescent.
 func (s *Swarm) checkActiveCache() error {
 	sh := &s.sh
 	// The send/recv handoff scratch must be fully drained between rounds.
@@ -247,41 +282,49 @@ func (s *Swarm) checkActiveCache() error {
 			return fmt.Errorf("btsim: invariant: xfer[%d] = %g left over between rounds", e, a)
 		}
 	}
-	if !s.opt.ContentUnlimited {
-		return nil
+	if tail := s.slotCap & 63; tail != 0 {
+		w := s.slotCap >> 6
+		if (sh.xferDirty[w]|sh.sending[w])>>tail != 0 {
+			return fmt.Errorf("btsim: invariant: a transfer bitmap marks a slot at or past capacity %d", s.slotCap)
+		}
 	}
 	for sl := 0; sl < s.slotCap; sl++ {
-		id := s.slotPeer[sl]
-		if id < 0 {
+		dirty := bmGet(sh.xferDirty, sl)
+		var u *peer
+		if id := s.slotPeer[sl]; id >= 0 && canSend(&s.peers[id]) {
+			u = &s.peers[id]
+		}
+		if dirty && u == nil {
 			continue
 		}
-		p := &s.peers[id]
-		if p.departed || p.capacity <= 0 || bmGet(sh.xferDirty, sl) {
-			continue
-		}
-		base := int32(sl) * s.edgeCap
-		end := base + s.deg[sl]
 		abase := sl * sh.activeStride
 		na := 0
-		for e := base; e < end; e++ {
-			if !s.unchoked[e] && e != p.optimistic {
-				continue
+		if u != nil {
+			base := int32(sl) * s.edgeCap
+			for e := base; e < base+s.deg[sl]; e++ {
+				if !s.unchoked[e] && e != u.optimistic {
+					continue
+				}
+				if v := &s.peers[s.nbr[e]]; s.opt.ContentUnlimited && (v.departed || v.isSeed) {
+					continue
+				}
+				if na == sh.activeStride {
+					return fmt.Errorf("btsim: invariant: slot %d has more than %d active edges", sl, na)
+				}
+				if !dirty && (na >= int(sh.activeCnt[sl]) || sh.activeEdges[abase+na] != e) {
+					return fmt.Errorf("btsim: invariant: slot %d active cache diverges from eager scan at entry %d", sl, na)
+				}
+				na++
 			}
-			v := &s.peers[s.nbr[e]]
-			if v.departed || v.isSeed {
-				continue
-			}
-			if na == sh.activeStride {
-				return fmt.Errorf("btsim: invariant: slot %d has more than %d active edges", sl, na)
-			}
-			if na >= int(sh.activeCnt[sl]) || sh.activeEdges[abase+na] != e {
-				return fmt.Errorf("btsim: invariant: slot %d active cache diverges from eager scan at entry %d", sl, na)
-			}
-			na++
 		}
-		if na != int(sh.activeCnt[sl]) {
+		switch {
+		case dirty:
+		case na != int(sh.activeCnt[sl]):
 			return fmt.Errorf("btsim: invariant: slot %d active cache holds %d edges, eager scan %d",
 				sl, sh.activeCnt[sl], na)
+		case bmGet(sh.sending, sl) != (na > 0):
+			return fmt.Errorf("btsim: invariant: slot %d sending bit %t with %d cached edges",
+				sl, bmGet(sh.sending, sl), na)
 		}
 	}
 	return nil
